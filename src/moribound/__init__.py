@@ -1,6 +1,6 @@
 """Face-dimension bounds for contraction-ray systems.
 
-The package has five layers:
+The package has six layers:
 
 - ``core``: exact rational vectors, trilinear forms, linear algebra, and
   inequality feasibility.
@@ -14,6 +14,10 @@ The package has five layers:
   orthogonal-extension maps, and dependence detection.
 - ``bounds``: weighted-angle verification on polytope cross-sections and the
   closed-form dimension caps.
+
+``generate`` builds seeded instances of every kind, and ``cli`` reads and
+writes instance files; the layers work on parsed JSON through their
+``*_from_json`` / ``*_to_json`` pairs.
 """
 
 from .core import (
@@ -36,11 +40,9 @@ from .polytope import (
     cube,
     cyclic_dual,
     lemma13_bound,
-    load_polytope,
     polytope_from_json,
     polytope_to_json,
     product,
-    save_polytope,
     simplex,
 )
 from .raysystem import (
@@ -53,12 +55,11 @@ from .raysystem import (
     build_graph,
     check_lemma227,
     check_normalization,
+    contact_violations,
     distance,
     diameter,
     divisorial_components,
     is_simple_ray,
-    load_system,
-    save_system,
     system_from_json,
     system_to_json,
     validate,
@@ -97,12 +98,10 @@ from .realized import (
     is_nef,
     is_simple_in_face,
     linear_dependence,
-    load_model,
     model_from_json,
     model_to_json,
     nef_certificate,
     numerical_kodaira_dim,
-    save_model,
 )
 from .bounds import (
     AngleData,
@@ -117,9 +116,7 @@ from .bounds import (
     diagram_to_json,
     enumerate_angles,
     lemma14_max_n,
-    load_diagram,
     max_integer_below,
-    save_diagram,
     sigma,
     theorem12_bound,
     validate_diagram,

@@ -12,14 +12,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .bounds import (
-    CustomRule,
-    DiagramInstance,
     Theorem12Rule,
     Theorem258Rule,
     diagram_from_json,
@@ -27,11 +22,11 @@ from .bounds import (
     lemma14_max_n,
     max_integer_below,
     theorem12_bound,
+    validate_diagram,
 )
 from .core import format_rational, rational
 from .generate import make_polytope, make_system
 from .polytope import (
-    CombinatorialPolytope,
     PolytopeError,
     a02_bound,
     average_faces,
@@ -40,15 +35,15 @@ from .polytope import (
 )
 from .raysystem import (
     RayDivisorSystem,
-    RayType,
     SystemFormatError,
-    check_lemma227,
+    Violation,
     check_normalization,
+    contact_violations,
     system_from_json,
     system_to_json,
     validate,
 )
-from .realized import RealizedModel, model_from_json
+from .realized import model_from_json
 from .structure import (
     ClassificationFailure,
     check_lemma11,
@@ -65,8 +60,19 @@ EXIT_USAGE = 2
 
 
 # ---------------------------------------------------------------------------
-# Instance loading.
+# Instance files: the one place the package reads and writes them.
 # ---------------------------------------------------------------------------
+
+# kind -> parser.  Each parser is looked up when called, so rebinding one
+# (as a tracer wrapping the package's functions does) takes effect here.
+FROM_JSON = {
+    "system": lambda data: system_from_json(data),
+    "realized": lambda data: model_from_json(data),
+    "polytope": lambda data: polytope_from_json(data),
+    "diagram": lambda data: diagram_from_json(data),
+}
+SYSTEM_KINDS = ("system", "realized", "diagram")
+NOT_A_SYSTEM = "{path} holds a {kind}, not a ray-divisor system"
 
 
 def detect_kind(data: object) -> str:
@@ -88,9 +94,33 @@ def _read_json(path: str) -> object:
         return json.load(fh)
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def load_instance(
+    path: str, kinds: tuple[str, ...], wrong_kind: str
+) -> tuple[str, object]:
+    """The kind and parsed instance of a file that must hold one of `kinds`;
+    otherwise `wrong_kind`, formatted with the path and kind, is the error."""
+    data = _read_json(path)
+    kind = detect_kind(data)
+    if kind not in kinds:
+        raise SystemFormatError(wrong_kind.format(path=path, kind=kind))
+    return kind, FROM_JSON[kind](data)
+
+
+def _system_of(kind: str, inst) -> RayDivisorSystem:
+    if kind == "realized":
+        return inst.base_system
+    if kind == "diagram":
+        return inst.system
+    return inst
+
+
+def _dumps(payload: object) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _emit(args: argparse.Namespace, payload: object, text_lines: list[str]) -> None:
     if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -108,47 +138,37 @@ def _write_atomic(path: str, content: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def contact_violations(s: RayDivisorSystem) -> list[tuple[str, str]]:
-    """Co-facial type II pairs on distinct touching divisors that fail the
-    cross-product inequality."""
-    if s.faces is None:
-        return []
-    cofacial: set[tuple[str, str]] = set()
-    for face in s.faces:
-        for a, b in combinations(sorted(face), 2):
-            cofacial.add((a, b))
-    bad = []
-    for a, b in sorted(cofacial):
-        ra, rb = s.ray(a), s.ray(b)
-        if ra.type is not RayType.II or rb.type is not RayType.II:
-            continue
-        if ra.divisor is None or rb.divisor is None or ra.divisor == rb.divisor:
-            continue
-        if not s.joined(ra.divisor, rb.divisor):
-            continue
-        if not check_lemma227(s, a, b):
-            bad.append((a, b))
-    return bad
+# kind -> violation code for the ValueError an instance of that kind raises
+# on inconsistent content: realized models and polytopes when built, diagram
+# bundles when their facet-ray correspondence is checked.
+INCONSISTENT = {
+    "realized": "model-inconsistent",
+    "polytope": "polytope-invalid",
+    "diagram": "correspondence-mismatch",
+}
 
 
-def _check_system(s: RayDivisorSystem) -> tuple[list[dict], list[str]]:
-    violations = [
-        {"code": v.code, "subjects": list(v.subjects), "detail": v.detail}
-        for v in validate(s)
-    ]
-    for a, b in contact_violations(s):
-        violations.append(
-            {
-                "code": "contact-product",
-                "subjects": [a, b],
-                "detail": "cross pairings do not multiply below the self pairings",
-            }
-        )
-    notes = [
-        f"non-normalized: {v.code} ({', '.join(v.subjects)})"
-        for v in check_normalization(s)
-    ]
-    return violations, notes
+def _check_instance(kind: str, data: dict) -> tuple[list[Violation], list[Violation]]:
+    """The invariant violations and normalization notes of one instance."""
+    if kind in ("realized", "polytope"):
+        try:
+            inst = FROM_JSON[kind](data)
+        except SystemFormatError:
+            raise
+        except ValueError as exc:
+            return [Violation(INCONSISTENT[kind], (), str(exc))], []
+        if kind == "polytope":
+            return [], []
+    else:
+        inst = FROM_JSON[kind](data)
+    s = _system_of(kind, inst)
+    violations = validate(s) + contact_violations(s)
+    if kind == "diagram":
+        try:
+            validate_diagram(inst)
+        except ValueError as exc:
+            violations.append(Violation(INCONSISTENT[kind], (), str(exc)))
+    return violations, check_normalization(s)
 
 
 def check_one(path: str) -> dict:
@@ -158,50 +178,19 @@ def check_one(path: str) -> dict:
                     "violations": [], "notes": []}
     try:
         data = _read_json(path)
-        kind = detect_kind(data)
-        result["kind"] = kind
-        if kind == "system":
-            violations, notes = _check_system(system_from_json(data))
-        elif kind == "realized":
-            try:
-                model = model_from_json(data)
-            except SystemFormatError:
-                raise
-            except ValueError as exc:
-                violations, notes = (
-                    [{"code": "model-inconsistent", "subjects": [],
-                      "detail": str(exc)}],
-                    [],
-                )
-            else:
-                violations, notes = _check_system(model.base_system)
-        elif kind == "polytope":
-            try:
-                polytope_from_json(data)
-                violations, notes = [], []
-            except PolytopeError as exc:
-                violations, notes = (
-                    [{"code": "polytope-invalid", "subjects": [],
-                      "detail": str(exc)}],
-                    [],
-                )
-        else:  # diagram
-            inst = diagram_from_json(data)
-            violations, notes = _check_system(inst.system)
-            try:
-                from .bounds import validate_diagram
-
-                validate_diagram(inst)
-            except ValueError as exc:
-                violations.append(
-                    {"code": "correspondence-mismatch", "subjects": [],
-                     "detail": str(exc)}
-                )
-        result["violations"] = violations
-        result["notes"] = notes
-        result["ok"] = not violations
+        kind = result["kind"] = detect_kind(data)
+        violations, notes = _check_instance(kind, data)
     except (SystemFormatError, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
         result["error"] = f"{type(exc).__name__}: {exc}"
+        return result
+    result["violations"] = [
+        {"code": v.code, "subjects": list(v.subjects), "detail": v.detail}
+        for v in violations
+    ]
+    result["notes"] = [
+        f"non-normalized: {v.code} ({', '.join(v.subjects)})" for v in notes
+    ]
+    result["ok"] = not violations
     return result
 
 
@@ -242,18 +231,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not paths:
         print("no instance files found", file=sys.stderr)
         return EXIT_USAGE
-    if args.jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(check_one, paths))
-    else:
-        results = [check_one(p) for p in paths]
-    if args.format == "json":
-        payload = results[0] if len(results) == 1 else results
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            for line in _check_text(r):
-                print(line)
+    results = [check_one(p) for p in paths]
+    _emit(
+        args,
+        results[0] if len(results) == 1 else results,
+        [line for r in results for line in _check_text(r)],
+    )
     return _check_exit(results)
 
 
@@ -262,20 +245,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_system_file(path: str) -> RayDivisorSystem:
-    data = _read_json(path)
-    kind = detect_kind(data)
-    if kind == "system":
-        return system_from_json(data)
-    if kind == "realized":
-        return model_from_json(data).base_system
-    if kind == "diagram":
-        return diagram_from_json(data).system
-    raise SystemFormatError(f"{path} holds a {kind}, not a ray-divisor system")
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
-    s = _load_system_file(args.path)
+    s = _system_of(*load_instance(args.path, SYSTEM_KINDS, NOT_A_SYSTEM))
     report = classify_report(s)
     lines = ["components:"]
     for comp in report["components"]:
@@ -307,7 +278,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_esets(args: argparse.Namespace) -> int:
-    s = _load_system_file(args.path)
+    s = _system_of(*load_instance(args.path, SYSTEM_KINDS, NOT_A_SYSTEM))
     if s.faces is None:
         print("system has no face structure", file=sys.stderr)
         return EXIT_USAGE
@@ -406,10 +377,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_polytope_stats(args: argparse.Namespace) -> int:
-    data = _read_json(args.path)
-    if detect_kind(data) != "polytope":
-        raise SystemFormatError(f"{args.path} is not a polytope file")
-    p = polytope_from_json(data)
+    _, p = load_instance(args.path, ("polytope",), "{path} is not a polytope file")
     fv = p.fvector()
     payload: dict = {
         "dim": p.dim,
@@ -462,10 +430,7 @@ def _make_rule(args: argparse.Namespace):
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    data = _read_json(args.path)
-    if detect_kind(data) != "diagram":
-        raise SystemFormatError(f"{args.path} is not a diagram bundle")
-    inst = diagram_from_json(data)
+    _, inst = load_instance(args.path, ("diagram",), "{path} is not a diagram bundle")
     rule = _make_rule(args)
     try:
         report = diagram_pipeline(inst, args.d, rule)
@@ -528,7 +493,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         payload = system_to_json(s)
         if args.family == "random-valid":
             print(f"rejections before a valid draw: {rejections}", file=sys.stderr)
-    content = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    content = _dumps(payload) + "\n"
     if args.out:
         _write_atomic(args.out, content)
     else:
@@ -555,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="validate instance files")
     p_check.add_argument("paths", nargs="+", metavar="PATH",
                          help="instance files or directories of .json files")
-    p_check.add_argument("--jobs", type=int, default=1)
     add_format(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -611,22 +575,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PolytopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-
-
-def run() -> None:  # console-script entry point
-    raise SystemExit(main())
+    except (OSError, ValueError) as exc:
+        # an unreadable or malformed file, or an argument out of its domain
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

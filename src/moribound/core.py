@@ -30,7 +30,10 @@ def rational(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -152,10 +155,6 @@ class TrilinearForm:
             for p, q, r in set(permutations(key)):
                 out[r] += value * a[p] * b[q]
         return RVector(tuple(out))
-
-
-def trilinear_eval(form: TrilinearForm, a: RVector, b: RVector, c: RVector) -> Fraction:
-    return form.evaluate(a, b, c)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 from .core import RVector, TrilinearForm
 from .polytope import CombinatorialPolytope, cube, cyclic_dual, product, simplex
-from .raysystem import Ray, RayDivisorSystem, RayType, validate
+from .raysystem import Ray, RayDivisorSystem, RayType, contact_violations, validate
 from .realized import RealizedModel
 
 
@@ -179,8 +179,9 @@ def system_eset_d(k: int) -> RayDivisorSystem:
 def random_valid_system(
     seed: int, max_rays: int = 4
 ) -> tuple[RayDivisorSystem, int]:
-    """Rejection-sample a valid system: random types, shared-divisor blocks,
-    and 0/1 cross pairings.  Returns the system and the rejection count."""
+    """Rejection-sample a system that passes `validate` and
+    `contact_violations`: random types, shared-divisor blocks, and 0/1 cross
+    pairings.  Returns the system and the rejection count."""
     rng = random.Random(seed)
     rejections = 0
     while True:
@@ -221,7 +222,7 @@ def random_valid_system(
             meets=[tuple(sorted(pair)) for pair in sorted(meets, key=sorted)],
             faces=_powerset_faces(ids),
         )
-        if validate(system):
+        if validate(system) or contact_violations(system):
             rejections += 1
             continue
         return system, rejections

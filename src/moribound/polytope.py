@@ -8,12 +8,12 @@ weighted-angle engine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import binomial
+from .raysystem import SystemFormatError
 
 VertexId = object  # JSON scalar: str or int
 
@@ -52,7 +52,6 @@ class CombinatorialPolytope:
     dim: int
     vertices: tuple[VertexId, ...]
     facets: tuple[frozenset, ...]
-    _lattice: dict = field(init=False, repr=False, compare=False)
     _dims: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
@@ -63,9 +62,7 @@ class CombinatorialPolytope:
 
     def __post_init__(self) -> None:
         self._validate_incidence()
-        lattice, dims = self._build_lattice()
-        object.__setattr__(self, "_lattice", lattice)
-        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_dims", self._build_lattice())
         self._check_consistency()
 
     # -- construction ------------------------------------------------------
@@ -92,7 +89,7 @@ class CombinatorialPolytope:
                     f"vertex {v!r} lies in {incident} facets, fewer than dim {self.dim}"
                 )
 
-    def _build_lattice(self) -> tuple[dict, dict]:
+    def _build_lattice(self) -> dict:
         top = frozenset(self.vertices)
         faces = {top}
         frontier = [top]
@@ -120,7 +117,7 @@ class CombinatorialPolytope:
                         f"minimal face {sorted(face, key=_sort_key)} is not a single vertex"
                     )
                 dims[face] = 0
-        return {f: None for f in by_size}, dims
+        return dims
 
     def _check_consistency(self) -> None:
         top = frozenset(self.vertices)
@@ -181,19 +178,6 @@ class CombinatorialPolytope:
         for d in self._dims.values():
             counts[d] += 1
         return FVector(tuple(counts))
-
-
-def face_lattice(p: CombinatorialPolytope) -> list[tuple[frozenset, int]]:
-    """Every face paired with its dimension, sorted by (dim, size, ids)."""
-    return [(face, p.face_dim(face)) for face in p.faces()]
-
-
-def is_simple(p: CombinatorialPolytope) -> bool:
-    return p.is_simple
-
-
-def fvector(p: CombinatorialPolytope) -> FVector:
-    return p.fvector()
 
 
 def average_faces(p: CombinatorialPolytope, i: int, k: int) -> Fraction:
@@ -332,15 +316,7 @@ def polytope_from_json(data: dict) -> CombinatorialPolytope:
         raise PolytopeError(f"missing polytope field: {exc}") from exc
     if not isinstance(dim, int):
         raise PolytopeError("dim must be an integer")
-    return CombinatorialPolytope.of(dim, vertices, facets)
-
-
-def load_polytope(path: str) -> CombinatorialPolytope:
-    with open(path, encoding="utf-8") as fh:
-        return polytope_from_json(json.load(fh))
-
-
-def save_polytope(p: CombinatorialPolytope, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(polytope_to_json(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        return CombinatorialPolytope.of(dim, vertices, facets)
+    except TypeError as exc:  # non-scalar vertex ids, non-list facets
+        raise SystemFormatError(f"malformed polytope: {exc}") from exc

@@ -10,11 +10,11 @@ validated system.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import INF, format_rational, rational
@@ -194,9 +194,6 @@ class RayDivisorSystem:
             sorted({frozenset(f) for f in faces}, key=lambda f: (len(f), sorted(f)))
         )
         return replace(self, faces=normalized)
-
-    def is_valid(self) -> bool:
-        return not validate(self)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +532,40 @@ def check_lemma227(s: RayDivisorSystem, r1: str, r2: str) -> bool:
     return cross < selfs
 
 
+def contact_violations(s: RayDivisorSystem) -> list[Violation]:
+    """Co-facial type II pairs on distinct touching divisors that fail the
+    product inequality of `check_lemma227`.
+
+    Kept apart from `validate`: `enumerate_sign_systems` yields every system
+    that `validate` accepts, and many of those fail this check once crossed
+    with a face family.
+    """
+    if s.faces is None:
+        return []
+    cofacial: set[tuple[str, str]] = set()
+    for face in s.faces:
+        for a, b in combinations(sorted(face), 2):
+            cofacial.add((a, b))
+    bad = []
+    for a, b in sorted(cofacial):
+        ra, rb = s.ray(a), s.ray(b)
+        if ra.type is not RayType.II or rb.type is not RayType.II:
+            continue
+        if ra.divisor is None or rb.divisor is None or ra.divisor == rb.divisor:
+            continue
+        if not s.joined(ra.divisor, rb.divisor):
+            continue
+        if not check_lemma227(s, a, b):
+            bad.append(
+                Violation(
+                    "contact-product",
+                    (a, b),
+                    "cross pairings do not multiply below the self pairings",
+                )
+            )
+    return bad
+
+
 # ---------------------------------------------------------------------------
 # JSON wire format.
 # ---------------------------------------------------------------------------
@@ -597,14 +628,3 @@ def system_from_json(data: Mapping) -> RayDivisorSystem:
         if isinstance(exc, SystemFormatError):
             raise
         raise SystemFormatError(str(exc)) from exc
-
-
-def load_system(path: str) -> RayDivisorSystem:
-    with open(path, encoding="utf-8") as fh:
-        return system_from_json(json.load(fh))
-
-
-def save_system(s: RayDivisorSystem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(s), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -10,7 +10,6 @@ face-simplicity rank test.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -500,14 +499,3 @@ def model_from_json(data: dict) -> RealizedModel:
         intersection_form=form,
         anticanonical_vector=anti,
     )
-
-
-def load_model(path: str) -> RealizedModel:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))
-
-
-def save_model(m: RealizedModel, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")

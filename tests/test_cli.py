@@ -2,9 +2,14 @@
 and the generate -> check loop."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moribound
 from moribound.cli import POLYTOPE_FAMILIES, SYSTEM_FAMILIES, main
 
 FIXTURES = "tests/fixtures"
@@ -114,13 +119,6 @@ def test_check_detects_realized_and_polytope_kinds(capsys, tmp_path):
     kinds = {entry["path"].rsplit("/", 1)[-1]: entry["kind"]
              for entry in json.loads(out)}
     assert kinds == {"model.json": "realized", "shape.json": "polytope"}
-
-
-def test_check_parallel_jobs_same_result(capsys):
-    code1, out1, _ = run(capsys, "check", FIXTURES, "--format", "json")
-    code2, out2, _ = run(capsys, "check", FIXTURES, "--format", "json",
-                         "--jobs", "4")
-    assert (code1, out1) == (code2, out2)
 
 
 def test_check_invalid_system_exits_one(capsys, tmp_path):
@@ -298,10 +296,15 @@ def test_diagram_json_report(capsys):
 # --- gen -> check loop -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", sorted(POLYTOPE_FAMILIES + SYSTEM_FAMILIES))
-def test_gen_output_passes_check(capsys, tmp_path, family):
+@pytest.mark.parametrize(
+    "family, seed",
+    [pytest.param(f, "5", id=f) for f in sorted(POLYTOPE_FAMILIES + SYSTEM_FAMILIES)]
+    # seed 83's first draw passes validate but fails the contact-product check
+    + [pytest.param("random-valid", "83", id="random-valid-83")],
+)
+def test_gen_output_passes_check(capsys, tmp_path, family, seed):
     path = tmp_path / f"{family}.json"
-    code, _, _ = run(capsys, "gen", "--family", family, "--seed", "5",
+    code, _, _ = run(capsys, "gen", "--family", family, "--seed", seed,
                      "--out", str(path))
     assert code == 0
     code, out, _ = run(capsys, "check", str(path))
@@ -334,3 +337,49 @@ def test_no_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --- exit-code contract: bad input is exit 2, never a traceback ---------------
+
+
+def _write_bad_inputs(directory: Path) -> None:
+    from moribound.generate import realized_d2
+    from moribound.realized import model_to_json
+
+    model = model_to_json(realized_d2(0)[0])
+    ray = sorted(model["ray_vectors"])[0]
+    model["ray_vectors"][ray] = ["7"] * len(model["ray_vectors"][ray])
+    files = {
+        "zero-denominator.json": {
+            "rays": [{"id": "R1", "type": "II", "divisor": "D1"}],
+            "divisors": ["D1"],
+            "pairing": [["1/0"]],
+        },
+        "list-ids.json": {"dim": 1, "vertices": [[0], [1]],
+                          "facets": [[[0]], [[1]]]},
+        "inconsistent-model.json": model,
+    }
+    for name, data in files.items():
+        (directory / name).write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "zero-denominator.json"], id="check-zero-denominator"),
+    pytest.param(["bound", "--c1", "1/0", "--c2", "0"], id="bound-zero-denominator"),
+    pytest.param(["bound", "--lemma14", "--C", "-1", "--D", "0"], id="bound-negative"),
+    pytest.param(["gen", "--family", "cm", "--m", "0"], id="gen-cm-empty"),
+    pytest.param(["gen", "--family", "cyclic-dual", "--n", "3", "--m", "2"],
+                 id="gen-cyclic-dual-few-points"),
+    pytest.param(["polytope-stats", "list-ids.json"], id="polytope-stats-list-ids"),
+    pytest.param(["classify", "inconsistent-model.json"], id="classify-inconsistent-model"),
+])
+def test_bad_input_exits_two_without_traceback(tmp_path, argv):
+    _write_bad_inputs(tmp_path)
+    src = Path(moribound.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "moribound.cli", *argv],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
