@@ -11,7 +11,6 @@ dimension bound or a structured counterexample.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .raysystem import (
     system_from_json,
     system_to_json,
 )
-from .structure import find_esets, is_extremal
+from .structure import condition_iii_full, find_esets, is_extremal
 from .realized import RealizedModel, is_simple_in_face, model_from_json, model_to_json
 
 
@@ -425,9 +424,10 @@ def validate_diagram(inst: DiagramInstance) -> None:
         raise ValueError("system has no face structure to correspond to")
     if not p.is_simple:
         raise ValueError("the cross-section must be a simple polytope")
+    listed = set(s.faces)
     for face in p.faces():
         rayset = inst.face_rayset(frozenset(face))
-        if rayset not in s.faces:
+        if rayset not in listed:
             raise ValueError(
                 f"polytope face {sorted(str(v) for v in face)} maps to ray set "
                 f"{sorted(rayset)} which is not a listed face"
@@ -476,8 +476,6 @@ def _eset_condition_a_audit(
     """Check every E-set with at least two rays outside the ambient
     orthogonal set and extremal proper extensions: its members must sit at
     pairwise distance <= d."""
-    from .structure import condition_iii_full
-
     s = inst.system
     divisorial = [r.id for r in s.divisorial_rays]
     audit = []
@@ -486,10 +484,9 @@ def _eset_condition_a_audit(
         outside = eset - inst.perp_rays
         if len(outside) < 2:
             continue
+        # Extremality passes to subsets, so the largest proper subsets decide.
         extendable = all(
-            is_extremal(s, set(sub) | inst.perp_rays)
-            for size in range(1, len(eset))
-            for sub in combinations(sorted(eset), size)
+            is_extremal(s, (eset - {rid}) | inst.perp_rays) for rid in eset
         )
         if not extendable:
             continue
@@ -640,6 +637,9 @@ def diagram_from_json(data: dict) -> DiagramInstance:
         model = model_from_json(data["model"]) if "model" in data else None
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"malformed diagram instance: {exc}") from exc
+    for rid in (*facet_rays, *perp_rays):
+        if not isinstance(rid, str):
+            raise SystemFormatError(f"facet and perp rays must be ray ids, got {rid!r}")
     return DiagramInstance(
         system=system,
         polytope=polytope,
@@ -648,9 +648,3 @@ def diagram_from_json(data: dict) -> DiagramInstance:
         model=model,
     )
 
-
-def load_diagram(path: str) -> DiagramInstance:
-    """A diagram bundle read from a file.  The one file reader outside the
-    CLI, kept because the acceptance suite opens its fixtures with it."""
-    with open(path, encoding="utf-8") as fh:
-        return diagram_from_json(json.load(fh))

@@ -138,36 +138,30 @@ def _write_atomic(path: str, content: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-# kind -> violation code for the ValueError an instance of that kind raises
-# on inconsistent content: realized models and polytopes when built, diagram
-# bundles when their facet-ray correspondence is checked.
-INCONSISTENT = {
-    "realized": "model-inconsistent",
-    "polytope": "polytope-invalid",
-    "diagram": "correspondence-mismatch",
-}
-
-
 def _check_instance(kind: str, data: dict) -> tuple[list[Violation], list[Violation]]:
-    """The invariant violations and normalization notes of one instance."""
-    if kind in ("realized", "polytope"):
-        try:
-            inst = FROM_JSON[kind](data)
-        except SystemFormatError:
-            raise
-        except ValueError as exc:
-            return [Violation(INCONSISTENT[kind], (), str(exc))], []
-        if kind == "polytope":
-            return [], []
-    else:
+    """The invariant violations and normalization notes of one instance.
+
+    Well-formed content that cannot be built is a violation of the part that
+    failed, also when that part is nested in a diagram bundle: an invalid
+    polytope, or a realized model whose vectors disagree with its system.
+    """
+    try:
         inst = FROM_JSON[kind](data)
+    except SystemFormatError:
+        raise
+    except PolytopeError as exc:
+        return [Violation("polytope-invalid", (), str(exc))], []
+    except ValueError as exc:
+        return [Violation("model-inconsistent", (), str(exc))], []
+    if kind == "polytope":
+        return [], []
     s = _system_of(kind, inst)
     violations = validate(s) + contact_violations(s)
     if kind == "diagram":
         try:
             validate_diagram(inst)
         except ValueError as exc:
-            violations.append(Violation(INCONSISTENT[kind], (), str(exc)))
+            violations.append(Violation("correspondence-mismatch", (), str(exc)))
     return violations, check_normalization(s)
 
 
@@ -298,7 +292,7 @@ def cmd_esets(args: argparse.Namespace) -> int:
             None if full is None else [format_rational(c) for c in full]
         )
         if full is not None:
-            entry["bipartition_arrows"] = check_lemma11(s, eset)
+            entry["bipartition_arrows"] = check_lemma11(s, eset, certificate=full)
         entries.append(entry)
     lines = []
     for e in entries:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import binomial
@@ -52,6 +53,7 @@ class CombinatorialPolytope:
     dim: int
     vertices: tuple[VertexId, ...]
     facets: tuple[frozenset, ...]
+    is_simple: bool = field(init=False, repr=False, compare=False)
     _dims: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
@@ -82,12 +84,15 @@ class CombinatorialPolytope:
                 raise PolytopeError(f"facet {sorted(f, key=_sort_key)} uses unknown vertices")
             if f == vset:
                 raise PolytopeError("a facet may not contain every vertex")
+        simple = True
         for v in self.vertices:
             incident = sum(1 for f in self.facets if v in f)
             if incident < self.dim:
                 raise PolytopeError(
                     f"vertex {v!r} lies in {incident} facets, fewer than dim {self.dim}"
                 )
+            simple = simple and incident == self.dim
+        object.__setattr__(self, "is_simple", simple)
 
     def _build_lattice(self) -> dict:
         top = frozenset(self.vertices)
@@ -104,11 +109,16 @@ class CombinatorialPolytope:
             frontier = nxt
         # Dimension = longest strictly increasing chain from a minimal face,
         # which is the grading of a genuine polytope lattice and stays
-        # meaningful for non-simple inputs.
-        by_size = sorted(faces, key=len)
+        # meaningful for non-simple inputs.  Every face below `face` lies in
+        # one of its facet cuts (Kaibel & Pfetsch 2002), so the chain only
+        # needs those.
         dims: dict = {}
-        for face in by_size:
-            below = [dims[g] for g in dims if g < face]
+        for face in sorted(faces, key=len):
+            below = [
+                dims[cut]
+                for facet in self.facets
+                if (cut := face & facet) and cut != face
+            ]
             if below:
                 dims[face] = 1 + max(below)
             else:
@@ -148,12 +158,6 @@ class CombinatorialPolytope:
                     )
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def is_simple(self) -> bool:
-        return all(
-            sum(1 for f in self.facets if v in f) == self.dim for v in self.vertices
-        )
 
     def faces(self, k: int | None = None) -> list[frozenset]:
         """All faces, or just the k-dimensional ones, deterministically ordered."""
@@ -264,7 +268,7 @@ def cyclic_dual(d: int, m: int) -> CombinatorialPolytope:
     subsets = sorted(
         (
             s
-            for s in _subsets_of_size(range(m), d)
+            for s in map(frozenset, combinations(range(m), d))
             if _gale_even(s, m)
         ),
         key=sorted,
@@ -275,12 +279,6 @@ def cyclic_dual(d: int, m: int) -> CombinatorialPolytope:
         for point in range(m)
     ]
     return CombinatorialPolytope.of(d, verts, facets)
-
-
-def _subsets_of_size(items: Iterable[int], k: int) -> list[frozenset]:
-    from itertools import combinations
-
-    return [frozenset(c) for c in combinations(items, k)]
 
 
 def product(p: CombinatorialPolytope, q: CombinatorialPolytope) -> CombinatorialPolytope:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
@@ -118,22 +119,12 @@ class RayDivisorSystem:
         anticanonical: Optional[Sequence[object]] = None,
         fano_mode: bool = False,
     ) -> "RayDivisorSystem":
-        face_sets = (
-            None
-            if faces is None
-            else tuple(
-                sorted(
-                    {frozenset(f) for f in faces},
-                    key=lambda f: (len(f), sorted(f)),
-                )
-            )
-        )
         return RayDivisorSystem(
             rays=tuple(Ray.of(r) for r in rays),
             divisors=tuple(divisors),
             pairing=tuple(tuple(rational(x) for x in row) for row in pairing),
             meets=frozenset(frozenset(pair) for pair in meets),
-            faces=face_sets,
+            faces=_normalize_faces(faces),
             anticanonical=None
             if anticanonical is None
             else tuple(rational(x) for x in anticanonical),
@@ -151,9 +142,6 @@ class RayDivisorSystem:
             return self.rays[self._ray_index[rid]]
         except KeyError:
             raise ValueError(f"unknown ray {rid}") from None
-
-    def has_ray(self, rid: str) -> bool:
-        return rid in self._ray_index
 
     def q(self, rid: str, did: str) -> Fraction:
         try:
@@ -188,12 +176,30 @@ class RayDivisorSystem:
         return tuple(r for r in self.rays if r.divisor == did)
 
     def with_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> "RayDivisorSystem":
-        if faces is None:
-            return replace(self, faces=None)
-        normalized = tuple(
-            sorted({frozenset(f) for f in faces}, key=lambda f: (len(f), sorted(f)))
-        )
-        return replace(self, faces=normalized)
+        return replace(self, faces=_normalize_faces(faces))
+
+    @cached_property
+    def maximal_faces(self) -> tuple[frozenset, ...]:
+        """The inclusion-maximal faces, ordered like `faces`.  The empty face
+        is maximal only when it is the sole face."""
+        found: list[frozenset] = []
+        for face in sorted(self.faces or (), key=len, reverse=True):
+            if not any(face <= m for m in found):
+                found.append(face)
+        return tuple(sorted(found, key=_face_order))
+
+
+def _face_order(face: frozenset) -> tuple:
+    return (len(face), sorted(face))
+
+
+def _normalize_faces(
+    faces: Optional[Iterable[Iterable[str]]],
+) -> Optional[tuple[frozenset, ...]]:
+    """Distinct faces as frozensets, smallest first, ties by sorted ids."""
+    if faces is None:
+        return None
+    return tuple(sorted({frozenset(f) for f in faces}, key=_face_order))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +353,7 @@ def _validate_faces(s: RayDivisorSystem) -> list[Violation]:
                     "every single ray spans a face of the cone",
                 )
             )
-    face_list = sorted(faces, key=lambda f: (len(f), sorted(f)))
+    face_list = sorted(faces, key=_face_order)
     for i, f1 in enumerate(face_list):
         for f2 in face_list[i + 1 :]:
             cut = f1 & f2
@@ -543,7 +549,7 @@ def contact_violations(s: RayDivisorSystem) -> list[Violation]:
     if s.faces is None:
         return []
     cofacial: set[tuple[str, str]] = set()
-    for face in s.faces:
+    for face in s.maximal_faces:
         for a, b in combinations(sorted(face), 2):
             cofacial.add((a, b))
     bad = []
@@ -597,6 +603,9 @@ def system_from_json(data: Mapping) -> RayDivisorSystem:
         pairing_raw = data["pairing"]
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"missing system field: {exc}") from exc
+    for name, value in (("rays", rays_raw), ("pairing", pairing_raw)):
+        if not isinstance(value, (list, tuple)):
+            raise SystemFormatError(f"{name} must be a list, got {value!r}")
     rays = []
     for entry in rays_raw:
         try:
@@ -607,14 +616,13 @@ def system_from_json(data: Mapping) -> RayDivisorSystem:
         except (KeyError, TypeError, AttributeError) as exc:
             raise SystemFormatError(f"malformed ray entry {entry!r}") from exc
     nrays, ndivs = len(rays), len(divisors)
-    if pairing_raw and not isinstance(pairing_raw[0], (list, tuple)):
-        flat = list(pairing_raw)
-        if len(flat) != nrays * ndivs:
-            raise SystemFormatError("flat pairing list has the wrong length")
-        pairing = [flat[i * ndivs : (i + 1) * ndivs] for i in range(nrays)]
-    else:
-        pairing = [list(row) for row in pairing_raw]
     try:
+        if pairing_raw and not isinstance(pairing_raw[0], (list, tuple)):
+            if len(pairing_raw) != nrays * ndivs:
+                raise SystemFormatError("flat pairing list has the wrong length")
+            pairing = [pairing_raw[i * ndivs : (i + 1) * ndivs] for i in range(nrays)]
+        else:
+            pairing = [list(row) for row in pairing_raw]
         return RayDivisorSystem.of(
             rays=rays,
             divisors=[str(d) for d in divisors],

@@ -19,6 +19,7 @@ from .core import (
     RVector,
     TrilinearForm,
     format_rational,
+    kernel_of_columns,
     rational,
     rank,
     scale_primitive,
@@ -28,6 +29,7 @@ from .raysystem import (
     RayDivisorSystem,
     RayType,
     SystemFormatError,
+    divisorial_components,
     system_from_json,
     system_to_json,
 )
@@ -87,12 +89,6 @@ class RealizedModel:
                         f"anticanonical mismatch at {rid}: "
                         f"vector gives {got}, column says {want}"
                     )
-
-    def ray_vector(self, rid: str) -> RVector:
-        return self.ray_vectors[rid]
-
-    def divisor_vector(self, did: str) -> RVector:
-        return self.divisor_vectors[did]
 
 
 @dataclass(frozen=True)
@@ -274,8 +270,6 @@ def linear_dependence(
     ids = list(rays)
     if len(ids) < 2:
         raise ValueError("need at least two rays")
-    from .core import kernel_of_columns
-
     basis = kernel_of_columns([m.ray_vectors[rid] for rid in ids])
     combined = _combine_full_support(basis)
     if combined is None or any(x == 0 for x in combined):
@@ -301,8 +295,6 @@ def check_prop238_form(
         raise ValueError("coefficient count does not match rays")
     if any(v == 0 for v in values):
         return False
-    from .raysystem import divisorial_components
-
     comps = divisorial_components(s, ids)
     if len(comps) < 2:
         return False
@@ -327,8 +319,6 @@ def check_prop238_form(
 
 def b2_pairs(s: RayDivisorSystem) -> list[frozenset]:
     """All shared-divisor pairs of the system, sorted."""
-    from .raysystem import divisorial_components
-
     pairs = []
     for comp in divisorial_components(s, [r.id for r in s.divisorial_rays]):
         try:
@@ -487,7 +477,7 @@ def model_from_json(data: dict) -> RealizedModel:
         anti = None
         if "anticanonical_vector" in data:
             anti = _vector_from_json(data["anticanonical_vector"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         if isinstance(exc, SystemFormatError):
             raise
         raise SystemFormatError(f"malformed realized model: {exc}") from exc

@@ -14,15 +14,20 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .core import Constraint, rational, scale_primitive, solve_inequalities
+from .core import (
+    Constraint,
+    format_rational,
+    rational,
+    scale_primitive,
+    solve_inequalities,
+)
 from .raysystem import (
-    OrientedGraph,
     Ray,
     RayDivisorSystem,
     RayType,
-    build_graph,
     divisorial_components,
     is_simple_ray,
+    is_single_arrow_connected,
 )
 
 
@@ -41,9 +46,6 @@ class ComponentType:
             return f"C:{self.m}"
         return self.kind
 
-    def matches(self, label: str) -> bool:
-        return self.label == label
-
 
 @dataclass(frozen=True)
 class EsetType:
@@ -57,8 +59,6 @@ class EsetType:
 
     def to_json(self) -> object:
         if self.kind == "b":
-            from .core import format_rational
-
             return [format_rational(self.m1), format_rational(self.m2)]
         if self.kind == "c":
             return self.witness
@@ -389,13 +389,13 @@ def condition_iii_full(
 
 
 def is_extremal(s: RayDivisorSystem, subset: Iterable[str]) -> bool:
-    """Whether some face contains the subset."""
+    """Whether some face contains the subset, hence some maximal face does."""
     if s.faces is None:
         raise ValueError("system has no face structure")
     want = frozenset(subset)
     for rid in want:
         s.ray(rid)  # raises on unknown ids
-    return any(want <= face for face in s.faces)
+    return any(want <= face for face in s.maximal_faces)
 
 
 def find_esets(s: RayDivisorSystem, within: Iterable[str]) -> list[frozenset]:
@@ -433,13 +433,14 @@ def _eset_preconditions(s: RayDivisorSystem, l: Iterable[str]) -> list[Ray]:
         ids = [r.id for r in members]
         if is_extremal(s, ids):
             raise ValueError("the set is extremal, hence not an E-set")
-        for size in range(1, len(ids)):
-            for sub in combinations(ids, size):
-                if not is_extremal(s, sub):
-                    raise ValueError(
-                        f"proper subset {sorted(sub)} is already non-extremal; "
-                        "the set is not minimal"
-                    )
+        # Subsets of an extremal set are extremal, so the largest proper
+        # subsets decide minimality.
+        for sub in combinations(ids, len(ids) - 1):
+            if not is_extremal(s, sub):
+                raise ValueError(
+                    f"proper subset {sorted(sub)} is already non-extremal; "
+                    "the set is not minimal"
+                )
     return members
 
 
@@ -609,18 +610,13 @@ def classify_eset(s: RayDivisorSystem, l: Iterable[str]) -> EsetType:
 # ---------------------------------------------------------------------------
 
 
-def _has_crossing_arrow(g: OrientedGraph, part1: Iterable[str], part2: Iterable[str]) -> bool:
-    p2 = set(part2)
-    return any((a, b) in g.arrows for a in part1 for b in p2)
-
-
 def check_lemma11(
     s: RayDivisorSystem,
     l: Iterable[str],
     certificate: Optional[Sequence[object]] = None,
 ) -> bool:
     """Whether every bipartition of the set has a crossing arrow in both
-    directions.
+    directions, that is, whether the set's graph is strongly connected.
 
     Without a certificate the full E-set hypothesis is verified first (every
     proper subset satisfies condition (ii) and a nonzero effective nef
@@ -635,14 +631,7 @@ def check_lemma11(
             raise ValueError(
                 "the set does not satisfy the nef-combination hypothesis"
             )
-    g = build_graph(s, ids)
-    universe = set(ids)
-    for size in range(1, len(ids)):
-        for part1 in combinations(ids, size):
-            part2 = universe - set(part1)
-            if not _has_crossing_arrow(g, part1, part2):
-                return False
-    return True
+    return is_single_arrow_connected(s, ids)
 
 
 def detect_e2_pairs(s: RayDivisorSystem) -> list[tuple[str, str]]:
@@ -691,16 +680,6 @@ def lemma251_witness(
 # ---------------------------------------------------------------------------
 
 
-def _maximal_faces(s: RayDivisorSystem) -> list[frozenset]:
-    faces = list(s.faces or ())
-    out = [
-        f
-        for f in faces
-        if f and not any(f < g for g in faces)
-    ]
-    return sorted(out, key=lambda f: (len(f), sorted(f)))
-
-
 def classify_report(s: RayDivisorSystem) -> dict:
     """Classify every maximal face and every E-set of the system.
 
@@ -714,7 +693,7 @@ def classify_report(s: RayDivisorSystem) -> dict:
 
     if s.faces is not None:
         seen: set = set()
-        for face in _maximal_faces(s):
+        for face in filter(None, s.maximal_faces):
             report = classify_extremal_set(s, face)
             maximal.append(
                 {

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per advertised guarantee, each with an elapsed
 budget.  Run with -v to get a pass/fail line per criterion."""
 
+import json
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -10,9 +11,9 @@ import pytest
 from moribound.bounds import (
     Theorem12Rule,
     Theorem258Rule,
+    diagram_from_json,
     diagram_pipeline,
     lemma14_max_n,
-    load_diagram,
 )
 from moribound.cli import main
 from moribound.generate import (
@@ -529,14 +530,16 @@ def test_criterion_09_planted_dependences_detected():
 
 def test_criterion_10_diagram_pipeline_conformance():
     with budget("criterion 10", 60.0):
-        tri = load_diagram(f"{FIXTURES}/diagram_triangle.json")
+        with open(f"{FIXTURES}/diagram_triangle.json", encoding="utf-8") as fh:
+            tri = diagram_from_json(json.load(fh))
         rep = diagram_pipeline(tri, 2, Theorem12Rule(2))
         assert rep.conforming
         assert rep.counterexamples == ()
         assert rep.conditions_hold
         assert rep.chain["lhs_ok"] and rep.chain["rhs_ok"]
 
-        sq = load_diagram(f"{FIXTURES}/diagram_square_258.json")
+        with open(f"{FIXTURES}/diagram_square_258.json", encoding="utf-8") as fh:
+            sq = diagram_from_json(json.load(fh))
         rep = diagram_pipeline(sq, 1, Theorem258Rule())
         assert rep.conforming
         assert rep.counterexamples == ()
@@ -557,7 +560,8 @@ def test_criterion_10_diagram_pipeline_conformance():
             count = total / third
             assert count.denominator == 1 and count <= 2, (v, total)
 
-        bad = load_diagram(f"{FIXTURES}/diagram_bad_quadrangle.json")
+        with open(f"{FIXTURES}/diagram_bad_quadrangle.json", encoding="utf-8") as fh:
+            bad = diagram_from_json(json.load(fh))
         rep = diagram_pipeline(bad, 1, Theorem258Rule())
         assert not rep.conforming
         kinds = sorted(cx["kind"] for cx in rep.counterexamples)

@@ -20,7 +20,6 @@ from moribound.bounds import (
     diagram_to_json,
     enumerate_angles,
     lemma14_max_n,
-    load_diagram,
     max_integer_below,
     sigma,
     theorem12_bound,
@@ -32,6 +31,11 @@ from moribound.polytope import PolytopeError, cube, simplex
 from moribound.raysystem import RayDivisorSystem
 
 FIXTURES = "tests/fixtures"
+
+
+def load_diagram(path: str) -> DiagramInstance:
+    with open(path, encoding="utf-8") as fh:
+        return diagram_from_json(json.load(fh))
 
 
 # --- weight rules ----------------------------------------------------------

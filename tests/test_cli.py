@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: exit codes, pinned output lines, JSON payloads,
 and the generate -> check loop."""
 
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -179,6 +182,40 @@ def test_check_mixed_batch_parse_error_dominates(capsys, tmp_path):
     assert code == 2
 
 
+def _inconsistent_model() -> dict:
+    from moribound.generate import realized_d2
+    from moribound.realized import model_to_json
+
+    model = model_to_json(realized_d2(0)[0])
+    ray = sorted(model["ray_vectors"])[0]
+    model["ray_vectors"][ray] = ["7"] * len(model["ray_vectors"][ray])
+    return model
+
+
+@pytest.mark.parametrize("nested,expected", [
+    ("polytope", "polytope-invalid"),
+    ("model", "model-inconsistent"),
+])
+def test_check_batch_survives_nested_construction_failure(
+    capsys, tmp_path, nested, expected
+):
+    bundle = json.loads(Path(f"{FIXTURES}/diagram_triangle.json").read_text())
+    if nested == "polytope":  # vertex A lies in one facet of a 2-polytope
+        bundle["polytope"]["facets"] = [["A", "B"], ["B", "C"]]
+    else:
+        bundle["model"] = _inconsistent_model()
+    (tmp_path / "a_bad.json").write_text(json.dumps(bundle))
+    (tmp_path / "b_good.json").write_text(
+        Path(f"{FIXTURES}/diagram_triangle.json").read_text()
+    )
+    code, out, _ = run(capsys, "check", str(tmp_path), "--format", "json")
+    assert code == 1
+    bad, good = json.loads(out)
+    assert bad["kind"] == "diagram" and not bad["ok"]
+    assert [v["code"] for v in bad["violations"]] == [expected]
+    assert good["ok"]
+
+
 # --- classify / esets -------------------------------------------------------------
 
 
@@ -343,12 +380,8 @@ def test_no_subcommand_exits_two(capsys):
 
 
 def _write_bad_inputs(directory: Path) -> None:
-    from moribound.generate import realized_d2
-    from moribound.realized import model_to_json
-
-    model = model_to_json(realized_d2(0)[0])
-    ray = sorted(model["ray_vectors"])[0]
-    model["ray_vectors"][ray] = ["7"] * len(model["ray_vectors"][ray])
+    system = json.loads(Path(f"{FIXTURES}/eset_a.json").read_text())
+    bundle = json.loads(Path(f"{FIXTURES}/diagram_triangle.json").read_text())
     files = {
         "zero-denominator.json": {
             "rays": [{"id": "R1", "type": "II", "divisor": "D1"}],
@@ -357,7 +390,12 @@ def _write_bad_inputs(directory: Path) -> None:
         },
         "list-ids.json": {"dim": 1, "vertices": [[0], [1]],
                           "facets": [[[0]], [[1]]]},
-        "inconsistent-model.json": model,
+        "inconsistent-model.json": _inconsistent_model(),
+        "pairing-zero.json": dict(system, pairing=0),
+        "pairing-null.json": dict(system, pairing=None),
+        "pairing-object.json": dict(system, pairing={"a": 1}),
+        "rays-true.json": dict(system, rays=True),
+        "facet-ray-object.json": dict(bundle, facet_rays=[{}, "S2", "S3"]),
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data))
@@ -372,6 +410,11 @@ def _write_bad_inputs(directory: Path) -> None:
                  id="gen-cyclic-dual-few-points"),
     pytest.param(["polytope-stats", "list-ids.json"], id="polytope-stats-list-ids"),
     pytest.param(["classify", "inconsistent-model.json"], id="classify-inconsistent-model"),
+    pytest.param(["classify", "pairing-zero.json"], id="classify-pairing-zero"),
+    pytest.param(["esets", "pairing-null.json"], id="esets-pairing-null"),
+    pytest.param(["classify", "pairing-object.json"], id="classify-pairing-object"),
+    pytest.param(["classify", "rays-true.json"], id="classify-rays-true"),
+    pytest.param(["diagram", "facet-ray-object.json"], id="diagram-facet-ray-object"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     _write_bad_inputs(tmp_path)
@@ -383,3 +426,72 @@ def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# --- fixture mutation: any damaged field still gets an exit code --------------
+
+REPLACEMENTS = (None, 0, -1, True, "x", "1/0", [], {}, [[]], [0], {"a": 1})
+MUTATED_COMMANDS = (
+    ["check"],
+    ["classify"],
+    ["esets"],
+    ["polytope-stats"],
+    ["diagram"],
+    ["diagram", "--rule", "theorem258", "--d", "1"],
+)
+
+
+def _paths(node, prefix=()):
+    """Every (path, value) in a JSON tree, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)) and value:
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutate(rng, data):
+    """A copy of `data` with one field dropped, retyped or corrupted."""
+    data = json.loads(json.dumps(data))
+    path, value = rng.choice(list(_paths(data)))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    op = rng.choice(("drop", "retype", "corrupt"))
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "retype" or isinstance(value, (bool, type(None))):
+        parent[path[-1]] = rng.choice(REPLACEMENTS)
+    elif isinstance(value, str):
+        parent[path[-1]] = rng.choice((value + "?", "", "Z9"))
+    elif isinstance(value, int):
+        parent[path[-1]] = value + rng.choice((-2, -1, 1))
+    elif isinstance(value, list):
+        parent[path[-1]] = value[1:] if rng.random() < 0.5 else value + value[:1]
+    else:
+        parent[path[-1]] = dict(list(value.items())[1:])
+    return data
+
+
+def test_mutated_fixtures_never_raise(tmp_path):
+    from moribound.generate import realized_d2
+    from moribound.polytope import cube, polytope_to_json
+    from moribound.realized import model_to_json
+
+    sources = [json.loads(p.read_text()) for p in sorted(Path(FIXTURES).glob("*.json"))]
+    sources += [model_to_json(realized_d2(0)[0]), polytope_to_json(cube(3))]
+    rng = random.Random(0)
+    path = tmp_path / "mutant.json"
+    sink = io.StringIO()
+    for source in sources:
+        for _ in range(40):
+            mutant = _mutate(rng, source)
+            path.write_text(json.dumps(mutant))
+            for command in MUTATED_COMMANDS:
+                argv = [command[0], str(path), *command[1:]]
+                try:
+                    with redirect_stdout(sink), redirect_stderr(sink):
+                        code = main(argv)
+                except Exception as exc:  # nothing may escape main
+                    pytest.fail(f"{argv} raised {exc!r} on {json.dumps(mutant)}")
+                assert code in (0, 1, 2), (argv, mutant)

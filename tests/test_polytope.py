@@ -142,8 +142,8 @@ def test_construction_rejections():
         CombinatorialPolytope.of(dim=2, vertices=["a", "b"], facets=[["a", "c"]])
 
 
-def test_non_simple_detected():
-    pyramid = CombinatorialPolytope.of(
+def square_pyramid() -> CombinatorialPolytope:
+    return CombinatorialPolytope.of(
         dim=3,
         vertices=["A", "B", "C", "D", "T"],
         facets=[
@@ -154,7 +154,22 @@ def test_non_simple_detected():
             ["D", "A", "T"],
         ],
     )
-    assert not pyramid.is_simple
+
+
+def test_non_simple_detected():
+    assert not square_pyramid().is_simple
+
+
+@pytest.mark.parametrize(
+    "name,p", polytope_family() + [("square-pyramid", square_pyramid())]
+)
+def test_face_dims_match_all_pairs_chain_grading(name, p):
+    # Reference grading: longest chain below each face, over all smaller faces.
+    dims: dict = {}
+    for face in sorted(p.faces(), key=len):
+        below = [dims[g] for g in dims if g < face]
+        dims[face] = 1 + max(below) if below else 0
+    assert {face: p.face_dim(face) for face in p.faces()} == dims, name
 
 
 @pytest.mark.parametrize("p", [simplex(3), cube(3), cyclic_dual(3, 7)])

@@ -1,6 +1,8 @@
 """Component and E-set classification, feasibility conditions, filters."""
 
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -35,8 +37,6 @@ from moribound.structure import (
 
 
 def powerset_faces(ids):
-    from itertools import combinations
-
     ids = sorted(ids)
     return [list(c) for k in range(len(ids) + 1) for c in combinations(ids, k)]
 
@@ -285,6 +285,33 @@ def test_check_lemma11_fails_without_back_arrows():
     assert not check_lemma11(s, ["S1", "S2"], certificate=(1, 1))
 
 
+def _crossing_both_ways(ids, arrows):
+    """Reference: every bipartition has an arrow from each side to the other."""
+    for size in range(1, len(ids)):
+        for part in combinations(ids, size):
+            rest = set(ids) - set(part)
+            if not any((a, b) in arrows for a in part for b in rest):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_check_lemma11_matches_bipartition_scan(k):
+    ids = [f"R{i}" for i in range(k)]
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    for bits in product((0, 1), repeat=len(pairs)):
+        arrows = {pair for pair, bit in zip(pairs, bits) if bit}
+        s = RayDivisorSystem.of(
+            rays=[(rid, "II", f"D{rid}") for rid in ids],
+            divisors=[f"D{rid}" for rid in ids],
+            pairing=[
+                [-1 if a == b else int((a, b) in arrows) for b in ids] for a in ids
+            ],
+        )
+        got = check_lemma11(s, ids, certificate=(1,) * k)
+        assert got == _crossing_both_ways(ids, arrows), sorted(arrows)
+
+
 # --- E-sets -------------------------------------------------------------------
 
 
@@ -413,7 +440,7 @@ def test_eset_rejects_nonminimal_input():
         meets=[],
         faces=[[], ["R1"], ["R2"], ["R3"], ["R1", "R2"]],
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not minimal"):
         classify_eset(s, ["R1", "R2", "R3"])  # contains the E-set {R1,R3}
 
 
@@ -421,6 +448,44 @@ def test_is_extremal_uses_faces():
     s = system_eset_a()
     assert is_extremal(s, ["S1", "S2"])
     assert not is_extremal(s, ["S1", "S2", "S3"])
+
+
+def _three_ray_system(faces):
+    return RayDivisorSystem.of(
+        rays=[("R1", "II", "D1"), ("R2", "II", "D2"), ("R3", "II", "D3")],
+        divisors=["D1", "D2", "D3"],
+        pairing=[[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        faces=faces,
+    )
+
+
+def test_maximal_faces_and_is_extremal_match_face_scan():
+    # Every family of subsets of three rays, the empty family included.
+    subsets = [frozenset(c) for k in range(4) for c in combinations("R1 R2 R3".split(), k)]
+    for bits in product((0, 1), repeat=len(subsets)):
+        faces = [f for f, bit in zip(subsets, bits) if bit]
+        s = _three_ray_system(faces)
+        maximal = {f for f in faces if not any(f < g for g in faces)}
+        assert list(s.maximal_faces) == sorted(maximal, key=lambda f: (len(f), sorted(f)))
+        for want in subsets:
+            assert is_extremal(s, want) == any(want <= f for f in faces), (faces, want)
+
+
+def test_maximal_faces_edge_cases():
+    assert _three_ray_system([]).maximal_faces == ()
+    assert not is_extremal(_three_ray_system([]), [])
+    assert _three_ray_system([[]]).maximal_faces == (frozenset(),)
+    assert is_extremal(_three_ray_system([[]]), [])
+    only_small = RayDivisorSystem.of(
+        rays=[("X", "small")], divisors=[], pairing=[[]], faces=[[]]
+    )
+    assert classify_report(only_small)["maximal_sets"] == []
+    listed_twice = [["R1", "R2"], ["R2", "R1"], ["R3"], ["R3"]]
+    s = _three_ray_system(listed_twice)
+    expected = (frozenset({"R3"}), frozenset({"R1", "R2"}))
+    assert s.maximal_faces == expected
+    unnormalized = replace(s, faces=tuple(frozenset(f) for f in listed_twice))
+    assert unnormalized.maximal_faces == expected
 
 
 # --- small-ray structure ------------------------------------------------------
