@@ -311,9 +311,9 @@ def polytope_from_json(data: dict) -> CombinatorialPolytope:
         vertices = data["vertices"]
         facets = data["facets"]
     except (KeyError, TypeError) as exc:
-        raise PolytopeError(f"missing polytope field: {exc}") from exc
+        raise SystemFormatError(f"missing polytope field: {exc}") from exc
     if not isinstance(dim, int):
-        raise PolytopeError("dim must be an integer")
+        raise SystemFormatError("dim must be an integer")
     try:
         return CombinatorialPolytope.of(dim, vertices, facets)
     except TypeError as exc:  # non-scalar vertex ids, non-list facets

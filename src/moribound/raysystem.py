@@ -353,9 +353,16 @@ def _validate_faces(s: RayDivisorSystem) -> list[Violation]:
                     "every single ray spans a face of the cone",
                 )
             )
-    face_list = sorted(faces, key=_face_order)
-    for i, f1 in enumerate(face_list):
-        for f2 in face_list[i + 1 :]:
+    # A face is full when all its subsets are faces: walked smallest first,
+    # that is when every f - {x} is full.  f1 & f2 is a face whenever f1 or
+    # f2 is full, so only pairs of faces that are not full are intersected.
+    full: set[frozenset] = set()
+    for f in sorted(faces, key=len):
+        if all(f - {x} in full for x in f):
+            full.add(f)
+    partial = sorted(faces - full, key=_face_order)
+    for i, f1 in enumerate(partial):
+        for f2 in partial[i + 1 :]:
             cut = f1 & f2
             if cut not in faces:
                 out.append(

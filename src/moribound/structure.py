@@ -374,13 +374,36 @@ def condition_iii_full(
     """The complete E-set hypothesis: every nonempty proper subset satisfies
     condition (ii), and some nonzero effective combination of the member
     divisors is nonnegative on the whole system.  Returns that combination
-    (coefficients in sorted ray order) or None."""
+    (coefficients in sorted ray order) or None.
+
+    Condition (ii) failures pass up to supersets when every cross pairing
+    q(a, D(b)) between distinct members is >= 0 (on a validated system this
+    fails only for a shared divisor or a negative cross pairing): a witness
+    on a subset, padded with zeros, is one on every larger subset, since each
+    added ray pairs >= 0 with it.  Then the k subsets of size k-1 decide the
+    hypothesis and only they are solved; otherwise every size is walked."""
     ids = sorted(set(l))
-    for size in range(1, len(ids)):
+    sizes = range(1, len(ids))
+    if _cross_pairings_nonnegative(s, ids):
+        sizes = sizes[-1:]
+    for size in sizes:
         for sub in combinations(ids, size):
             if not check_condition_ii(s, sub):
                 return None
     return check_condition_iii(s, ids)
+
+
+def _cross_pairings_nonnegative(s: RayDivisorSystem, ids: Sequence[str]) -> bool:
+    """Whether all members are divisorial rays of `s` and q(a, D(b)) >= 0 for
+    distinct members a, b.  Unknown or small rays give False, not an error,
+    so the full subset walk decides such sets and raises on them."""
+    try:
+        rays = [s.ray(rid) for rid in ids]
+        return all(r.is_divisorial for r in rays) and all(
+            s.q(a.id, b.divisor) >= 0 for a in rays for b in rays if a is not b
+        )
+    except ValueError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,9 @@ def _write_bad_inputs(directory: Path) -> None:
         "pairing-object.json": dict(system, pairing={"a": 1}),
         "rays-true.json": dict(system, rays=True),
         "facet-ray-object.json": dict(bundle, facet_rays=[{}, "S2", "S3"]),
+        "polytope-no-dim.json": {"vertices": ["a", "b"], "facets": [["a"], ["b"]]},
+        "polytope-string-dim.json": {"dim": "1", "vertices": ["a", "b"],
+                                     "facets": [["a"], ["b"]]},
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data))
@@ -415,6 +418,12 @@ def _write_bad_inputs(directory: Path) -> None:
     pytest.param(["classify", "pairing-object.json"], id="classify-pairing-object"),
     pytest.param(["classify", "rays-true.json"], id="classify-rays-true"),
     pytest.param(["diagram", "facet-ray-object.json"], id="diagram-facet-ray-object"),
+    pytest.param(["check", "polytope-no-dim.json"], id="check-polytope-no-dim"),
+    pytest.param(["polytope-stats", "polytope-no-dim.json"],
+                 id="polytope-stats-polytope-no-dim"),
+    pytest.param(["check", "polytope-string-dim.json"], id="check-polytope-string-dim"),
+    pytest.param(["polytope-stats", "polytope-string-dim.json"],
+                 id="polytope-stats-polytope-string-dim"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     _write_bad_inputs(tmp_path)

@@ -1,7 +1,9 @@
 """Ray-divisor systems: invariants, contact graphs, serialization."""
 
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,14 @@ from moribound.generate import (
     system_eset_a,
     system_eset_d,
 )
+from moribound.polytope import cube, cyclic_dual
 from moribound.raysystem import (
     Ray,
     RayDivisorSystem,
     RayType,
     SystemFormatError,
+    Violation,
+    _validate_faces,
     build_graph,
     check_lemma227,
     check_normalization,
@@ -178,6 +183,92 @@ def test_intersection_closure_violation():
     )
     found = codes(validate(s))
     assert "faces-not-intersection-closed" in found or "singleton-not-a-face" in found
+
+
+def _all_pairs_face_violations(s):
+    """Reference: the face checks with every pair of faces intersected."""
+    out = []
+    faces = set(s.faces or ())
+    if frozenset() not in faces:
+        out.append(Violation("faces-missing-empty", (), "the empty set must be a face"))
+    for r in s.rays:
+        if frozenset((r.id,)) not in faces:
+            out.append(Violation("singleton-not-a-face", (r.id,),
+                                 "every single ray spans a face of the cone"))
+    face_list = sorted(faces, key=lambda f: (len(f), sorted(f)))
+    for i, f1 in enumerate(face_list):
+        for f2 in face_list[i + 1 :]:
+            cut = f1 & f2
+            if cut not in faces:
+                out.append(Violation(
+                    "faces-not-intersection-closed",
+                    (",".join(sorted(f1)), ",".join(sorted(f2))),
+                    f"intersection {sorted(cut)} is missing from the face list",
+                ))
+    return out
+
+
+def _random_face_family(rng, ids, closed):
+    """All subsets of a few random sets, some random extras, and now and then
+    the empty face or a singleton dropped; closed under intersection on
+    request, otherwise redrawn until it is not."""
+    while True:
+        faces = set()
+        for _ in range(rng.randint(1, 3)):
+            top = rng.sample(ids, rng.randint(0, len(ids)))
+            faces.update(frozenset(c) for k in range(len(top) + 1)
+                         for c in combinations(top, k))
+        faces.update(frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+                     for _ in range(rng.randint(0, 4)))
+        faces.update(frozenset((rid,)) for rid in ids)
+        if rng.random() < 0.2:
+            faces.discard(frozenset())
+        if rng.random() < 0.2:
+            faces.discard(frozenset((rng.choice(ids),)))
+        grown = True
+        while closed and grown:
+            cuts = {f & g for f in faces for g in faces} - faces
+            faces |= cuts
+            grown = bool(cuts)
+        is_closed = all(f & g in faces for f in faces for g in faces)
+        if closed or not is_closed:
+            return faces
+
+
+def _facet_ray_system(p):
+    ids = [f"F{i}" for i in range(len(p.facets))]
+    faces = {frozenset(ids[i] for i in p.facets_through(face)) for face in p.faces()}
+    return _system_on(ids, faces)
+
+
+def _system_on(ids, faces):
+    return RayDivisorSystem.of(
+        rays=[(rid, "II", f"D{rid}") for rid in ids],
+        divisors=[f"D{rid}" for rid in ids],
+        pairing=[[-1 if a == b else 0 for b in ids] for a in ids],
+        faces=faces,
+    )
+
+
+def test_face_checks_match_all_pairs_scan():
+    systems = [_facet_ray_system(cube(3)), _facet_ray_system(cyclic_dual(4, 8))]
+    for seed in range(400):
+        rng = random.Random(seed)
+        closed = seed % 2 == 0
+        ids = [f"R{i}" for i in range(rng.randint(1 if closed else 2, 6))]
+        systems.append(_system_on(ids, _random_face_family(rng, ids, closed)))
+    flagged = 0
+    for s in systems:
+        want = _all_pairs_face_violations(s)
+        assert _validate_faces(s) == want, s.faces
+        flagged += any(v.code == "faces-not-intersection-closed" for v in want)
+    assert flagged == 200
+
+
+def test_validate_large_simplicial_family():
+    # 65,535 faces: an all-pairs intersection scan would take about 2 * 10^9
+    # steps, the full-face walk about 5 * 10^5.
+    assert validate(system_eset_d(16)) == []
 
 
 def test_fano_mode_requires_positive_degrees():

@@ -1,11 +1,14 @@
 """Component and E-set classification, feasibility conditions, filters."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 
+from moribound import structure
 from moribound.generate import (
     system_b2,
     system_c2,
@@ -17,6 +20,7 @@ from moribound.generate import (
 from moribound.raysystem import RayDivisorSystem
 from moribound.structure import (
     ClassificationFailure,
+    _cross_pairings_nonnegative,
     accepts_nef_combination,
     check_condition_ii,
     check_condition_iii,
@@ -270,6 +274,71 @@ def test_condition_iii_full_gate():
     # Any proper subset is extremal; the full hypothesis fails on it since the
     # set itself then satisfies condition (ii)... the gate simply returns None.
     assert condition_iii_full(s, ["S1", "S2"]) is None
+
+
+def _subset_walk(s, ids, condition_ii):
+    """Reference: condition (ii) on all 2^k - 2 proper subsets, then (iii)."""
+    ids = sorted(set(ids))
+    for size in range(1, len(ids)):
+        for sub in combinations(ids, size):
+            if not condition_ii(sub):
+                return None
+    return check_condition_iii(s, ids)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _random_unvalidated_system(rng):
+    """Up to five rays, some small, some sharing a divisor, pairings in
+    {-2, ..., 2}; in half the systems a ray pairs < 0 with its own divisor
+    and >= 0 with every other.  No model invariant is enforced."""
+    n = rng.randint(1, 5)
+    divisors = [f"D{i}" for i in range(rng.randint(max(1, n - 1), n))]
+    slots = rng.sample(range(n), n)  # with n - 1 divisors, two rays share one
+    rays = [
+        (f"R{i}", "small") if rng.random() < 0.1
+        else (f"R{i}", rng.choice(("I", "II")), divisors[slot % len(divisors)])
+        for i, slot in enumerate(slots)
+    ]
+    own, other = rng.choice((((-2, 2), (-2, 2)), ((-2, -1), (0, 2))))
+    pairing = [
+        [rng.randint(*(own if ray[-1] == d else other)) for d in divisors]
+        for ray in rays
+    ]
+    return RayDivisorSystem.of(rays=rays, divisors=divisors, pairing=pairing)
+
+
+def test_condition_iii_full_matches_subset_walk():
+    pruned = set()  # outcomes seen where only the largest subsets are solved
+    for seed in range(300):
+        s = _random_unvalidated_system(random.Random(seed))
+        condition_ii = cache(lambda sub: check_condition_ii(s, sub))
+        for k in range(1, len(s.rays) + 1):
+            for ids in combinations(s.ray_ids, k):
+                want = _outcome(lambda: _subset_walk(s, ids, condition_ii))
+                assert _outcome(lambda: condition_iii_full(s, ids)) == want, (seed, ids)
+                if k > 2 and _cross_pairings_nonnegative(s, ids):
+                    pruned.add(want is None)
+    assert pruned == {True, False}
+
+
+def test_condition_iii_full_solves_only_the_largest_subsets(monkeypatch):
+    s = system_eset_d(12)
+    calls = []
+    real = structure.check_condition_ii
+
+    def counted(system, e):
+        calls.append(tuple(e))
+        return real(system, e)
+
+    monkeypatch.setattr(structure, "check_condition_ii", counted)
+    assert condition_iii_full(s, s.ray_ids) is None
+    assert len(calls) <= 12
 
 
 def test_check_lemma11_on_cycle():
