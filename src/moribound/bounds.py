@@ -25,6 +25,7 @@ from .polytope import (
     polytope_to_json,
 )
 from .raysystem import (
+    OrientedGraph,
     RayDivisorSystem,
     SystemFormatError,
     build_graph,
@@ -308,8 +309,19 @@ def verify_lemma14(
     least 5 - k.  The chain audit recomputes
     (C n + D) alpha_0 >= total >= alpha_2 (5 - average k).
     """
+    return _verify_lemma14(p, enumerate_angles(p), weights, c, d, **extra)
+
+
+def _verify_lemma14(
+    p: CombinatorialPolytope,
+    angles: Sequence[AngleData],
+    weights: dict,
+    c: object,
+    d: object,
+    **extra,
+) -> BoundReport:
+    """`verify_lemma14` on the polytope's already enumerated angles."""
     cc, dd = rational(c), rational(d)
-    angles = enumerate_angles(p)
     for a in angles:
         if a not in weights:
             raise ValueError(f"missing weight for angle {a}")
@@ -453,8 +465,14 @@ def count_condition_b(
         raise ValueError("perp rays must belong to the extremal set")
     if s.faces is not None and not is_extremal(s, eset):
         raise ValueError("the ray set is not extremal")
-    g = build_graph(s, eset)
     outer = [rid for rid in eset if rid not in perpset]
+    return _count_condition_b(build_graph(s, eset), outer, d)
+
+
+def _count_condition_b(
+    g: OrientedGraph, outer: Iterable[str], d: int
+) -> tuple[int, int]:
+    """`count_condition_b` over the rays `outer` of an already built graph."""
     count1 = count2 = 0
     for a in outer:
         for b in outer:
@@ -547,11 +565,13 @@ def diagram_pipeline(
 
     c1_emp = c2_emp = Fraction(0)
     for v in p.vertices:
-        outer = len(raysets[v] - inst.perp_rays)
-        count1, count2 = count_condition_b(s, raysets[v], inst.perp_rays, d)
+        # validate_diagram made every vertex ray set a listed face, which is
+        # all count_condition_b would check.
+        outer = raysets[v] - inst.perp_rays
+        count1, count2 = _count_condition_b(graphs[v], outer, d)
         if outer:
-            c1_emp = max(c1_emp, Fraction(count1, outer))
-            c2_emp = max(c2_emp, Fraction(count2, outer))
+            c1_emp = max(c1_emp, Fraction(count1, len(outer)))
+            c2_emp = max(c2_emp, Fraction(count2, len(outer)))
 
     replay = None
     if isinstance(rule, Theorem12Rule):
@@ -573,8 +593,9 @@ def diagram_pipeline(
             dd = max_sum
 
     audit, audit_ok = _eset_condition_a_audit(inst, d)
-    report = verify_lemma14(
+    report = _verify_lemma14(
         p,
+        angles,
         weights,
         c,
         dd,

@@ -24,10 +24,11 @@ class DimensionMismatch(ValueError):
 
 
 def rational(value: object) -> Fraction:
-    """Coerce an int, a string like ``"3/4"`` or ``"-2"``, or a Fraction."""
+    """Coerce an int, a string like ``"3/4"`` or ``"-2"``, or a Fraction.
+    Booleans are not numbers here, although ``bool`` subclasses ``int``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -312,7 +312,7 @@ def polytope_from_json(data: dict) -> CombinatorialPolytope:
         facets = data["facets"]
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"missing polytope field: {exc}") from exc
-    if not isinstance(dim, int):
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise SystemFormatError("dim must be an integer")
     try:
         return CombinatorialPolytope.of(dim, vertices, facets)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    Constraint,
     format_rational,
     rational,
     scale_primitive,
@@ -286,18 +286,28 @@ def theorem258_filter(report: ClassificationReport, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _feasible_nonneg_combination(
-    rows: Sequence[Sequence[Fraction]], nvars: int
+# The bound holds every matrix of a full 4-ray sweep: its classify + esets
+# verdicts ask about 7,537 distinct ones, 4.9 MB of keys and witnesses.
+@lru_cache(maxsize=8192)
+def _cone_witness(
+    rows: tuple[tuple[Fraction, ...], ...], nvars: int, positive: bool
 ) -> Optional[tuple[Fraction, ...]]:
-    """A vector m >= 0, m != 0, with every row . m >= 0, or None."""
-    constraints: list[Constraint] = []
-    for row in rows:
-        constraints.append((tuple(row), 0))
-    for i in range(nvars):
-        unit = [0] * nvars
-        unit[i] = 1
-        constraints.append((tuple(unit), 0))
-    constraints.append(((1,) * nvars, 1))  # scale-invariant m != 0
+    """A primitive integer vector m with every row . m >= 0 and m >= 0,
+    m != 0 (or, when `positive`, every m_i >= 1), or None when there is none.
+
+    Every solver question of this module is this one, and the sweeps ask it
+    about the same few matrices again and again, so the answer is memoised by
+    the exact rows.  Fourier-Motzkin is deterministic in its constraints, so a
+    remembered witness is the one a fresh solve would give."""
+    units = [
+        (tuple(int(i == j) for j in range(nvars)), int(positive))
+        for i in range(nvars)
+    ]
+    cone = [(row, 0) for row in rows]
+    if positive:
+        constraints = units + cone
+    else:
+        constraints = cone + units + [((1,) * nvars, 1)]  # scale-invariant m != 0
     witness = solve_inequalities(constraints, nvars)
     if witness is None:
         return None
@@ -317,8 +327,8 @@ def condition_ii_witness(
         if not s.ray(rid).is_divisorial:
             raise ValueError(f"ray {rid} is small and carries no divisor")
     cols = [s.divisor_of(rid) for rid in ids]
-    rows = [[s.q(rid, d) for d in cols] for rid in ids]
-    return _feasible_nonneg_combination(rows, len(ids))
+    rows = tuple(tuple(s.q(rid, d) for d in cols) for rid in ids)
+    return _cone_witness(rows, len(ids), False)
 
 
 def check_condition_ii(s: RayDivisorSystem, e: Iterable[str]) -> bool:
@@ -364,8 +374,8 @@ def check_condition_iii(
     if accepts_nef_combination(s, ids, ones):
         return ones
     cols = [s.divisor_of(rid) for rid in ids]
-    rows = [[s.q(probe, d) for d in cols] for probe in s.ray_ids]
-    return _feasible_nonneg_combination(rows, len(ids))
+    rows = tuple(tuple(s.q(probe, d) for d in cols) for probe in s.ray_ids)
+    return _cone_witness(rows, len(ids), False)
 
 
 def condition_iii_full(
@@ -478,16 +488,8 @@ def _case_b_witness(
             probes.append(r.id)
         elif r.type is RayType.II and is_simple_ray(s, r.id):
             probes.append(r.id)
-    constraints: list[Constraint] = [((1, 0), 1), ((0, 1), 1)]
-    for rid in probes:
-        constraints.append(
-            ((s.q(rid, r1.divisor), s.q(rid, r2.divisor)), 0)
-        )
-    witness = solve_inequalities(constraints, 2)
-    if witness is None:
-        return None
-    m1, m2 = scale_primitive(witness)
-    return (m1, m2)
+    rows = tuple((s.q(rid, r1.divisor), s.q(rid, r2.divisor)) for rid in probes)
+    return _cone_witness(rows, 2, True)
 
 
 def _case_c_witness(s: RayDivisorSystem, r1: Ray, r2: Ray) -> Optional[str]:

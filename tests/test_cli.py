@@ -399,6 +399,13 @@ def _write_bad_inputs(directory: Path) -> None:
         "polytope-no-dim.json": {"vertices": ["a", "b"], "facets": [["a"], ["b"]]},
         "polytope-string-dim.json": {"dim": "1", "vertices": ["a", "b"],
                                      "facets": [["a"], ["b"]]},
+        "pairing-true-entry.json": {
+            "rays": [{"id": "R1", "type": "II", "divisor": "D1"}],
+            "divisors": ["D1"],
+            "pairing": [[True]],
+        },
+        "polytope-bool-dim.json": {"dim": True, "vertices": ["a", "b"],
+                                   "facets": [["a"], ["b"]]},
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data))
@@ -424,6 +431,8 @@ def _write_bad_inputs(directory: Path) -> None:
     pytest.param(["check", "polytope-string-dim.json"], id="check-polytope-string-dim"),
     pytest.param(["polytope-stats", "polytope-string-dim.json"],
                  id="polytope-stats-polytope-string-dim"),
+    pytest.param(["classify", "pairing-true-entry.json"], id="classify-pairing-true-entry"),
+    pytest.param(["check", "polytope-bool-dim.json"], id="check-polytope-bool-dim"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     _write_bad_inputs(tmp_path)

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from moribound import structure
+from moribound.core import scale_primitive, solve_inequalities
 from moribound.generate import (
     system_b2,
     system_c2,
@@ -339,6 +340,79 @@ def test_condition_iii_full_solves_only_the_largest_subsets(monkeypatch):
     monkeypatch.setattr(structure, "check_condition_ii", counted)
     assert condition_iii_full(s, s.ray_ids) is None
     assert len(calls) <= 12
+
+
+def _fresh_cone_witness(rows, nvars, positive):
+    """Reference: the constraints written out and solved with no memo."""
+    if positive:  # m_i >= 1, as case (b) asks
+        constraints = [
+            (tuple(int(i == j) for j in range(nvars)), 1) for i in range(nvars)
+        ] + [(row, 0) for row in rows]
+    else:  # m >= 0, sum m >= 1
+        constraints = (
+            [(row, 0) for row in rows]
+            + [(tuple(int(i == j) for j in range(nvars)), 0) for i in range(nvars)]
+            + [((1,) * nvars, 1)]
+        )
+    witness = solve_inequalities(constraints, nvars)
+    return None if witness is None else scale_primitive(witness)
+
+
+def test_memoised_cone_witness_matches_fresh_solve():
+    # Entries -2 ... 2 with halves, about half of them zero: dense mixed-sign
+    # rows blow the unpruned Fourier-Motzkin up from five columns on.
+    entries = [Fraction(n, 2) for n in range(-4, 5)] + [Fraction(0)] * 8
+    structure._cone_witness.cache_clear()
+    feasible = infeasible = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        k = 1 + seed % 6
+        rows = tuple(
+            tuple(rng.choice(entries) for _ in range(k))
+            for _ in range(rng.randint(0, k))
+        )
+        # Both variants on the same rows, twice: a key shared between them,
+        # or a cached answer that differs from a fresh one, shows here.
+        for _ in range(2):
+            for positive in (False, True):
+                got = structure._cone_witness(rows, k, positive)
+                assert got == _fresh_cone_witness(rows, k, positive), (seed, positive)
+                if got is None:
+                    infeasible += 1
+                    continue
+                feasible += 1
+                assert all(m.denominator == 1 for m in got)
+                assert all(m >= (1 if positive else 0) for m in got) and any(got)
+                for row in rows:
+                    assert sum(a * m for a, m in zip(row, got)) >= 0
+    assert feasible and infeasible
+    assert structure._cone_witness.cache_info().hits >= 800
+
+
+def test_equal_member_matrices_share_one_solve(monkeypatch):
+    first = RayDivisorSystem.of(
+        rays=[("A", "II", "D1"), ("B", "II", "D2"), ("C", "I", "D3")],
+        divisors=["D1", "D2", "D3"],
+        pairing=[[-1, 2, 0], [2, -1, 1], [1, 1, -1]],
+    )
+    second = RayDivisorSystem.of(
+        rays=[("P", "I", "E1"), ("Q", "II", "E2"), ("R", "II", "E3")],
+        divisors=["E1", "E2", "E3"],
+        pairing=[[-2, 0, 0], [1, -1, 2], [0, 2, -1]],
+    )
+    solves = []
+    real = structure.solve_inequalities
+
+    def counted(constraints, nvars):
+        solves.append(nvars)
+        return real(constraints, nvars)
+
+    structure._cone_witness.cache_clear()
+    monkeypatch.setattr(structure, "solve_inequalities", counted)
+    witness = condition_ii_witness(first, ["A", "B"])
+    assert witness is not None and len(solves) == 1
+    assert condition_ii_witness(second, ["Q", "R"]) == witness
+    assert len(solves) == 1
 
 
 def test_check_lemma11_on_cycle():
