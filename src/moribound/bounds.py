@@ -29,7 +29,6 @@ from .raysystem import (
     RayDivisorSystem,
     SystemFormatError,
     build_graph,
-    distance,
     system_from_json,
     system_to_json,
 )
@@ -167,15 +166,6 @@ class AngleData:
     side1: int  # facet index determining the first side
     side2: int  # facet index determining the second side
     perp_facets: tuple  # sorted facet indices cutting out the 2-face
-
-    def reversed(self) -> "AngleData":
-        return AngleData(
-            vertex=self.vertex,
-            plane=self.plane,
-            side1=self.side2,
-            side2=self.side1,
-            perp_facets=self.perp_facets,
-        )
 
 
 def enumerate_angles(p: CombinatorialPolytope) -> list[AngleData]:
@@ -473,18 +463,9 @@ def _count_condition_b(
     g: OrientedGraph, outer: Iterable[str], d: int
 ) -> tuple[int, int]:
     """`count_condition_b` over the rays `outer` of an already built graph."""
-    count1 = count2 = 0
-    for a in outer:
-        for b in outer:
-            if a == b:
-                continue
-            dist = distance(g, a, b)
-            if dist == INF:
-                continue
-            if 1 <= dist <= d:
-                count1 += 1
-            elif d + 1 <= dist <= 2 * d + 1:
-                count2 += 1
+    dists = [g.dist[a, b] for a in outer for b in outer if a != b]
+    count1 = sum(1 <= x <= d for x in dists)
+    count2 = sum(d + 1 <= x <= 2 * d + 1 for x in dists)
     return (count1, count2)
 
 
@@ -509,15 +490,8 @@ def _eset_condition_a_audit(
         if not extendable:
             continue
         g = build_graph(s, eset | inst.perp_rays)
-        diam = max(
-            (
-                distance(g, a, b)
-                for a in eset
-                for b in eset
-                if a != b
-            ),
-            default=0,
-        )
+        # Two or more rays, so the zero self-distances never decide the max.
+        diam = max(g.dist[a, b] for a in eset for b in eset)
         ok = diam != INF and diam <= d
         audit.append(
             {
@@ -560,8 +534,7 @@ def diagram_pipeline(
     for a in angles:
         r1 = inst.facet_rays[a.side1]
         r2 = inst.facet_rays[a.side2]
-        dist = distance(graphs[a.vertex], r1, r2)
-        weights[a] = sigma(rule, dist)
+        weights[a] = sigma(rule, graphs[a.vertex].dist[r1, r2])
 
     c1_emp = c2_emp = Fraction(0)
     for v in p.vertices:

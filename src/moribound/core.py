@@ -229,30 +229,6 @@ def kernel_of_columns(vectors: Sequence[RVector]) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def solve_linear(
-    rows: Sequence[Sequence[object]], rhs: Sequence[object]
-) -> tuple[Fraction, ...] | None:
-    """One exact solution of ``rows @ x = rhs``, or None if inconsistent.
-
-    Free variables are set to zero, which keeps the output deterministic.
-    """
-    a = _as_rows(rows)
-    b = [rational(x) for x in rhs]
-    if len(a) != len(b):
-        raise DimensionMismatch("rhs length does not match row count")
-    if not a:
-        return ()
-    ncols = len(a[0])
-    augmented = [row + [val] for row, val in zip(a, b)]
-    reduced, pivots = _rref(augmented)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = reduced[row_idx][ncols]
-    return tuple(x)
-
-
 # ---------------------------------------------------------------------------
 # Exact linear inequality feasibility (variable elimination with witness).
 # ---------------------------------------------------------------------------

@@ -73,13 +73,14 @@ class RayDivisorSystem:
     divisors: tuple[str, ...]
     pairing: tuple[tuple[Fraction, ...], ...]
     meets: frozenset  # frozenset of 2-element frozensets of divisor ids
-    faces: Optional[tuple[frozenset, ...]] = None
+    faces: Optional[tuple[frozenset, ...]] = None  # normalised in __post_init__
     anticanonical: Optional[tuple[Fraction, ...]] = None
     fano_mode: bool = False
     _ray_index: dict = field(init=False, repr=False, compare=False)
     _div_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "faces", _normalize_faces(self.faces))
         ray_index = {r.id: i for i, r in enumerate(self.rays)}
         div_index = {d: i for i, d in enumerate(self.divisors)}
         if len(ray_index) != len(self.rays):
@@ -124,7 +125,7 @@ class RayDivisorSystem:
             divisors=tuple(divisors),
             pairing=tuple(tuple(rational(x) for x in row) for row in pairing),
             meets=frozenset(frozenset(pair) for pair in meets),
-            faces=_normalize_faces(faces),
+            faces=faces,
             anticanonical=None
             if anticanonical is None
             else tuple(rational(x) for x in anticanonical),
@@ -172,11 +173,8 @@ class RayDivisorSystem:
     def small_rays(self) -> tuple[Ray, ...]:
         return tuple(r for r in self.rays if r.type is RayType.SMALL)
 
-    def rays_on_divisor(self, did: str) -> tuple[Ray, ...]:
-        return tuple(r for r in self.rays if r.divisor == did)
-
     def with_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> "RayDivisorSystem":
-        return replace(self, faces=_normalize_faces(faces))
+        return replace(self, faces=faces)
 
     @cached_property
     def maximal_faces(self) -> tuple[frozenset, ...]:
@@ -412,21 +410,33 @@ def check_normalization(s: RayDivisorSystem) -> list[Violation]:
 class OrientedGraph:
     nodes: tuple[str, ...]
     arrows: frozenset  # of (tail, head) pairs
-    _succ: dict = field(init=False, repr=False, compare=False)
+    dist: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """Fill `dist[(a, b)]`, the length of a shortest oriented path from a
+        to b (INF if unreachable), with one breadth-first search per node."""
         succ: dict[str, list[str]] = {n: [] for n in self.nodes}
         for tail, head in sorted(self.arrows):
             succ[tail].append(head)
-        object.__setattr__(self, "_succ", succ)
-
-    def successors(self, node: str) -> tuple[str, ...]:
-        return tuple(self._succ[node])
+        dist: dict[tuple[str, str], int | float] = {}
+        for a in self.nodes:
+            seen = {a: 0}
+            queue = deque([a])
+            while queue:
+                cur = queue.popleft()
+                for nxt in succ[cur]:
+                    if nxt not in seen:
+                        seen[nxt] = seen[cur] + 1
+                        queue.append(nxt)
+            for b in self.nodes:
+                dist[a, b] = seen.get(b, INF)
+        object.__setattr__(self, "dist", dist)
 
 
 def build_graph(s: RayDivisorSystem, subset: Iterable[str]) -> OrientedGraph:
     """The oriented graph on the given divisorial rays: an arrow runs from R1
-    to R2 exactly when Q[R1][D(R2)] > 0."""
+    to R2 exactly when Q[R1][D(R2)] > 0.  Its all-pairs distances are
+    computed here, once, in `OrientedGraph.dist`."""
     nodes = sorted(set(subset))
     for rid in nodes:
         r = s.ray(rid)
@@ -445,37 +455,14 @@ def build_graph(s: RayDivisorSystem, subset: Iterable[str]) -> OrientedGraph:
 def distance(g: OrientedGraph, a: str, b: str) -> int | float:
     """Length of a shortest oriented path from a to b (INF if unreachable)."""
     for n in (a, b):
-        if n not in g._succ:
+        if (n, n) not in g.dist:
             raise ValueError(f"unknown node {n}")
-    if a == b:
-        return 0
-    seen = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        for nxt in g.successors(cur):
-            if nxt in seen:
-                continue
-            seen[nxt] = seen[cur] + 1
-            if nxt == b:
-                return seen[nxt]
-            queue.append(nxt)
-    return INF
+    return g.dist[a, b]
 
 
 def diameter(g: OrientedGraph) -> int | float:
     """Largest pairwise distance; 0 for graphs with fewer than two nodes."""
-    best: int | float = 0
-    for a in g.nodes:
-        for b in g.nodes:
-            if a == b:
-                continue
-            d = distance(g, a, b)
-            if d > best:
-                best = d
-            if best == INF:
-                return INF
-    return best
+    return max(g.dist.values(), default=0)
 
 
 def divisorial_components(
@@ -508,12 +495,7 @@ def divisorial_components(
 def is_single_arrow_connected(s: RayDivisorSystem, subset: Iterable[str]) -> bool:
     """Whether every ordered pair of distinct rays is joined by an oriented
     path inside the subset's graph."""
-    g = build_graph(s, subset)
-    for a in g.nodes:
-        for b in g.nodes:
-            if a != b and distance(g, a, b) == INF:
-                return False
-    return True
+    return INF not in build_graph(s, subset).dist.values()
 
 
 def is_simple_ray(s: RayDivisorSystem, rid: str) -> bool:
@@ -597,7 +579,7 @@ def system_to_json(s: RayDivisorSystem) -> dict:
         "fano_mode": s.fano_mode,
     }
     if s.faces is not None:
-        data["faces"] = sorted((sorted(f) for f in s.faces), key=lambda f: (len(f), f))
+        data["faces"] = [sorted(f) for f in s.faces]
     if s.anticanonical is not None:
         data["anticanonical"] = [format_rational(v) for v in s.anticanonical]
     return data

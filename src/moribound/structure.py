@@ -370,11 +370,10 @@ def check_condition_iii(
     for rid in ids:
         if not s.ray(rid).is_divisorial:
             raise ValueError(f"ray {rid} is small and carries no divisor")
-    ones = (Fraction(1),) * len(ids)
-    if accepts_nef_combination(s, ids, ones):
-        return ones
     cols = [s.divisor_of(rid) for rid in ids]
     rows = tuple(tuple(s.q(probe, d) for d in cols) for probe in s.ray_ids)
+    if all(sum(row) >= 0 for row in rows):
+        return (Fraction(1),) * len(ids)
     return _cone_witness(rows, len(ids), False)
 
 

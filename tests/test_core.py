@@ -19,7 +19,6 @@ from moribound.core import (
     rational,
     scale_primitive,
     solve_inequalities,
-    solve_linear,
     span_rank,
 )
 
@@ -123,12 +122,6 @@ def test_rank_kernel_dimension_count(rows):
         for c, v in zip(coeffs, cols):
             combo = combo + v.scale(c)
         assert combo.is_zero()
-
-
-def test_solve_linear_consistent_and_not():
-    x = solve_linear([[1, 1], [1, -1]], [3, 1])
-    assert x == (Fraction(2), Fraction(1))
-    assert solve_linear([[1, 1], [2, 2]], [1, 3]) is None
 
 
 constraint_systems = st.lists(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moribound.bounds import count_condition_b
 from moribound.core import INF
 from moribound.generate import (
     random_valid_system,
@@ -61,7 +62,6 @@ def test_system_queries():
     assert s.divisor_of("S3") == "D3"
     assert s.joined("D1", "D2")
     assert s.joined("D1", "D1")
-    assert [r.id for r in s.rays_on_divisor("D1")] == ["S1"]
     assert s.anticanonical_degree("S1") == 1
 
 
@@ -339,6 +339,64 @@ def test_distance_shrinks_in_larger_subsets(seed):
     for a in small:
         for b in small:
             assert distance(g_full, a, b) <= distance(g_small, a, b)
+
+
+def _bfs_distance(succ, a, b):
+    """Shortest oriented path length by a fresh search per pair."""
+    if a == b:
+        return 0
+    seen = {a: 0}
+    frontier = [a]
+    while frontier:
+        nxt_frontier = []
+        for cur in frontier:
+            for nxt in succ[cur]:
+                if nxt not in seen:
+                    seen[nxt] = seen[cur] + 1
+                    nxt_frontier.append(nxt)
+        frontier = nxt_frontier
+    return seen.get(b, INF)
+
+
+def test_distance_table_matches_per_pair_search():
+    diameters = set()  # over graphs of two or more nodes
+    for seed in range(300):
+        rng = random.Random(seed)
+        ids = [f"R{i}" for i in range(rng.randint(1, 8))]
+        cross = {(a, b): rng.randint(0, 1) for a in ids for b in ids if a != b}
+        s = RayDivisorSystem.of(
+            rays=[(rid, "II", f"D{rid}") for rid in ids],
+            divisors=[f"D{rid}" for rid in ids],
+            pairing=[[-1 if a == b else cross[a, b] for b in ids] for a in ids],
+        )
+        nodes = sorted(rng.sample(ids, rng.randint(0, len(ids))))
+        succ = {a: [b for b in nodes if cross.get((a, b))] for a in nodes}
+        want = {(a, b): _bfs_distance(succ, a, b) for a in nodes for b in nodes}
+
+        g = build_graph(s, nodes)
+        assert {(a, b): distance(g, a, b) for a in nodes for b in nodes} == want
+        assert diameter(g) == max(want.values(), default=0)
+        assert is_single_arrow_connected(s, nodes) == (INF not in want.values())
+        for rid in set(ids) - set(nodes):
+            with pytest.raises(ValueError):
+                distance(g, rid, rid)
+        perp = set(rng.sample(nodes, rng.randint(0, len(nodes))))
+        outer = [rid for rid in nodes if rid not in perp]
+        for d in (1, 2, 3):
+            count1 = count2 = 0
+            for a in outer:
+                for b in outer:
+                    x = want[a, b]
+                    if a == b or x == INF:
+                        continue
+                    if 1 <= x <= d:
+                        count1 += 1
+                    elif d + 1 <= x <= 2 * d + 1:
+                        count2 += 1
+            assert count_condition_b(s, nodes, perp, d) == (count1, count2)
+        if len(nodes) > 1:
+            diameters.add(diameter(g))
+    assert {1, 2, 3, INF} <= diameters
 
 
 def test_divisorial_components_split():
