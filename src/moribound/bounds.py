@@ -308,16 +308,19 @@ def _verify_lemma14(
     weights: dict,
     c: object,
     d: object,
+    vertex_sums: Optional[dict] = None,
     **extra,
 ) -> BoundReport:
-    """`verify_lemma14` on the polytope's already enumerated angles."""
+    """`verify_lemma14` on the polytope's already enumerated angles, and on
+    their vertex sums when the caller has them."""
     cc, dd = rational(c), rational(d)
     for a in angles:
         if a not in weights:
             raise ValueError(f"missing weight for angle {a}")
 
     n = p.dim
-    vertex_sums = _vertex_sums(p, angles, weights)
+    if vertex_sums is None:
+        vertex_sums = _vertex_sums(p, angles, weights)
     face_sums: dict = {frozenset(f): Fraction(0) for f in p.faces(2)}
     for a in angles:
         face_sums[a.plane] += rational(weights[a])
@@ -546,12 +549,12 @@ def diagram_pipeline(
             c1_emp = max(c1_emp, Fraction(count1, len(outer)))
             c2_emp = max(c2_emp, Fraction(count2, len(outer)))
 
+    sums = _vertex_sums(p, angles, weights)
     replay = None
     if isinstance(rule, Theorem12Rule):
         c = Fraction(2, 3) * c1_emp + Fraction(1, 2) * c2_emp
         dd = Fraction(0)
     else:
-        sums = _vertex_sums(p, angles, weights)
         max_sum = max(sums.values(), default=Fraction(0))
         c = Fraction(0)
         if isinstance(rule, Theorem258Rule):
@@ -572,6 +575,7 @@ def diagram_pipeline(
         weights,
         c,
         dd,
+        sums,
         rule=rule.describe(),
         empirical_c1=c1_emp,
         empirical_c2=c2_emp,

@@ -73,14 +73,20 @@ class RayDivisorSystem:
     divisors: tuple[str, ...]
     pairing: tuple[tuple[Fraction, ...], ...]
     meets: frozenset  # frozenset of 2-element frozensets of divisor ids
-    faces: Optional[tuple[frozenset, ...]] = None  # normalised in __post_init__
+    faces: Optional[tuple[frozenset, ...]] = None  # deduplicated, by (size, sorted ids)
     anticanonical: Optional[tuple[Fraction, ...]] = None
     fano_mode: bool = False
     _ray_index: dict = field(init=False, repr=False, compare=False)
     _div_index: dict = field(init=False, repr=False, compare=False)
+    # With faces only: each ray's bit, and each face of `faces` as the sum of
+    # its rays' bits.  The first id in sorted order holds the highest bit, so
+    # among sets of one size, the one whose sorted ids come first (the one
+    # holding the first id that the two do not share) has the larger mask.
+    _bit: Optional[dict] = field(init=False, repr=False, compare=False)
+    _face_masks: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "faces", _normalize_faces(self.faces))
+        sets = None if self.faces is None else {frozenset(f) for f in self.faces}
         ray_index = {r.id: i for i, r in enumerate(self.rays)}
         div_index = {d: i for i, d in enumerate(self.divisors)}
         if len(ray_index) != len(self.rays):
@@ -102,13 +108,19 @@ class RayDivisorSystem:
                     raise SystemFormatError(f"contact entry names unknown divisor {d}")
         if self.anticanonical is not None and len(self.anticanonical) != len(self.rays):
             raise SystemFormatError("anticanonical column length does not match rays")
-        if self.faces is not None:
-            for f in self.faces:
-                for rid in f:
-                    if rid not in ray_index:
-                        raise SystemFormatError(f"face names unknown ray {rid}")
         object.__setattr__(self, "_ray_index", ray_index)
         object.__setattr__(self, "_div_index", div_index)
+        bit = masks = None
+        if sets is not None:
+            bit = {rid: 1 << k for k, rid in enumerate(sorted(ray_index, reverse=True))}
+            try:
+                order = sorted((len(f), -sum(map(bit.__getitem__, f)), f) for f in sets)
+            except KeyError as exc:
+                raise SystemFormatError(f"face names unknown ray {exc.args[0]}") from None
+            masks = tuple(-entry[1] for entry in order)
+            object.__setattr__(self, "faces", tuple(entry[2] for entry in order))
+        object.__setattr__(self, "_bit", bit)
+        object.__setattr__(self, "_face_masks", masks)
 
     @staticmethod
     def of(
@@ -176,28 +188,42 @@ class RayDivisorSystem:
     def with_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> "RayDivisorSystem":
         return replace(self, faces=faces)
 
+    # -- faces as ray masks ------------------------------------------------
+
+    def ray_mask(self, rids: Iterable[str]) -> int:
+        """The bits of the given rays; needs a face structure."""
+        try:
+            return sum(map(self._bit.__getitem__, frozenset(rids)))
+        except KeyError as exc:
+            raise ValueError(f"unknown ray {exc.args[0]}") from None
+
+    def masks_to_sets(self, masks: Iterable[int]) -> list[frozenset]:
+        """The ray sets of the given masks, smallest first, ties by sorted ids."""
+        return [
+            frozenset(rid for rid, b in self._bit.items() if m & b)
+            for m in sorted(masks, key=lambda m: (m.bit_count(), -m))
+        ]
+
+    @cached_property
+    def maximal_masks(self) -> tuple[int, ...]:
+        """Masks of the inclusion-maximal faces, ordered like `faces`.  The
+        empty face is maximal only when it is the sole face."""
+        found: list[int] = []
+        for m in reversed(self._face_masks or ()):  # largest first
+            for big in found:
+                if m | big == big:
+                    break
+            else:
+                found.append(m)
+        return tuple(reversed(found))
+
     @cached_property
     def maximal_faces(self) -> tuple[frozenset, ...]:
-        """The inclusion-maximal faces, ordered like `faces`.  The empty face
-        is maximal only when it is the sole face."""
-        found: list[frozenset] = []
-        for face in sorted(self.faces or (), key=len, reverse=True):
-            if not any(face <= m for m in found):
-                found.append(face)
-        return tuple(sorted(found, key=_face_order))
-
-
-def _face_order(face: frozenset) -> tuple:
-    return (len(face), sorted(face))
-
-
-def _normalize_faces(
-    faces: Optional[Iterable[Iterable[str]]],
-) -> Optional[tuple[frozenset, ...]]:
-    """Distinct faces as frozensets, smallest first, ties by sorted ids."""
-    if faces is None:
-        return None
-    return tuple(sorted({frozenset(f) for f in faces}, key=_face_order))
+        """The inclusion-maximal faces, ordered like `faces`."""
+        keep = set(self.maximal_masks)
+        return tuple(
+            f for f, m in zip(self.faces or (), self._face_masks or ()) if m in keep
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +365,11 @@ def validate(s: RayDivisorSystem) -> list[Violation]:
 
 def _validate_faces(s: RayDivisorSystem) -> list[Violation]:
     out: list[Violation] = []
-    faces = set(s.faces or ())
-    if frozenset() not in faces:
+    faces = set(s._face_masks)
+    if 0 not in faces:
         out.append(Violation("faces-missing-empty", (), "the empty set must be a face"))
     for r in s.rays:
-        if frozenset((r.id,)) not in faces:
+        if s._bit[r.id] not in faces:
             out.append(
                 Violation(
                     "singleton-not-a-face",
@@ -352,25 +378,36 @@ def _validate_faces(s: RayDivisorSystem) -> list[Violation]:
                 )
             )
     # A face is full when all its subsets are faces: walked smallest first,
-    # that is when every f - {x} is full.  f1 & f2 is a face whenever f1 or
-    # f2 is full, so only pairs of faces that are not full are intersected.
-    full: set[frozenset] = set()
-    for f in sorted(faces, key=len):
-        if all(f - {x} in full for x in f):
+    # that is when every f minus one bit is full.  f1 & f2 is a face whenever
+    # f1 or f2 is full, so only pairs of faces that are not full are cut.
+    full: set[int] = set()
+    partial: list[tuple[int, frozenset]] = []
+    for f, face in zip(s._face_masks, s.faces):
+        for b in iter_bits(f):
+            if f ^ b not in full:
+                partial.append((f, face))
+                break
+        else:
             full.add(f)
-    partial = sorted(faces - full, key=_face_order)
-    for i, f1 in enumerate(partial):
-        for f2 in partial[i + 1 :]:
-            cut = f1 & f2
-            if cut not in faces:
+    for i, (f1, face1) in enumerate(partial):
+        for f2, face2 in partial[i + 1 :]:
+            if f1 & f2 not in faces:
                 out.append(
                     Violation(
                         "faces-not-intersection-closed",
-                        (",".join(sorted(f1)), ",".join(sorted(f2))),
-                        f"intersection {sorted(cut)} is missing from the face list",
+                        (",".join(sorted(face1)), ",".join(sorted(face2))),
+                        f"intersection {sorted(face1 & face2)} is missing from the face list",
                     )
                 )
     return out
+
+
+def iter_bits(mask: int) -> Iterable[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def check_normalization(s: RayDivisorSystem) -> list[Violation]:

@@ -28,6 +28,7 @@ from .raysystem import (
     divisorial_components,
     is_simple_ray,
     is_single_arrow_connected,
+    iter_bits,
 )
 
 
@@ -424,29 +425,50 @@ def is_extremal(s: RayDivisorSystem, subset: Iterable[str]) -> bool:
     """Whether some face contains the subset, hence some maximal face does."""
     if s.faces is None:
         raise ValueError("system has no face structure")
-    want = frozenset(subset)
-    for rid in want:
-        s.ray(rid)  # raises on unknown ids
-    return any(want <= face for face in s.maximal_faces)
+    want = s.ray_mask(subset)
+    return any(not want & ~face for face in s.maximal_masks)
 
 
 def find_esets(s: RayDivisorSystem, within: Iterable[str]) -> list[frozenset]:
-    """All inclusion-minimal non-extremal subsets of `within`."""
+    """All inclusion-minimal non-extremal subsets of `within`.
+
+    A subset of W is non-extremal exactly when it meets W - F for every
+    maximal face F, so these are the minimal transversals of those sets."""
     if s.faces is None:
         raise ValueError("system has no face structure")
     ids = sorted(set(within))
     for rid in ids:
         if not is_extremal(s, (rid,)):
             raise ValueError(f"ray {rid} is not extremal on its own")
-    found: list[frozenset] = []
-    for size in range(2, len(ids) + 1):
-        for combo in combinations(ids, size):
-            cand = frozenset(combo)
-            if any(prev <= cand for prev in found):
-                continue
-            if not is_extremal(s, cand):
-                found.append(cand)
-    return sorted(found, key=lambda f: (len(f), sorted(f)))
+    if not ids:
+        return []
+    whole = s.ray_mask(ids)
+    edges = {whole & ~face for face in s.maximal_masks}
+    if 0 in edges:  # W lies in a face
+        return []
+    return s.masks_to_sets(_minimal_transversals(edges))
+
+
+def _minimal_transversals(edges: Iterable[int]) -> list[int]:
+    """The inclusion-minimal sets meeting every edge, by Berge's method: add
+    the edges one at a time, growing each transversal that misses the new
+    edge by one of its bits.
+
+    A grown set is minimal unless it contains a kept transversal, one that
+    already met the edge.  Nothing else can nest: the kept ones were minimal
+    before, and two grown sets are two incomparable transversals that miss
+    the edge, each plus one bit of it."""
+    minimal: list[int] = []
+    for edge in sorted(edges, key=int.bit_count):
+        if any(not e & ~edge for e in minimal):
+            continue  # an edge contained in this one implies it
+        minimal.append(edge)
+    found = [0]
+    for edge in minimal:
+        kept = [t for t in found if t & edge]
+        grown = [t | b for t in found if not t & edge for b in iter_bits(edge)]
+        found = kept + [g for g in grown if all(k & ~g for k in kept)]
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import moribound
+from moribound import cli
 from moribound.cli import POLYTOPE_FAMILIES, SYSTEM_FAMILIES, main
 
 FIXTURES = "tests/fixtures"
@@ -374,6 +375,31 @@ def test_no_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_one_parser_per_process_answers_like_a_fresh_one(capsys, monkeypatch):
+    calls = [
+        ["esets", "--format", "yaml", f"{FIXTURES}/eset_a.json"],
+        ["classify", f"{FIXTURES}/eset_a.json", "--format", "json"],
+        ["esets", f"{FIXTURES}/eset_a.json"],
+    ]
+
+    def outputs():
+        out = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    assert cli._parser() is cli._parser()
+    reused = outputs()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == reused
+    assert [code for code, _, _ in reused] == [2, 0, 0]
 
 
 # --- exit-code contract: bad input is exit 2, never a traceback ---------------

@@ -265,6 +265,80 @@ def test_face_checks_match_all_pairs_scan():
     assert flagged == 200
 
 
+# Ids whose string order differs from both their insertion order and their
+# numeric order.
+ODD_IDS = ["R10", "R2", "b", "a", "R1", "B", "R9", "A", "c", "R3"]
+
+
+def _odd_face_families(count):
+    """Seeded face families over 1-10 odd-named rays, listed in random
+    order: arbitrary sets (mostly not intersection-closed), downward closures
+    of a few tops with a singleton now and then missing, the empty face
+    alone, and the whole powerset."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        ids = ODD_IDS[: rng.randint(1, 10)]
+        kind = seed % 5
+        if kind == 0:
+            faces = [[]]
+        elif kind == 1:
+            faces = [list(c) for k in range(len(ids) + 1) for c in combinations(ids, k)]
+        elif kind == 2:
+            faces = [rng.sample(ids, rng.randint(0, len(ids))) for _ in range(rng.randint(0, 12))]
+        else:
+            faces = [[rid] for rid in ids if rng.random() < 0.9]
+            for _ in range(rng.randint(1, 4)):
+                top = rng.sample(ids, rng.randint(0, len(ids)))
+                faces += [list(c) for k in range(len(top) + 1) for c in combinations(top, k)]
+        rng.shuffle(faces)
+        yield ids, faces
+
+
+def _frozenset_face_violations(s):
+    """Reference: the face checks on frozensets of ids, full faces found
+    smallest first and only the other faces intersected pairwise."""
+    out = []
+    faces = set(s.faces)
+    if frozenset() not in faces:
+        out.append(Violation("faces-missing-empty", (), "the empty set must be a face"))
+    for r in s.rays:
+        if frozenset((r.id,)) not in faces:
+            out.append(Violation("singleton-not-a-face", (r.id,),
+                                 "every single ray spans a face of the cone"))
+    full = set()
+    for f in sorted(faces, key=len):
+        if all(f - {x} in full for x in f):
+            full.add(f)
+    partial = sorted(faces - full, key=lambda f: (len(f), sorted(f)))
+    for i, f1 in enumerate(partial):
+        for f2 in partial[i + 1 :]:
+            cut = f1 & f2
+            if cut not in faces:
+                out.append(Violation(
+                    "faces-not-intersection-closed",
+                    (",".join(sorted(f1)), ",".join(sorted(f2))),
+                    f"intersection {sorted(cut)} is missing from the face list",
+                ))
+    return out
+
+
+def test_face_masks_match_frozenset_algebra():
+    def key(f):
+        return len(f), sorted(f)
+
+    flagged = 0
+    for ids, faces in _odd_face_families(300):
+        s = _system_on(ids, faces)
+        listed = {frozenset(f) for f in faces}
+        assert list(s.faces) == sorted(listed, key=key)
+        maximal = {f for f in listed if not any(f < g for g in listed)}
+        assert list(s.maximal_faces) == sorted(maximal, key=key), faces
+        want = _frozenset_face_violations(s)
+        assert _validate_faces(s) == want, faces
+        flagged += any(v.code == "faces-not-intersection-closed" for v in want)
+    assert flagged > 20
+
+
 def test_validate_large_simplicial_family():
     # 65,535 faces: an all-pairs intersection scan would take about 2 * 10^9
     # steps, the full-face walk about 5 * 10^5.

@@ -491,6 +491,102 @@ def test_find_esets_rejects_nonextremal_singleton():
         find_esets(s, ["R1", "R2"])
 
 
+# Ids whose string order differs from both their insertion order and their
+# numeric order.
+ODD_IDS = ["R10", "R2", "b", "a", "R1", "B", "R9", "A", "c", "R3"]
+
+
+def _walk_esets(s, within):
+    """Reference: the minimal non-extremal subsets of `within`, found by
+    walking its subsets smallest first against the listed faces."""
+    ids = sorted(set(within))
+    if any(not any(rid in f for f in s.faces) for rid in ids):
+        raise ValueError("a ray is not extremal on its own")
+    found = []
+    for size in range(2, len(ids) + 1):
+        for combo in combinations(ids, size):
+            cand = frozenset(combo)
+            if any(prev <= cand for prev in found):
+                continue
+            if not any(cand <= f for f in s.faces):
+                found.append(cand)
+    return sorted(found, key=lambda f: (len(f), sorted(f)))
+
+
+def _random_face_case(seed):
+    """A seeded system over 1-10 odd-named rays, a face family (arbitrary
+    sets, downward closures of a few tops, or an edge case) and a `within`."""
+    rng = random.Random(seed)
+    ids = ODD_IDS[: rng.randint(1, 10)]
+    kind = seed % 5
+    if kind == 0:
+        faces = [[]]
+    elif kind == 1:
+        faces = [list(c) for k in range(len(ids) + 1) for c in combinations(ids, k)]
+    elif kind == 2:
+        faces = [rng.sample(ids, rng.randint(0, len(ids))) for _ in range(rng.randint(0, 12))]
+        faces += [[rid] for rid in ids]
+    else:
+        faces = [[rid] for rid in ids if rng.random() < 0.9]
+        for _ in range(rng.randint(1, 4)):
+            top = rng.sample(ids, rng.randint(0, len(ids)))
+            faces += [list(c) for k in range(len(top) + 1) for c in combinations(top, k)]
+    rng.shuffle(faces)
+    within = [] if seed % 7 == 0 else rng.sample(ids, rng.randint(1, len(ids)))
+    return _system_over(ids, faces), within
+
+
+def _system_over(ids, faces):
+    return RayDivisorSystem.of(
+        rays=[(rid, "II", f"D{rid}") for rid in ids],
+        divisors=[f"D{rid}" for rid in ids],
+        pairing=[[-1 if a == b else 0 for b in ids] for a in ids],
+        faces=faces,
+    )
+
+
+def test_find_esets_matches_subset_walk():
+    nonempty = raised = 0
+    for seed in range(300):
+        s, within = _random_face_case(seed)
+        try:
+            want = _walk_esets(s, within)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="not extremal on its own"):
+                find_esets(s, within)
+            continue
+        assert find_esets(s, within) == want, (s.faces, within)
+        nonempty += len(want) > 1
+    assert nonempty > 30 and raised > 10
+
+
+def test_find_esets_edge_families():
+    ids = ["R10", "R2", "b", "a"]
+    whole = _system_over(ids, [[], *([rid] for rid in ids), ids])
+    assert find_esets(whole, ids) == []
+    assert find_esets(whole, []) == []
+    assert find_esets(_system_over(ids, [[]]), []) == []
+    assert find_esets(_system_over(ids, []), []) == []
+    singletons = _system_over(ids, [[rid] for rid in ids])
+    assert find_esets(singletons, ids) == [
+        frozenset(pair) for pair in combinations(sorted(ids), 2)
+    ]
+
+
+def test_find_esets_checks_only_singletons(monkeypatch):
+    calls = []
+
+    def counted(s, subset):
+        calls.append(subset)
+        return is_extremal(s, subset)
+
+    monkeypatch.setattr(structure, "is_extremal", counted)
+    s = system_eset_d(14)
+    assert find_esets(s, s.ray_ids) == [frozenset(s.ray_ids)]
+    assert len(calls) == 14
+
+
 def test_eset_case_a_cycle():
     s = system_eset_a()
     t = classify_eset(s, ["S1", "S2", "S3"])
