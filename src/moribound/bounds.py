@@ -158,36 +158,34 @@ def max_integer_below(q: object) -> int:
 
 @dataclass(frozen=True)
 class AngleData:
-    """An oriented angle: a vertex, the 2-face it lives on, the ordered pair
-    of side facets, and the facets cutting out the 2-face."""
+    """An oriented angle: a vertex, the 2-face it lives on, and the ordered
+    pair of side facets."""
 
     vertex: object
     plane: frozenset  # vertex set of the 2-face
     side1: int  # facet index determining the first side
     side2: int  # facet index determining the second side
-    perp_facets: tuple  # sorted facet indices cutting out the 2-face
 
 
 def enumerate_angles(p: CombinatorialPolytope) -> list[AngleData]:
     """All oriented angles of a simple polytope: per vertex, per pair of
-    facets through it, both side orders."""
+    facets through it, both side orders.  The angle's 2-face is the face
+    lying in the other facets through the vertex; on a simple polytope that
+    face has dimension 2 exactly when it exists."""
     if not p.is_simple:
         raise PolytopeError("angles are defined on simple polytopes only")
-    all_vertices = frozenset(p.vertices)
     out: list[AngleData] = []
     for v in p.vertices:
         through = p.facets_through(frozenset((v,)))
         for f, g in combinations(through, 2):
-            others = tuple(i for i in through if i not in (f, g))
-            plane = all_vertices
-            for i in others:
-                plane = plane & p.facets[i]
-            if p.face_dim(plane) != 2:
+            try:
+                plane = p.face_on(i for i in through if i != f and i != g)
+            except PolytopeError:
                 raise PolytopeError(
                     f"facet complement at vertex {v!r} does not cut a 2-face"
-                )
-            out.append(AngleData(v, plane, f, g, others))
-            out.append(AngleData(v, plane, g, f, others))
+                ) from None
+            out.append(AngleData(v, plane, f, g))
+            out.append(AngleData(v, plane, g, f))
     return out
 
 
@@ -299,28 +297,14 @@ def verify_lemma14(
     least 5 - k.  The chain audit recomputes
     (C n + D) alpha_0 >= total >= alpha_2 (5 - average k).
     """
-    return _verify_lemma14(p, enumerate_angles(p), weights, c, d, **extra)
-
-
-def _verify_lemma14(
-    p: CombinatorialPolytope,
-    angles: Sequence[AngleData],
-    weights: dict,
-    c: object,
-    d: object,
-    vertex_sums: Optional[dict] = None,
-    **extra,
-) -> BoundReport:
-    """`verify_lemma14` on the polytope's already enumerated angles, and on
-    their vertex sums when the caller has them."""
+    angles = enumerate_angles(p)
     cc, dd = rational(c), rational(d)
     for a in angles:
         if a not in weights:
             raise ValueError(f"missing weight for angle {a}")
 
     n = p.dim
-    if vertex_sums is None:
-        vertex_sums = _vertex_sums(p, angles, weights)
+    vertex_sums = _vertex_sums(p, angles, weights)
     face_sums: dict = {frozenset(f): Fraction(0) for f in p.faces(2)}
     for a in angles:
         face_sums[a.plane] += rational(weights[a])
@@ -407,10 +391,9 @@ class DiagramInstance:
     def face_rayset(self, face: frozenset) -> frozenset:
         """Rays killed on a polytope face: those of the facets containing it,
         plus the globally orthogonal rays."""
-        rays = set(self.perp_rays)
-        for i in self.polytope.facets_through(face):
-            rays.add(self.facet_rays[i])
-        return frozenset(rays)
+        return self.perp_rays.union(
+            self.facet_rays[i] for i in self.polytope.facets_through(face)
+        )
 
 
 def validate_diagram(inst: DiagramInstance) -> None:
@@ -549,39 +532,35 @@ def diagram_pipeline(
             c1_emp = max(c1_emp, Fraction(count1, len(outer)))
             c2_emp = max(c2_emp, Fraction(count2, len(outer)))
 
-    sums = _vertex_sums(p, angles, weights)
-    replay = None
     if isinstance(rule, Theorem12Rule):
         c = Fraction(2, 3) * c1_emp + Fraction(1, 2) * c2_emp
         dd = Fraction(0)
+    elif isinstance(rule, Theorem258Rule):
+        c, dd = Fraction(0), Fraction(2, 3)
     else:
-        max_sum = max(sums.values(), default=Fraction(0))
         c = Fraction(0)
-        if isinstance(rule, Theorem258Rule):
-            dd = Fraction(2, 3)
-            replay = {
-                "C": c,
-                "D": dd,
-                "max_vertex_sum": max_sum,
-                "agrees": max_sum <= c * p.dim + dd,
-            }
-        else:
-            dd = max_sum
+        dd = max(_vertex_sums(p, angles, weights).values(), default=Fraction(0))
 
     audit, audit_ok = _eset_condition_a_audit(inst, d)
-    report = _verify_lemma14(
+    report = verify_lemma14(
         p,
-        angles,
         weights,
         c,
         dd,
-        sums,
         rule=rule.describe(),
         empirical_c1=c1_emp,
         empirical_c2=c2_emp,
-        replay=replay,
         eset_audit=tuple(audit),
     )
+    replay = None
+    if isinstance(rule, Theorem258Rule):
+        max_sum = max(report.vertex_sums.values(), default=Fraction(0))
+        replay = {
+            "C": c,
+            "D": dd,
+            "max_vertex_sum": max_sum,
+            "agrees": max_sum <= c * p.dim + dd,
+        }
     counterexamples = []
     for f in report.failing_faces:
         counterexamples.append(
@@ -604,6 +583,7 @@ def diagram_pipeline(
             )
     return replace(
         report,
+        replay=replay,
         counterexamples=tuple(counterexamples),
         conforming=report.conditions_hold and audit_ok,
     )

@@ -46,8 +46,9 @@ class CombinatorialPolytope:
     """An abstract polytope of dimension ``dim`` given by its facets.
 
     The face lattice (all nonempty intersections of facet subsets, plus the
-    full vertex set as the unique top face) is computed eagerly and cached;
-    instances are immutable afterwards.
+    full vertex set as the unique top face) is computed eagerly, each face
+    with its dimension and the indices of the facets containing it, which
+    name it uniquely; instances are immutable afterwards.
     """
 
     dim: int
@@ -55,6 +56,8 @@ class CombinatorialPolytope:
     facets: tuple[frozenset, ...]
     is_simple: bool = field(init=False, repr=False, compare=False)
     _dims: dict = field(init=False, repr=False, compare=False)
+    _facets_of: dict = field(init=False, repr=False, compare=False)
+    _face_on: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def of(dim: int, vertices: Sequence[VertexId], facets: Iterable[Iterable[VertexId]]) -> "CombinatorialPolytope":
@@ -64,7 +67,7 @@ class CombinatorialPolytope:
 
     def __post_init__(self) -> None:
         self._validate_incidence()
-        object.__setattr__(self, "_dims", self._build_lattice())
+        self._build_lattice()
         self._check_consistency()
 
     # -- construction ------------------------------------------------------
@@ -94,7 +97,7 @@ class CombinatorialPolytope:
             simple = simple and incident == self.dim
         object.__setattr__(self, "is_simple", simple)
 
-    def _build_lattice(self) -> dict:
+    def _build_lattice(self) -> None:
         top = frozenset(self.vertices)
         faces = {top}
         frontier = [top]
@@ -111,14 +114,18 @@ class CombinatorialPolytope:
         # which is the grading of a genuine polytope lattice and stays
         # meaningful for non-simple inputs.  Every face below `face` lies in
         # one of its facet cuts (Kaibel & Pfetsch 2002), so the chain only
-        # needs those.
+        # needs those.  The facets containing `face` are recorded on the way:
+        # they name the face.
         dims: dict = {}
+        facets_of: dict = {}
         for face in sorted(faces, key=len):
-            below = [
-                dims[cut]
-                for facet in self.facets
-                if (cut := face & facet) and cut != face
-            ]
+            through, below = [], []
+            for i, facet in enumerate(self.facets):
+                if face <= facet:
+                    through.append(i)
+                elif cut := face & facet:
+                    below.append(dims[cut])
+            facets_of[face] = tuple(through)
             if below:
                 dims[face] = 1 + max(below)
             else:
@@ -127,7 +134,9 @@ class CombinatorialPolytope:
                         f"minimal face {sorted(face, key=_sort_key)} is not a single vertex"
                     )
                 dims[face] = 0
-        return dims
+        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_facets_of", facets_of)
+        object.__setattr__(self, "_face_on", {ids: face for face, ids in facets_of.items()})
 
     def _check_consistency(self) -> None:
         top = frozenset(self.vertices)
@@ -150,8 +159,7 @@ class CombinatorialPolytope:
             # For simple polytopes the chain grading must agree with the
             # facet-count grading (codim k faces lie in exactly k facets).
             for face, d in self._dims.items():
-                through = sum(1 for f in self.facets if face <= f)
-                if d != self.dim - through:
+                if d != self.dim - len(self._facets_of[face]):
                     raise PolytopeError(
                         "simple polytope has a face whose facet count and chain "
                         f"length disagree: {sorted(face, key=_sort_key)}"
@@ -169,13 +177,25 @@ class CombinatorialPolytope:
         return sorted(found, key=lambda f: (self._dims[f], len(f), sorted(map(_sort_key, f))))
 
     def face_dim(self, face: frozenset) -> int:
+        return self._lookup(self._dims, face)
+
+    def facets_through(self, face: frozenset) -> tuple[int, ...]:
+        """Indices of the facets containing a face, in facet order."""
+        return self._lookup(self._facets_of, face)
+
+    def face_on(self, facets: Iterable[int]) -> frozenset:
+        """The face whose facet set is exactly `facets` (indices, any order)."""
+        key = tuple(sorted(facets))
         try:
-            return self._dims[face]
+            return self._face_on[key]
+        except KeyError:
+            raise PolytopeError(f"no face lies in exactly facets {list(key)}") from None
+
+    def _lookup(self, table: dict, face: frozenset):
+        try:
+            return table[face]
         except KeyError:
             raise PolytopeError(f"{sorted(face, key=_sort_key)} is not a face") from None
-
-    def facets_through(self, face: frozenset) -> list[int]:
-        return [i for i, f in enumerate(self.facets) if face <= f]
 
     def fvector(self) -> FVector:
         counts = [0] * (self.dim + 1)

@@ -641,18 +641,13 @@ def system_from_json(data: Mapping) -> RayDivisorSystem:
             raise SystemFormatError(f"unknown ray type {entry.get('type')!r}") from exc
         except (KeyError, TypeError, AttributeError) as exc:
             raise SystemFormatError(f"malformed ray entry {entry!r}") from exc
-    nrays, ndivs = len(rays), len(divisors)
+    if not all(isinstance(row, (list, tuple)) for row in pairing_raw):
+        raise SystemFormatError("pairing must be a list of rows, one per ray")
     try:
-        if pairing_raw and not isinstance(pairing_raw[0], (list, tuple)):
-            if len(pairing_raw) != nrays * ndivs:
-                raise SystemFormatError("flat pairing list has the wrong length")
-            pairing = [pairing_raw[i * ndivs : (i + 1) * ndivs] for i in range(nrays)]
-        else:
-            pairing = [list(row) for row in pairing_raw]
         return RayDivisorSystem.of(
             rays=rays,
             divisors=[str(d) for d in divisors],
-            pairing=pairing,
+            pairing=pairing_raw,
             meets=data.get("meets", ()),
             faces=data.get("faces"),
             anticanonical=data.get("anticanonical"),

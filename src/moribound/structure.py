@@ -88,19 +88,10 @@ class ClassificationReport:
     rays: frozenset
     components: tuple  # of (frozenset, ComponentType)
     failures: tuple  # of (frozenset, str)
-    passes_theorem258: bool
 
-    def to_json(self) -> dict:
-        return {
-            "rays": sorted(self.rays),
-            "components": [
-                {"rays": sorted(c), "type": t.label} for c, t in self.components
-            ],
-            "failures": [
-                {"rays": sorted(c), "reason": r} for c, r in self.failures
-            ],
-            "passes_theorem258": self.passes_theorem258,
-        }
+    @property
+    def passes_theorem258(self) -> bool:
+        return theorem258_filter(self, len(self.rays))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +237,8 @@ def classify_extremal_set(s: RayDivisorSystem, rays: Iterable[str]) -> Classific
             failures.append((comp, fail.reason))
     for rid in small:
         failures.append((frozenset((rid,)), "small-ray-unclassified"))
-    partial = ClassificationReport(
-        rays=frozenset(ids),
-        components=tuple(components),
-        failures=tuple(failures),
-        passes_theorem258=False,
-    )
-    verdict = theorem258_filter(partial, len(ids))
     return ClassificationReport(
-        rays=partial.rays,
-        components=partial.components,
-        failures=partial.failures,
-        passes_theorem258=verdict,
+        rays=frozenset(ids), components=tuple(components), failures=tuple(failures)
     )
 
 

@@ -3,11 +3,13 @@ diagram pipeline."""
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moribound import bounds
 from moribound.bounds import (
     AngleData,
     CustomRule,
@@ -27,7 +29,8 @@ from moribound.bounds import (
     verify_lemma14,
 )
 from moribound.core import INF, rational
-from moribound.polytope import PolytopeError, cube, simplex
+from moribound.generate import polytope_family
+from moribound.polytope import PolytopeError, cube, product, simplex
 from moribound.raysystem import RayDivisorSystem
 
 FIXTURES = "tests/fixtures"
@@ -137,6 +140,29 @@ def test_simplex_angle_count():
     # n+1 vertices x C(n,2) facet pairs x 2 orientations
     for n in (2, 3, 4):
         assert len(enumerate_angles(simplex(n))) == (n + 1) * n * (n - 1)
+
+
+def _angles_by_intersection(p):
+    """Reference enumeration: each angle's 2-face is cut out by intersecting
+    the other facets through its vertex."""
+    out = []
+    for v in p.vertices:
+        through = [i for i, f in enumerate(p.facets) if v in f]
+        for f, g in combinations(through, 2):
+            plane = frozenset(p.vertices)
+            for i in through:
+                if i not in (f, g):
+                    plane &= p.facets[i]
+            assert p.face_dim(plane) == 2
+            out += [AngleData(v, plane, f, g), AngleData(v, plane, g, f)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,p", polytope_family() + [("cube-3-x-simplex-2", product(cube(3), simplex(2)))]
+)
+def test_angles_match_facet_intersection(name, p):
+    assert enumerate_angles(p) == _angles_by_intersection(p), name
 
 
 def test_angles_require_simple_polytope():
@@ -272,6 +298,32 @@ def test_custom_rule_pipeline_budget():
     assert report.c == 0
     assert report.d == max(report.vertex_sums.values())
     assert report.condition1_holds
+
+
+@pytest.mark.parametrize("fixture,d,rule", [
+    ("diagram_triangle.json", 2, Theorem12Rule(2)),
+    ("diagram_square_258.json", 1, Theorem258Rule()),
+    ("diagram_bad_quadrangle.json", 1, Theorem258Rule()),
+    ("diagram_triangle.json", 2, CustomRule.of([((1, 2), "2/3")])),
+])
+def test_pipeline_verifies_through_verify_lemma14(monkeypatch, fixture, d, rule):
+    calls = []
+
+    def counted(p, weights, c, dd, **extra):
+        calls.append((p, weights, c, dd))
+        return verify_lemma14(p, weights, c, dd, **extra)
+
+    monkeypatch.setattr(bounds, "verify_lemma14", counted)
+    inst = load_diagram(f"{FIXTURES}/{fixture}")
+    report = diagram_pipeline(inst, d, rule)
+    assert len(calls) == 1
+    p, weights, c, dd = calls[0]
+    assert p is inst.polytope
+    direct = verify_lemma14(p, weights, c, dd)
+    assert (report.c, report.d) == (c, dd)
+    assert report.vertex_sums == direct.vertex_sums
+    assert report.face_sums == direct.face_sums
+    assert report.chain == direct.chain
 
 
 def test_validate_diagram_errors():

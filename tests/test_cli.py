@@ -420,6 +420,7 @@ def _write_bad_inputs(directory: Path) -> None:
         "pairing-zero.json": dict(system, pairing=0),
         "pairing-null.json": dict(system, pairing=None),
         "pairing-object.json": dict(system, pairing={"a": 1}),
+        "pairing-flat.json": dict(system, pairing=[x for row in system["pairing"] for x in row]),
         "rays-true.json": dict(system, rays=True),
         "facet-ray-object.json": dict(bundle, facet_rays=[{}, "S2", "S3"]),
         "polytope-no-dim.json": {"vertices": ["a", "b"], "facets": [["a"], ["b"]]},
@@ -449,6 +450,7 @@ def _write_bad_inputs(directory: Path) -> None:
     pytest.param(["classify", "pairing-zero.json"], id="classify-pairing-zero"),
     pytest.param(["esets", "pairing-null.json"], id="esets-pairing-null"),
     pytest.param(["classify", "pairing-object.json"], id="classify-pairing-object"),
+    pytest.param(["classify", "pairing-flat.json"], id="classify-pairing-flat"),
     pytest.param(["classify", "rays-true.json"], id="classify-rays-true"),
     pytest.param(["diagram", "facet-ray-object.json"], id="diagram-facet-ray-object"),
     pytest.param(["check", "polytope-no-dim.json"], id="check-polytope-no-dim"),

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,30 @@ def test_face_dims_match_all_pairs_chain_grading(name, p):
         below = [dims[g] for g in dims if g < face]
         dims[face] = 1 + max(below) if below else 0
     assert {face: p.face_dim(face) for face in p.faces()} == dims, name
+
+
+@pytest.mark.parametrize(
+    "name,p",
+    polytope_family()
+    + [
+        ("square-pyramid", square_pyramid()),
+        ("square-pyramid-x-segment", product(square_pyramid(), simplex(1))),
+    ],
+)
+def test_faces_carry_their_facets(name, p):
+    for face in p.faces():
+        scan = tuple(i for i, f in enumerate(p.facets) if face <= f)
+        assert p.facets_through(face) == scan, name
+        assert p.face_on(reversed(scan)) == face, name
+    faces = set(p.faces())
+    pairs = (frozenset(pair) for pair in combinations(p.vertices, 2))
+    non_faces = [frozenset(), frozenset({"no-such-vertex"})]
+    non_faces += [q for q in pairs if q not in faces][:1]
+    for q in non_faces:
+        with pytest.raises(PolytopeError, match="is not a face"):
+            p.facets_through(q)
+    with pytest.raises(PolytopeError, match="no face lies in exactly facets"):
+        p.face_on(range(len(p.facets)))
 
 
 @pytest.mark.parametrize("p", [simplex(3), cube(3), cyclic_dual(3, 7)])
