@@ -12,7 +12,7 @@ dimension bound or a structured counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -46,10 +46,15 @@ class Theorem12Rule:
     """Two-band rule: 2/3 up to distance d, 1/2 up to 2d+1, then 0."""
 
     d: int
+    table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("band width d must be at least 1")
+        object.__setattr__(self, "table", (
+            ((1, self.d), Fraction(2, 3)),
+            ((self.d + 1, 2 * self.d + 1), Fraction(1, 2)),
+        ))
 
     def describe(self) -> str:
         return f"Theorem12Rule(d={self.d})"
@@ -58,6 +63,8 @@ class Theorem12Rule:
 @dataclass(frozen=True)
 class Theorem258Rule:
     """Contact-only rule: 2/3 at distance exactly 1, otherwise 0."""
+
+    table = (((1, 1), Fraction(2, 3)),)
 
     def describe(self) -> str:
         return "Theorem258Rule"
@@ -83,25 +90,16 @@ class CustomRule:
         return "CustomRule"
 
 
-WeightRule = object  # Theorem12Rule | Theorem258Rule | CustomRule
+WeightRule = object  # Theorem12Rule | Theorem258Rule | CustomRule, each with a `table`
 
 
 def sigma(rule: WeightRule, dist: object) -> Fraction:
-    """Weight of an oriented angle whose sides sit at the given distance."""
-    if isinstance(rule, Theorem12Rule):
-        if 1 <= dist <= rule.d:
-            return Fraction(2, 3)
-        if rule.d + 1 <= dist <= 2 * rule.d + 1:
-            return Fraction(1, 2)
-        return Fraction(0)
-    if isinstance(rule, Theorem258Rule):
-        return Fraction(2, 3) if dist == 1 else Fraction(0)
-    if isinstance(rule, CustomRule):
-        for (lo, hi), weight in rule.table:
-            if lo <= dist <= hi:
-                return weight
-        return Fraction(0)
-    raise TypeError(f"unknown weight rule {rule!r}")
+    """Weight of an oriented angle whose sides sit at the given distance: that
+    of the first band of the rule's table holding it, else 0."""
+    for (lo, hi), weight in rule.table:
+        if lo <= dist <= hi:
+            return weight
+    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +270,11 @@ class BoundReport:
         return out
 
 
-def _vertex_sums(
-    p: CombinatorialPolytope, angles: Sequence[AngleData], weights: dict
-) -> dict:
-    """The oriented-angle weights summed at each vertex."""
-    sums = {v: Fraction(0) for v in p.vertices}
-    for a in angles:
-        sums[a.vertex] += rational(weights[a])
-    return sums
-
-
 def verify_lemma14(
     p: CombinatorialPolytope,
     weights: dict,
     c: object,
     d: object,
-    **extra,
 ) -> BoundReport:
     """Check the two weight-sum conditions on a simple polytope and audit the
     inequality chain they feed.
@@ -299,15 +286,15 @@ def verify_lemma14(
     """
     angles = enumerate_angles(p)
     cc, dd = rational(c), rational(d)
+    n = p.dim
+    vertex_sums = dict.fromkeys(p.vertices, Fraction(0))
+    face_sums = dict.fromkeys(p.faces(2), Fraction(0))
     for a in angles:
         if a not in weights:
             raise ValueError(f"missing weight for angle {a}")
-
-    n = p.dim
-    vertex_sums = _vertex_sums(p, angles, weights)
-    face_sums: dict = {frozenset(f): Fraction(0) for f in p.faces(2)}
-    for a in angles:
-        face_sums[a.plane] += rational(weights[a])
+        w = rational(weights[a])
+        vertex_sums[a.vertex] += w
+        face_sums[a.plane] += w
     total = sum(vertex_sums.values(), Fraction(0))
 
     budget = cc * n + dd
@@ -351,7 +338,6 @@ def verify_lemma14(
         failing_faces=failing_faces,
         implied_bound=implied,
         chain=chain,
-        **extra,
     )
 
 
@@ -414,7 +400,7 @@ def validate_diagram(inst: DiagramInstance) -> None:
         raise ValueError("the cross-section must be a simple polytope")
     listed = set(s.faces)
     for face in p.faces():
-        rayset = inst.face_rayset(frozenset(face))
+        rayset = inst.face_rayset(face)
         if rayset not in listed:
             raise ValueError(
                 f"polytope face {sorted(str(v) for v in face)} maps to ray set "
@@ -503,8 +489,13 @@ def diagram_pipeline(
     contact-only rule the stated constants (C, D) = (0, 2/3) are replayed and
     any vertex whose empirical sum exceeds that budget is flagged as a
     disagreement; a custom rule gets the trivial budget C = 0,
-    D = max vertex sum.
+    D = max vertex sum.  A two-band rule must have band width d, the width
+    that condition (b) and the E-set audit use.
     """
+    if isinstance(rule, Theorem12Rule) and rule.d != d:
+        raise ValueError(
+            f"Theorem12Rule band width {rule.d} differs from the pipeline's d = {d}"
+        )
     validate_diagram(inst)
     s, p = inst.system, inst.polytope
     angles = enumerate_angles(p)
@@ -538,20 +529,13 @@ def diagram_pipeline(
     elif isinstance(rule, Theorem258Rule):
         c, dd = Fraction(0), Fraction(2, 3)
     else:
-        c = Fraction(0)
-        dd = max(_vertex_sums(p, angles, weights).values(), default=Fraction(0))
+        vertex_sums = dict.fromkeys(p.vertices, Fraction(0))
+        for a, w in weights.items():
+            vertex_sums[a.vertex] += w
+        c, dd = Fraction(0), max(vertex_sums.values())
 
     audit, audit_ok = _eset_condition_a_audit(inst, d)
-    report = verify_lemma14(
-        p,
-        weights,
-        c,
-        dd,
-        rule=rule.describe(),
-        empirical_c1=c1_emp,
-        empirical_c2=c2_emp,
-        eset_audit=tuple(audit),
-    )
+    report = verify_lemma14(p, weights, c, dd)
     replay = None
     if isinstance(rule, Theorem258Rule):
         max_sum = max(report.vertex_sums.values(), default=Fraction(0))
@@ -583,7 +567,11 @@ def diagram_pipeline(
             )
     return replace(
         report,
+        rule=rule.describe(),
+        empirical_c1=c1_emp,
+        empirical_c2=c2_emp,
         replay=replay,
+        eset_audit=tuple(audit),
         counterexamples=tuple(counterexamples),
         conforming=report.conditions_hold and audit_ok,
     )

@@ -546,6 +546,7 @@ def enumerate_sign_systems(
     """
     for n in range(1, max_rays + 1):
         ids = [f"R{i + 1}" for i in range(n)]
+        variants = tuple(face_variants(ids)) if with_faces else ()
         for types in iproduct(("I", "II"), repeat=n):
             for blocks in _divisor_matchings(types):
                 blocks = sorted(blocks)
@@ -582,7 +583,7 @@ def enumerate_sign_systems(
                     if not with_faces:
                         yield system
                         continue
-                    for variant in face_variants(ids):
+                    for variant in variants:
                         yield system, variant
 
 

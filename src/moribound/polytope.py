@@ -48,7 +48,7 @@ class CombinatorialPolytope:
     The face lattice (all nonempty intersections of facet subsets, plus the
     full vertex set as the unique top face) is computed eagerly, each face
     with its dimension and the indices of the facets containing it, which
-    name it uniquely; instances are immutable afterwards.
+    name it uniquely, and ordered once; instances are immutable afterwards.
     """
 
     dim: int
@@ -56,6 +56,8 @@ class CombinatorialPolytope:
     facets: tuple[frozenset, ...]
     is_simple: bool = field(init=False, repr=False, compare=False)
     _dims: dict = field(init=False, repr=False, compare=False)
+    # The faces of each dimension, by size, then by sorted vertex keys.
+    _by_dim: tuple = field(init=False, repr=False, compare=False)
     _facets_of: dict = field(init=False, repr=False, compare=False)
     _face_on: dict = field(init=False, repr=False, compare=False)
 
@@ -134,7 +136,12 @@ class CombinatorialPolytope:
                         f"minimal face {sorted(face, key=_sort_key)} is not a single vertex"
                     )
                 dims[face] = 0
+        rank = {v: i for i, v in enumerate(sorted(self.vertices, key=_sort_key))}
+        by_dim: list = [[] for _ in range(max(dims.values()) + 1)]
+        for face in sorted(dims, key=lambda f: (dims[f], len(f), sorted(map(rank.get, f)))):
+            by_dim[dims[face]].append(face)
         object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_by_dim", tuple(map(tuple, by_dim)))
         object.__setattr__(self, "_facets_of", facets_of)
         object.__setattr__(self, "_face_on", {ids: face for face, ids in facets_of.items()})
 
@@ -144,14 +151,11 @@ class CombinatorialPolytope:
             raise PolytopeError(
                 f"face chains reach dimension {self._dims[top]}, declared dim is {self.dim}"
             )
-        counts = [0] * (self.dim + 1)
-        for face, d in self._dims.items():
-            if d > self.dim:
-                raise PolytopeError("face dimension exceeds the polytope dimension")
-            counts[d] += 1
-        if any(c == 0 for c in counts):
-            missing = counts.index(0)
-            raise PolytopeError(f"no faces of dimension {missing}")
+        if len(self._by_dim) > self.dim + 1:
+            raise PolytopeError("face dimension exceeds the polytope dimension")
+        for k, layer in enumerate(self._by_dim):
+            if not layer:
+                raise PolytopeError(f"no faces of dimension {k}")
         for v in self.vertices:
             if frozenset((v,)) not in self._dims:
                 raise PolytopeError(f"vertex {v!r} is not separated by the facets")
@@ -168,13 +172,11 @@ class CombinatorialPolytope:
     # -- queries -----------------------------------------------------------
 
     def faces(self, k: int | None = None) -> list[frozenset]:
-        """All faces, or just the k-dimensional ones, deterministically ordered."""
-        found = [
-            face
-            for face, d in self._dims.items()
-            if k is None or d == k
-        ]
-        return sorted(found, key=lambda f: (self._dims[f], len(f), sorted(map(_sort_key, f))))
+        """All faces, or just the k-dimensional ones, by dimension, size, then
+        sorted vertex keys."""
+        if k is None:
+            return [face for layer in self._by_dim for face in layer]
+        return list(self._by_dim[k]) if 0 <= k <= self.dim else []
 
     def face_dim(self, face: frozenset) -> int:
         return self._lookup(self._dims, face)
@@ -198,10 +200,7 @@ class CombinatorialPolytope:
             raise PolytopeError(f"{sorted(face, key=_sort_key)} is not a face") from None
 
     def fvector(self) -> FVector:
-        counts = [0] * (self.dim + 1)
-        for d in self._dims.values():
-            counts[d] += 1
-        return FVector(tuple(counts))
+        return FVector(tuple(map(len, self._by_dim)))
 
 
 def average_faces(p: CombinatorialPolytope, i: int, k: int) -> Fraction:

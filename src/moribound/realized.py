@@ -403,12 +403,12 @@ def is_simple_in_face(m: RealizedModel, s: RayDivisorSystem, face: Iterable[str]
     if perp not in s.faces:
         raise ValueError(f"{sorted(perp)} is not a listed face")
     # Every extremal set between the face's rays and the rays touching the
-    # dual face sits inside some face containing this one, and a rank defect
-    # propagates to that face, so the containing faces are the only sets that
-    # need testing.
+    # dual face sits inside some maximal face containing this one, and a rank
+    # defect carries over to every larger face, so those maximal faces are
+    # the only sets that need testing.
     perp_vecs = [m.ray_vectors[rid] for rid in sorted(perp)]
     perp_rank = span_rank(perp_vecs) if perp_vecs else 0
-    for f in s.faces:
+    for f in s.maximal_faces:
         if not (perp <= f):
             continue
         extra = sorted(f - perp)

@@ -50,6 +50,16 @@ def test_two_band_rule_weights():
     for dist, expect in table.items():
         assert sigma(rule, dist) == rational(expect)
     assert sigma(rule, INF) == 0
+    # The band table against the rule's stated branches, for widths 1..4.
+    for d in range(1, 5):
+        for dist in [*range(2 * d + 4), INF]:
+            if 1 <= dist <= d:
+                expect = Fraction(2, 3)
+            elif d + 1 <= dist <= 2 * d + 1:
+                expect = Fraction(1, 2)
+            else:
+                expect = Fraction(0)
+            assert sigma(Theorem12Rule(d), dist) == expect, (d, dist)
 
 
 def test_two_band_rule_rejects_bad_band():
@@ -62,6 +72,8 @@ def test_contact_only_rule_weights():
     assert sigma(rule, 1) == Fraction(2, 3)
     for dist in (0, 2, 3, 10, INF):
         assert sigma(rule, dist) == 0
+    for dist in [*range(12), INF]:
+        assert sigma(rule, dist) == (Fraction(2, 3) if dist == 1 else 0), dist
 
 
 def test_custom_rule_table():
@@ -324,6 +336,15 @@ def test_pipeline_verifies_through_verify_lemma14(monkeypatch, fixture, d, rule)
     assert report.vertex_sums == direct.vertex_sums
     assert report.face_sums == direct.face_sums
     assert report.chain == direct.chain
+
+
+def test_pipeline_rejects_band_width_mismatch(monkeypatch):
+    inst = load_diagram(f"{FIXTURES}/diagram_triangle.json")
+    # Nothing else may run first: the check precedes validation.
+    monkeypatch.setattr(bounds, "validate_diagram", None)
+    for d, e in [(2, 1), (1, 3)]:
+        with pytest.raises(ValueError, match=f"band width {e} .* d = {d}"):
+            diagram_pipeline(inst, d, Theorem12Rule(e))
 
 
 def test_validate_diagram_errors():

@@ -176,7 +176,7 @@ def test_check_missing_file_exits_two(capsys, tmp_path):
 
 def test_check_mixed_batch_parse_error_dominates(capsys, tmp_path):
     good = tmp_path / "good.json"
-    good.write_text((open(f"{FIXTURES}/eset_a.json").read()))
+    good.write_text(Path(f"{FIXTURES}/eset_a.json").read_text())
     broken = tmp_path / "broken.json"
     broken.write_text("][")
     code, _, _ = run(capsys, "check", str(tmp_path))

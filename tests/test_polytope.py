@@ -197,6 +197,39 @@ def test_faces_carry_their_facets(name, p):
         p.face_on(range(len(p.facets)))
 
 
+def mixed_id_square() -> CombinatorialPolytope:
+    # Vertex keys are (type name, str): the int 9 sorts before the str "10".
+    return CombinatorialPolytope.of(
+        dim=2,
+        vertices=["B", 9, 1, "10"],
+        facets=[[9, "10"], ["10", "B"], ["B", 1], [1, 9]],
+    )
+
+
+@pytest.mark.parametrize(
+    "name,p",
+    polytope_family()
+    + [("square-pyramid", square_pyramid()), ("mixed-id-square", mixed_id_square())],
+)
+def test_faces_ordered_by_dimension_size_and_vertex_keys(name, p):
+    lattice = {frozenset(p.vertices)}
+    frontier = list(lattice)
+    while frontier:
+        cuts = {face & f for face in frontier for f in p.facets} - lattice - {frozenset()}
+        lattice |= cuts
+        frontier = list(cuts)
+    ordered = sorted(lattice, key=lambda f: (
+        p.face_dim(f), len(f), sorted((type(v).__name__, str(v)) for v in f)
+    ))
+    assert p.faces() == ordered, name
+    for k in range(-1, p.dim + 2):
+        assert p.faces(k) == [f for f in ordered if p.face_dim(f) == k], name
+    counts = [0] * (p.dim + 1)
+    for f in lattice:
+        counts[p.face_dim(f)] += 1
+    assert p.fvector().counts == tuple(counts), name
+
+
 @pytest.mark.parametrize("p", [simplex(3), cube(3), cyclic_dual(3, 7)])
 def test_json_round_trip(p):
     data = polytope_to_json(p)

@@ -2,13 +2,15 @@
 dependence detection."""
 
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moribound.core import RVector, TrilinearForm
+from moribound.core import RVector, TrilinearForm, span_rank
 from moribound.generate import (
     planted_dependence,
     planted_with_a1,
@@ -287,6 +289,57 @@ def test_is_simple_in_face():
     assert not is_simple_in_face(m, s, [])
     t = m.base_system.with_faces([[], ["R11"], ["R21"], ["R11", "R21"]])
     assert is_simple_in_face(m, t, [])
+
+
+def _simple_in_face_over_every_face(m, s, face):
+    """Reference: the rank test run on every listed face containing `face`."""
+    perp = frozenset(face)
+    perp_vecs = [m.ray_vectors[rid] for rid in sorted(perp)]
+    perp_rank = span_rank(perp_vecs) if perp_vecs else 0
+    for f in s.faces:
+        if not (perp <= f):
+            continue
+        extra = sorted(f - perp)
+        vecs = perp_vecs + [m.ray_vectors[rid] for rid in extra]
+        if span_rank(vecs) - perp_rank != len(extra):
+            return False
+    return True
+
+
+def _low_rank_model(rng):
+    """Random rays in rank 2 or 3, so that many ray sets are dependent."""
+    rho, ids = rng.randint(2, 3), [f"R{i + 1}" for i in range(rng.randint(4, 6))]
+    vecs = {}
+    for rid in ids:
+        vec = [0] * rho
+        while not any(vec):
+            vec = [rng.randint(-1, 1) for _ in range(rho)]
+        vecs[rid] = RVector.of(vec)
+    system = RayDivisorSystem.of(
+        rays=[(rid, "I", None) for rid in ids], divisors=[], pairing=[[] for _ in ids]
+    )
+    return RealizedModel(rho=rho, base_system=system, ray_vectors=vecs, divisor_vectors={})
+
+
+def test_is_simple_in_face_maximal_faces_decide():
+    # Random downward-closed families: every subset of a few random tops.
+    answers = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        if seed % 2:
+            m = _low_rank_model(rng)
+        else:
+            m, _ = planted_dependence(rng.randint(2, 4), seed)
+        ids = list(m.base_system.ray_ids)
+        tops = [rng.sample(ids, rng.randint(0, len(ids))) for _ in range(rng.randint(1, 4))]
+        s = m.base_system.with_faces(
+            {c for top in tops for k in range(len(top) + 1) for c in combinations(top, k)}
+        )
+        for perp in rng.sample(s.faces, min(8, len(s.faces))):
+            got = is_simple_in_face(m, s, perp)
+            assert got == _simple_in_face_over_every_face(m, s, perp), (seed, perp)
+            answers.append(got)
+    assert True in answers and False in answers
 
 
 # --- serialization ------------------------------------------------------------------
