@@ -287,15 +287,22 @@ def verify_lemma14(
     angles = enumerate_angles(p)
     cc, dd = rational(c), rational(d)
     n = p.dim
-    vertex_sums = dict.fromkeys(p.vertices, Fraction(0))
-    face_sums = dict.fromkeys(p.faces(2), Fraction(0))
+    ws = []
     for a in angles:
         if a not in weights:
             raise ValueError(f"missing weight for angle {a}")
-        w = rational(weights[a])
-        vertex_sums[a.vertex] += w
-        face_sums[a.plane] += w
-    total = sum(vertex_sums.values(), Fraction(0))
+        ws.append(rational(weights[a]))
+    # Integer numerators over one common denominator: one Fraction per sum.
+    den = math.lcm(*(w.denominator for w in ws))
+    vertex_nums = dict.fromkeys(p.vertices, 0)
+    face_nums = dict.fromkeys(p.faces(2), 0)
+    for a, w in zip(angles, ws):
+        num = w.numerator * (den // w.denominator)
+        vertex_nums[a.vertex] += num
+        face_nums[a.plane] += num
+    vertex_sums = {v: Fraction(s, den) for v, s in vertex_nums.items()}
+    face_sums = {f: Fraction(s, den) for f, s in face_nums.items()}
+    total = Fraction(sum(vertex_nums.values()), den)
 
     budget = cc * n + dd
     failing_vertices = tuple(

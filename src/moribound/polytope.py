@@ -100,16 +100,23 @@ class CombinatorialPolytope:
         object.__setattr__(self, "is_simple", simple)
 
     def _build_lattice(self) -> None:
-        top = frozenset(self.vertices)
-        faces = {top}
+        # Faces are walked as vertex bitmasks: the first vertex in `_sort_key`
+        # order owns the highest bit, so among faces of one size, descending
+        # mask is ascending sorted vertex keys.  Each face's vertex set is built
+        # once, from its parent's set and the facet that cut it.
+        ranked = sorted(self.vertices, key=_sort_key)
+        bit = {v: 1 << i for i, v in enumerate(reversed(ranked))}
+        masks = [sum(map(bit.__getitem__, facet)) for facet in self.facets]
+        top = (1 << len(ranked)) - 1
+        sets = {top: frozenset(self.vertices)}
         frontier = [top]
         while frontier:
             nxt = []
             for face in frontier:
-                for facet in self.facets:
-                    cut = face & facet
-                    if cut and cut not in faces:
-                        faces.add(cut)
+                for fm, facet in zip(masks, self.facets):
+                    cut = face & fm
+                    if cut and cut not in sets:
+                        sets[cut] = sets[face] & facet
                         nxt.append(cut)
             frontier = nxt
         # Dimension = longest strictly increasing chain from a minimal face,
@@ -120,27 +127,31 @@ class CombinatorialPolytope:
         # they name the face.
         dims: dict = {}
         facets_of: dict = {}
-        for face in sorted(faces, key=len):
+        # By size, then descending mask, which is sorted vertex keys: each
+        # dimension's faces come out of grading in their final order.
+        order = sorted(sets, reverse=True)
+        order.sort(key=int.bit_count)
+        for face in order:
             through, below = [], []
-            for i, facet in enumerate(self.facets):
-                if face <= facet:
+            for i, fm in enumerate(masks):
+                cut = face & fm
+                if cut == face:
                     through.append(i)
-                elif cut := face & facet:
+                elif cut:
                     below.append(dims[cut])
-            facets_of[face] = tuple(through)
+            facets_of[sets[face]] = tuple(through)
             if below:
                 dims[face] = 1 + max(below)
             else:
-                if len(face) != 1:
+                if face.bit_count() != 1:
                     raise PolytopeError(
-                        f"minimal face {sorted(face, key=_sort_key)} is not a single vertex"
+                        f"minimal face {sorted(sets[face], key=_sort_key)} is not a single vertex"
                     )
                 dims[face] = 0
-        rank = {v: i for i, v in enumerate(sorted(self.vertices, key=_sort_key))}
         by_dim: list = [[] for _ in range(max(dims.values()) + 1)]
-        for face in sorted(dims, key=lambda f: (dims[f], len(f), sorted(map(rank.get, f)))):
-            by_dim[dims[face]].append(face)
-        object.__setattr__(self, "_dims", dims)
+        for face, d in dims.items():
+            by_dim[d].append(sets[face])
+        object.__setattr__(self, "_dims", {sets[face]: d for face, d in dims.items()})
         object.__setattr__(self, "_by_dim", tuple(map(tuple, by_dim)))
         object.__setattr__(self, "_facets_of", facets_of)
         object.__setattr__(self, "_face_on", {ids: face for face, ids in facets_of.items()})
@@ -151,8 +162,6 @@ class CombinatorialPolytope:
             raise PolytopeError(
                 f"face chains reach dimension {self._dims[top]}, declared dim is {self.dim}"
             )
-        if len(self._by_dim) > self.dim + 1:
-            raise PolytopeError("face dimension exceeds the polytope dimension")
         for k, layer in enumerate(self._by_dim):
             if not layer:
                 raise PolytopeError(f"no faces of dimension {k}")
@@ -210,8 +219,11 @@ def average_faces(p: CombinatorialPolytope, i: int, k: int) -> Fraction:
     kfaces = p.faces(k)
     if not kfaces:
         raise ValueError(f"no {k}-dimensional faces")
-    ifaces = p.faces(i)
-    total = sum(1 for big in kfaces for small in ifaces if small <= big)
+    if i == 0:  # every vertex of a k-face is one of its 0-faces
+        total = sum(map(len, kfaces))
+    else:
+        ifaces = p.faces(i)
+        total = sum(1 for big in kfaces for small in ifaces if small <= big)
     return Fraction(total, len(kfaces))
 
 

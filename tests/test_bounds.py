@@ -2,6 +2,8 @@
 diagram pipeline."""
 
 import json
+import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,7 +32,7 @@ from moribound.bounds import (
 )
 from moribound.core import INF, rational
 from moribound.generate import polytope_family
-from moribound.polytope import PolytopeError, cube, product, simplex
+from moribound.polytope import PolytopeError, cube, cyclic_dual, product, simplex
 from moribound.raysystem import RayDivisorSystem
 
 FIXTURES = "tests/fixtures"
@@ -225,6 +227,71 @@ def test_missing_weight_rejected():
     weights = {a: Fraction(1, 4) for a in angles[1:]}
     with pytest.raises(ValueError, match="missing weight"):
         verify_lemma14(p, weights, 1, 0)
+
+
+def _seeded_weights(angles, rng):
+    """Mixed-denominator weights, some negative, as Fractions, ints and
+    strings."""
+    out = {}
+    for a in angles:
+        num, den = rng.randint(-7, 9), rng.choice((1, 2, 3, 4, 5, 6, 7, 9, 12))
+        out[a] = rng.choice((Fraction(num, den), num, f"{num}/{den}", "3/4"))
+    return out
+
+
+def _fraction_report(p, weights, c, d):
+    """Reference: the sums accumulated as Fractions angle by angle, and the
+    failing faces and chain derived from them."""
+    vertex_sums = dict.fromkeys(p.vertices, Fraction(0))
+    face_sums = dict.fromkeys(p.faces(2), Fraction(0))
+    for a in enumerate_angles(p):
+        w = rational(weights[a])
+        vertex_sums[a.vertex] += w
+        face_sums[a.plane] += w
+    total = sum(vertex_sums.values(), Fraction(0))
+    budget = c * p.dim + d
+    failing_faces = tuple(sorted(
+        (f for f in face_sums if face_sums[f] < 5 - len(f)),
+        key=lambda f: sorted(str(v) for v in f),
+    ))
+    alpha0, alpha2 = len(vertex_sums), len(face_sums)
+    avg_k = Fraction(sum(map(len, face_sums)), alpha2) if alpha2 else Fraction(0)
+    chain = {
+        "lhs": budget * alpha0,
+        "total": total,
+        "rhs": alpha2 * (5 - avg_k),
+        "lhs_ok": budget * alpha0 >= total,
+        "rhs_ok": total >= alpha2 * (5 - avg_k),
+        "average_k": avg_k,
+    }
+    return vertex_sums, face_sums, failing_faces, chain
+
+
+@pytest.mark.parametrize(
+    "p", [cube(4), cyclic_dual(4, 8), product(simplex(2), cube(2)), simplex(1)]
+)
+def test_common_denominator_sums_match_fraction_accumulation(p):
+    angles = enumerate_angles(p)
+    c, d = Fraction(2, 3), Fraction(1, 2)
+    for seed in range(5):
+        weights = _seeded_weights(angles, random.Random(seed))
+        vertex_sums, face_sums, failing_faces, chain = _fraction_report(p, weights, c, d)
+        report = verify_lemma14(p, weights, c, d)
+        assert list(report.vertex_sums.items()) == list(vertex_sums.items())
+        assert list(report.face_sums.items()) == list(face_sums.items())
+        assert report.failing_faces == failing_faces
+        assert report.chain == chain
+    if not angles:  # simplex(1)
+        return
+    # Weights are read in angle order: the first gap is named even with a
+    # non-rational weight later on, and a non-rational weight before it wins.
+    del weights[angles[9]], weights[angles[3]]
+    weights[angles[5]] = 0.5
+    with pytest.raises(ValueError, match=re.escape(f"missing weight for angle {angles[3]}")):
+        verify_lemma14(p, weights, c, d)
+    weights[angles[1]] = 0.5
+    with pytest.raises(TypeError, match="cannot interpret 0.5"):
+        verify_lemma14(p, weights, c, d)
 
 
 def test_report_json_shape():

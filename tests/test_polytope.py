@@ -1,6 +1,7 @@
 """Combinatorial polytopes: lattices, f-vectors, and face-average bounds."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from moribound.core import binomial
 from moribound.polytope import (
     CombinatorialPolytope,
     PolytopeError,
+    _sort_key,
     a02_bound,
     average_faces,
     cube,
@@ -164,6 +166,17 @@ def test_non_simple_detected():
 @pytest.mark.parametrize(
     "name,p", polytope_family() + [("square-pyramid", square_pyramid())]
 )
+def test_average_faces_matches_containment_scan(name, p):
+    for k in range(1, p.dim + 1):
+        kfaces = p.faces(k)
+        for i in range(k):
+            scan = sum(1 for big in kfaces for small in p.faces(i) if small <= big)
+            assert average_faces(p, i, k) == Fraction(scan, len(kfaces)), (name, i, k)
+
+
+@pytest.mark.parametrize(
+    "name,p", polytope_family() + [("square-pyramid", square_pyramid())]
+)
 def test_face_dims_match_all_pairs_chain_grading(name, p):
     # Reference grading: longest chain below each face, over all smaller faces.
     dims: dict = {}
@@ -228,6 +241,150 @@ def test_faces_ordered_by_dimension_size_and_vertex_keys(name, p):
     for f in lattice:
         counts[p.face_dim(f)] += 1
     assert p.fvector().counts == tuple(counts), name
+    # Chain dimension grows strictly under inclusion, so no face outranks the
+    # top one, whose dimension construction pins to `dim`.
+    assert max(map(p.face_dim, lattice)) == p.dim, name
+
+
+def _frozenset_build_lattice(self) -> None:
+    """Reference: the lattice walked and graded on frozensets of vertex ids.
+    Equal-size faces are graded in sorted vertex-key order, so an error that
+    names one of them names the same face on every hash seed."""
+    top = frozenset(self.vertices)
+    faces = {top}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for face in frontier:
+            for facet in self.facets:
+                cut = face & facet
+                if cut and cut not in faces:
+                    faces.add(cut)
+                    nxt.append(cut)
+        frontier = nxt
+    dims: dict = {}
+    facets_of: dict = {}
+    rank = {v: i for i, v in enumerate(sorted(self.vertices, key=_sort_key))}
+    for face in sorted(faces, key=lambda f: (len(f), sorted(map(rank.get, f)))):
+        through, below = [], []
+        for i, facet in enumerate(self.facets):
+            if face <= facet:
+                through.append(i)
+            elif cut := face & facet:
+                below.append(dims[cut])
+        facets_of[face] = tuple(through)
+        if below:
+            dims[face] = 1 + max(below)
+        else:
+            if len(face) != 1:
+                raise PolytopeError(
+                    f"minimal face {sorted(face, key=_sort_key)} is not a single vertex"
+                )
+            dims[face] = 0
+    by_dim: list = [[] for _ in range(max(dims.values()) + 1)]
+    for face in sorted(dims, key=lambda f: (dims[f], len(f), sorted(map(rank.get, f)))):
+        by_dim[dims[face]].append(face)
+    object.__setattr__(self, "_dims", dims)
+    object.__setattr__(self, "_by_dim", tuple(map(tuple, by_dim)))
+    object.__setattr__(self, "_facets_of", facets_of)
+    object.__setattr__(self, "_face_on", {ids: face for face, ids in facets_of.items()})
+
+
+class FrozensetLattice(CombinatorialPolytope):
+    _build_lattice = _frozenset_build_lattice
+
+
+# Ids whose sorted-key order differs from their numeric and insertion order,
+# with the int 3 and the str "3" both present in the mixed pool.
+ID_POOLS = {
+    "int": [10, 3, 7, 0, 12, 5, 1, 9, 4, 2],
+    "str": ["v10", "b", "v2", "A", "a", "v1", "c", "B", "v9", "x"],
+    "mixed": ["3", 3, "b", 10, "10", "a", 2, "B", 0, "0"],
+}
+BASES = [
+    simplex(2), simplex(3), cube(2), cube(3), cyclic_dual(3, 6),
+    product(simplex(2), simplex(1)), square_pyramid(),
+]
+
+
+def _random_incidences(count):
+    """Seeded (dim, vertices, facets) inputs over int, str and mixed ids:
+    arbitrary facet families, and relabelled polytopes, as they are or with
+    one incidence flipped, a facet dropped or the dimension shifted."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        pool = ID_POOLS[("int", "str", "mixed")[seed % 3]]
+        if seed % 2:
+            ids = rng.sample(pool, rng.randint(2, 7))
+            dim = rng.randint(1, 3)
+            facets = [rng.sample(ids, rng.randint(1, len(ids) - 1)) for _ in range(8)]
+            for v in ids:  # most vertices get `dim` facets, past the first check
+                for f in rng.sample(facets, dim):
+                    if v not in f and len(f) < len(ids) - 1:
+                        f.append(v)
+            facets = [list(f) for f in dict.fromkeys(map(frozenset, facets))]
+        else:
+            base = rng.choice(BASES)
+            label = dict(zip(base.vertices, rng.sample(pool, len(base.vertices))))
+            ids = list(label.values())
+            dim = base.dim
+            facets = [[label[v] for v in f] for f in base.facets]
+            kind = seed // 2 % 4
+            if kind == 1:
+                f = rng.choice(facets)
+                v = rng.choice(ids)
+                f.remove(v) if v in f else f.append(v)
+            elif kind == 2:
+                facets.pop(rng.randrange(len(facets)))
+            elif kind == 3:
+                dim += rng.choice((-1, 1))
+        rng.shuffle(ids)
+        rng.shuffle(facets)
+        for f in facets:
+            rng.shuffle(f)
+        yield dim, ids, facets
+
+
+# Rejections the seeded inputs rarely reach: a simple incidence whose face
+# {1, 3} lies in two facets but has chain dimension 0, a vertex 1 that no
+# facet intersection isolates, and two minimal edges listed against key
+# order, of which the error must name {0, 1}.
+RARE_INCIDENCES = [
+    (3, [0, 1, 2, 3], [[0, 1, 2], [0, 2, 3], [0, 3], [1], [1, 3], [2]]),
+    (3, [0, 1, 2, 3], [[0, 1], [0, 1, 2], [0, 1, 3], [0, 2, 3], [2, 3]]),
+    (1, [3, 2, 1, 0], [[2, 3], [0, 1]]),
+]
+
+
+def test_mask_lattice_matches_frozenset_lattice():
+    outcomes = {}
+    for dim, ids, facets in [*_random_incidences(300), *RARE_INCIDENCES]:
+        args = (dim, tuple(ids), tuple(frozenset(f) for f in facets))
+        results = []
+        for cls in (CombinatorialPolytope, FrozensetLattice):
+            try:
+                results.append(cls(*args))
+            except PolytopeError as exc:
+                results.append(exc)
+        got, want = results
+        if isinstance(want, PolytopeError):
+            assert (type(got), str(got)) == (type(want), str(want)), args
+            key = str(want).split()[0]
+        else:
+            assert not isinstance(got, PolytopeError), (args, got)
+            faces = want.faces()
+            assert got.faces() == faces, args
+            assert got.fvector() == want.fvector(), args
+            for face in faces:
+                assert got.face_dim(face) == want.face_dim(face), args
+                through = want.facets_through(face)
+                assert got.facets_through(face) == through, args
+                assert got.face_on(through) == want.face_on(through) == face, args
+            key = "valid"
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # Valid inputs and the lattice-level rejections are all exercised.
+    for start in ("valid", "minimal", "face", "simple"):
+        assert outcomes.get(start, 0) >= 1, outcomes
 
 
 @pytest.mark.parametrize("p", [simplex(3), cube(3), cyclic_dual(3, 7)])
