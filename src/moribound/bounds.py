@@ -25,10 +25,10 @@ from .polytope import (
     polytope_to_json,
 )
 from .raysystem import (
-    OrientedGraph,
     RayDivisorSystem,
     SystemFormatError,
     build_graph,
+    graph_nodes,
     system_from_json,
     system_to_json,
 )
@@ -435,14 +435,15 @@ def count_condition_b(
     if s.faces is not None and not is_extremal(s, eset):
         raise ValueError("the ray set is not extremal")
     outer = [rid for rid in eset if rid not in perpset]
-    return _count_condition_b(build_graph(s, eset), outer, d)
+    return _count_condition_b(build_graph(s, eset).dist, outer, d)
 
 
 def _count_condition_b(
-    g: OrientedGraph, outer: Iterable[str], d: int
+    dist: dict, outer: Iterable[str], d: int
 ) -> tuple[int, int]:
-    """`count_condition_b` over the rays `outer` of an already built graph."""
-    dists = [g.dist[a, b] for a in outer for b in outer if a != b]
+    """`count_condition_b` over the rays `outer`, from a graph's distance
+    table."""
+    dists = [dist[a, b] for a in outer for b in outer if a != b]
     count1 = sum(1 <= x <= d for x in dists)
     count2 = sum(d + 1 <= x <= 2 * d + 1 for x in dists)
     return (count1, count2)
@@ -507,25 +508,28 @@ def diagram_pipeline(
     s, p = inst.system, inst.polytope
     angles = enumerate_angles(p)
 
-    graphs: dict = {}
+    # Each vertex's graph is the system's arrow masks restricted to the rays
+    # vanishing there; only its distances are read.
+    rel = s.relations
+    dists: dict = {}
     raysets: dict = {}
     for v in p.vertices:
         rayset = inst.face_rayset(frozenset((v,)))
         raysets[v] = rayset
-        graphs[v] = build_graph(s, rayset)
+        dists[v] = rel.distances(graph_nodes(s, rayset))
 
     weights: dict = {}
     for a in angles:
         r1 = inst.facet_rays[a.side1]
         r2 = inst.facet_rays[a.side2]
-        weights[a] = sigma(rule, graphs[a.vertex].dist[r1, r2])
+        weights[a] = sigma(rule, dists[a.vertex][r1, r2])
 
     c1_emp = c2_emp = Fraction(0)
     for v in p.vertices:
         # validate_diagram made every vertex ray set a listed face, which is
         # all count_condition_b would check.
         outer = raysets[v] - inst.perp_rays
-        count1, count2 = _count_condition_b(graphs[v], outer, d)
+        count1, count2 = _count_condition_b(dists[v], outer, d)
         if outer:
             c1_emp = max(c1_emp, Fraction(count1, len(outer)))
             c2_emp = max(c2_emp, Fraction(count2, len(outer)))

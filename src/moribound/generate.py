@@ -544,13 +544,28 @@ def enumerate_sign_systems(
     variant is a downward-closed face family: the full powerset and, for each
     ray subset of size >= 2, the family of sets not containing it.
     """
+    # Equal rays, pairing entries, rows and contact sets are shared between
+    # the systems, built once each: a sweep holds thousands of systems.
+    shared: dict = {}
+
+    def share(value):
+        return shared.setdefault(value, value)
+
+    names = tuple(f"D{b + 1}" for b in range(max_rays))
+    ray_of = {
+        (i, t, d): Ray(f"R{i + 1}", RayType(t), d)
+        for i in range(max_rays)
+        for t in ("I", "II")
+        for d in names
+    }
+    entry = {v: Fraction(v) for v in (-1, 0, 1)}
     for n in range(1, max_rays + 1):
         ids = [f"R{i + 1}" for i in range(n)]
         variants = tuple(face_variants(ids)) if with_faces else ()
         for types in iproduct(("I", "II"), repeat=n):
             for blocks in _divisor_matchings(types):
                 blocks = sorted(blocks)
-                divisors = [f"D{b + 1}" for b in range(len(blocks))]
+                divisors = share(names[: len(blocks)])
                 divisor_of = {}
                 for b, block in enumerate(blocks):
                     for i in block:
@@ -563,20 +578,21 @@ def enumerate_sign_systems(
                 ]
                 for combo in iproduct((0, 1), repeat=len(cross_cells)):
                     pairing = [
-                        [-1 if divisor_of[i] == d else 0 for d in divisors]
+                        [entry[-1] if divisor_of[i] == d else entry[0] for d in divisors]
                         for i in range(n)
                     ]
                     for (i, b), value in zip(cross_cells, combo):
-                        pairing[i][b] = value
-                    meets = set()
-                    for (i, b), value in zip(cross_cells, combo):
-                        if value:
-                            meets.add(frozenset((divisor_of[i], divisors[b])))
-                    system = RayDivisorSystem.of(
-                        rays=[(ids[i], types[i], divisor_of[i]) for i in range(n)],
+                        pairing[i][b] = entry[value]
+                    meets = {
+                        share(frozenset((divisor_of[i], divisors[b])))
+                        for (i, b), value in zip(cross_cells, combo)
+                        if value
+                    }
+                    system = RayDivisorSystem(
+                        rays=share(tuple(ray_of[i, types[i], divisor_of[i]] for i in range(n))),
                         divisors=divisors,
-                        pairing=pairing,
-                        meets=[tuple(sorted(p)) for p in sorted(meets, key=sorted)],
+                        pairing=share(tuple(share(tuple(row)) for row in pairing)),
+                        meets=share(frozenset(meets)),
                     )
                     if validate(system):
                         continue

@@ -162,9 +162,8 @@ class CombinatorialPolytope:
             raise PolytopeError(
                 f"face chains reach dimension {self._dims[top]}, declared dim is {self.dim}"
             )
-        for k, layer in enumerate(self._by_dim):
-            if not layer:
-                raise PolytopeError(f"no faces of dimension {k}")
+        # So no dimension lacks faces: a face of dimension d > 0 has a facet
+        # cut of dimension d - 1, down from the top face to the vertices.
         for v in self.vertices:
             if frozenset((v,)) not in self._dims:
                 raise PolytopeError(f"vertex {v!r} is not separated by the facets")
@@ -229,11 +228,17 @@ def average_faces(p: CombinatorialPolytope, i: int, k: int) -> Fraction:
 
 def lemma13_bound(n: int, i: int, k: int) -> Fraction:
     """Closed-form strict upper bound for the average i-face count per k-face
-    of a simple n-polytope."""
+    of a simple n-polytope, for k >= 2.  At k = 1 the formula gives 2, the
+    exact vertex count of every edge, so no strict bound exists there."""
     if not (isinstance(n, int) and isinstance(i, int) and isinstance(k, int)):
         raise ValueError("arguments must be integers")
     if i < 0 or not i < k:
         raise ValueError(f"need 0 <= i < k, got i={i}, k={k}")
+    if k < 2:
+        raise ValueError(
+            "need k >= 2: at k = 1 the formula gives 2, which every edge "
+            "attains exactly, not a strict bound"
+        )
     if n < 2 * k - 1:
         raise ValueError(f"need n >= 2k-1, got n={n}, k={k}")
     half = n // 2

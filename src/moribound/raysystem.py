@@ -10,8 +10,7 @@ validated system.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
@@ -110,15 +109,20 @@ class RayDivisorSystem:
             raise SystemFormatError("anticanonical column length does not match rays")
         object.__setattr__(self, "_ray_index", ray_index)
         object.__setattr__(self, "_div_index", div_index)
-        bit = masks = None
+        self._set_faces(sets)
+
+    def _set_faces(self, sets: Optional[set]) -> None:
+        """Store the distinct faces `sets` (or None), ordered, with their masks."""
+        bit = masks = faces = None
         if sets is not None:
-            bit = {rid: 1 << k for k, rid in enumerate(sorted(ray_index, reverse=True))}
+            bit = _ray_bits(self._ray_index)
             try:
                 order = sorted((len(f), -sum(map(bit.__getitem__, f)), f) for f in sets)
             except KeyError as exc:
                 raise SystemFormatError(f"face names unknown ray {exc.args[0]}") from None
             masks = tuple(-entry[1] for entry in order)
-            object.__setattr__(self, "faces", tuple(entry[2] for entry in order))
+            faces = tuple(entry[2] for entry in order)
+        object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_face_masks", masks)
 
@@ -186,23 +190,47 @@ class RayDivisorSystem:
         return tuple(r for r in self.rays if r.type is RayType.SMALL)
 
     def with_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> "RayDivisorSystem":
-        return replace(self, faces=faces)
+        """This system with another face structure.  The new system shares
+        this one's validated rays, pairing and lookups; only the faces are
+        checked and turned into masks."""
+        new = object.__new__(RayDivisorSystem)
+        new.__dict__.update(
+            {name: self.__dict__[name] for name in _SHARED_WITH_VARIANTS}
+        )
+        new._set_faces(None if faces is None else {frozenset(f) for f in faces})
+        return new
+
+    @cached_property
+    def relations(self) -> "Relations":
+        """The pairwise ray relations, derived on first use and kept for the
+        life of this system object."""
+        return Relations(self)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Answers of `structure`'s set questions about this very object
+        (the E-set hypothesis and E-sets), keyed by question and ray mask.
+        It lives and dies with the object, which for the sweeps is one
+        (system, face family) verdict."""
+        return {}
 
     # -- faces as ray masks ------------------------------------------------
 
-    def ray_mask(self, rids: Iterable[str]) -> int:
-        """The bits of the given rays; needs a face structure."""
-        try:
-            return sum(map(self._bit.__getitem__, frozenset(rids)))
-        except KeyError as exc:
-            raise ValueError(f"unknown ray {exc.args[0]}") from None
-
-    def masks_to_sets(self, masks: Iterable[int]) -> list[frozenset]:
-        """The ray sets of the given masks, smallest first, ties by sorted ids."""
-        return [
-            frozenset(rid for rid, b in self._bit.items() if m & b)
-            for m in sorted(masks, key=lambda m: (m.bit_count(), -m))
-        ]
+    def ray_mask(self, rids: Iterable[str], small: Optional[str] = None) -> int:
+        """The mask of the given rays.  In sorted order the first unknown ray
+        raises ValueError, and, when `small` is given, so does the first
+        small ray, as "ray ... is small and <small>"."""
+        rel = self.relations
+        rids = set(rids)
+        mask = rel.mask(rids)
+        if mask is None or small is not None and mask & ~rel.divisorial:
+            for rid in sorted(rids):
+                b = rel.bit.get(rid)
+                if b is None:
+                    raise ValueError(f"unknown ray {rid}")
+                if small is not None and not b & rel.divisorial:
+                    raise ValueError(f"ray {rid} is small and {small}")
+        return mask
 
     @cached_property
     def maximal_masks(self) -> tuple[int, ...]:
@@ -224,6 +252,178 @@ class RayDivisorSystem:
         return tuple(
             f for f, m in zip(self.faces or (), self._face_masks or ()) if m in keep
         )
+
+
+def _positions(mask: int) -> list[int]:
+    """The bit positions of a mask, highest first."""
+    out = []
+    while mask:
+        k = mask.bit_length() - 1
+        out.append(k)
+        mask ^= 1 << k
+    return out
+
+
+def _path_lengths(ids: Sequence[str], heads: Sequence[int], mask: int) -> dict:
+    """The length of a shortest oriented path between any two nodes of a
+    mask, along arrows inside it (INF when there is none), keyed by id pairs
+    in the order of their positions, highest first.  Node `ids[k]` holds bit
+    k and `heads[k]` masks the heads of its arrows.  One breadth-first search
+    per node, a layer of masks at a time."""
+    ks = _positions(mask)
+    dist: dict[tuple[str, str], int | float] = {}
+    for a in ks:
+        source = ids[a]
+        for b in ks:
+            dist[source, ids[b]] = INF
+        seen = frontier = 1 << a
+        steps = 0
+        while frontier:
+            reached = 0
+            for k in _positions(frontier):
+                dist[source, ids[k]] = steps
+                reached |= heads[k]
+            frontier = reached & mask & ~seen
+            seen |= frontier
+            steps += 1
+    return dist
+
+
+def _ray_bits(ray_index: dict) -> dict:
+    """Each ray's bit: the first id in sorted order holds the highest."""
+    return {rid: 1 << k for k, rid in enumerate(sorted(ray_index, reverse=True))}
+
+
+# `with_faces` copies these and rebuilds only the face fields.
+_SHARED_WITH_VARIANTS = tuple(
+    f.name for f in fields(RayDivisorSystem) if f.name not in ("faces", "_bit", "_face_masks")
+)
+
+
+class Relations:
+    """A system's pairwise ray relations, derived once and read as bitmasks.
+
+    Ray `ids[k]` holds bit 1 << k, the bit it holds in face masks: the first
+    id in sorted order holds the highest bit, so reading a mask from its
+    highest bit down visits its rays in sorted id order; `order` lists the
+    positions in declaration order.  `column[k]` is the index of D(ids[k])
+    and `toward[k][j]` is q(ids[k], D(ids[j])), an `int` where integral and
+    a `Fraction` otherwise (None when ids[j] carries no divisor).  Per ray k,
+    over the rays j that carry divisors: `contact[k]` holds those whose
+    divisor equals or touches D(ids[k]) (k itself included), `arrows[k]`
+    those j != k with toward[k][j] > 0 and `zeros[k]` those j != k with
+    toward[k][j] == 0.  `type_i`, `type_ii`, `divisorial` and `simple` are
+    masks of rays.  `no_divisor` marks the type I and II rays without a
+    divisor, which only an invalid system has; readers raise `q`'s error on
+    them.
+    """
+
+    __slots__ = (
+        "ids", "bit", "order", "column", "toward", "contact", "arrows", "zeros",
+        "type_i", "type_ii", "divisorial", "no_divisor", "simple",
+    )
+
+    def __init__(self, s: RayDivisorSystem) -> None:
+        self.bit = s._bit or _ray_bits(s._ray_index)
+        self.ids = ids = tuple(self.bit)
+        rays = [s.rays[s._ray_index[rid]] for rid in ids]
+        self.order = tuple(self.bit[r.id].bit_length() - 1 for r in s.rays)
+        self.column = column = tuple(
+            None if r.divisor is None else s._div_index[r.divisor] for r in rays
+        )
+        touching = [1 << c for c in range(len(s.divisors))]
+        for pair in s.meets:
+            a, b = (s._div_index[d] for d in pair)
+            touching[a] |= 1 << b
+            touching[b] |= 1 << a
+        toward, contact, arrows, zeros = [], [], [], []
+        type_i = type_ii = simple = owned = 0
+        for k, r in enumerate(rays):
+            row = [
+                v.numerator if v.denominator == 1 else v
+                for v in s.pairing[s._ray_index[r.id]]
+            ]
+            line = tuple(None if c is None else row[c] for c in column)
+            near = 0 if column[k] is None else touching[column[k]]
+            touches = up = level = 0
+            for j, v in enumerate(line):
+                if v is None:
+                    continue
+                if near >> column[j] & 1:
+                    touches |= 1 << j
+                if j == k:
+                    continue
+                if v > 0:
+                    up |= 1 << j
+                elif v == 0:
+                    level |= 1 << j
+            toward.append(line)
+            contact.append(touches)
+            arrows.append(up)
+            zeros.append(level)
+            if column[k] is not None:
+                owned |= 1 << k
+            if r.type is RayType.I:
+                type_i |= 1 << k
+            elif r.type is RayType.II:
+                type_ii |= 1 << k
+                # Simple: its own pairing plus any positive pairing with a
+                # listed divisor stays >= 0.
+                own = line[k]
+                if own is not None and all(v <= 0 or own + v >= 0 for v in row):
+                    simple |= 1 << k
+        self.toward = tuple(toward)
+        self.contact = tuple(contact)
+        self.arrows = tuple(arrows)
+        self.zeros = tuple(zeros)
+        self.type_i, self.type_ii, self.simple = type_i, type_ii, simple
+        self.divisorial = type_i | type_ii
+        self.no_divisor = self.divisorial & ~owned
+
+    positions = staticmethod(_positions)
+
+    def mask(self, rids: Iterable[str]) -> Optional[int]:
+        """The mask of the given rays, or None when one of them is unknown."""
+        try:
+            return sum(map(self.bit.__getitem__, set(rids)))
+        except KeyError:
+            return None
+
+    def names(self, mask: int) -> list[str]:
+        """The sorted ids of a mask's rays."""
+        return [self.ids[k] for k in self.positions(mask)]
+
+    def check_divisors(self, mask: int) -> None:
+        """Raise `q`'s error when a ray of the mask lacks its divisor."""
+        if mask & self.no_divisor:
+            raise ValueError("unknown ray or divisor: None")
+
+    def closure(self, table: Sequence[int], mask: int, seed: int) -> int:
+        """The rays of `mask` reached from the rays of `seed` along `table`."""
+        found = frontier = seed
+        while frontier:
+            k = frontier.bit_length() - 1
+            frontier ^= 1 << k
+            new = table[k] & mask & ~found
+            found |= new
+            frontier |= new
+        return found
+
+    def distances(self, mask: int) -> dict:
+        """`OrientedGraph.dist` of the graph on the rays of a mask."""
+        return _path_lengths(self.ids, self.arrows, mask)
+
+    def components(self, mask: int) -> list[int]:
+        """The contact components of a set of divisorial rays, ordered by
+        their first ids."""
+        if mask & self.no_divisor and mask & (mask - 1):
+            raise ValueError("unknown divisor None")
+        out = []
+        while mask:
+            comp = self.closure(self.contact, mask, 1 << (mask.bit_length() - 1))
+            out.append(comp)
+            mask ^= comp
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -451,42 +651,40 @@ class OrientedGraph:
 
     def __post_init__(self) -> None:
         """Fill `dist[(a, b)]`, the length of a shortest oriented path from a
-        to b (INF if unreachable), with one breadth-first search per node."""
-        succ: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for tail, head in sorted(self.arrows):
-            succ[tail].append(head)
-        dist: dict[tuple[str, str], int | float] = {}
-        for a in self.nodes:
-            seen = {a: 0}
-            queue = deque([a])
-            while queue:
-                cur = queue.popleft()
-                for nxt in succ[cur]:
-                    if nxt not in seen:
-                        seen[nxt] = seen[cur] + 1
-                        queue.append(nxt)
-            for b in self.nodes:
-                dist[a, b] = seen.get(b, INF)
+        to b (INF if unreachable); every query of the graph reads it."""
+        ids = self.nodes[::-1]  # nodes[0] holds the highest bit
+        bit = {n: 1 << k for k, n in enumerate(ids)}
+        heads = [0] * len(ids)
+        for tail, head in self.arrows:
+            heads[bit[tail].bit_length() - 1] |= bit[head]
+        dist = _path_lengths(ids, heads, (1 << len(ids)) - 1)
         object.__setattr__(self, "dist", dist)
 
 
 def build_graph(s: RayDivisorSystem, subset: Iterable[str]) -> OrientedGraph:
     """The oriented graph on the given divisorial rays: an arrow runs from R1
-    to R2 exactly when Q[R1][D(R2)] > 0.  Its all-pairs distances are
-    computed here, once, in `OrientedGraph.dist`."""
-    nodes = sorted(set(subset))
-    for rid in nodes:
-        r = s.ray(rid)
-        if not r.is_divisorial:
-            raise ValueError(f"ray {rid} is small and cannot enter the graph")
-    arrows = set()
-    for r1 in nodes:
-        for r2 in nodes:
-            if r1 == r2:
-                continue
-            if s.q(r1, s.divisor_of(r2)) > 0:
-                arrows.add((r1, r2))
-    return OrientedGraph(tuple(nodes), frozenset(arrows))
+    to R2 exactly when Q[R1][D(R2)] > 0, read off the system's arrow masks
+    restricted to the subset.  Its all-pairs distances are computed once, in
+    `OrientedGraph.dist`."""
+    rel = s.relations
+    mask = graph_nodes(s, subset)
+    ids = rel.ids
+    return OrientedGraph(
+        tuple(ids[k] for k in rel.positions(mask)),
+        frozenset(
+            (ids[k], ids[j])
+            for k in rel.positions(mask)
+            for j in rel.positions(rel.arrows[k] & mask)
+        ),
+    )
+
+
+def graph_nodes(s: RayDivisorSystem, subset: Iterable[str]) -> int:
+    """The mask of a graph's nodes, which must be divisorial rays of `s`."""
+    mask = s.ray_mask(subset, small="cannot enter the graph")
+    if mask & (mask - 1):
+        s.relations.check_divisors(mask)
+    return mask
 
 
 def distance(g: OrientedGraph, a: str, b: str) -> int | float:
@@ -507,32 +705,20 @@ def divisorial_components(
 ) -> list[frozenset]:
     """Partition of the subset into contact components: two rays are joined
     when their divisors are equal or touch."""
-    nodes = sorted(set(subset))
-    for rid in nodes:
-        if not s.ray(rid).is_divisorial:
-            raise ValueError(f"ray {rid} is small and has no divisor")
-    parent = {n: n for n in nodes}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, r1 in enumerate(nodes):
-        for r2 in nodes[i + 1 :]:
-            if s.joined(s.divisor_of(r1), s.divisor_of(r2)):
-                parent[find(r1)] = find(r2)
-    groups: dict[str, set[str]] = {}
-    for n in nodes:
-        groups.setdefault(find(n), set()).add(n)
-    return sorted((frozenset(g) for g in groups.values()), key=lambda g: sorted(g))
+    rel = s.relations
+    return [
+        frozenset(rel.names(comp))
+        for comp in rel.components(s.ray_mask(subset, small="has no divisor"))
+    ]
 
 
 def is_single_arrow_connected(s: RayDivisorSystem, subset: Iterable[str]) -> bool:
     """Whether every ordered pair of distinct rays is joined by an oriented
-    path inside the subset's graph."""
-    return INF not in build_graph(s, subset).dist.values()
+    path inside the subset's graph: whether the arrows reach the whole subset
+    from each of its rays."""
+    rel = s.relations
+    mask = graph_nodes(s, subset)
+    return all(rel.closure(rel.arrows, mask, 1 << k) == mask for k in rel.positions(mask))
 
 
 def is_simple_ray(s: RayDivisorSystem, rid: str) -> bool:
@@ -541,12 +727,9 @@ def is_simple_ray(s: RayDivisorSystem, rid: str) -> bool:
     r = s.ray(rid)
     if r.type is not RayType.II:
         raise ValueError(f"ray {rid} has type {r.type.value}; simplicity applies to type II")
-    own = s.q(rid, r.divisor)
-    for did in s.divisors:
-        v = s.q(rid, did)
-        if v > 0 and own + v < 0:
-            return False
-    return True
+    rel = s.relations
+    rel.check_divisors(rel.bit[rid])
+    return bool(rel.simple & rel.bit[rid])
 
 
 def check_lemma227(s: RayDivisorSystem, r1: str, r2: str) -> bool:

@@ -22,11 +22,10 @@ from .core import (
     solve_inequalities,
 )
 from .raysystem import (
-    Ray,
     RayDivisorSystem,
     RayType,
-    divisorial_components,
-    is_simple_ray,
+    Relations,
+    divisorial_components,  # re-exported: callers take it from here too
     is_single_arrow_connected,
     iter_bits,
 )
@@ -99,105 +98,98 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _rays_by_id(s: RayDivisorSystem, ids: Iterable[str]) -> list[Ray]:
-    return [s.ray(rid) for rid in sorted(set(ids))]
-
-
 def classify_component(s: RayDivisorSystem, comp: Iterable[str]) -> ComponentType:
     """Type of one contact-connected component (or a {type II, small} pair)."""
-    members = _rays_by_id(s, comp)
-    if not members:
+    mask = s.ray_mask(comp)
+    if not mask:
         raise ValueError("empty component")
+    return _component_type(s, s.relations, mask)
 
-    smalls = [r for r in members if r.type is RayType.SMALL]
-    if smalls:
-        if len(members) == 2 and len(smalls) == 1:
-            other = next(r for r in members if r.type is not RayType.SMALL)
-            if other.type is RayType.II and s.q(smalls[0].id, other.divisor) < 0:
-                return ComponentType("E2")
+
+def _component_type(s: RayDivisorSystem, rel: Relations, mask: int) -> ComponentType:
+    """`classify_component` on the rays of a nonzero mask."""
+    small = mask & ~rel.divisorial
+    if small:
+        if mask.bit_count() == 2 and small.bit_count() == 1:
+            other = mask ^ small
+            if other & rel.type_ii:
+                rel.check_divisors(other)
+                if rel.toward[small.bit_length() - 1][other.bit_length() - 1] < 0:
+                    return ComponentType("E2")
             raise ClassificationFailure(
                 "small-pair-not-contracting",
-                (r.id for r in members),
+                rel.names(mask),
                 "a {type II, small} pair needs the small ray negative on the divisor",
             )
         raise ClassificationFailure(
             "small-ray-in-component",
-            (r.id for r in members),
+            rel.names(mask),
             "small rays only classify inside a dedicated pair",
         )
 
-    if len(members) == 1:
-        only = members[0]
-        if only.type is RayType.I:
-            return ComponentType("A1")
-        return ComponentType("C", m=1)
+    if mask.bit_count() == 1:
+        return ComponentType("A1") if mask & rel.type_i else ComponentType("C", m=1)
 
-    types = {r.type for r in members}
-    divisors = {r.divisor for r in members}
-
-    if len(members) == 2 and len(divisors) == 1:
-        if types == {RayType.II}:
+    ks = rel.positions(mask)
+    if len(ks) == 2 and rel.column[ks[0]] == rel.column[ks[1]]:
+        if not mask & rel.type_i:
             return ComponentType("B2")
         raise ClassificationFailure(
             "shared-divisor-not-type-ii",
-            (r.id for r in members),
+            rel.names(mask),
             "only two type II rays may share a divisor",
         )
 
-    if RayType.I in types:
-        if len(members) == 2:
-            if types == {RayType.I}:
+    if mask & rel.type_i:
+        if len(ks) == 2:
+            if not mask & rel.type_ii:
                 raise ClassificationFailure(
                     "joined-type-i-pair",
-                    (r.id for r in members),
+                    rel.names(mask),
                     "two type I rays never have touching divisors in a valid "
                     "system",
                 )
-            s2 = next(r for r in members if r.type is RayType.I)
-            s1 = next(r for r in members if r.type is RayType.II)
-            if s.q(s1.id, s2.divisor) > 0 and s.q(s2.id, s1.divisor) > 0:
-                if d2_condition(s, s1.id, s2.id):
+            rel.check_divisors(mask)
+            s1 = (mask & rel.type_ii).bit_length() - 1
+            s2 = (mask & rel.type_i).bit_length() - 1
+            if rel.arrows[s1] >> s2 & 1 and rel.arrows[s2] >> s1 & 1:
+                if d2_condition(s, rel.ids[s1], rel.ids[s2]):
                     return ComponentType("D2")
                 raise ClassificationFailure(
                     "mixed-pair-cone-not-pointed",
-                    (r.id for r in members),
+                    rel.names(mask),
                     "some nonnegative divisor combination is nonnegative on both rays",
                 )
             raise ClassificationFailure(
                 "mixed-pair-crosses-not-positive",
-                (r.id for r in members),
+                rel.names(mask),
                 "a touching type II / type I pair needs both cross pairings positive",
             )
         raise ClassificationFailure(
             "oversized-component-with-type-i",
-            (r.id for r in members),
+            rel.names(mask),
             "no component type admits a type I ray among 3 or more rays",
         )
 
-    # All type II on pairwise distinct divisors: hub-and-spokes or nothing.
-    hubs = []
-    for cand in members:
-        others = [r for r in members if r.id != cand.id]
-        if any(s.q(cand.id, o.divisor) != 0 for o in others):
-            continue
-        if any(s.q(o.id, cand.divisor) <= 0 for o in others):
-            continue
-        if any(
-            s.joined(a.divisor, b.divisor)
-            for a, b in combinations(others, 2)
-        ):
-            continue
-        hubs.append(cand.id)
+    # All type II: a hub pairs zero with every spoke's divisor, every spoke
+    # pairs positively with the hub's, and no two spoke divisors touch.
+    rel.check_divisors(mask)
+    hubs = [
+        k
+        for k in ks
+        if not (others := mask ^ 1 << k) & ~rel.zeros[k]
+        and all(rel.arrows[o] >> k & 1 for o in rel.positions(others))
+        and not any(rel.contact[o] & others & ~(1 << o) for o in rel.positions(others))
+    ]
     if not hubs:
         raise ClassificationFailure(
             "no-hub-ray",
-            (r.id for r in members),
+            rel.names(mask),
             "no ray has all spokes positive on its divisor, zero back, and "
             "pairwise non-touching spoke divisors",
         )
-    hubs.sort()
     return ComponentType(
-        "C", m=len(members), hub=hubs[0], hub_ambiguous=len(hubs) > 1
+        "C", m=len(ks), hub=rel.ids[hubs[0]], hub_ambiguous=len(hubs) > 1
     )
 
 
@@ -208,10 +200,11 @@ def d2_condition(s: RayDivisorSystem, s1: str, s2: str) -> bool:
     r1, r2 = s.ray(s1), s.ray(s2)
     if r1.type is not RayType.II or r2.type is not RayType.I:
         raise ValueError("expected (type II, type I) in that order")
-    q11 = s.q(s1, r1.divisor)
-    q12 = s.q(s1, r2.divisor)
-    q21 = s.q(s2, r1.divisor)
-    q22 = s.q(s2, r2.divisor)
+    rel = s.relations
+    a, b = rel.bit[s1], rel.bit[s2]
+    rel.check_divisors(a | b)
+    a, b = a.bit_length() - 1, b.bit_length() - 1
+    (q11, q12), (q21, q22) = ((rel.toward[x][a], rel.toward[x][b]) for x in (a, b))
     if q11 >= 0 or q22 >= 0 or q12 <= 0 or q21 <= 0:
         raise ValueError(
             "need negative self pairings and positive crosses, got "
@@ -225,21 +218,31 @@ def d2_condition(s: RayDivisorSystem, s1: str, s2: str) -> bool:
 def classify_extremal_set(s: RayDivisorSystem, rays: Iterable[str]) -> ClassificationReport:
     """Component decomposition of one extremal set, with per-component types,
     recorded failures, and the shape filter verdict."""
-    ids = sorted(set(rays))
-    divisorial = [rid for rid in ids if s.ray(rid).is_divisorial]
-    small = [rid for rid in ids if not s.ray(rid).is_divisorial]
-    components: list[tuple[frozenset, ComponentType]] = []
-    failures: list[tuple[frozenset, str]] = []
-    for comp in divisorial_components(s, divisorial):
+    rel = s.relations
+    mask = s.ray_mask(rays)
+    components, failures = _decompose(s, rel, mask)
+    return ClassificationReport(
+        rays=frozenset(rel.names(mask)),
+        components=tuple((frozenset(rel.names(m)), t) for m, t in components),
+        failures=tuple((frozenset(rel.names(m)), why) for m, why in failures),
+    )
+
+
+def _decompose(
+    s: RayDivisorSystem, rel: Relations, mask: int
+) -> tuple[list[tuple[int, ComponentType]], list[tuple[int, str]]]:
+    """`classify_extremal_set` on masks: the typed components and the
+    failures, each small ray failing on its own."""
+    components: list[tuple[int, ComponentType]] = []
+    failures: list[tuple[int, str]] = []
+    for comp in rel.components(mask & rel.divisorial):
         try:
-            components.append((comp, classify_component(s, comp)))
+            components.append((comp, _component_type(s, rel, comp)))
         except ClassificationFailure as fail:
             failures.append((comp, fail.reason))
-    for rid in small:
-        failures.append((frozenset((rid,)), "small-ray-unclassified"))
-    return ClassificationReport(
-        rays=frozenset(ids), components=tuple(components), failures=tuple(failures)
-    )
+    for k in rel.positions(mask & ~rel.divisorial):
+        failures.append((1 << k, "small-ray-unclassified"))
+    return components, failures
 
 
 def theorem258_filter(report: ClassificationReport, k: int) -> bool:
@@ -251,16 +254,18 @@ def theorem258_filter(report: ClassificationReport, k: int) -> bool:
     )
     if total != k:
         raise ValueError(f"report covers {total} rays, filter called with k={k}")
-    if report.failures:
+    return _admissible(report.components, report.failures)
+
+
+def _admissible(
+    components: Iterable[tuple[object, ComponentType]], failures: Sequence
+) -> bool:
+    """The Theorem 2.58 verdict on a decomposition: no failures, and at most
+    one component not C:1, that one A1, D2 or C:2."""
+    if failures:
         return False
-    labels = sorted(t.label for _, t in report.components)
-    singles = [lab for lab in labels if lab == "C:1"]
-    rest = [lab for lab in labels if lab != "C:1"]
-    if not rest:
-        return True  # k C:1 (including k = 0)
-    if len(rest) != 1:
-        return False
-    return rest[0] in ("A1", "D2", "C:2")
+    rest = [t.label for _, t in components if t.label != "C:1"]
+    return not rest or (len(rest) == 1 and rest[0] in ("A1", "D2", "C:2"))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,9 @@ def _cone_witness(
     Every solver question of this module is this one, and the sweeps ask it
     about the same few matrices again and again, so the answer is memoised by
     the exact rows.  Fourier-Motzkin is deterministic in its constraints, so a
-    remembered witness is the one a fresh solve would give."""
+    remembered witness is the one a fresh solve would give.  Entries arrive
+    as `int`s where integral; an `int` and an equal `Fraction` hash and
+    compare alike, so both spellings of a matrix share one entry."""
     units = [
         (tuple(int(i == j) for j in range(nvars)), int(positive))
         for i in range(nvars)
@@ -302,15 +309,35 @@ def condition_ii_witness(
     """The violating combination for condition (ii), if any: m >= 0, m != 0
     with every member ray pairing >= 0 against sum m_i D(R_i).  Coefficient
     order follows sorted ray ids."""
-    ids = sorted(set(e))
-    if not ids:
+    rel = s.relations
+    ks = rel.positions(_member_mask(s, e))
+    rows = tuple(tuple(rel.toward[a][b] for b in ks) for a in ks)
+    return _cone_witness(rows, len(ks), False)
+
+
+def _member_mask(s: RayDivisorSystem, ids: Iterable[str]) -> int:
+    """The mask of a nonempty set of divisorial rays, for conditions (ii)
+    and (iii)."""
+    mask = s.ray_mask(ids, small="carries no divisor")
+    if not mask:
         raise ValueError("empty ray set")
-    for rid in ids:
-        if not s.ray(rid).is_divisorial:
-            raise ValueError(f"ray {rid} is small and carries no divisor")
-    cols = [s.divisor_of(rid) for rid in ids]
-    rows = tuple(tuple(s.q(rid, d) for d in cols) for rid in ids)
-    return _cone_witness(rows, len(ids), False)
+    s.relations.check_divisors(mask)
+    return mask
+
+
+def _recall(s: RayDivisorSystem, question: str, ids: Sequence[str], answer):
+    """`answer()`, remembered on `s` under the question and the mask of the
+    sorted distinct `ids` for as long as `s` lives.  Only answers are kept:
+    a call that raises is not, and with an unknown ray among `ids` nothing
+    is looked up, so the call behaves as it would without the memo."""
+    mask = s.relations.mask(ids)
+    if mask is None:
+        return answer()
+    key = (question, mask)
+    memo = s._memo
+    if key not in memo:
+        memo[key] = answer()
+    return memo[key]
 
 
 def check_condition_ii(s: RayDivisorSystem, e: Iterable[str]) -> bool:
@@ -346,17 +373,12 @@ def check_condition_iii(
     """A nonzero nonnegative coefficient vector making sum a_i D(Q_i)
     nonnegative against every ray of the system, or None.  The all-ones
     vector is preferred when it works."""
-    ids = sorted(set(l))
-    if not ids:
-        raise ValueError("empty ray set")
-    for rid in ids:
-        if not s.ray(rid).is_divisorial:
-            raise ValueError(f"ray {rid} is small and carries no divisor")
-    cols = [s.divisor_of(rid) for rid in ids]
-    rows = tuple(tuple(s.q(probe, d) for d in cols) for probe in s.ray_ids)
+    rel = s.relations
+    ks = rel.positions(_member_mask(s, l))
+    rows = tuple(tuple(rel.toward[p][b] for b in ks) for p in rel.order)
     if all(sum(row) >= 0 for row in rows):
-        return (Fraction(1),) * len(ids)
-    return _cone_witness(rows, len(ids), False)
+        return (Fraction(1),) * len(ks)
+    return _cone_witness(rows, len(ks), False)
 
 
 def condition_iii_full(
@@ -374,6 +396,12 @@ def condition_iii_full(
     added ray pairs >= 0 with it.  Then the k subsets of size k-1 decide the
     hypothesis and only they are solved; otherwise every size is walked."""
     ids = sorted(set(l))
+    return _recall(s, "iii", ids, lambda: _condition_iii_full(s, ids))
+
+
+def _condition_iii_full(
+    s: RayDivisorSystem, ids: Sequence[str]
+) -> Optional[tuple[Fraction, ...]]:
     sizes = range(1, len(ids))
     if _cross_pairings_nonnegative(s, ids):
         sizes = sizes[-1:]
@@ -388,13 +416,11 @@ def _cross_pairings_nonnegative(s: RayDivisorSystem, ids: Sequence[str]) -> bool
     """Whether all members are divisorial rays of `s` and q(a, D(b)) >= 0 for
     distinct members a, b.  Unknown or small rays give False, not an error,
     so the full subset walk decides such sets and raises on them."""
-    try:
-        rays = [s.ray(rid) for rid in ids]
-        return all(r.is_divisorial for r in rays) and all(
-            s.q(a.id, b.divisor) >= 0 for a in rays for b in rays if a is not b
-        )
-    except ValueError:
-        return False
+    rel = s.relations
+    mask = rel.mask(ids)
+    return mask is not None and not mask & ~rel.divisorial and all(
+        not mask & ~(1 << k) & ~(rel.arrows[k] | rel.zeros[k]) for k in rel.positions(mask)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +432,11 @@ def is_extremal(s: RayDivisorSystem, subset: Iterable[str]) -> bool:
     """Whether some face contains the subset, hence some maximal face does."""
     if s.faces is None:
         raise ValueError("system has no face structure")
-    want = s.ray_mask(subset)
-    return any(not want & ~face for face in s.maximal_masks)
+    return _extremal(s, s.ray_mask(subset))
+
+
+def _extremal(s: RayDivisorSystem, mask: int) -> bool:
+    return any(not mask & ~face for face in s.maximal_masks)
 
 
 def find_esets(s: RayDivisorSystem, within: Iterable[str]) -> list[frozenset]:
@@ -415,19 +444,29 @@ def find_esets(s: RayDivisorSystem, within: Iterable[str]) -> list[frozenset]:
 
     A subset of W is non-extremal exactly when it meets W - F for every
     maximal face F, so these are the minimal transversals of those sets."""
+    rel = s.relations
+    return [frozenset(rel.names(m)) for m in _eset_masks(s, within)]
+
+
+def _eset_masks(s: RayDivisorSystem, within: Iterable[str]) -> tuple[int, ...]:
+    """`find_esets` as masks, smallest first, ties by sorted ids."""
     if s.faces is None:
         raise ValueError("system has no face structure")
     ids = sorted(set(within))
+    return _recall(s, "esets", ids, lambda: _find_eset_masks(s, ids))
+
+
+def _find_eset_masks(s: RayDivisorSystem, ids: Sequence[str]) -> tuple[int, ...]:
     for rid in ids:
         if not is_extremal(s, (rid,)):
             raise ValueError(f"ray {rid} is not extremal on its own")
     if not ids:
-        return []
+        return ()
     whole = s.ray_mask(ids)
     edges = {whole & ~face for face in s.maximal_masks}
     if 0 in edges:  # W lies in a face
-        return []
-    return s.masks_to_sets(_minimal_transversals(edges))
+        return ()
+    return tuple(sorted(_minimal_transversals(edges), key=lambda m: (m.bit_count(), -m)))
 
 
 def _minimal_transversals(edges: Iterable[int]) -> list[int]:
@@ -457,123 +496,107 @@ def _minimal_transversals(edges: Iterable[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _eset_preconditions(s: RayDivisorSystem, l: Iterable[str]) -> list[Ray]:
-    members = _rays_by_id(s, l)
-    if len(members) < 2:
+def _eset_preconditions(s: RayDivisorSystem, l: Iterable[str]) -> int:
+    """The mask of a candidate E-set, after checking that it is one."""
+    rel = s.relations
+    mask = s.ray_mask(l)
+    if mask.bit_count() < 2:
         raise ValueError("an E-set contains at least two rays")
-    for r in members:
-        if not r.is_divisorial:
-            raise ValueError(f"ray {r.id} is small; E-set members carry divisors")
+    if mask & ~rel.divisorial:
+        rid = rel.names(mask & ~rel.divisorial)[0]
+        raise ValueError(f"ray {rid} is small; E-set members carry divisors")
     if s.faces is not None:
-        ids = [r.id for r in members]
-        if is_extremal(s, ids):
+        if _extremal(s, mask):
             raise ValueError("the set is extremal, hence not an E-set")
         # Subsets of an extremal set are extremal, so the largest proper
-        # subsets decide minimality.
-        for sub in combinations(ids, len(ids) - 1):
-            if not is_extremal(s, sub):
+        # subsets decide minimality; these are met in `combinations` order.
+        for b in iter_bits(mask):
+            if not _extremal(s, mask ^ b):
                 raise ValueError(
-                    f"proper subset {sorted(sub)} is already non-extremal; "
+                    f"proper subset {rel.names(mask ^ b)} is already non-extremal; "
                     "the set is not minimal"
                 )
-    return members
+    return mask
 
 
 def _case_b_witness(
-    s: RayDivisorSystem, r1: Ray, r2: Ray
+    s: RayDivisorSystem, rel: Relations, k1: int, k2: int
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Positive m1, m2 making m1 D(R1) + m2 D(R2) nonnegative against every
     listed type I ray and every listed simple type II ray."""
-    probes = []
-    for r in s.rays:
-        if r.type is RayType.I:
-            probes.append(r.id)
-        elif r.type is RayType.II and is_simple_ray(s, r.id):
-            probes.append(r.id)
-    rows = tuple((s.q(rid, r1.divisor), s.q(rid, r2.divisor)) for rid in probes)
+    rel.check_divisors(rel.type_ii)  # simplicity reads each one's divisor
+    probes = rel.type_i | rel.simple
+    rows = tuple(
+        (rel.toward[p][k1], rel.toward[p][k2]) for p in rel.order if probes >> p & 1
+    )
     return _cone_witness(rows, 2, True)
 
 
-def _case_c_witness(s: RayDivisorSystem, r1: Ray, r2: Ray) -> Optional[str]:
+def _case_c_witness(s: RayDivisorSystem, rel: Relations, k1: int, k2: int) -> Optional[str]:
     """A simple type II partner on one member's divisor that is orthogonal to
     the other member's divisor (while the other member is positive on it)."""
-    for x, y in ((r1, r2), (r2, r1)):
-        if x.type is not RayType.II or y.type is not RayType.II:
-            continue
-        partners = sorted(
-            r.id
-            for r in s.rays
-            if r.id != x.id
-            and r.type is RayType.II
-            and r.divisor == x.divisor
-            and is_simple_ray(s, r.id)
-            and s.q(r.id, y.divisor) == 0
-            and s.q(y.id, r.divisor) > 0
-        )
-        if partners:
-            return partners[0]
+    if (1 << k1 | 1 << k2) & ~rel.type_ii:
+        return None
+    for x, y in ((k1, k2), (k2, k1)):
+        for r in rel.positions(rel.simple & ~(1 << x)):
+            if (
+                rel.column[r] == rel.column[x]
+                and rel.zeros[r] >> y & 1
+                and rel.arrows[y] >> r & 1
+            ):
+                return rel.ids[r]
     return None
 
 
-def _classify_connected_pair(s: RayDivisorSystem, r1: Ray, r2: Ray) -> EsetType:
-    if r1.divisor == r2.divisor:
+def _classify_connected_pair(s: RayDivisorSystem, rel: Relations, mask: int) -> EsetType:
+    k1, k2 = rel.positions(mask)
+    if rel.column[k1] == rel.column[k2]:
         raise ClassificationFailure(
             "shared-divisor-pair",
-            (r1.id, r2.id),
+            rel.names(mask),
             "a shared-divisor pair spans a face and cannot be an E-set",
         )
-    types = {r1.type, r2.type}
-    if types == {RayType.I}:
+    if not mask & rel.type_ii:
         raise ClassificationFailure(
             "type-i-pair",
-            (r1.id, r2.id),
+            rel.names(mask),
             "two type I rays never have touching divisors",
         )
-    cross12 = s.q(r1.id, r2.divisor)
-    cross21 = s.q(r2.id, r1.divisor)
-    if cross12 <= 0 or cross21 <= 0:
+    if not (rel.arrows[k1] >> k2 & 1 and rel.arrows[k2] >> k1 & 1):
         raise ClassificationFailure(
             "hub-pattern-pair-not-extremal",
-            (r1.id, r2.id),
+            rel.names(mask),
             "a touching pair with a one-sided pairing spans a face and cannot "
             "be an E-set",
         )
-    witness = _case_b_witness(s, r1, r2)
+    witness = _case_b_witness(s, rel, k1, k2)
     if witness is not None:
         return EsetType("b", m1=witness[0], m2=witness[1])
-    partner = _case_c_witness(s, r1, r2)
+    partner = _case_c_witness(s, rel, k1, k2)
     if partner is not None:
         return EsetType("c", witness=partner)
     raise ClassificationFailure(
         "connected-pair-unclassifiable",
-        (r1.id, r2.id),
+        rel.names(mask),
         "no positive combination works and no zero partner exists",
     )
 
 
-def _classify_connected_triple(s: RayDivisorSystem, members: list[Ray]) -> EsetType:
-    if any(r.type is not RayType.II for r in members):
+def _classify_connected_triple(s: RayDivisorSystem, rel: Relations, mask: int) -> EsetType:
+    ids = rel.names(mask)
+    if mask & ~rel.type_ii:
         raise ClassificationFailure(
             "connected-triple-not-cyclic",
-            (r.id for r in members),
+            ids,
             "the three-element case needs all rays of type II",
         )
-    ids = [r.id for r in members]
-    for order in permutations(ids):
-        x, y, z = order
-        strict = (
-            s.q(x, s.divisor_of(y)) > 0
-            and s.q(y, s.divisor_of(z)) > 0
-            and s.q(z, s.divisor_of(x)) > 0
-        )
-        zero = (
-            s.q(y, s.divisor_of(x)) == 0
-            and s.q(z, s.divisor_of(y)) == 0
-            and s.q(x, s.divisor_of(z)) == 0
-        )
+    arrows, zeros = rel.arrows, rel.zeros
+    for x, y, z in permutations(rel.positions(mask)):
+        strict = arrows[x] >> y & 1 and arrows[y] >> z & 1 and arrows[z] >> x & 1
+        zero = zeros[y] >> x & 1 and zeros[z] >> y & 1 and zeros[x] >> z & 1
         if strict and zero:
             ones = (Fraction(1),) * 3
-            if accepts_nef_combination(s, sorted(ids), ones):
+            if accepts_nef_combination(s, ids, ones):
                 return EsetType("a")
             raise ClassificationFailure(
                 "cyclic-triple-rejects-unit-combination",
@@ -593,41 +616,42 @@ def classify_eset(s: RayDivisorSystem, l: Iterable[str]) -> EsetType:
     Raises ClassificationFailure when the set matches none of them (the model
     instance then violates the hypotheses the case analysis needs).
     """
-    members = _eset_preconditions(s, l)
-    nonsimple = [
-        r.id
-        for r in members
-        if r.type is RayType.II and not is_simple_ray(s, r.id)
-    ]
+    return _eset_type(s, s.relations, _eset_preconditions(s, l))
+
+
+def _eset_type(s: RayDivisorSystem, rel: Relations, mask: int) -> EsetType:
+    """`classify_eset` on the mask of a set that meets its preconditions."""
+    rel.check_divisors(mask & rel.type_ii)  # simplicity reads each one's divisor
+    nonsimple = mask & rel.type_ii & ~rel.simple
     if nonsimple:
         raise ClassificationFailure(
             "nonsimple-type-ii-member",
-            nonsimple,
+            rel.names(nonsimple),
             "the case analysis requires simple type II rays",
         )
-    comps = divisorial_components(s, [r.id for r in members])
+    comps = rel.components(mask)
     if len(comps) > 1:
-        if any(len(c) > 1 for c in comps):
+        if any(c & (c - 1) for c in comps):
             raise ClassificationFailure(
                 "disconnected-eset-not-pairwise-disjoint",
-                (r.id for r in members),
+                rel.names(mask),
                 "a disconnected E-set must split into single rays with "
                 "pairwise non-touching divisors",
             )
-        if any(r.type is not RayType.II for r in members):
+        if mask & rel.type_i:
             raise ClassificationFailure(
                 "disjoint-eset-with-type-i",
-                (r.id for r in members),
+                rel.names(mask),
                 "the pairwise-disjoint case needs all rays of type II",
             )
         return EsetType("d")
-    if len(members) == 2:
-        return _classify_connected_pair(s, members[0], members[1])
-    if len(members) == 3:
-        return _classify_connected_triple(s, members)
+    if mask.bit_count() == 2:
+        return _classify_connected_pair(s, rel, mask)
+    if mask.bit_count() == 3:
+        return _classify_connected_triple(s, rel, mask)
     raise ClassificationFailure(
         "oversized-connected-eset",
-        (r.id for r in members),
+        rel.names(mask),
         "connected E-sets of four or more rays fall outside the case analysis",
     )
 
@@ -719,39 +743,41 @@ def classify_report(s: RayDivisorSystem) -> dict:
     maximal: list[dict] = []
 
     if s.faces is not None:
+        rel = s.relations
         seen: set = set()
-        for face in filter(None, s.maximal_faces):
-            report = classify_extremal_set(s, face)
+        for face in filter(None, s.maximal_masks):
+            comps, fails = _decompose(s, rel, face)
             maximal.append(
                 {
-                    "rays": sorted(face),
-                    "passes_theorem258": report.passes_theorem258,
+                    "rays": rel.names(face),
+                    "passes_theorem258": _admissible(comps, fails),
                 }
             )
-            for comp, ctype in report.components:
+            for comp, ctype in comps:
                 if comp in seen:
                     continue
                 seen.add(comp)
-                components.append({"rays": sorted(comp), "type": ctype.label})
-            for comp, reason in report.failures:
+                components.append({"rays": rel.names(comp), "type": ctype.label})
+            for comp, reason in fails:
                 if comp in seen:
                     continue
                 seen.add(comp)
-                failures.append({"rays": sorted(comp), "reason": reason})
+                failures.append({"rays": rel.names(comp), "reason": reason})
 
-        divisorial = [r.id for r in s.divisorial_rays]
-        for eset in find_esets(s, divisorial):
+        # Each E-set is a minimal non-extremal set of divisorial rays, which
+        # is all `classify_eset` checks before it classifies.
+        for eset in _eset_masks(s, rel.names(rel.divisorial)):
             try:
-                etype = classify_eset(s, eset)
+                etype = _eset_type(s, rel, eset)
                 esets.append(
                     {
-                        "rays": sorted(eset),
+                        "rays": rel.names(eset),
                         "case": etype.kind,
                         "witness": etype.to_json(),
                     }
                 )
             except ClassificationFailure as fail:
-                failures.append({"rays": sorted(eset), "reason": fail.reason})
+                failures.append({"rays": rel.names(eset), "reason": fail.reason})
 
     components.sort(key=lambda c: c["rays"])
     return {

@@ -405,3 +405,23 @@ def test_simplex_and_cube_dimensions(n):
     assert cube(n).dim == n
     assert len(simplex(n).vertices) == n + 1
     assert len(cube(n).vertices) == 2**n
+
+
+def test_every_dimension_has_faces():
+    # The top face has dimension `dim` and every face of dimension d > 0 has
+    # a facet cut of dimension d - 1, so the grading leaves no layer empty.
+    for name, p in polytope_family():
+        assert len(p._by_dim) == p.dim + 1, name
+        assert all(p._by_dim), name
+        assert p.fvector().counts[p.dim] == 1, name
+
+
+def test_lemma13_bound_needs_k_of_two():
+    # At k = 1 the closed form is 2 for every n: each edge has exactly two
+    # vertices, so the average is attained, not strictly bounded.
+    for name, p in polytope_family():
+        assert average_faces(p, 0, 1) == 2, name
+    for n in range(1, 12):
+        with pytest.raises(ValueError, match="need k >= 2"):
+            lemma13_bound(n, 0, 1)
+    assert lemma13_bound(3, 1, 2) == 6  # edges per 2-face, strictly below 6

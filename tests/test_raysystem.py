@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moribound.bounds import count_condition_b
-from moribound.core import INF
+from moribound.core import INF, scale_primitive, solve_inequalities
 from moribound.generate import (
+    face_variants,
     random_valid_system,
     system_b2,
     system_c2,
@@ -22,6 +24,7 @@ from moribound.generate import (
 )
 from moribound.polytope import cube, cyclic_dual
 from moribound.raysystem import (
+    OrientedGraph,
     Ray,
     RayDivisorSystem,
     RayType,
@@ -39,6 +42,15 @@ from moribound.raysystem import (
     system_from_json,
     system_to_json,
     validate,
+)
+from moribound.structure import (
+    _cross_pairings_nonnegative,
+    check_condition_ii,
+    check_lemma11,
+    classify_report,
+    condition_ii_witness,
+    condition_iii_full,
+    find_esets,
 )
 
 
@@ -562,3 +574,208 @@ def test_malformed_json_rejected():
     bad["pairing"] = [[-1], [1]]  # wrong arity
     with pytest.raises(SystemFormatError):
         system_from_json(bad)
+
+
+# --- relation tables, face variants, the verdict memo ----------------------
+
+
+def _random_relation_system(rng):
+    """Up to six rays, now and then a small one or two sharing a divisor;
+    pairings in -2 ... 2 with halves, contacts at random.  No model
+    invariant is enforced."""
+    n = rng.randint(1, 6)
+    divisors = [f"D{i}" for i in range(rng.randint(max(1, n - 2), n))]
+    rays = [
+        (f"R{i}", "small") if rng.random() < 0.1
+        else (f"R{i}", rng.choice(("I", "II")), divisors[i % len(divisors)])
+        for i in range(n)
+    ]
+    rng.shuffle(rays)  # declaration order differs from sorted id order
+    entries = [Fraction(k, 2) for k in range(-4, 5)] + [0] * 6
+    return RayDivisorSystem.of(
+        rays=rays,
+        divisors=divisors,
+        pairing=[[rng.choice(entries) for _ in divisors] for _ in rays],
+        meets=[p for p in combinations(divisors, 2) if rng.random() < 0.4],
+    )
+
+
+def _fraction_components(s, nodes):
+    """Reference: union-find over `joined` on the rays' divisors."""
+    parent = {n: n for n in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            if s.joined(s.divisor_of(a), s.divisor_of(b)):
+                parent[find(a)] = find(b)
+    groups = {}
+    for n in nodes:
+        groups.setdefault(find(n), set()).add(n)
+    return sorted((frozenset(g) for g in groups.values()), key=sorted)
+
+
+def _fraction_simple(s, rid):
+    own = s.q(rid, s.divisor_of(rid))
+    return all(not (s.q(rid, d) > 0 and own + s.q(rid, d) < 0) for d in s.divisors)
+
+
+def _fraction_cross_nonnegative(s, ids):
+    rays = [s.ray(rid) for rid in ids]
+    return all(r.is_divisorial for r in rays) and all(
+        s.q(a.id, b.divisor) >= 0 for a in rays for b in rays if a is not b
+    )
+
+
+def _fraction_condition_ii(s, ids):
+    """Reference: the member rows as `Fraction`s, solved afresh."""
+    cols = [s.divisor_of(rid) for rid in ids]
+    rows = [tuple(s.q(rid, d) for d in cols) for rid in ids]
+    k = len(ids)
+    units = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
+    witness = solve_inequalities(
+        [(row, 0) for row in rows] + units + [((1,) * k, 1)], k
+    )
+    return None if witness is None else scale_primitive(witness)
+
+
+def test_relation_tables_match_fraction_scans():
+    seen_halves = seen_small = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        s = _random_relation_system(rng)
+        rel = s.relations
+        assert rel.ids == tuple(sorted(s.ray_ids, reverse=True))
+        for r in s.rays:
+            row = s.pairing[s.ray_ids.index(r.id)]
+            assert all(
+                type(v) is int or v.denominator > 1
+                for v in rel.toward[rel.bit[r.id].bit_length() - 1] if v is not None
+            )
+            seen_halves += any(v.denominator > 1 for v in row)
+            if r.type is RayType.II:
+                assert is_simple_ray(s, r.id) == _fraction_simple(s, r.id), seed
+        divisorial = sorted(r.id for r in s.divisorial_rays)
+        seen_small += len(divisorial) < len(s.rays)
+        for k in range(len(divisorial) + 1):
+            for nodes in combinations(divisorial, k):
+                nodes = list(nodes)
+                assert divisorial_components(s, nodes) == _fraction_components(s, nodes)
+                arrows = {
+                    (a, b) for a in nodes for b in nodes
+                    if a != b and s.q(a, s.divisor_of(b)) > 0
+                }
+                g = build_graph(s, nodes)
+                assert g.nodes == tuple(nodes) and g.arrows == arrows, seed
+                succ = {a: [b for b in nodes if (a, b) in arrows] for a in nodes}
+                want = {(a, b): _bfs_distance(succ, a, b) for a in nodes for b in nodes}
+                assert g.dist == want and list(g.dist) == list(want)
+                # A graph built by hand computes the same table.
+                assert OrientedGraph(tuple(nodes[::-1]), frozenset(arrows)).dist == want
+                assert is_single_arrow_connected(s, nodes) == (INF not in want.values())
+                assert _cross_pairings_nonnegative(s, nodes) == _fraction_cross_nonnegative(
+                    s, nodes
+                )
+                if nodes:
+                    assert condition_ii_witness(s, nodes) == _fraction_condition_ii(
+                        s, nodes
+                    ), (seed, nodes)
+        # Small and unknown rays on the mask paths fail as the scans do.
+        for rid in set(s.ray_ids) - set(divisorial):
+            assert not _cross_pairings_nonnegative(s, [rid, *divisorial[:1]])
+            with pytest.raises(ValueError, match=f"ray {rid} is small and has no divisor"):
+                divisorial_components(s, [rid])
+            with pytest.raises(ValueError, match="is small and carries no divisor"):
+                condition_ii_witness(s, [rid])
+        with pytest.raises(ValueError, match="unknown ray ZZ"):
+            build_graph(s, ["ZZ"])
+        assert not _cross_pairings_nonnegative(s, ["ZZ"])
+    assert seen_halves > 200 and seen_small > 50
+
+
+def test_ray_without_divisor_fails_as_pairing_lookups_do():
+    s = RayDivisorSystem.of(
+        rays=[("A", "II", "D1"), Ray("B", RayType.II), ("C", "I", "D2")],
+        divisors=["D1", "D2"],
+        pairing=[[-1, 1], [1, 0], [1, -1]],
+        meets=[("D1", "D2")],
+    )
+    assert divisorial_components(s, ["B"]) == [frozenset({"B"})]
+    assert build_graph(s, ["B"]).dist == {("B", "B"): 0}
+    with pytest.raises(ValueError, match="unknown divisor None"):
+        divisorial_components(s, ["A", "B"])
+    for call in (
+        lambda: build_graph(s, ["A", "B"]),
+        lambda: is_simple_ray(s, "B"),
+        lambda: condition_ii_witness(s, ["B"]),
+    ):
+        with pytest.raises(ValueError, match="unknown ray or divisor: None"):
+            call()
+    assert is_simple_ray(s, "A")
+
+
+def test_with_faces_matches_a_fresh_system():
+    base = system_eset_a()
+    families = list(face_variants(list(base.ray_ids))) + [
+        [[], ["S1"], ["S2"], ["S3"]],
+        [["S2", "S1"], ["S1", "S2"], ["S3"]],
+        None,
+    ]
+    for faces in families:
+        variant = base.with_faces(faces)
+        fresh = RayDivisorSystem.of(
+            rays=base.rays,
+            divisors=base.divisors,
+            pairing=base.pairing,
+            meets=base.meets,
+            faces=faces,
+            anticanonical=base.anticanonical,
+            fano_mode=base.fano_mode,
+        )
+        assert variant == fresh
+        assert variant.faces == fresh.faces
+        assert variant._face_masks == fresh._face_masks
+        assert variant._bit == fresh._bit
+        if faces is not None:
+            want = sorted({frozenset(f) for f in faces}, key=lambda f: (len(f), sorted(f)))
+            assert list(variant.faces) == want
+            assert variant._face_masks == tuple(variant.ray_mask(f) for f in want)
+            assert variant.maximal_masks == fresh.maximal_masks
+            assert validate(variant) == validate(fresh)
+        assert variant._ray_index is base._ray_index
+        assert variant._div_index is base._div_index
+    for make in (base.with_faces, lambda faces: replace(base, faces=faces)):
+        with pytest.raises(SystemFormatError, match="face names unknown ray X"):
+            make([[], ["S1", "X"]])
+    with pytest.raises(ValueError, match="unknown ray X"):
+        base.ray_mask(["S1", "X", "Y"])
+
+
+def test_verdicts_leave_the_base_untouched():
+    """Every answer remembered for a verdict lives on that verdict's
+    variant: the base is unchanged after verdicts on all its variants, and
+    the memo holds answers only, never exceptions."""
+    questions = 0
+    for base in (system_eset_a(), system_cm(3), system_d2(), system_eset_d(3)):
+        before = dict(base.__dict__)
+        for faces in face_variants(list(base.ray_ids)):
+            s = base.with_faces(faces)
+            report = classify_report(s)
+            for eset in find_esets(s, [r.id for r in s.divisorial_rays]):
+                check_condition_ii(s, eset)
+                full = condition_iii_full(s, eset)
+                if full is not None:
+                    check_lemma11(s, eset)
+            # The remembered answers are the ones a fresh object gives.
+            assert classify_report(base.with_faces(faces)) == report
+            for key, value in s._memo.items():
+                assert not isinstance(value, BaseException), key
+                assert not any(isinstance(v, BaseException) for v in value or ()), key
+            questions += len(s._memo)
+        assert base.__dict__ == before
+        assert base.__dict__.keys() == before.keys()
+    assert questions > 20
