@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -26,7 +27,7 @@ from .bounds import (
     validate_diagram,
 )
 from .core import format_rational, rational
-from .generate import make_polytope, make_system
+from .generate import POLYTOPES, SYSTEMS
 from .polytope import (
     PolytopeError,
     a02_bound,
@@ -129,9 +130,14 @@ def _emit(args: argparse.Namespace, payload: object, text_lines: list[str]) -> N
 
 def _write_atomic(path: str, content: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +390,13 @@ def cmd_polytope_stats(args: argparse.Namespace) -> int:
         f"f-vector = ({', '.join(str(c) for c in fv.counts)})",
         f"simple: {'yes' if p.is_simple else 'no'}",
     ]
+    skipped = None
     if not p.is_simple:
-        lines.append("average-face bound skipped: the polytope is not simple")
+        skipped = "the polytope is not simple"
+    elif p.dim < 3:
+        skipped = f"the bound needs dimension at least 3, not {p.dim}"
+    if skipped:
+        lines.append(f"average-face bound skipped: {skipped}")
         payload["bound_checked"] = False
         _emit(args, payload, lines)
         return EXIT_OK
@@ -416,17 +427,16 @@ def cmd_polytope_stats(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _make_rule(args: argparse.Namespace):
-    if args.rule == "theorem12":
-        return Theorem12Rule(args.d)
-    if args.rule == "theorem258":
-        return Theorem258Rule()
-    raise ValueError(f"unknown rule {args.rule!r}")
+# rule name -> builder from the `diagram` options; the first is the default.
+RULES = {
+    "theorem12": lambda o: Theorem12Rule(o.d),
+    "theorem258": lambda o: Theorem258Rule(),
+}
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
     _, inst = load_instance(args.path, ("diagram",), "{path} is not a diagram bundle")
-    rule = _make_rule(args)
+    rule = RULES[args.rule](args)
     try:
         report = diagram_pipeline(inst, args.d, rule)
     except ValueError as exc:
@@ -472,21 +482,17 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 # gen
 # ---------------------------------------------------------------------------
 
-POLYTOPE_FAMILIES = ("simplex", "cube", "cyclic-dual", "product")
-SYSTEM_FAMILIES = ("c2", "cm", "d2", "b2", "eset-a", "eset-d", "random-valid")
+POLYTOPE_FAMILIES = tuple(POLYTOPES)
+SYSTEM_FAMILIES = tuple(SYSTEMS)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family in POLYTOPE_FAMILIES:
-        p = make_polytope(args.family, n=args.n, m=args.m)
-        payload = polytope_to_json(p)
+    if args.family in POLYTOPES:
+        payload = polytope_to_json(POLYTOPES[args.family](args))
     else:
-        s, rejections = make_system(
-            args.family, seed=args.seed, m=args.m if args.m is not None else 3,
-            k=args.k,
-        )
+        s, rejections = SYSTEMS[args.family](args)
         payload = system_to_json(s)
-        if args.family == "random-valid":
+        if rejections is not None:
             print(f"rejections before a valid draw: {rejections}", file=sys.stderr)
     content = _dumps(payload) + "\n"
     if args.out:
@@ -547,8 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diagram = sub.add_parser("diagram", help="weighted-angle verification")
     p_diagram.add_argument("path")
     p_diagram.add_argument("--d", type=int, default=2)
-    p_diagram.add_argument("--rule", choices=("theorem12", "theorem258"),
-                           default="theorem12")
+    p_diagram.add_argument("--rule", choices=tuple(RULES), default=next(iter(RULES)))
     add_format(p_diagram)
     p_diagram.set_defaults(func=cmd_diagram)
 

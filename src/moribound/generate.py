@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Iterable, Iterator, Optional
 
-from .core import RVector, TrilinearForm
+from .core import RVector
 from .polytope import CombinatorialPolytope, cube, cyclic_dual, product, simplex
 from .raysystem import Ray, RayDivisorSystem, RayType, contact_violations, validate
 from .realized import RealizedModel
@@ -51,17 +51,13 @@ def polytope_family(min_dim: int = 3, max_dim: int = 7) -> list[tuple[str, Combi
     return out
 
 
-def make_polytope(family: str, n: int = 3, m: Optional[int] = None) -> CombinatorialPolytope:
-    """CLI-facing constructor for the polytope families."""
-    if family == "simplex":
-        return simplex(n)
-    if family == "cube":
-        return cube(n)
-    if family == "cyclic-dual":
-        return cyclic_dual(n, m if m is not None else 2 * n)
-    if family == "product":
-        return product(simplex(n), simplex(m if m is not None else 2))
-    raise ValueError(f"unknown polytope family {family!r}")
+# family name -> builder from the `gen` options (`n`, `m`, `k`, `seed`).
+POLYTOPES = {
+    "simplex": lambda o: simplex(o.n),
+    "cube": lambda o: cube(o.n),
+    "cyclic-dual": lambda o: cyclic_dual(o.n, 2 * o.n if o.m is None else o.m),
+    "product": lambda o: product(simplex(o.n), simplex(2 if o.m is None else o.m)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +65,11 @@ def make_polytope(family: str, n: int = 3, m: Optional[int] = None) -> Combinato
 # ---------------------------------------------------------------------------
 
 
-def _powerset_faces(ids: Iterable[str]) -> list[list[str]]:
+def _powerset(ids: Iterable[str], proper: bool = False) -> list[tuple[str, ...]]:
+    """Every subset of the rays (every proper one with proper=True), each
+    sorted, by size and then lexicographically."""
     rays = sorted(ids)
-    return [list(c) for size in range(len(rays) + 1) for c in combinations(rays, size)]
-
-
-def _proper_subset_faces(ids: Iterable[str]) -> list[list[str]]:
-    rays = sorted(ids)
-    return [list(c) for size in range(len(rays)) for c in combinations(rays, size)]
+    return [c for size in range(len(rays) + (not proper)) for c in combinations(rays, size)]
 
 
 def system_c2() -> RayDivisorSystem:
@@ -87,7 +80,7 @@ def system_c2() -> RayDivisorSystem:
         divisors=["D1", "D2"],
         pairing=[[-1, 0], [1, -1]],
         meets=[("D1", "D2")],
-        faces=_powerset_faces(["S1", "S2"]),
+        faces=_powerset(["S1", "S2"]),
         anticanonical=[1, 1],
         fano_mode=True,
     )
@@ -111,7 +104,7 @@ def system_cm(m: int) -> RayDivisorSystem:
         divisors=divisors,
         pairing=pairing,
         meets=[("D1", d) for d in divisors[1:]],
-        faces=_powerset_faces(ids),
+        faces=_powerset(ids),
         anticanonical=[1] * m,
         fano_mode=True,
     )
@@ -124,7 +117,7 @@ def system_d2() -> RayDivisorSystem:
         divisors=["D1", "D2"],
         pairing=[[-1, 1], [1, -2]],
         meets=[("D1", "D2")],
-        faces=_powerset_faces(["S1", "S2"]),
+        faces=_powerset(["S1", "S2"]),
         anticanonical=[1, 1],
         fano_mode=True,
     )
@@ -137,7 +130,7 @@ def system_b2() -> RayDivisorSystem:
         divisors=["D1"],
         pairing=[[-1], [-1]],
         meets=[],
-        faces=_powerset_faces(["R1", "R2"]),
+        faces=_powerset(["R1", "R2"]),
         anticanonical=[1, 1],
         fano_mode=True,
     )
@@ -152,7 +145,7 @@ def system_eset_a() -> RayDivisorSystem:
         divisors=["D1", "D2", "D3"],
         pairing=[[-1, 1, 0], [0, -1, 1], [1, 0, -1]],
         meets=[("D1", "D2"), ("D2", "D3"), ("D1", "D3")],
-        faces=_proper_subset_faces(ids),
+        faces=_powerset(ids, proper=True),
         anticanonical=[1, 1, 1],
         fano_mode=True,
     )
@@ -170,7 +163,7 @@ def system_eset_d(k: int) -> RayDivisorSystem:
         divisors=divisors,
         pairing=pairing,
         meets=[],
-        faces=_proper_subset_faces(ids),
+        faces=_powerset(ids, proper=True),
         anticanonical=[1] * k,
         fano_mode=True,
     )
@@ -220,7 +213,7 @@ def random_valid_system(
             divisors=divisors,
             pairing=pairing,
             meets=[tuple(sorted(pair)) for pair in sorted(meets, key=sorted)],
-            faces=_powerset_faces(ids),
+            faces=_powerset(ids),
         )
         if validate(system) or contact_violations(system):
             rejections += 1
@@ -228,30 +221,53 @@ def random_valid_system(
         return system, rejections
 
 
-def make_system(
-    family: str, seed: int = 0, m: int = 3, k: int = 3
-) -> tuple[RayDivisorSystem, int]:
-    """CLI-facing constructor; returns (system, rejection count)."""
-    if family == "c2":
-        return system_c2(), 0
-    if family == "cm":
-        return system_cm(m), 0
-    if family == "d2":
-        return system_d2(), 0
-    if family == "b2":
-        return system_b2(), 0
-    if family == "eset-a":
-        return system_eset_a(), 0
-    if family == "eset-d":
-        return system_eset_d(k), 0
-    if family == "random-valid":
-        return random_valid_system(seed)
-    raise ValueError(f"unknown system family {family!r}")
+# family name -> builder from the `gen` options to (system, rejection count),
+# the count None for a closed-form template.
+SYSTEMS = {
+    "c2": lambda o: (system_c2(), None),
+    "cm": lambda o: (system_cm(3 if o.m is None else o.m), None),
+    "d2": lambda o: (system_d2(), None),
+    "b2": lambda o: (system_b2(), None),
+    "eset-a": lambda o: (system_eset_a(), None),
+    "eset-d": lambda o: (system_eset_d(o.k), None),
+    "random-valid": lambda o: random_valid_system(o.seed),
+}
 
 
 # ---------------------------------------------------------------------------
 # Realized models.
 # ---------------------------------------------------------------------------
+
+
+def _realize(
+    rho: int,
+    rays: Iterable,
+    ray_vectors: dict,
+    divisor_vectors: dict,
+    meets: Iterable[Iterable[str]] = (),
+    anticanonical_vector: Optional[RVector] = None,
+    **system,
+) -> RealizedModel:
+    """The model that pins `rays` (Rays or (id, type, divisor) triples) and
+    the divisors, in the order of `divisor_vectors`, to these vectors.  Its
+    pairing is their dot products; `system` holds the remaining arguments of
+    `RayDivisorSystem.of`."""
+    rays = [Ray.of(r) for r in rays]
+    divisors = list(divisor_vectors)
+    base = RayDivisorSystem.of(
+        rays=rays,
+        divisors=divisors,
+        pairing=[[ray_vectors[r.id].dot(divisor_vectors[d]) for d in divisors] for r in rays],
+        meets=meets,
+        **system,
+    )
+    return RealizedModel(
+        rho=rho,
+        base_system=base,
+        ray_vectors=ray_vectors,
+        divisor_vectors=divisor_vectors,
+        anticanonical_vector=anticanonical_vector,
+    )
 
 
 def realized_b2(seed: int) -> tuple[RealizedModel, dict]:
@@ -261,17 +277,11 @@ def realized_b2(seed: int) -> tuple[RealizedModel, dict]:
     a, b, c = (rng.randint(1, 4) for _ in range(3))
     p, q = rng.randint(1, 4), rng.randint(0, 4)
     r, s = rng.randint(1, 4), rng.randint(0, 4)
-    system = RayDivisorSystem.of(
-        rays=[("C1", "II", "D"), ("C2", "II", "D")],
-        divisors=["D"],
-        pairing=[[-a], [-b]],
-        meets=[],
-    )
-    model = RealizedModel(
-        rho=3,
-        base_system=system,
-        ray_vectors={"C1": RVector.of([1, 0, 0]), "C2": RVector.of([0, 1, 0])},
-        divisor_vectors={"D": RVector.of([-a, -b, c])},
+    model = _realize(
+        3,
+        [("C1", "II", "D"), ("C2", "II", "D")],
+        {"C1": RVector.of([1, 0, 0]), "C2": RVector.of([0, 1, 0])},
+        {"D": RVector.of([-a, -b, c])},
     )
     data = {
         "h1": RVector.of([0, p, q]),
@@ -295,32 +305,18 @@ def realized_cm(seed: int, m: int = 3) -> tuple[RealizedModel, dict]:
     a = [rng.randint(1, 3) for _ in range(m)]
     c = [rng.randint(1, 3) for _ in range(m - 1)]
     b = [rng.randint(0, 3) for _ in range(m - 1)]
-    hub_div = [0] * rho
-    hub_div[0] = -a[0]
-    for i in range(1, m):
-        hub_div[i] = c[i - 1]
-    divisor_vectors = {"D1": RVector.of(hub_div)}
+    divisor_vectors = {"D1": RVector.of([-a[0], *c, 0])}
     for i in range(1, m):
         vec = [0] * rho
         vec[i] = -a[i]
         vec[m] = b[i - 1]
         divisor_vectors[divisors[i]] = RVector.of(vec)
-    ray_vectors = {ids[i]: RVector.unit(rho, i) for i in range(m)}
-    pairing = [
-        [ray_vectors[ids[i]].dot(divisor_vectors[d]) for d in divisors]
-        for i in range(m)
-    ]
-    system = RayDivisorSystem.of(
-        rays=[(ids[i], "II", divisors[i]) for i in range(m)],
-        divisors=divisors,
-        pairing=pairing,
+    model = _realize(
+        rho,
+        [(ids[i], "II", divisors[i]) for i in range(m)],
+        {ids[i]: RVector.unit(rho, i) for i in range(m)},
+        divisor_vectors,
         meets=[("D1", d) for d in divisors[1:]],
-    )
-    model = RealizedModel(
-        rho=rho,
-        base_system=system,
-        ray_vectors=ray_vectors,
-        divisor_vectors=divisor_vectors,
     )
     h = [0] + [rng.randint(0, 3) for _ in range(m - 1)] + [rng.randint(1, 3)]
     data = {
@@ -341,20 +337,12 @@ def realized_d2(seed: int) -> tuple[RealizedModel, dict]:
         if x * y - u * v > 0:
             break
     w1, w2 = rng.randint(0, 3), rng.randint(0, 3)
-    system = RayDivisorSystem.of(
-        rays=[("S1", "II", "D1"), ("S2", "I", "D2")],
-        divisors=["D1", "D2"],
-        pairing=[[-x, v], [u, -y]],
+    model = _realize(
+        3,
+        [("S1", "II", "D1"), ("S2", "I", "D2")],
+        {"S1": RVector.of([1, 0, 0]), "S2": RVector.of([0, 1, 0])},
+        {"D1": RVector.of([-x, u, w1]), "D2": RVector.of([v, -y, w2])},
         meets=[("D1", "D2")],
-    )
-    model = RealizedModel(
-        rho=3,
-        base_system=system,
-        ray_vectors={"S1": RVector.of([1, 0, 0]), "S2": RVector.of([0, 1, 0])},
-        divisor_vectors={
-            "D1": RVector.of([-x, u, w1]),
-            "D2": RVector.of([v, -y, w2]),
-        },
     )
     h = RVector.of([rng.randint(0, 4), 0, rng.randint(1, 4)])
     return model, {"h": h, "s1": "S1", "s2": "S2"}
@@ -374,31 +362,16 @@ def realized_fano(seed: int, m: int = 3) -> tuple[RealizedModel, dict]:
         vec[i] = -1
         vec[m] = d[i]
         divisor_vectors[divisors[i]] = RVector.of(vec)
-    last = [0] * rho
-    last[m] = -1
-    divisor_vectors["DC"] = RVector.of(last)
-    ray_vectors = {ids[i]: RVector.unit(rho, i) for i in range(rho)}
-    pairing = [
-        [ray_vectors[rid].dot(divisor_vectors[did]) for did in divisors]
-        for rid in ids
-    ]
-    anticanonical_vector = RVector.of([1] * rho)
-    system = RayDivisorSystem.of(
-        rays=[(ids[i], "II", divisors[i]) for i in range(rho)],
-        divisors=divisors,
-        pairing=pairing,
-        meets=[
-            (divisors[i], "DC") for i in range(m) if d[i] != 0
-        ],
+    divisor_vectors["DC"] = -RVector.unit(rho, m)
+    model = _realize(
+        rho,
+        [(ids[i], "II", divisors[i]) for i in range(rho)],
+        {ids[i]: RVector.unit(rho, i) for i in range(rho)},
+        divisor_vectors,
+        meets=[(divisors[i], "DC") for i in range(m) if d[i] != 0],
+        anticanonical_vector=RVector.of([1] * rho),
         anticanonical=[1] * rho,
         fano_mode=True,
-    )
-    model = RealizedModel(
-        rho=rho,
-        base_system=system,
-        ray_vectors=ray_vectors,
-        divisor_vectors=divisor_vectors,
-        anticanonical_vector=anticanonical_vector,
     )
     return model, {"rays": ids[:m], "extra": "C"}
 
@@ -414,11 +387,9 @@ def planted_dependence(t: int, seed: int) -> tuple[RealizedModel, tuple]:
     c1 = [rng.randint(1, 5) for _ in range(t)]
     c2 = [rng.randint(1, 5) for _ in range(t - 1)]
     ray_vectors = {}
-    ids = []
     for i in range(t - 1):
         ray_vectors[f"R{i + 1}1"] = RVector.unit(rho, 2 * i)
         ray_vectors[f"R{i + 1}2"] = RVector.unit(rho, 2 * i + 1)
-        ids += [f"R{i + 1}1", f"R{i + 1}2"]
     last = [0] * rho
     for i in range(t - 1):
         last[2 * i] = c1[i]
@@ -426,38 +397,18 @@ def planted_dependence(t: int, seed: int) -> tuple[RealizedModel, tuple]:
     last[2 * t - 2] = c1[t - 1]
     ray_vectors[f"R{t}1"] = RVector.unit(rho, 2 * t - 2)
     ray_vectors[f"R{t}2"] = RVector.of(last)
-    ids += [f"R{t}1", f"R{t}2"]
     divisor_vectors = {}
-    divisors = []
     for i in range(t - 1):
         vec = [0] * rho
         vec[2 * i] = -c2[i]
         vec[2 * i + 1] = -c1[i]
         divisor_vectors[f"D{i + 1}"] = RVector.of(vec)
-        divisors.append(f"D{i + 1}")
-    vec = [0] * rho
-    vec[2 * t - 2] = -1
-    divisor_vectors[f"D{t}"] = RVector.of(vec)
-    divisors.append(f"D{t}")
-    pairing = [
-        [ray_vectors[rid].dot(divisor_vectors[did]) for did in divisors]
-        for rid in ids
-    ]
-    system = RayDivisorSystem.of(
-        rays=[
-            (ids[2 * i + j], "II", divisors[i])
-            for i in range(t)
-            for j in range(2)
-        ],
-        divisors=divisors,
-        pairing=pairing,
-        meets=[],
-    )
-    model = RealizedModel(
-        rho=rho,
-        base_system=system,
-        ray_vectors=ray_vectors,
-        divisor_vectors=divisor_vectors,
+    divisor_vectors[f"D{t}"] = -RVector.unit(rho, 2 * t - 2)
+    model = _realize(
+        rho,
+        [(f"R{i + 1}{j}", "II", f"D{i + 1}") for i in range(t) for j in (1, 2)],
+        ray_vectors,
+        divisor_vectors,
     )
     expected = []
     for i in range(t - 1):
@@ -471,37 +422,15 @@ def planted_with_a1(t: int, seed: int) -> tuple[RealizedModel, str]:
     no all-nonzero dependence exists once it is included."""
     base, _ = planted_dependence(t, seed)
     rho = base.rho + 1
-    ray_vectors = {
-        rid: RVector.of(list(vec) + [0]) for rid, vec in base.ray_vectors.items()
-    }
-    divisor_vectors = {
-        did: RVector.of(list(vec) + [0])
-        for did, vec in base.divisor_vectors.items()
-    }
-    a1 = [0] * rho
-    a1[-1] = 1
-    ray_vectors["A"] = RVector.of(a1)
-    da = [0] * rho
-    da[-1] = -1
-    divisor_vectors["DA"] = RVector.of(da)
-    old = base.base_system
-    ids = list(old.ray_ids) + ["A"]
-    divisors = list(old.divisors) + ["DA"]
-    pairing = [
-        [ray_vectors[rid].dot(divisor_vectors[did]) for did in divisors]
-        for rid in ids
-    ]
-    system = RayDivisorSystem.of(
-        rays=[Ray(r.id, r.type, r.divisor) for r in old.rays] + [("A", "I", "DA")],
-        divisors=divisors,
-        pairing=pairing,
-        meets=[],
-    )
-    model = RealizedModel(
-        rho=rho,
-        base_system=system,
-        ray_vectors=ray_vectors,
-        divisor_vectors=divisor_vectors,
+
+    def widened(vectors: dict) -> dict:
+        return {key: RVector.of([*vec, 0]) for key, vec in vectors.items()}
+
+    model = _realize(
+        rho,
+        [*base.base_system.rays, ("A", "I", "DA")],
+        widened(base.ray_vectors) | {"A": RVector.unit(rho, rho - 1)},
+        widened(base.divisor_vectors) | {"DA": -RVector.unit(rho, rho - 1)},
     )
     return model, "A"
 
@@ -607,10 +536,8 @@ def face_variants(ids: list[str]) -> Iterator[tuple]:
     """Downward-closed face families over the given rays: the powerset and,
     for each subset of size >= 2, all sets avoiding it."""
     rays = sorted(ids)
-    powerset = [
-        tuple(c) for size in range(len(rays) + 1) for c in combinations(rays, size)
-    ]
-    yield tuple(powerset)
+    powerset = tuple(_powerset(rays))
+    yield powerset
     for size in range(2, len(rays) + 1):
         for blocked in combinations(rays, size):
             blocked_set = set(blocked)

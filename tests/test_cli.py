@@ -299,6 +299,25 @@ def test_polytope_stats_nonsimple_skips(capsys, tmp_path):
     assert "skip" in out.lower() or "not simple" in out.lower()
 
 
+@pytest.mark.parametrize("n, fvector", [(1, [2, 1]), (2, [3, 3, 1])])
+def test_polytope_stats_skips_the_bound_below_dimension_three(capsys, tmp_path, n, fvector):
+    path = str(tmp_path / "simplex.json")
+    assert run(capsys, "gen", "--family", "simplex", "--n", str(n), "--out", path)[0] == 0
+    code, out, err = run(capsys, "polytope-stats", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"dim = {n}",
+        f"f-vector = ({', '.join(map(str, fvector))})",
+        "simple: yes",
+        f"average-face bound skipped: the bound needs dimension at least 3, not {n}",
+    ]
+    code, out, err = run(capsys, "polytope-stats", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "dim": n, "f_vector": fvector, "simple": True, "bound_checked": False,
+    }
+
+
 # --- diagram --------------------------------------------------------------------------
 
 
@@ -363,6 +382,16 @@ def test_gen_stdout_when_no_out(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rays"][0] == {"divisor": "D1", "id": "S1", "type": "II"}
+
+
+def test_gen_out_directory_exits_two_and_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, err = run(capsys, "gen", "--family", "cube", "--out", str(target))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
 
 
 def test_gen_rejects_unknown_family(capsys):
