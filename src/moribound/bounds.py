@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .core import INF, format_rational, rational
+from .core import INF, SystemFormatError, format_rational, json_list, rational
 from .polytope import (
     CombinatorialPolytope,
     PolytopeError,
@@ -26,7 +26,6 @@ from .polytope import (
 )
 from .raysystem import (
     RayDivisorSystem,
-    SystemFormatError,
     build_graph,
     graph_nodes,
     system_from_json,
@@ -41,6 +40,12 @@ from .realized import RealizedModel, is_simple_in_face, model_from_json, model_t
 # ---------------------------------------------------------------------------
 
 
+def check_band_width(d: int) -> None:
+    """Raise ValueError unless the band width d is at least 1."""
+    if d < 1:
+        raise ValueError("band width d must be at least 1")
+
+
 @dataclass(frozen=True)
 class Theorem12Rule:
     """Two-band rule: 2/3 up to distance d, 1/2 up to 2d+1, then 0."""
@@ -49,8 +54,7 @@ class Theorem12Rule:
     table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("band width d must be at least 1")
+        check_band_width(self.d)
         object.__setattr__(self, "table", (
             ((1, self.d), Fraction(2, 3)),
             ((self.d + 1, 2 * self.d + 1), Fraction(1, 2)),
@@ -405,6 +409,11 @@ def validate_diagram(inst: DiagramInstance) -> None:
         raise ValueError("system has no face structure to correspond to")
     if not p.is_simple:
         raise ValueError("the cross-section must be a simple polytope")
+    # Reports key vertices by their printed ids, so no two may print alike.
+    first = {str(v): v for v in reversed(p.vertices)}
+    for v in p.vertices:
+        if first[str(v)] is not v:
+            raise ValueError(f"vertex ids {first[str(v)]!r} and {v!r} print alike")
     listed = set(s.faces)
     for face in p.faces():
         rayset = inst.face_rayset(face)
@@ -497,9 +506,10 @@ def diagram_pipeline(
     contact-only rule the stated constants (C, D) = (0, 2/3) are replayed and
     any vertex whose empirical sum exceeds that budget is flagged as a
     disagreement; a custom rule gets the trivial budget C = 0,
-    D = max vertex sum.  A two-band rule must have band width d, the width
-    that condition (b) and the E-set audit use.
+    D = max vertex sum.  A two-band rule must have band width d (at least 1),
+    the width that condition (b) and the E-set audit use.
     """
+    check_band_width(d)
     if isinstance(rule, Theorem12Rule) and rule.d != d:
         raise ValueError(
             f"Theorem12Rule band width {rule.d} differs from the pipeline's d = {d}"
@@ -609,8 +619,8 @@ def diagram_from_json(data: dict) -> DiagramInstance:
     try:
         system = system_from_json(data["system"])
         polytope = polytope_from_json(data["polytope"])
-        facet_rays = tuple(data["facet_rays"])
-        perp_rays = frozenset(data.get("perp_rays", ()))
+        facet_rays = tuple(json_list(data["facet_rays"], "facet_rays"))
+        perp_rays = frozenset(json_list(data.get("perp_rays", ()), "perp_rays"))
         model = model_from_json(data["model"]) if "model" in data else None
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"malformed diagram instance: {exc}") from exc

@@ -19,6 +19,7 @@ from typing import Optional
 from .bounds import (
     Theorem12Rule,
     Theorem258Rule,
+    check_band_width,
     diagram_from_json,
     diagram_pipeline,
     lemma14_max_n,
@@ -26,7 +27,7 @@ from .bounds import (
     theorem12_bound,
     validate_diagram,
 )
-from .core import format_rational, rational
+from .core import SystemFormatError, format_rational, rational
 from .generate import POLYTOPES, SYSTEMS
 from .polytope import (
     PolytopeError,
@@ -37,7 +38,6 @@ from .polytope import (
 )
 from .raysystem import (
     RayDivisorSystem,
-    SystemFormatError,
     Violation,
     check_normalization,
     contact_violations,
@@ -436,6 +436,7 @@ RULES = {
 
 def cmd_diagram(args: argparse.Namespace) -> int:
     _, inst = load_instance(args.path, ("diagram",), "{path} is not a diagram bundle")
+    check_band_width(args.d)  # out of its domain: exit 2, not a correspondence error
     rule = RULES[args.rule](args)
     try:
         report = diagram_pipeline(inst, args.d, rule)

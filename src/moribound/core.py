@@ -11,16 +11,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 INF = float("inf")
 
 
 class DimensionMismatch(ValueError):
     """Vector or form dimensions disagree."""
+
+
+class SystemFormatError(ValueError):
+    """The instance data is structurally unusable (not merely invalid)."""
+
+
+def json_list(value: object, name: str) -> Sequence:
+    """`value`, which must be a list or tuple, not a string of characters."""
+    if not isinstance(value, (list, tuple)):
+        raise SystemFormatError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def json_lists(value: object, name: str, what: str) -> Sequence:
+    """`value`, which must be a list of lists, named `what` in the error."""
+    if not all(map(isinstance, json_list(value, name), repeat((list, tuple)))):
+        raise SystemFormatError(f"{name} must be a list of {what}")
+    return value
 
 
 def rational(value: object) -> Fraction:

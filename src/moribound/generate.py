@@ -24,17 +24,16 @@ from .realized import RealizedModel
 # ---------------------------------------------------------------------------
 
 
-def polytope_family(min_dim: int = 3, max_dim: int = 7) -> list[tuple[str, CombinatorialPolytope]]:
-    """The standing test family: simplices, cubes, duals of cyclic polytopes
-    with at most 10 facets, and a spread of products."""
+def polytope_family() -> list[tuple[str, CombinatorialPolytope]]:
+    """The standing test family in dimensions 3 to 7: simplices, cubes, duals
+    of cyclic polytopes with at most 10 facets, and a spread of products."""
     out: list[tuple[str, CombinatorialPolytope]] = []
-    for n in range(min_dim, max_dim + 1):
+    for n in range(3, 8):
         out.append((f"simplex-{n}", simplex(n)))
         out.append((f"cube-{n}", cube(n)))
     for d, m in ((3, 6), (3, 8), (3, 10), (4, 7), (4, 9), (5, 8), (5, 10), (6, 9), (7, 10)):
-        if min_dim <= d <= max_dim:
-            out.append((f"cyclic-dual-{d}-{m}", cyclic_dual(d, m)))
-    products = (
+        out.append((f"cyclic-dual-{d}-{m}", cyclic_dual(d, m)))
+    for name, a, b in (
         ("prism-3", simplex(2), simplex(1)),
         ("square-prism-3", cube(2), simplex(1)),
         ("product-s2-s2", simplex(2), simplex(2)),
@@ -44,10 +43,8 @@ def polytope_family(min_dim: int = 3, max_dim: int = 7) -> list[tuple[str, Combi
         ("product-s3-c3", simplex(3), cube(3)),
         ("product-s4-s3", simplex(4), simplex(3)),
         ("product-s5-s2", simplex(5), simplex(2)),
-    )
-    for name, a, b in products:
-        if min_dim <= a.dim + b.dim <= max_dim:
-            out.append((name, product(a, b)))
+    ):
+        out.append((name, product(a, b)))
     return out
 
 
@@ -169,16 +166,14 @@ def system_eset_d(k: int) -> RayDivisorSystem:
     )
 
 
-def random_valid_system(
-    seed: int, max_rays: int = 4
-) -> tuple[RayDivisorSystem, int]:
-    """Rejection-sample a system that passes `validate` and
-    `contact_violations`: random types, shared-divisor blocks, and 0/1 cross
-    pairings.  Returns the system and the rejection count."""
+def random_valid_system(seed: int) -> tuple[RayDivisorSystem, int]:
+    """Rejection-sample a system of one to four rays that passes `validate`
+    and `contact_violations`: random types, shared-divisor blocks, and 0/1
+    cross pairings.  Returns the system and the rejection count."""
     rng = random.Random(seed)
     rejections = 0
     while True:
-        n = rng.randint(1, max_rays)
+        n = rng.randint(1, 4)
         types = [rng.choice(["I", "II"]) for _ in range(n)]
         # Pair up some type II rays on shared divisors.
         block_of = list(range(n))

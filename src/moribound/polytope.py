@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import binomial
-from .raysystem import SystemFormatError
+from .core import SystemFormatError, binomial, json_list, json_lists
 
 VertexId = object  # JSON scalar: str or int
 
@@ -344,13 +343,13 @@ def polytope_to_json(p: CombinatorialPolytope) -> dict:
 def polytope_from_json(data: dict) -> CombinatorialPolytope:
     try:
         dim = data["dim"]
-        vertices = data["vertices"]
-        facets = data["facets"]
+        vertices = json_list(data["vertices"], "vertices")
+        facets = json_lists(data["facets"], "facets", "vertex lists")
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"missing polytope field: {exc}") from exc
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise SystemFormatError("dim must be an integer")
     try:
         return CombinatorialPolytope.of(dim, vertices, facets)
-    except TypeError as exc:  # non-scalar vertex ids, non-list facets
+    except TypeError as exc:  # non-scalar vertex ids
         raise SystemFormatError(f"malformed polytope: {exc}") from exc

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import INF, format_rational, rational
+from .core import INF, SystemFormatError, format_rational, json_list, json_lists, rational
 
 
 class RayType(Enum):
@@ -62,10 +62,6 @@ class Violation:
         return f"{self.code} [{subj}]: {self.detail}"
 
 
-class SystemFormatError(ValueError):
-    """The instance data is structurally unusable (not merely invalid)."""
-
-
 @dataclass(frozen=True)
 class RayDivisorSystem:
     rays: tuple[Ray, ...]
@@ -77,11 +73,11 @@ class RayDivisorSystem:
     fano_mode: bool = False
     _ray_index: dict = field(init=False, repr=False, compare=False)
     _div_index: dict = field(init=False, repr=False, compare=False)
-    # With faces only: each ray's bit, and each face of `faces` as the sum of
-    # its rays' bits.  The first id in sorted order holds the highest bit, so
+    # Each ray's bit, and (with faces) each face of `faces` as the sum of its
+    # rays' bits.  The first id in sorted order holds the highest bit, so
     # among sets of one size, the one whose sorted ids come first (the one
     # holding the first id that the two do not share) has the larger mask.
-    _bit: Optional[dict] = field(init=False, repr=False, compare=False)
+    _bit: dict = field(init=False, repr=False, compare=False)
     _face_masks: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -109,13 +105,15 @@ class RayDivisorSystem:
             raise SystemFormatError("anticanonical column length does not match rays")
         object.__setattr__(self, "_ray_index", ray_index)
         object.__setattr__(self, "_div_index", div_index)
+        bit = {rid: 1 << k for k, rid in enumerate(sorted(ray_index, reverse=True))}
+        object.__setattr__(self, "_bit", bit)
         self._set_faces(sets)
 
     def _set_faces(self, sets: Optional[set]) -> None:
         """Store the distinct faces `sets` (or None), ordered, with their masks."""
-        bit = masks = faces = None
+        masks = faces = None
         if sets is not None:
-            bit = _ray_bits(self._ray_index)
+            bit = self._bit
             try:
                 order = sorted((len(f), -sum(map(bit.__getitem__, f)), f) for f in sets)
             except KeyError as exc:
@@ -123,7 +121,6 @@ class RayDivisorSystem:
             masks = tuple(-entry[1] for entry in order)
             faces = tuple(entry[2] for entry in order)
         object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_face_masks", masks)
 
     @staticmethod
@@ -289,14 +286,9 @@ def _path_lengths(ids: Sequence[str], heads: Sequence[int], mask: int) -> dict:
     return dist
 
 
-def _ray_bits(ray_index: dict) -> dict:
-    """Each ray's bit: the first id in sorted order holds the highest."""
-    return {rid: 1 << k for k, rid in enumerate(sorted(ray_index, reverse=True))}
-
-
 # `with_faces` copies these and rebuilds only the face fields.
 _SHARED_WITH_VARIANTS = tuple(
-    f.name for f in fields(RayDivisorSystem) if f.name not in ("faces", "_bit", "_face_masks")
+    f.name for f in fields(RayDivisorSystem) if f.name not in ("faces", "_face_masks")
 )
 
 
@@ -324,7 +316,7 @@ class Relations:
     )
 
     def __init__(self, s: RayDivisorSystem) -> None:
-        self.bit = s._bit or _ray_bits(s._ray_index)
+        self.bit = s._bit
         self.ids = ids = tuple(self.bit)
         rays = [s.rays[s._ray_index[rid]] for rid in ids]
         self.order = tuple(self.bit[r.id].bit_length() - 1 for r in s.rays)
@@ -583,8 +575,8 @@ def _validate_faces(s: RayDivisorSystem) -> list[Violation]:
     full: set[int] = set()
     partial: list[tuple[int, frozenset]] = []
     for f, face in zip(s._face_masks, s.faces):
-        for b in iter_bits(f):
-            if f ^ b not in full:
+        for k in _positions(f):
+            if f ^ 1 << k not in full:
                 partial.append((f, face))
                 break
         else:
@@ -600,14 +592,6 @@ def _validate_faces(s: RayDivisorSystem) -> list[Violation]:
                     )
                 )
     return out
-
-
-def iter_bits(mask: int) -> Iterable[int]:
-    """The set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def check_normalization(s: RayDivisorSystem) -> list[Violation]:
@@ -757,10 +741,7 @@ def contact_violations(s: RayDivisorSystem) -> list[Violation]:
     """
     if s.faces is None:
         return []
-    cofacial: set[tuple[str, str]] = set()
-    for face in s.maximal_faces:
-        for a, b in combinations(sorted(face), 2):
-            cofacial.add((a, b))
+    cofacial = {pair for face in s.maximal_faces for pair in combinations(sorted(face), 2)}
     bad = []
     for a, b in sorted(cofacial):
         ra, rb = s.ray(a), s.ray(b)
@@ -807,14 +788,15 @@ def system_to_json(s: RayDivisorSystem) -> dict:
 
 def system_from_json(data: Mapping) -> RayDivisorSystem:
     try:
-        rays_raw = data["rays"]
-        divisors = list(data["divisors"])
-        pairing_raw = data["pairing"]
+        rays_raw = json_list(data["rays"], "rays")
+        divisors = json_list(data["divisors"], "divisors")
+        pairing_raw = json_lists(data["pairing"], "pairing", "rows, one per ray")
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"missing system field: {exc}") from exc
-    for name, value in (("rays", rays_raw), ("pairing", pairing_raw)):
-        if not isinstance(value, (list, tuple)):
-            raise SystemFormatError(f"{name} must be a list, got {value!r}")
+    faces, anti = data.get("faces"), data.get("anticanonical")
+    fano_mode = data.get("fano_mode", False)
+    if not isinstance(fano_mode, bool):
+        raise SystemFormatError(f"fano_mode must be true or false, got {fano_mode!r}")
     rays = []
     for entry in rays_raw:
         try:
@@ -824,17 +806,15 @@ def system_from_json(data: Mapping) -> RayDivisorSystem:
             raise SystemFormatError(f"unknown ray type {entry.get('type')!r}") from exc
         except (KeyError, TypeError, AttributeError) as exc:
             raise SystemFormatError(f"malformed ray entry {entry!r}") from exc
-    if not all(isinstance(row, (list, tuple)) for row in pairing_raw):
-        raise SystemFormatError("pairing must be a list of rows, one per ray")
     try:
         return RayDivisorSystem.of(
             rays=rays,
             divisors=[str(d) for d in divisors],
             pairing=pairing_raw,
-            meets=data.get("meets", ()),
-            faces=data.get("faces"),
-            anticanonical=data.get("anticanonical"),
-            fano_mode=bool(data.get("fano_mode", False)),
+            meets=json_lists(data.get("meets", ()), "meets", "divisor pairs"),
+            faces=None if faces is None else json_lists(faces, "faces", "ray lists"),
+            anticanonical=None if anti is None else json_list(anti, "anticanonical"),
+            fano_mode=fano_mode,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, SystemFormatError):

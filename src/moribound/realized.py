@@ -10,25 +10,26 @@ face-simplicity rank test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import (
     RVector,
+    SystemFormatError,
     TrilinearForm,
     format_rational,
+    json_list,
+    json_lists,
     kernel_of_columns,
     rational,
-    rank,
     scale_primitive,
     span_rank,
 )
 from .raysystem import (
     RayDivisorSystem,
     RayType,
-    SystemFormatError,
     divisorial_components,
     system_from_json,
     system_to_json,
@@ -427,8 +428,8 @@ def _vector_to_json(v: RVector) -> list:
     return [format_rational(x) for x in v]
 
 
-def _vector_from_json(data: Sequence[object]) -> RVector:
-    return RVector.of([rational(x) for x in data])
+def _vector_from_json(data: object, name: str) -> RVector:
+    return RVector.of([rational(x) for x in json_list(data, name)])
 
 
 def model_to_json(m: RealizedModel) -> dict:
@@ -459,24 +460,22 @@ def model_from_json(data: dict) -> RealizedModel:
         rho = int(data["rho"])
         base = system_from_json(data["base_system"])
         rays = {
-            rid: _vector_from_json(vec) for rid, vec in data["ray_vectors"].items()
+            rid: _vector_from_json(vec, f"ray vector {rid}")
+            for rid, vec in data["ray_vectors"].items()
         }
         divisors = {
-            did: _vector_from_json(vec)
+            did: _vector_from_json(vec, f"divisor vector {did}")
             for did, vec in data["divisor_vectors"].items()
         }
         form = None
         if "intersection_form" in data:
+            entries = json_lists(data["intersection_form"], "intersection_form", "entries")
             form = TrilinearForm.of(
-                rho,
-                [
-                    ((int(i), int(j), int(k)), rational(v))
-                    for i, j, k, v in data["intersection_form"]
-                ],
+                rho, [((int(i), int(j), int(k)), rational(v)) for i, j, k, v in entries]
             )
         anti = None
         if "anticanonical_vector" in data:
-            anti = _vector_from_json(data["anticanonical_vector"])
+            anti = _vector_from_json(data["anticanonical_vector"], "anticanonical_vector")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         if isinstance(exc, SystemFormatError):
             raise

@@ -25,9 +25,9 @@ from .raysystem import (
     RayDivisorSystem,
     RayType,
     Relations,
+    _positions,
     divisorial_components,  # re-exported: callers take it from here too
     is_single_arrow_connected,
-    iter_bits,
 )
 
 
@@ -103,10 +103,10 @@ def classify_component(s: RayDivisorSystem, comp: Iterable[str]) -> ComponentTyp
     mask = s.ray_mask(comp)
     if not mask:
         raise ValueError("empty component")
-    return _component_type(s, s.relations, mask)
+    return _component_type(s.relations, mask)
 
 
-def _component_type(s: RayDivisorSystem, rel: Relations, mask: int) -> ComponentType:
+def _component_type(rel: Relations, mask: int) -> ComponentType:
     """`classify_component` on the rays of a nonzero mask."""
     small = mask & ~rel.divisorial
     if small:
@@ -150,10 +150,9 @@ def _component_type(s: RayDivisorSystem, rel: Relations, mask: int) -> Component
                     "system",
                 )
             rel.check_divisors(mask)
-            s1 = (mask & rel.type_ii).bit_length() - 1
-            s2 = (mask & rel.type_i).bit_length() - 1
-            if rel.arrows[s1] >> s2 & 1 and rel.arrows[s2] >> s1 & 1:
-                if d2_condition(s, rel.ids[s1], rel.ids[s2]):
+            a, b = ks
+            if rel.arrows[a] >> b & 1 and rel.arrows[b] >> a & 1:
+                if _cone_witness(_rows(rel, ks, ks), 2, False) is None:
                     return ComponentType("D2")
                 raise ClassificationFailure(
                     "mixed-pair-cone-not-pointed",
@@ -194,25 +193,22 @@ def _component_type(s: RayDivisorSystem, rel: Relations, mask: int) -> Component
 
 
 def d2_condition(s: RayDivisorSystem, s1: str, s2: str) -> bool:
-    """No nonzero nonnegative combination of the two divisors pairs >= 0 with
-    both rays.  With negative self pairings and positive crosses this is a
-    2x2 determinant sign."""
+    """Condition (ii) on a (type II, type I) pair with negative self pairings and
+    positive crosses: no nonzero nonnegative divisor combination is >= 0 on both."""
     r1, r2 = s.ray(s1), s.ray(s2)
     if r1.type is not RayType.II or r2.type is not RayType.I:
         raise ValueError("expected (type II, type I) in that order")
     rel = s.relations
-    a, b = rel.bit[s1], rel.bit[s2]
-    rel.check_divisors(a | b)
-    a, b = a.bit_length() - 1, b.bit_length() - 1
-    (q11, q12), (q21, q22) = ((rel.toward[x][a], rel.toward[x][b]) for x in (a, b))
+    rel.check_divisors(rel.bit[s1] | rel.bit[s2])
+    ks = [rel.bit[x].bit_length() - 1 for x in (s1, s2)]
+    rows = _rows(rel, ks, ks)
+    (q11, q12), (q21, q22) = rows
     if q11 >= 0 or q22 >= 0 or q12 <= 0 or q21 <= 0:
         raise ValueError(
             "need negative self pairings and positive crosses, got "
             f"({q11}, {q12}; {q21}, {q22})"
         )
-    # The axis generators fail on the negative diagonal; an interior witness
-    # exists exactly when the determinant is <= 0.
-    return q11 * q22 - q12 * q21 > 0
+    return _cone_witness(rows, 2, False) is None
 
 
 def classify_extremal_set(s: RayDivisorSystem, rays: Iterable[str]) -> ClassificationReport:
@@ -220,7 +216,7 @@ def classify_extremal_set(s: RayDivisorSystem, rays: Iterable[str]) -> Classific
     recorded failures, and the shape filter verdict."""
     rel = s.relations
     mask = s.ray_mask(rays)
-    components, failures = _decompose(s, rel, mask)
+    components, failures = _decompose(rel, mask)
     return ClassificationReport(
         rays=frozenset(rel.names(mask)),
         components=tuple((frozenset(rel.names(m)), t) for m, t in components),
@@ -229,7 +225,7 @@ def classify_extremal_set(s: RayDivisorSystem, rays: Iterable[str]) -> Classific
 
 
 def _decompose(
-    s: RayDivisorSystem, rel: Relations, mask: int
+    rel: Relations, mask: int
 ) -> tuple[list[tuple[int, ComponentType]], list[tuple[int, str]]]:
     """`classify_extremal_set` on masks: the typed components and the
     failures, each small ray failing on its own."""
@@ -237,7 +233,7 @@ def _decompose(
     failures: list[tuple[int, str]] = []
     for comp in rel.components(mask & rel.divisorial):
         try:
-            components.append((comp, _component_type(s, rel, comp)))
+            components.append((comp, _component_type(rel, comp)))
         except ClassificationFailure as fail:
             failures.append((comp, fail.reason))
     for k in rel.positions(mask & ~rel.divisorial):
@@ -311,8 +307,12 @@ def condition_ii_witness(
     order follows sorted ray ids."""
     rel = s.relations
     ks = rel.positions(_member_mask(s, e))
-    rows = tuple(tuple(rel.toward[a][b] for b in ks) for a in ks)
-    return _cone_witness(rows, len(ks), False)
+    return _cone_witness(_rows(rel, ks, ks), len(ks), False)
+
+
+def _rows(rel: Relations, probes: Iterable[int], ks: Sequence[int]) -> tuple:
+    """One row per probe ray p: its pairings q(p, D(k)) for the rays k of ks."""
+    return tuple(tuple(rel.toward[p][k] for k in ks) for p in probes)
 
 
 def _member_mask(s: RayDivisorSystem, ids: Iterable[str]) -> int:
@@ -375,7 +375,7 @@ def check_condition_iii(
     vector is preferred when it works."""
     rel = s.relations
     ks = rel.positions(_member_mask(s, l))
-    rows = tuple(tuple(rel.toward[p][b] for b in ks) for p in rel.order)
+    rows = _rows(rel, rel.order, ks)
     if all(sum(row) >= 0 for row in rows):
         return (Fraction(1),) * len(ks)
     return _cone_witness(rows, len(ks), False)
@@ -486,7 +486,7 @@ def _minimal_transversals(edges: Iterable[int]) -> list[int]:
     found = [0]
     for edge in minimal:
         kept = [t for t in found if t & edge]
-        grown = [t | b for t in found if not t & edge for b in iter_bits(edge)]
+        grown = [t | 1 << k for t in found if not t & edge for k in _positions(edge)]
         found = kept + [g for g in grown if all(k & ~g for k in kept)]
     return found
 
@@ -508,31 +508,27 @@ def _eset_preconditions(s: RayDivisorSystem, l: Iterable[str]) -> int:
     if s.faces is not None:
         if _extremal(s, mask):
             raise ValueError("the set is extremal, hence not an E-set")
-        # Subsets of an extremal set are extremal, so the largest proper
-        # subsets decide minimality; these are met in `combinations` order.
-        for b in iter_bits(mask):
-            if not _extremal(s, mask ^ b):
+        # Subsets of an extremal set are extremal, so the largest proper subsets
+        # decide minimality, met in `combinations` order: lowest bit dropped first.
+        for k in reversed(rel.positions(mask)):
+            if not _extremal(s, mask ^ 1 << k):
                 raise ValueError(
-                    f"proper subset {rel.names(mask ^ b)} is already non-extremal; "
+                    f"proper subset {rel.names(mask ^ 1 << k)} is already non-extremal; "
                     "the set is not minimal"
                 )
     return mask
 
 
-def _case_b_witness(
-    s: RayDivisorSystem, rel: Relations, k1: int, k2: int
-) -> Optional[tuple[Fraction, Fraction]]:
+def _case_b_witness(rel: Relations, k1: int, k2: int) -> Optional[tuple[Fraction, Fraction]]:
     """Positive m1, m2 making m1 D(R1) + m2 D(R2) nonnegative against every
     listed type I ray and every listed simple type II ray."""
     rel.check_divisors(rel.type_ii)  # simplicity reads each one's divisor
     probes = rel.type_i | rel.simple
-    rows = tuple(
-        (rel.toward[p][k1], rel.toward[p][k2]) for p in rel.order if probes >> p & 1
-    )
+    rows = _rows(rel, (p for p in rel.order if probes >> p & 1), (k1, k2))
     return _cone_witness(rows, 2, True)
 
 
-def _case_c_witness(s: RayDivisorSystem, rel: Relations, k1: int, k2: int) -> Optional[str]:
+def _case_c_witness(rel: Relations, k1: int, k2: int) -> Optional[str]:
     """A simple type II partner on one member's divisor that is orthogonal to
     the other member's divisor (while the other member is positive on it)."""
     if (1 << k1 | 1 << k2) & ~rel.type_ii:
@@ -548,7 +544,7 @@ def _case_c_witness(s: RayDivisorSystem, rel: Relations, k1: int, k2: int) -> Op
     return None
 
 
-def _classify_connected_pair(s: RayDivisorSystem, rel: Relations, mask: int) -> EsetType:
+def _classify_connected_pair(rel: Relations, mask: int) -> EsetType:
     k1, k2 = rel.positions(mask)
     if rel.column[k1] == rel.column[k2]:
         raise ClassificationFailure(
@@ -569,10 +565,10 @@ def _classify_connected_pair(s: RayDivisorSystem, rel: Relations, mask: int) -> 
             "a touching pair with a one-sided pairing spans a face and cannot "
             "be an E-set",
         )
-    witness = _case_b_witness(s, rel, k1, k2)
+    witness = _case_b_witness(rel, k1, k2)
     if witness is not None:
         return EsetType("b", m1=witness[0], m2=witness[1])
-    partner = _case_c_witness(s, rel, k1, k2)
+    partner = _case_c_witness(rel, k1, k2)
     if partner is not None:
         return EsetType("c", witness=partner)
     raise ClassificationFailure(
@@ -582,7 +578,7 @@ def _classify_connected_pair(s: RayDivisorSystem, rel: Relations, mask: int) -> 
     )
 
 
-def _classify_connected_triple(s: RayDivisorSystem, rel: Relations, mask: int) -> EsetType:
+def _classify_connected_triple(rel: Relations, mask: int) -> EsetType:
     ids = rel.names(mask)
     if mask & ~rel.type_ii:
         raise ClassificationFailure(
@@ -591,12 +587,12 @@ def _classify_connected_triple(s: RayDivisorSystem, rel: Relations, mask: int) -
             "the three-element case needs all rays of type II",
         )
     arrows, zeros = rel.arrows, rel.zeros
-    for x, y, z in permutations(rel.positions(mask)):
+    ks = rel.positions(mask)
+    for x, y, z in permutations(ks):
         strict = arrows[x] >> y & 1 and arrows[y] >> z & 1 and arrows[z] >> x & 1
         zero = zeros[y] >> x & 1 and zeros[z] >> y & 1 and zeros[x] >> z & 1
         if strict and zero:
-            ones = (Fraction(1),) * 3
-            if accepts_nef_combination(s, ids, ones):
+            if all(sum(row) >= 0 for row in _rows(rel, rel.order, ks)):
                 return EsetType("a")
             raise ClassificationFailure(
                 "cyclic-triple-rejects-unit-combination",
@@ -616,10 +612,10 @@ def classify_eset(s: RayDivisorSystem, l: Iterable[str]) -> EsetType:
     Raises ClassificationFailure when the set matches none of them (the model
     instance then violates the hypotheses the case analysis needs).
     """
-    return _eset_type(s, s.relations, _eset_preconditions(s, l))
+    return _eset_type(s.relations, _eset_preconditions(s, l))
 
 
-def _eset_type(s: RayDivisorSystem, rel: Relations, mask: int) -> EsetType:
+def _eset_type(rel: Relations, mask: int) -> EsetType:
     """`classify_eset` on the mask of a set that meets its preconditions."""
     rel.check_divisors(mask & rel.type_ii)  # simplicity reads each one's divisor
     nonsimple = mask & rel.type_ii & ~rel.simple
@@ -646,9 +642,9 @@ def _eset_type(s: RayDivisorSystem, rel: Relations, mask: int) -> EsetType:
             )
         return EsetType("d")
     if mask.bit_count() == 2:
-        return _classify_connected_pair(s, rel, mask)
+        return _classify_connected_pair(rel, mask)
     if mask.bit_count() == 3:
-        return _classify_connected_triple(s, rel, mask)
+        return _classify_connected_triple(rel, mask)
     raise ClassificationFailure(
         "oversized-connected-eset",
         rel.names(mask),
@@ -687,13 +683,13 @@ def check_lemma11(
 
 def detect_e2_pairs(s: RayDivisorSystem) -> list[tuple[str, str]]:
     """All (type II ray, small ray) pairs where the small ray is strictly
-    negative on the divisor."""
-    out = []
-    for small in s.small_rays:
-        for r in s.divisorial_rays:
-            if r.type is RayType.II and s.q(small.id, r.divisor) < 0:
-                out.append((r.id, small.id))
-    return sorted(out)
+    negative on the divisor, sorted."""
+    rel = s.relations
+    small = (1 << len(rel.ids)) - 1 & ~rel.divisorial
+    if small:
+        rel.check_divisors(rel.type_ii)
+    pairs = ((r, k) for k in rel.positions(small) for r in rel.positions(rel.type_ii))
+    return sorted((rel.ids[r], rel.ids[k]) for r, k in pairs if rel.toward[k][r] < 0)
 
 
 def lemma251_witness(
@@ -746,7 +742,7 @@ def classify_report(s: RayDivisorSystem) -> dict:
         rel = s.relations
         seen: set = set()
         for face in filter(None, s.maximal_masks):
-            comps, fails = _decompose(s, rel, face)
+            comps, fails = _decompose(rel, face)
             maximal.append(
                 {
                     "rays": rel.names(face),
@@ -768,7 +764,7 @@ def classify_report(s: RayDivisorSystem) -> dict:
         # is all `classify_eset` checks before it classifies.
         for eset in _eset_masks(s, rel.names(rel.divisorial)):
             try:
-                etype = _eset_type(s, rel, eset)
+                etype = _eset_type(rel, eset)
                 esets.append(
                     {
                         "rays": rel.names(eset),

@@ -30,10 +30,18 @@ from moribound.bounds import (
     validate_diagram,
     verify_lemma14,
 )
-from moribound.core import INF, rational
+from moribound.core import INF, RVector, rational
 from moribound.generate import polytope_family
-from moribound.polytope import PolytopeError, cube, cyclic_dual, product, simplex
+from moribound.polytope import (
+    CombinatorialPolytope,
+    PolytopeError,
+    cube,
+    cyclic_dual,
+    product,
+    simplex,
+)
 from moribound.raysystem import RayDivisorSystem
+from moribound.realized import RealizedModel
 
 FIXTURES = "tests/fixtures"
 
@@ -412,6 +420,61 @@ def test_pipeline_rejects_band_width_mismatch(monkeypatch):
     for d, e in [(2, 1), (1, 3)]:
         with pytest.raises(ValueError, match=f"band width {e} .* d = {d}"):
             diagram_pipeline(inst, d, Theorem12Rule(e))
+
+
+@pytest.mark.parametrize("d", [0, -3])
+@pytest.mark.parametrize(
+    "rule",
+    [Theorem12Rule(1), Theorem258Rule(), CustomRule.of([((1, 1), 1)])],
+    ids=["theorem12", "theorem258", "custom"],
+)
+def test_pipeline_rejects_band_width_below_one(monkeypatch, rule, d):
+    inst = load_diagram(f"{FIXTURES}/diagram_triangle.json")
+    # Nothing else may run first: the check precedes validation.
+    monkeypatch.setattr(bounds, "validate_diagram", None)
+    with pytest.raises(ValueError, match="band width d must be at least 1"):
+        diagram_pipeline(inst, d, rule)
+
+
+def test_validate_diagram_refuses_vertex_ids_that_print_alike():
+    sq = load_diagram(f"{FIXTURES}/diagram_square_258.json")
+    validate_diagram(sq)
+    # The square's vertices renamed 1, "1", 2, "2": reports key vertices by
+    # their printed ids, so two pairs would merge.
+    rename = {"v12": 1, "v23": "1", "v34": 2, "v41": "2"}
+    polytope = CombinatorialPolytope.of(
+        2, list(rename.values()), [[rename[v] for v in f] for f in sq.polytope.facets]
+    )
+    renamed = DiagramInstance.of(sq.system, polytope, sq.facet_rays)
+    with pytest.raises(ValueError, match="vertex ids 1 and '1' print alike"):
+        validate_diagram(renamed)
+
+
+def test_validate_diagram_refuses_a_model_not_simple_in_the_ambient_face():
+    # The triangle with rays in rank 2, S3 = -S1: the face {S1, S3} spans
+    # rank 1, so the model is not simple over the empty perp face.
+    tri = load_diagram(f"{FIXTURES}/diagram_triangle.json")
+    rays = {"S1": (1, 0), "S2": (0, 1), "S3": (-1, 0)}
+    divisors = {"D1": (-1, 1), "D2": (1, -1), "D3": (1, 0)}
+    system = RayDivisorSystem.of(
+        rays=[(rid, "II", f"D{rid[1]}") for rid in rays],
+        divisors=list(divisors),
+        pairing=[[sum(a * b for a, b in zip(r, d)) for d in divisors.values()]
+                 for r in rays.values()],
+        meets=[("D1", "D2"), ("D1", "D3"), ("D2", "D3")],
+        faces=tri.system.faces,
+    )
+    model = RealizedModel(
+        rho=2,
+        base_system=system,
+        ray_vectors={rid: RVector.of(v) for rid, v in rays.items()},
+        divisor_vectors={did: RVector.of(v) for did, v in divisors.items()},
+    )
+    validate_diagram(DiagramInstance.of(system, tri.polytope, tri.facet_rays))
+    with pytest.raises(ValueError, match="not simple in the ambient face"):
+        validate_diagram(
+            DiagramInstance.of(system, tri.polytope, tri.facet_rays, model=model)
+        )
 
 
 def test_validate_diagram_errors():

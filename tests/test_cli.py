@@ -244,6 +244,44 @@ def test_classify_text_mentions_components(capsys):
     assert "case a" in out
 
 
+def test_classify_lists_a_mixed_pair_whose_cone_is_not_pointed(capsys, tmp_path):
+    # Touching type II and type I rays with positive crosses, but the type II
+    # self pairing is 1: the divisor cone of the pair is not pointed.
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({
+        "rays": [{"id": "S1", "type": "II", "divisor": "D1"},
+                 {"id": "S2", "type": "I", "divisor": "D2"}],
+        "divisors": ["D1", "D2"],
+        "pairing": [[1, 1], [1, -1]],
+        "meets": [["D1", "D2"]],
+        "faces": [[], ["S1"], ["S2"], ["S1", "S2"]],
+    }))
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, err) == (0, "")
+    assert "failures:\n  mixed-pair-cone-not-pointed [S1, S2]\n" in out
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert "self-pairing-not-negative [S1, D1]" in out
+
+
+def test_classify_prints_contracting_pairs_with_a_small_ray(capsys, tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({
+        "rays": [{"id": "B", "type": "II", "divisor": "D2"},
+                 {"id": "A", "type": "II", "divisor": "D1"},
+                 {"id": "X", "type": "small"}, {"id": "P", "type": "small"}],
+        "divisors": ["D1", "D2"],
+        "pairing": [[0, -1], [-1, 0], ["-1/2", -2], [0, 1]],
+    }))
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "contracting pairs with a small ray:", "  [A, X]", "  [B, X]",
+    ]
+    code, out, _ = run(capsys, "classify", str(path), "--format", "json")
+    assert json.loads(out)["e2_pairs"] == [["A", "X"], ["B", "X"]]
+
+
 def test_esets_cycle_case_a(capsys):
     code, out, _ = run(capsys, "esets", f"{FIXTURES}/eset_a.json",
                        "--format", "json")
@@ -336,6 +374,15 @@ def test_diagram_nonconforming_exits_one(capsys):
     assert code == 1
     assert "counterexample: 2-face-weight-deficit" in out
     assert "counterexample: eset-diameter-exceeds-band" in out
+
+
+@pytest.mark.parametrize("rule", ["theorem12", "theorem258"])
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_diagram_band_width_below_one_exits_two(capsys, rule, d):
+    code, out, err = run(capsys, "diagram", f"{FIXTURES}/diagram_triangle.json",
+                         "--rule", rule, "--d", d)
+    assert (code, out) == (2, "")
+    assert err == "error: band width d must be at least 1\n"
 
 
 def test_diagram_json_report(capsys):
@@ -435,9 +482,41 @@ def test_one_parser_per_process_answers_like_a_fresh_one(capsys, monkeypatch):
 
 
 def _write_bad_inputs(directory: Path) -> None:
+    from moribound.generate import realized_d2
+    from moribound.realized import model_to_json
+
     system = json.loads(Path(f"{FIXTURES}/eset_a.json").read_text())
     bundle = json.loads(Path(f"{FIXTURES}/diagram_triangle.json").read_text())
+    pair = {
+        "rays": [{"id": "A", "type": "II", "divisor": "X"},
+                 {"id": "B", "type": "II", "divisor": "Y"}],
+        "divisors": ["X", "Y"],
+        "pairing": [[-1, 1], [1, -1]],
+        "meets": [["X", "Y"]],
+    }
+    model = model_to_json(realized_d2(0)[0])
+    assert model["ray_vectors"]["S1"] == ["1", "0", "0"]
+    # Read as a list of its characters, each string below gives an instance
+    # that parses, and one that is valid outside the two diagram bundles.
     files = {
+        "polytope-string-vertices.json": {"dim": 1, "vertices": "ab",
+                                          "facets": ["a", "b"]},
+        "faces-strings.json": dict(pair, pairing=[[-1, 0], [0, -1]], meets=[],
+                                   faces=["", "A", "B", "AB"]),
+        "divisors-string.json": dict(pair, divisors="XY", meets=["XY"]),
+        "anticanonical-string.json": {
+            "rays": [{"id": "A", "type": "II", "divisor": "X"}],
+            "divisors": ["X"],
+            "pairing": [[-1]],
+            "anticanonical": "1",
+        },
+        "model-vector-string.json": dict(
+            model, ray_vectors=dict(model["ray_vectors"], S1="100")
+        ),
+        "fano-mode-string.json": dict(system, fano_mode="false"),
+        "form-entry-string.json": dict(model, intersection_form=["0001"]),
+        "facet-rays-string.json": dict(bundle, facet_rays="".join(bundle["facet_rays"])),
+        "perp-rays-string.json": dict(bundle, perp_rays=bundle["facet_rays"][0]),
         "zero-denominator.json": {
             "rays": [{"id": "R1", "type": "II", "divisor": "D1"}],
             "divisors": ["D1"],
@@ -490,6 +569,16 @@ def _write_bad_inputs(directory: Path) -> None:
                  id="polytope-stats-polytope-string-dim"),
     pytest.param(["classify", "pairing-true-entry.json"], id="classify-pairing-true-entry"),
     pytest.param(["check", "polytope-bool-dim.json"], id="check-polytope-bool-dim"),
+    pytest.param(["check", "polytope-string-vertices.json"],
+                 id="check-polytope-string-vertices"),
+    pytest.param(["check", "faces-strings.json"], id="check-faces-strings"),
+    pytest.param(["check", "divisors-string.json"], id="check-divisors-string"),
+    pytest.param(["check", "anticanonical-string.json"], id="check-anticanonical-string"),
+    pytest.param(["check", "model-vector-string.json"], id="check-model-vector-string"),
+    pytest.param(["check", "fano-mode-string.json"], id="check-fano-mode-string"),
+    pytest.param(["check", "form-entry-string.json"], id="check-form-entry-string"),
+    pytest.param(["diagram", "facet-rays-string.json"], id="diagram-facet-rays-string"),
+    pytest.param(["diagram", "perp-rays-string.json"], id="diagram-perp-rays-string"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     _write_bad_inputs(tmp_path)

@@ -34,6 +34,7 @@ from moribound.raysystem import (
     build_graph,
     check_lemma227,
     check_normalization,
+    contact_violations,
     diameter,
     distance,
     divisorial_components,
@@ -537,6 +538,31 @@ def test_contact_product_inequality():
         check_lemma227(system_b2(), "R1", "R2")  # shared divisor
 
 
+def test_contact_violations_on_cofacial_type_ii_pairs():
+    # Type II rays A, B, C on touching divisors, a type I ray E and a small
+    # ray F.  The products of cross pairings: A-B 1, A-C 0, B-C 2 against
+    # the self products 1; A-E is a mixed pair and F carries no divisor.
+    s = RayDivisorSystem.of(
+        rays=[("C", "II", "DC"), ("B", "II", "DB"), ("A", "II", "DA"),
+              ("E", "I", "DE"), ("F", "small")],
+        divisors=["DA", "DB", "DC", "DE"],
+        pairing=[[0, 1, -1, 0], [1, -1, 2, 0], [-1, 1, 1, 1],
+                 [1, 0, 0, -1], [0, 0, 0, 0]],
+        meets=[("DA", "DB"), ("DA", "DC"), ("DB", "DC"), ("DA", "DE")],
+    )
+    assert contact_violations(s) == []  # no faces, so no pair is co-facial
+    everything = next(face_variants(list(s.ray_ids)))
+    assert contact_violations(s.with_faces(everything)) == [
+        Violation("contact-product", ("A", "B"),
+                  "cross pairings do not multiply below the self pairings"),
+        Violation("contact-product", ("B", "C"),
+                  "cross pairings do not multiply below the self pairings"),
+    ]
+    # Only co-facial pairs count: B and C share no face here.
+    apart = [f for f in everything if not {"B", "C"} <= set(f)]
+    assert [v.subjects for v in contact_violations(s.with_faces(apart))] == [("A", "B")]
+
+
 # --- serialization ----------------------------------------------------------
 
 
@@ -740,6 +766,7 @@ def test_with_faces_matches_a_fresh_system():
         assert variant.faces == fresh.faces
         assert variant._face_masks == fresh._face_masks
         assert variant._bit == fresh._bit
+        assert variant._bit is base._bit
         if faces is not None:
             want = sorted({frozenset(f) for f in faces}, key=lambda f: (len(f), sorted(f)))
             assert list(variant.faces) == want

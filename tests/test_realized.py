@@ -19,7 +19,7 @@ from moribound.generate import (
     realized_d2,
     realized_fano,
 )
-from moribound.raysystem import RayDivisorSystem
+from moribound.raysystem import RayDivisorSystem, validate
 from moribound.realized import (
     RealizedModel,
     b2_invariants,
@@ -273,6 +273,32 @@ def test_b2_invariants_guard():
     )
     out = b2_invariants(m, system)
     assert (out["m"], out["k"], out["delta"]) == (1, 0, 0)
+
+
+def test_b2_invariants_counts_a_pinned_pair_as_a_witness():
+    # A and B share D; C pairs positively with D, A positively with D(C) = E,
+    # and B is orthogonal to E: C pins the pair.  D and E are not listed in
+    # contact, or {A, B, C} would be one component and the pair no B2 pair;
+    # so the system fails `validate` (pairing without a meet).
+    rays = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, 1)}
+    divisors = {"D": (-1, -1, 1), "E": (1, 0, -1)}
+    system = RayDivisorSystem.of(
+        rays=[("A", "II", "D"), ("B", "II", "D"), ("C", "I", "E")],
+        divisors=list(divisors),
+        pairing=[[sum(a * b for a, b in zip(r, d)) for d in divisors.values()]
+                 for r in rays.values()],
+    )
+    assert [list(row) for row in system.pairing] == [[-1, 1], [-1, 0], [1, -1]]
+    assert {v.code for v in validate(system)} == {"pairing-without-meet"}
+    m = RealizedModel(
+        rho=3,
+        base_system=system,
+        ray_vectors={rid: RVector.of(v) for rid, v in rays.items()},
+        divisor_vectors={did: RVector.of(v) for did, v in divisors.items()},
+    )
+    out = b2_invariants(m, system)
+    assert (out["n"], out["m"], out["k"], out["delta"]) == (1, 1, 0, 0)
+    assert (out["m1"], out["m2"]) == (1, 0)
 
 
 # --- face simplicity ---------------------------------------------------------------

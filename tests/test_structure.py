@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -18,7 +18,7 @@ from moribound.generate import (
     system_eset_a,
     system_eset_d,
 )
-from moribound.raysystem import RayDivisorSystem
+from moribound.raysystem import RayDivisorSystem, RayType
 from moribound.structure import (
     ClassificationFailure,
     _cross_pairings_nonnegative,
@@ -200,6 +200,32 @@ def test_d2_condition_determinant():
     assert not d2_condition(t, "A", "B")
     with pytest.raises(ValueError):
         d2_condition(t, "B", "A")  # wrong type order
+
+
+def test_d2_verdict_matches_the_determinant_on_every_small_mixed_pair():
+    # With negative self pairings and positive crosses, the divisor cone of a
+    # touching (type II, type I) pair is pointed exactly when the determinant
+    # is positive.  A nonnegative self pairing is a witness on its own axis.
+    for q11, q12, q21, q22 in product(range(-2, 3), repeat=4):
+        s = RayDivisorSystem.of(
+            rays=[("A", "II", "D1"), ("B", "I", "D2")],
+            divisors=["D1", "D2"],
+            pairing=[[q11, q12], [q21, q22]],
+            meets=[("D1", "D2")],
+        )
+        report = classify_extremal_set(s, ["A", "B"])
+        got = ([t.label for _, t in report.components], [why for _, why in report.failures])
+        if q12 <= 0 or q21 <= 0:
+            assert got == ([], ["mixed-pair-crosses-not-positive"])
+        elif q11 < 0 and q22 < 0 and q11 * q22 - q12 * q21 > 0:
+            assert got == (["D2"], [])
+        else:
+            assert got == ([], ["mixed-pair-cone-not-pointed"])
+        if q11 < 0 and q22 < 0 and q12 > 0 and q21 > 0:
+            assert d2_condition(s, "A", "B") == (got[0] == ["D2"])
+        else:
+            with pytest.raises(ValueError, match="need negative self pairings"):
+                d2_condition(s, "A", "B")
 
 
 # --- extremal-set reports and the shape filter -------------------------------
@@ -679,8 +705,10 @@ def test_eset_rejects_nonminimal_input():
         meets=[],
         faces=[[], ["R1"], ["R2"], ["R3"], ["R1", "R2"]],
     )
-    with pytest.raises(ValueError, match="not minimal"):
-        classify_eset(s, ["R1", "R2", "R3"])  # contains the E-set {R1,R3}
+    # Both {R1,R3} and {R2,R3} are non-extremal; the first in `combinations`
+    # order is named.
+    with pytest.raises(ValueError, match=r"proper subset \['R1', 'R3'\] .* not minimal"):
+        classify_eset(s, ["R1", "R2", "R3"])
 
 
 def test_is_extremal_uses_faces():
@@ -728,6 +756,93 @@ def test_maximal_faces_edge_cases():
 
 
 # --- small-ray structure ------------------------------------------------------
+
+
+def _e2_pairs_by_fractions(s):
+    """Oracle for `detect_e2_pairs` on `Fraction` lookups."""
+    out = []
+    for small in s.small_rays:
+        for r in s.divisorial_rays:
+            if r.type is RayType.II and s.q(small.id, r.divisor) < 0:
+                out.append((r.id, small.id))
+    return sorted(out)
+
+
+def _cyclic_triple_by_fractions(s, ids):
+    """Oracle for the three-ray E-set case on `Fraction` lookups."""
+    members = [s.ray(rid) for rid in ids]
+    if any(r.type is not RayType.II for r in members):
+        raise ClassificationFailure("connected-triple-not-cyclic", ids)
+    for x, y, z in permutations(members):
+        strict = all(s.q(a.id, b.divisor) > 0 for a, b in ((x, y), (y, z), (z, x)))
+        zero = all(s.q(b.id, a.divisor) == 0 for a, b in ((x, y), (y, z), (z, x)))
+        if strict and zero:
+            if accepts_nef_combination(s, ids, (1, 1, 1)):
+                return structure.EsetType("a")
+            raise ClassificationFailure("cyclic-triple-rejects-unit-combination", ids)
+    raise ClassificationFailure("connected-triple-not-cyclic", ids)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ClassificationFailure as fail:
+        return ("failure", fail.reason, fail.rays)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def _unvalidated_system(rng):
+    """Three to six rays of any type, small ones included, on one to four
+    divisors, some type I and II rays without a divisor, pairings in -2..2
+    with halves and random contact.  In even draws the first three rays are
+    type II on three touching divisors with a cyclic pattern: strict forward
+    and zero backward pairings."""
+    n, k = rng.randint(3, 6), rng.randint(1, 4)
+    divisors = [f"D{j}" for j in range(k)]
+    entries = (-2, -1, 0, 0, 1, 1, 2, Fraction(1, 2), Fraction(-1, 2))
+    types = [rng.choice(("I", "II", "II", "small")) for _ in range(n)]
+    owners = [
+        None if t == "small" or rng.random() < 0.1 else rng.choice(divisors)
+        for t in types
+    ]
+    pairing = [[rng.choice(entries) for _ in divisors] for _ in range(n)]
+    meets = {pair for pair in combinations(divisors, 2) if rng.random() < 0.5}
+    if rng.random() < 0.5 and k >= 3:
+        types[:3], owners[:3] = ["II"] * 3, divisors[:3]
+        meets |= set(combinations(divisors[:3], 2))
+        for i in range(3):
+            pairing[i][i] = -1
+            pairing[i][(i + 1) % 3] = rng.choice((1, 2))
+            pairing[(i + 1) % 3][i] = 0
+    return RayDivisorSystem.of(
+        rays=[(f"R{i}", t, d) for i, (t, d) in enumerate(zip(types, owners))],
+        divisors=divisors,
+        pairing=pairing,
+        meets=sorted(meets),
+    )
+
+
+def test_e2_pairs_and_cyclic_triples_match_fraction_oracles():
+    seen = set()
+    for seed in range(300):
+        s = _unvalidated_system(random.Random(seed))
+        e2 = _outcome(detect_e2_pairs, s)
+        assert e2 == _outcome(_e2_pairs_by_fractions, s), seed
+        seen.add("e2-error" if e2 and e2[0] == "error" else f"e2-{bool(e2)}")
+        rel = s.relations
+        for ids in combinations(sorted(s.ray_ids), 3):
+            # `classify_eset` checks that its type II members carry divisors
+            # before it reaches this case.
+            if any(s.ray(r).type is RayType.II and s.ray(r).divisor is None for r in ids):
+                continue
+            got = _outcome(structure._classify_connected_triple, rel, s.ray_mask(ids))
+            assert got == _outcome(_cyclic_triple_by_fractions, s, list(ids)), (seed, ids)
+            seen.add(got[1] if isinstance(got, tuple) else got.kind)
+    assert seen >= {
+        "e2-error", "e2-True", "e2-False", "a",
+        "cyclic-triple-rejects-unit-combination", "connected-triple-not-cyclic",
+    }
 
 
 def test_detect_e2_pairs():
