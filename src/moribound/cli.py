@@ -332,6 +332,7 @@ def cmd_esets(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    check_band_width(args.d)
     if args.lemma14:
         if args.C is None or args.D is None:
             print("--lemma14 needs --C and --D", file=sys.stderr)

@@ -32,6 +32,13 @@ def json_list(value: object, name: str) -> Sequence:
     return value
 
 
+def json_int(value: object, name: str) -> int:
+    """`value`, which must be an int: not a bool, a float or a string."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SystemFormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def json_lists(value: object, name: str, what: str) -> Sequence:
     """`value`, which must be a list of lists, named `what` in the error."""
     if not all(map(isinstance, json_list(value, name), repeat((list, tuple)))):
@@ -156,11 +163,7 @@ class TrilinearForm:
         for v in (a, b, c):
             if v.dim != self.dim:
                 raise DimensionMismatch(f"vector dim {v.dim} vs form dim {self.dim}")
-        total = Fraction(0)
-        for key, value in self.coeffs:
-            for p, q, r in set(permutations(key)):
-                total += value * a[p] * b[q] * c[r]
-        return total
+        return self.contract(a, b).dot(c)
 
     def contract(self, a: RVector, b: RVector) -> RVector:
         """The linear functional T(a, b, -) as a coordinate vector."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import SystemFormatError, binomial, json_list, json_lists
+from .core import SystemFormatError, binomial, json_int, json_list, json_lists
 
 VertexId = object  # JSON scalar: str or int
 
@@ -342,13 +342,11 @@ def polytope_to_json(p: CombinatorialPolytope) -> dict:
 
 def polytope_from_json(data: dict) -> CombinatorialPolytope:
     try:
-        dim = data["dim"]
+        dim = json_int(data["dim"], "dim")
         vertices = json_list(data["vertices"], "vertices")
         facets = json_lists(data["facets"], "facets", "vertex lists")
     except (KeyError, TypeError) as exc:
         raise SystemFormatError(f"missing polytope field: {exc}") from exc
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise SystemFormatError("dim must be an integer")
     try:
         return CombinatorialPolytope.of(dim, vertices, facets)
     except TypeError as exc:  # non-scalar vertex ids

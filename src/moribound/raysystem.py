@@ -89,7 +89,12 @@ class RayDivisorSystem:
         if len(div_index) != len(self.divisors):
             raise SystemFormatError("duplicate divisor ids")
         for r in self.rays:
-            if r.divisor is not None and r.divisor not in div_index:
+            if r.divisor is None:
+                if r.type is not RayType.SMALL:
+                    raise SystemFormatError(f"type {r.type.value} ray {r.id} must carry a divisor")
+            elif r.type is RayType.SMALL:
+                raise SystemFormatError(f"small ray {r.id} carries no divisor")
+            elif r.divisor not in div_index:
                 raise SystemFormatError(f"ray {r.id} names unknown divisor {r.divisor}")
         if len(self.pairing) != len(self.rays) or any(
             len(row) != len(self.divisors) for row in self.pairing
@@ -305,14 +310,12 @@ class Relations:
     divisor equals or touches D(ids[k]) (k itself included), `arrows[k]`
     those j != k with toward[k][j] > 0 and `zeros[k]` those j != k with
     toward[k][j] == 0.  `type_i`, `type_ii`, `divisorial` and `simple` are
-    masks of rays.  `no_divisor` marks the type I and II rays without a
-    divisor, which only an invalid system has; readers raise `q`'s error on
-    them.
+    masks of rays.
     """
 
     __slots__ = (
         "ids", "bit", "order", "column", "toward", "contact", "arrows", "zeros",
-        "type_i", "type_ii", "divisorial", "no_divisor", "simple",
+        "type_i", "type_ii", "divisorial", "simple",
     )
 
     def __init__(self, s: RayDivisorSystem) -> None:
@@ -329,7 +332,7 @@ class Relations:
             touching[a] |= 1 << b
             touching[b] |= 1 << a
         toward, contact, arrows, zeros = [], [], [], []
-        type_i = type_ii = simple = owned = 0
+        type_i = type_ii = simple = 0
         for k, r in enumerate(rays):
             row = [
                 v.numerator if v.denominator == 1 else v
@@ -353,8 +356,6 @@ class Relations:
             contact.append(touches)
             arrows.append(up)
             zeros.append(level)
-            if column[k] is not None:
-                owned |= 1 << k
             if r.type is RayType.I:
                 type_i |= 1 << k
             elif r.type is RayType.II:
@@ -362,7 +363,7 @@ class Relations:
                 # Simple: its own pairing plus any positive pairing with a
                 # listed divisor stays >= 0.
                 own = line[k]
-                if own is not None and all(v <= 0 or own + v >= 0 for v in row):
+                if all(v <= 0 or own + v >= 0 for v in row):
                     simple |= 1 << k
         self.toward = tuple(toward)
         self.contact = tuple(contact)
@@ -370,7 +371,6 @@ class Relations:
         self.zeros = tuple(zeros)
         self.type_i, self.type_ii, self.simple = type_i, type_ii, simple
         self.divisorial = type_i | type_ii
-        self.no_divisor = self.divisorial & ~owned
 
     positions = staticmethod(_positions)
 
@@ -384,11 +384,6 @@ class Relations:
     def names(self, mask: int) -> list[str]:
         """The sorted ids of a mask's rays."""
         return [self.ids[k] for k in self.positions(mask)]
-
-    def check_divisors(self, mask: int) -> None:
-        """Raise `q`'s error when a ray of the mask lacks its divisor."""
-        if mask & self.no_divisor:
-            raise ValueError("unknown ray or divisor: None")
 
     def closure(self, table: Sequence[int], mask: int, seed: int) -> int:
         """The rays of `mask` reached from the rays of `seed` along `table`."""
@@ -408,8 +403,6 @@ class Relations:
     def components(self, mask: int) -> list[int]:
         """The contact components of a set of divisorial rays, ordered by
         their first ids."""
-        if mask & self.no_divisor and mask & (mask - 1):
-            raise ValueError("unknown divisor None")
         out = []
         while mask:
             comp = self.closure(self.contact, mask, 1 << (mask.bit_length() - 1))
@@ -429,12 +422,6 @@ def validate(s: RayDivisorSystem) -> list[Violation]:
 
     def flag(code: str, subjects: Sequence[str], detail: str) -> None:
         out.append(Violation(code, tuple(subjects), detail))
-
-    for r in s.rays:
-        if r.is_divisorial and r.divisor is None:
-            flag("ray-divisor-missing", (r.id,), f"{r.type.value} ray must carry a divisor")
-        if r.type is RayType.SMALL and r.divisor is not None:
-            flag("small-ray-with-divisor", (r.id,), "small rays carry no divisor")
 
     for r in s.rays:
         if r.divisor is None:
@@ -464,7 +451,7 @@ def validate(s: RayDivisorSystem) -> list[Violation]:
                 f"divisor {did} is shared, so both rays must have type II",
             )
 
-    divisorial = [r for r in s.rays if r.divisor is not None]
+    divisorial = s.divisorial_rays
     for r in divisorial:
         for did in s.divisors:
             if did == r.divisor:
@@ -518,7 +505,7 @@ def validate(s: RayDivisorSystem) -> list[Violation]:
                     )
 
     for r in s.rays:
-        if r.type is not RayType.II or r.divisor is None:
+        if r.type is not RayType.II:
             continue
         neighbors = [
             q.id
@@ -534,7 +521,7 @@ def validate(s: RayDivisorSystem) -> list[Violation]:
 
     if s.fano_mode:
         for r in s.rays:
-            if r.type is RayType.II and r.divisor is not None and not is_simple_ray(s, r.id):
+            if r.type is RayType.II and not is_simple_ray(s, r.id):
                 flag(
                     "nonsimple-ray-in-fano-mode",
                     (r.id,),
@@ -599,7 +586,7 @@ def check_normalization(s: RayDivisorSystem) -> list[Violation]:
     when an anticanonical column is present, A[R] = 1."""
     out: list[Violation] = []
     for r in s.rays:
-        if r.type is not RayType.II or r.divisor is None:
+        if r.type is not RayType.II:
             continue
         if s.q(r.id, r.divisor) != -1:
             out.append(
@@ -665,10 +652,7 @@ def build_graph(s: RayDivisorSystem, subset: Iterable[str]) -> OrientedGraph:
 
 def graph_nodes(s: RayDivisorSystem, subset: Iterable[str]) -> int:
     """The mask of a graph's nodes, which must be divisorial rays of `s`."""
-    mask = s.ray_mask(subset, small="cannot enter the graph")
-    if mask & (mask - 1):
-        s.relations.check_divisors(mask)
-    return mask
+    return s.ray_mask(subset, small="cannot enter the graph")
 
 
 def distance(g: OrientedGraph, a: str, b: str) -> int | float:
@@ -712,7 +696,6 @@ def is_simple_ray(s: RayDivisorSystem, rid: str) -> bool:
     if r.type is not RayType.II:
         raise ValueError(f"ray {rid} has type {r.type.value}; simplicity applies to type II")
     rel = s.relations
-    rel.check_divisors(rel.bit[rid])
     return bool(rel.simple & rel.bit[rid])
 
 
@@ -722,7 +705,7 @@ def check_lemma227(s: RayDivisorSystem, r1: str, r2: str) -> bool:
     a, b = s.ray(r1), s.ray(r2)
     if a.type is not RayType.II or b.type is not RayType.II:
         raise ValueError("both rays must have type II")
-    if a.divisor is None or b.divisor is None or a.divisor == b.divisor:
+    if a.divisor == b.divisor:
         raise ValueError("rays must carry distinct divisors")
     if not s.joined(a.divisor, b.divisor):
         raise ValueError(f"divisors {a.divisor} and {b.divisor} are not in contact")
@@ -747,7 +730,7 @@ def contact_violations(s: RayDivisorSystem) -> list[Violation]:
         ra, rb = s.ray(a), s.ray(b)
         if ra.type is not RayType.II or rb.type is not RayType.II:
             continue
-        if ra.divisor is None or rb.divisor is None or ra.divisor == rb.divisor:
+        if ra.divisor == rb.divisor:
             continue
         if not s.joined(ra.divisor, rb.divisor):
             continue

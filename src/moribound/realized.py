@@ -20,6 +20,7 @@ from .core import (
     SystemFormatError,
     TrilinearForm,
     format_rational,
+    json_int,
     json_list,
     json_lists,
     kernel_of_columns,
@@ -457,7 +458,7 @@ def model_to_json(m: RealizedModel) -> dict:
 
 def model_from_json(data: dict) -> RealizedModel:
     try:
-        rho = int(data["rho"])
+        rho = json_int(data["rho"], "rho")
         base = system_from_json(data["base_system"])
         rays = {
             rid: _vector_from_json(vec, f"ray vector {rid}")
@@ -471,7 +472,11 @@ def model_from_json(data: dict) -> RealizedModel:
         if "intersection_form" in data:
             entries = json_lists(data["intersection_form"], "intersection_form", "entries")
             form = TrilinearForm.of(
-                rho, [((int(i), int(j), int(k)), rational(v)) for i, j, k, v in entries]
+                rho,
+                [
+                    ([json_int(x, "intersection_form index") for x in (i, j, k)], rational(v))
+                    for i, j, k, v in entries
+                ],
             )
         anti = None
         if "anticanonical_vector" in data:

@@ -112,10 +112,9 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
     if small:
         if mask.bit_count() == 2 and small.bit_count() == 1:
             other = mask ^ small
-            if other & rel.type_ii:
-                rel.check_divisors(other)
-                if rel.toward[small.bit_length() - 1][other.bit_length() - 1] < 0:
-                    return ComponentType("E2")
+            toward = rel.toward[small.bit_length() - 1][other.bit_length() - 1]
+            if other & rel.type_ii and toward < 0:
+                return ComponentType("E2")
             raise ClassificationFailure(
                 "small-pair-not-contracting",
                 rel.names(mask),
@@ -149,7 +148,6 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
                     "two type I rays never have touching divisors in a valid "
                     "system",
                 )
-            rel.check_divisors(mask)
             a, b = ks
             if rel.arrows[a] >> b & 1 and rel.arrows[b] >> a & 1:
                 if _cone_witness(_rows(rel, ks, ks), 2, False) is None:
@@ -172,7 +170,6 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
 
     # All type II: a hub pairs zero with every spoke's divisor, every spoke
     # pairs positively with the hub's, and no two spoke divisors touch.
-    rel.check_divisors(mask)
     hubs = [
         k
         for k in ks
@@ -199,7 +196,6 @@ def d2_condition(s: RayDivisorSystem, s1: str, s2: str) -> bool:
     if r1.type is not RayType.II or r2.type is not RayType.I:
         raise ValueError("expected (type II, type I) in that order")
     rel = s.relations
-    rel.check_divisors(rel.bit[s1] | rel.bit[s2])
     ks = [rel.bit[x].bit_length() - 1 for x in (s1, s2)]
     rows = _rows(rel, ks, ks)
     (q11, q12), (q21, q22) = rows
@@ -321,7 +317,6 @@ def _member_mask(s: RayDivisorSystem, ids: Iterable[str]) -> int:
     mask = s.ray_mask(ids, small="carries no divisor")
     if not mask:
         raise ValueError("empty ray set")
-    s.relations.check_divisors(mask)
     return mask
 
 
@@ -522,7 +517,6 @@ def _eset_preconditions(s: RayDivisorSystem, l: Iterable[str]) -> int:
 def _case_b_witness(rel: Relations, k1: int, k2: int) -> Optional[tuple[Fraction, Fraction]]:
     """Positive m1, m2 making m1 D(R1) + m2 D(R2) nonnegative against every
     listed type I ray and every listed simple type II ray."""
-    rel.check_divisors(rel.type_ii)  # simplicity reads each one's divisor
     probes = rel.type_i | rel.simple
     rows = _rows(rel, (p for p in rel.order if probes >> p & 1), (k1, k2))
     return _cone_witness(rows, 2, True)
@@ -617,7 +611,6 @@ def classify_eset(s: RayDivisorSystem, l: Iterable[str]) -> EsetType:
 
 def _eset_type(rel: Relations, mask: int) -> EsetType:
     """`classify_eset` on the mask of a set that meets its preconditions."""
-    rel.check_divisors(mask & rel.type_ii)  # simplicity reads each one's divisor
     nonsimple = mask & rel.type_ii & ~rel.simple
     if nonsimple:
         raise ClassificationFailure(
@@ -686,8 +679,6 @@ def detect_e2_pairs(s: RayDivisorSystem) -> list[tuple[str, str]]:
     negative on the divisor, sorted."""
     rel = s.relations
     small = (1 << len(rel.ids)) - 1 & ~rel.divisorial
-    if small:
-        rel.check_divisors(rel.type_ii)
     pairs = ((r, k) for k in rel.positions(small) for r in rel.positions(rel.type_ii))
     return sorted((rel.ids[r], rel.ids[k]) for r, k in pairs if rel.toward[k][r] < 0)
 

@@ -376,6 +376,13 @@ def test_diagram_nonconforming_exits_one(capsys):
     assert "counterexample: eset-diameter-exceeds-band" in out
 
 
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_bound_band_width_below_one_exits_two(capsys, d):
+    code, out, err = run(capsys, "bound", "--c1", "1", "--c2", "1", "--d", d)
+    assert (code, out) == (2, "")
+    assert err == "error: band width d must be at least 1\n"
+
+
 @pytest.mark.parametrize("rule", ["theorem12", "theorem258"])
 @pytest.mark.parametrize("d", ["0", "-3"])
 def test_diagram_band_width_below_one_exits_two(capsys, rule, d):
@@ -541,9 +548,28 @@ def _write_bad_inputs(directory: Path) -> None:
         },
         "polytope-bool-dim.json": {"dim": True, "vertices": ["a", "b"],
                                    "facets": [["a"], ["b"]]},
+        "ray-without-divisor.json": dict(
+            pair, rays=[pair["rays"][0], {"id": "B", "type": "II"}]
+        ),
+        "small-ray-with-divisor.json": dict(
+            pair, rays=[pair["rays"][0], {"id": "B", "type": "small", "divisor": "Y"}]
+        ),
+        "rho-string.json": dict(model, rho=str(model["rho"])),
+        "rho-float.json": dict(model, rho=model["rho"] + 0.9),
+        "rho-bool.json": dict(model, rho=True),
+        "form-index-string.json": dict(model, intersection_form=[["0", 1, 2, "1"]]),
+        "form-index-float.json": dict(model, intersection_form=[[0, 1, 2.7, "1"]]),
+        "form-index-bool.json": dict(model, intersection_form=[[0, True, 2, "1"]]),
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data))
+
+
+# Bad inputs whose error message must name the ray at fault and its type.
+NAMED_ERRORS = {
+    "ray-without-divisor.json": "type II ray B must carry a divisor",
+    "small-ray-with-divisor.json": "small ray B carries no divisor",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -579,6 +605,16 @@ def _write_bad_inputs(directory: Path) -> None:
     pytest.param(["check", "form-entry-string.json"], id="check-form-entry-string"),
     pytest.param(["diagram", "facet-rays-string.json"], id="diagram-facet-rays-string"),
     pytest.param(["diagram", "perp-rays-string.json"], id="diagram-perp-rays-string"),
+    *(
+        pytest.param([command, f"{shape}.json"], id=f"{command}-{shape}")
+        for shape in ("ray-without-divisor", "small-ray-with-divisor")
+        for command in ("check", "classify", "esets")
+    ),
+    *(
+        pytest.param(["check", f"{name}.json"], id=f"check-{name}")
+        for name in ("rho-string", "rho-float", "rho-bool",
+                     "form-index-string", "form-index-float", "form-index-bool")
+    ),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     _write_bad_inputs(tmp_path)
@@ -590,6 +626,7 @@ def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert NAMED_ERRORS.get(argv[-1], "") in proc.stdout + proc.stderr
 
 
 # --- fixture mutation: any damaged field still gets an exit code --------------

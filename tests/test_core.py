@@ -95,7 +95,15 @@ def test_trilinear_form_is_symmetric(t, a, b, c):
 @given(sparse_forms, vectors(3), vectors(3), vectors(3))
 @settings(max_examples=60)
 def test_contract_matches_evaluate(t, a, b, c):
-    assert t.contract(a, b).dot(c) == t.evaluate(a, b, c)
+    # Both against the dense sum over all 27 index triples, each coefficient
+    # read from its sorted triple.
+    coeff = dict(t.coeffs)
+    dense = sum(
+        coeff.get(tuple(sorted(idx)), 0) * a[idx[0]] * b[idx[1]] * c[idx[2]]
+        for idx in product(range(3), repeat=3)
+    )
+    assert t.contract(a, b).dot(c) == dense
+    assert t.evaluate(a, b, c) == dense
 
 
 def test_form_merges_duplicate_index_triples():

@@ -151,14 +151,33 @@ def test_shared_divisor_must_be_type_ii():
     assert "shared-divisor-not-type-ii" in codes(validate(s))
 
 
-def test_small_ray_with_divisor_flagged():
-    s = RayDivisorSystem.of(
-        rays=[("A", "small", "D1")],
-        divisors=["D1"],
-        pairing=[[-1]],
-        meets=[],
-    )
-    assert codes(validate(s)) == ["small-ray-with-divisor"]
+@pytest.mark.parametrize("rays,message", [
+    pytest.param([("A", "II", "D1"), ("B", "II")], "type II ray B must carry a divisor",
+                 id="type-ii-without-divisor"),
+    pytest.param([("A", "I")], "type I ray A must carry a divisor", id="type-i-without-divisor"),
+    pytest.param([("A", "small", "D1")], "small ray A carries no divisor",
+                 id="small-with-divisor"),
+])
+def test_ray_carries_a_divisor_exactly_when_its_type_is_divisorial(rays, message):
+    rays = [Ray.of(r) for r in rays]
+    pairing = [[-1] for _ in rays]
+    with pytest.raises(SystemFormatError, match=message):
+        RayDivisorSystem.of(rays=rays, divisors=["D1"], pairing=pairing)
+    with pytest.raises(SystemFormatError, match=message):
+        RayDivisorSystem(
+            rays=tuple(rays),
+            divisors=("D1",),
+            pairing=tuple(tuple(map(Fraction, row)) for row in pairing),
+            meets=frozenset(),
+        )
+    data = {
+        "rays": [{"id": r.id, "type": r.type.value}
+                 | ({"divisor": r.divisor} if r.divisor else {}) for r in rays],
+        "divisors": ["D1"],
+        "pairing": pairing,
+    }
+    with pytest.raises(SystemFormatError, match=message):
+        system_from_json(data)
 
 
 def test_face_family_closure_flagged():
@@ -721,27 +740,6 @@ def test_relation_tables_match_fraction_scans():
             build_graph(s, ["ZZ"])
         assert not _cross_pairings_nonnegative(s, ["ZZ"])
     assert seen_halves > 200 and seen_small > 50
-
-
-def test_ray_without_divisor_fails_as_pairing_lookups_do():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), Ray("B", RayType.II), ("C", "I", "D2")],
-        divisors=["D1", "D2"],
-        pairing=[[-1, 1], [1, 0], [1, -1]],
-        meets=[("D1", "D2")],
-    )
-    assert divisorial_components(s, ["B"]) == [frozenset({"B"})]
-    assert build_graph(s, ["B"]).dist == {("B", "B"): 0}
-    with pytest.raises(ValueError, match="unknown divisor None"):
-        divisorial_components(s, ["A", "B"])
-    for call in (
-        lambda: build_graph(s, ["A", "B"]),
-        lambda: is_simple_ray(s, "B"),
-        lambda: condition_ii_witness(s, ["B"]),
-    ):
-        with pytest.raises(ValueError, match="unknown ray or divisor: None"):
-            call()
-    assert is_simple_ray(s, "A")
 
 
 def test_with_faces_matches_a_fresh_system():

@@ -342,7 +342,7 @@ def _low_rank_model(rng):
             vec = [rng.randint(-1, 1) for _ in range(rho)]
         vecs[rid] = RVector.of(vec)
     system = RayDivisorSystem.of(
-        rays=[(rid, "I", None) for rid in ids], divisors=[], pairing=[[] for _ in ids]
+        rays=[(rid, "small") for rid in ids], divisors=[], pairing=[[] for _ in ids]
     )
     return RealizedModel(rho=rho, base_system=system, ray_vectors=vecs, divisor_vectors={})
 

@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, permutations, product
 
 import pytest
@@ -18,7 +18,7 @@ from moribound.generate import (
     system_eset_a,
     system_eset_d,
 )
-from moribound.raysystem import RayDivisorSystem, RayType
+from moribound.raysystem import RayDivisorSystem, RayType, SystemFormatError
 from moribound.structure import (
     ClassificationFailure,
     _cross_pairings_nonnegative,
@@ -794,10 +794,11 @@ def _outcome(call, *args):
 
 def _unvalidated_system(rng):
     """Three to six rays of any type, small ones included, on one to four
-    divisors, some type I and II rays without a divisor, pairings in -2..2
-    with halves and random contact.  In even draws the first three rays are
-    type II on three touching divisors with a cyclic pattern: strict forward
-    and zero backward pairings."""
+    divisors, pairings in -2..2 with halves and random contact.  In even
+    draws the first three rays are type II on three touching divisors with a
+    cyclic pattern: strict forward and zero backward pairings.  A draw that
+    leaves a type I or II ray without a divisor is malformed: it must fail
+    to build, and gives None."""
     n, k = rng.randint(3, 6), rng.randint(1, 4)
     divisors = [f"D{j}" for j in range(k)]
     entries = (-2, -1, 0, 0, 1, 1, 2, Fraction(1, 2), Fraction(-1, 2))
@@ -815,32 +816,37 @@ def _unvalidated_system(rng):
             pairing[i][i] = -1
             pairing[i][(i + 1) % 3] = rng.choice((1, 2))
             pairing[(i + 1) % 3][i] = 0
-    return RayDivisorSystem.of(
+    build = partial(
+        RayDivisorSystem.of,
         rays=[(f"R{i}", t, d) for i, (t, d) in enumerate(zip(types, owners))],
         divisors=divisors,
         pairing=pairing,
         meets=sorted(meets),
     )
+    if any(t != "small" and d is None for t, d in zip(types, owners)):
+        with pytest.raises(SystemFormatError, match="ray R[0-9] must carry a divisor"):
+            build()
+        return None
+    return build()
 
 
 def test_e2_pairs_and_cyclic_triples_match_fraction_oracles():
     seen = set()
     for seed in range(300):
         s = _unvalidated_system(random.Random(seed))
+        if s is None:
+            seen.add("malformed")
+            continue
         e2 = _outcome(detect_e2_pairs, s)
         assert e2 == _outcome(_e2_pairs_by_fractions, s), seed
-        seen.add("e2-error" if e2 and e2[0] == "error" else f"e2-{bool(e2)}")
+        seen.add(f"e2-{bool(e2)}")
         rel = s.relations
         for ids in combinations(sorted(s.ray_ids), 3):
-            # `classify_eset` checks that its type II members carry divisors
-            # before it reaches this case.
-            if any(s.ray(r).type is RayType.II and s.ray(r).divisor is None for r in ids):
-                continue
             got = _outcome(structure._classify_connected_triple, rel, s.ray_mask(ids))
             assert got == _outcome(_cyclic_triple_by_fractions, s, list(ids)), (seed, ids)
             seen.add(got[1] if isinstance(got, tuple) else got.kind)
     assert seen >= {
-        "e2-error", "e2-True", "e2-False", "a",
+        "malformed", "e2-True", "e2-False", "a",
         "cyclic-triple-rejects-unit-combination", "connected-triple-not-cyclic",
     }
 
