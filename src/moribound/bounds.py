@@ -26,7 +26,6 @@ from .polytope import (
 )
 from .raysystem import (
     RayDivisorSystem,
-    build_graph,
     graph_nodes,
     system_from_json,
     system_to_json,
@@ -395,7 +394,8 @@ class DiagramInstance:
 
 def validate_diagram(inst: DiagramInstance) -> None:
     """Raise when the facet-ray correspondence does not match the system's
-    face structure."""
+    face structure, or when the bundle's realized model realizes another
+    system or is not simple in the ambient face."""
     s, p = inst.system, inst.polytope
     if len(inst.facet_rays) != len(p.facets):
         raise ValueError(
@@ -423,6 +423,12 @@ def validate_diagram(inst: DiagramInstance) -> None:
                 f"{sorted(rayset)} which is not a listed face"
             )
     if inst.model is not None:
+        base = inst.model.base_system
+        for part in ("rays", "divisors", "pairing"):
+            if getattr(base, part) != getattr(s, part):
+                raise ValueError(
+                    f"the realized model's system differs from the bundle's in its {part}"
+                )
         if not is_simple_in_face(inst.model, s, inst.perp_rays):
             raise ValueError(
                 "the realized model is not simple in the ambient face"
@@ -444,14 +450,14 @@ def count_condition_b(
     if s.faces is not None and not is_extremal(s, eset):
         raise ValueError("the ray set is not extremal")
     outer = [rid for rid in eset if rid not in perpset]
-    return _count_condition_b(build_graph(s, eset).dist, outer, d)
+    return _count_condition_b(s.relations.distances(graph_nodes(s, eset)), outer, d)
 
 
 def _count_condition_b(
     dist: dict, outer: Iterable[str], d: int
 ) -> tuple[int, int]:
-    """`count_condition_b` over the rays `outer`, from a graph's distance
-    table."""
+    """`count_condition_b` over the rays `outer`, from a distance table of
+    `Relations.distances`."""
     dists = [dist[a, b] for a in outer for b in outer if a != b]
     count1 = sum(1 <= x <= d for x in dists)
     count2 = sum(d + 1 <= x <= 2 * d + 1 for x in dists)
@@ -478,9 +484,9 @@ def _eset_condition_a_audit(
         )
         if not extendable:
             continue
-        g = build_graph(s, eset | inst.perp_rays)
+        dist = s.relations.distances(graph_nodes(s, eset | inst.perp_rays))
         # Two or more rays, so the zero self-distances never decide the max.
-        diam = max(g.dist[a, b] for a in eset for b in eset)
+        diam = max(dist[a, b] for a in eset for b in eset)
         ok = diam != INF and diam <= d
         audit.append(
             {

@@ -299,7 +299,7 @@ def cmd_esets(args: argparse.Namespace) -> int:
             None if full is None else [format_rational(c) for c in full]
         )
         if full is not None:
-            entry["bipartition_arrows"] = check_lemma11(s, eset, certificate=full)
+            entry["bipartition_arrows"] = check_lemma11(s, eset)
         entries.append(entry)
     lines = []
     for e in entries:

@@ -81,7 +81,7 @@ class RayDivisorSystem:
     _face_masks: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sets = None if self.faces is None else {frozenset(f) for f in self.faces}
+        sets = None if self.faces is None else dict.fromkeys(map(frozenset, self.faces))
         ray_index = {r.id: i for i, r in enumerate(self.rays)}
         div_index = {d: i for i, d in enumerate(self.divisors)}
         if len(ray_index) != len(self.rays):
@@ -114,8 +114,9 @@ class RayDivisorSystem:
         object.__setattr__(self, "_bit", bit)
         self._set_faces(sets)
 
-    def _set_faces(self, sets: Optional[set]) -> None:
-        """Store the distinct faces `sets` (or None), ordered, with their masks."""
+    def _set_faces(self, sets: Optional[Iterable[frozenset]]) -> None:
+        """Store the distinct faces `sets` (or None), ordered, with their
+        masks.  Faces that arrive in order cost one linear pass of the sort."""
         masks = faces = None
         if sets is not None:
             bit = self._bit
@@ -199,7 +200,7 @@ class RayDivisorSystem:
         new.__dict__.update(
             {name: self.__dict__[name] for name in _SHARED_WITH_VARIANTS}
         )
-        new._set_faces(None if faces is None else {frozenset(f) for f in faces})
+        new._set_faces(None if faces is None else dict.fromkeys(map(frozenset, faces)))
         return new
 
     @cached_property
@@ -264,31 +265,6 @@ def _positions(mask: int) -> list[int]:
         out.append(k)
         mask ^= 1 << k
     return out
-
-
-def _path_lengths(ids: Sequence[str], heads: Sequence[int], mask: int) -> dict:
-    """The length of a shortest oriented path between any two nodes of a
-    mask, along arrows inside it (INF when there is none), keyed by id pairs
-    in the order of their positions, highest first.  Node `ids[k]` holds bit
-    k and `heads[k]` masks the heads of its arrows.  One breadth-first search
-    per node, a layer of masks at a time."""
-    ks = _positions(mask)
-    dist: dict[tuple[str, str], int | float] = {}
-    for a in ks:
-        source = ids[a]
-        for b in ks:
-            dist[source, ids[b]] = INF
-        seen = frontier = 1 << a
-        steps = 0
-        while frontier:
-            reached = 0
-            for k in _positions(frontier):
-                dist[source, ids[k]] = steps
-                reached |= heads[k]
-            frontier = reached & mask & ~seen
-            seen |= frontier
-            steps += 1
-    return dist
 
 
 # `with_faces` copies these and rebuilds only the face fields.
@@ -397,8 +373,28 @@ class Relations:
         return found
 
     def distances(self, mask: int) -> dict:
-        """`OrientedGraph.dist` of the graph on the rays of a mask."""
-        return _path_lengths(self.ids, self.arrows, mask)
+        """The length of a shortest oriented path between any two rays of a
+        mask, along arrows inside it (INF when there is none), keyed by id
+        pairs in sorted id order.  One breadth-first search per ray, a layer
+        of masks at a time."""
+        ids, arrows = self.ids, self.arrows
+        ks = _positions(mask)
+        dist: dict[tuple[str, str], int | float] = {}
+        for a in ks:
+            source = ids[a]
+            for b in ks:
+                dist[source, ids[b]] = INF
+            seen = frontier = 1 << a
+            steps = 0
+            while frontier:
+                reached = 0
+                for k in _positions(frontier):
+                    dist[source, ids[k]] = steps
+                    reached |= arrows[k]
+                frontier = reached & mask & ~seen
+                seen |= frontier
+                steps += 1
+        return dist
 
     def components(self, mask: int) -> list[int]:
         """The contact components of a set of divisorial rays, ordered by
@@ -616,37 +612,26 @@ def check_normalization(s: RayDivisorSystem) -> list[Violation]:
 
 @dataclass(frozen=True)
 class OrientedGraph:
+    """The oriented graph on some divisorial rays.  `dist[(a, b)]` is the
+    length of a shortest oriented path from a to b (INF if unreachable);
+    every query of the graph reads it."""
+
     nodes: tuple[str, ...]
     arrows: frozenset  # of (tail, head) pairs
-    dist: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        """Fill `dist[(a, b)]`, the length of a shortest oriented path from a
-        to b (INF if unreachable); every query of the graph reads it."""
-        ids = self.nodes[::-1]  # nodes[0] holds the highest bit
-        bit = {n: 1 << k for k, n in enumerate(ids)}
-        heads = [0] * len(ids)
-        for tail, head in self.arrows:
-            heads[bit[tail].bit_length() - 1] |= bit[head]
-        dist = _path_lengths(ids, heads, (1 << len(ids)) - 1)
-        object.__setattr__(self, "dist", dist)
+    dist: dict = field(repr=False, compare=False)
 
 
 def build_graph(s: RayDivisorSystem, subset: Iterable[str]) -> OrientedGraph:
     """The oriented graph on the given divisorial rays: an arrow runs from R1
     to R2 exactly when Q[R1][D(R2)] > 0, read off the system's arrow masks
-    restricted to the subset.  Its all-pairs distances are computed once, in
-    `OrientedGraph.dist`."""
+    restricted to the subset, with `Relations.distances` as its distances."""
     rel = s.relations
     mask = graph_nodes(s, subset)
-    ids = rel.ids
+    ids, ks = rel.ids, rel.positions(mask)
     return OrientedGraph(
-        tuple(ids[k] for k in rel.positions(mask)),
-        frozenset(
-            (ids[k], ids[j])
-            for k in rel.positions(mask)
-            for j in rel.positions(rel.arrows[k] & mask)
-        ),
+        tuple(ids[k] for k in ks),
+        frozenset((ids[k], ids[j]) for k in ks for j in rel.positions(rel.arrows[k] & mask)),
+        rel.distances(mask),
     )
 
 
@@ -783,16 +768,21 @@ def system_from_json(data: Mapping) -> RayDivisorSystem:
     rays = []
     for entry in rays_raw:
         try:
-            rtype = RayType(entry["type"])
-            rays.append(Ray(str(entry["id"]), rtype, entry.get("divisor")))
+            rid, rtype = entry["id"], RayType(entry["type"])
         except ValueError as exc:
             raise SystemFormatError(f"unknown ray type {entry.get('type')!r}") from exc
         except (KeyError, TypeError, AttributeError) as exc:
             raise SystemFormatError(f"malformed ray entry {entry!r}") from exc
+        if not isinstance(rid, str):
+            raise SystemFormatError(f"ray id must be a string, got {rid!r}")
+        rays.append(Ray(rid, rtype, entry.get("divisor")))
+    for did in divisors:
+        if not isinstance(did, str):
+            raise SystemFormatError(f"divisor id must be a string, got {did!r}")
     try:
         return RayDivisorSystem.of(
             rays=rays,
-            divisors=[str(d) for d in divisors],
+            divisors=divisors,
             pairing=pairing_raw,
             meets=json_lists(data.get("meets", ()), "meets", "divisor pairs"),
             faces=None if faces is None else json_lists(faces, "faces", "ray lists"),

@@ -320,15 +320,13 @@ def check_prop238_form(
 
 
 def b2_pairs(s: RayDivisorSystem) -> list[frozenset]:
-    """All shared-divisor pairs of the system, sorted."""
-    pairs = []
-    for comp in divisorial_components(s, [r.id for r in s.divisorial_rays]):
-        try:
-            if classify_component(s, comp).kind == "B2":
-                pairs.append(comp)
-        except ClassificationFailure:
-            continue
-    return sorted(pairs, key=sorted)
+    """All shared-divisor pairs of the system, sorted: one per divisor that
+    exactly two type II rays carry."""
+    carriers: dict[str, list[str]] = {}
+    for r in s.rays:
+        if r.type is RayType.II:
+            carriers.setdefault(r.divisor, []).append(r.id)
+    return sorted((frozenset(ids) for ids in carriers.values() if len(ids) == 2), key=sorted)
 
 
 def _pair_witness(s: RayDivisorSystem, pair: Iterable[str]) -> bool:

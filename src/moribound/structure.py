@@ -650,27 +650,19 @@ def _eset_type(rel: Relations, mask: int) -> EsetType:
 # ---------------------------------------------------------------------------
 
 
-def check_lemma11(
-    s: RayDivisorSystem,
-    l: Iterable[str],
-    certificate: Optional[Sequence[object]] = None,
-) -> bool:
+def check_lemma11(s: RayDivisorSystem, l: Iterable[str]) -> bool:
     """Whether every bipartition of the set has a crossing arrow in both
     directions, that is, whether the set's graph is strongly connected.
 
-    Without a certificate the full E-set hypothesis is verified first (every
-    proper subset satisfies condition (ii) and a nonzero effective nef
-    combination of the member divisors exists); a supplied certificate is
-    trusted as that hypothesis and is not re-verified.
+    The full E-set hypothesis is verified first (every proper subset
+    satisfies condition (ii) and a nonzero effective nef combination of the
+    member divisors exists); a set that fails it raises ValueError.
     """
     ids = sorted(set(l))
     if len(ids) < 2:
         raise ValueError("need at least two rays")
-    if certificate is None:
-        if condition_iii_full(s, ids) is None:
-            raise ValueError(
-                "the set does not satisfy the nef-combination hypothesis"
-            )
+    if condition_iii_full(s, ids) is None:
+        raise ValueError("the set does not satisfy the nef-combination hypothesis")
     return is_single_arrow_connected(s, ids)
 
 

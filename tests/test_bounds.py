@@ -31,7 +31,7 @@ from moribound.bounds import (
     verify_lemma14,
 )
 from moribound.core import INF, RVector, rational
-from moribound.generate import polytope_family
+from moribound.generate import polytope_family, realized_b2
 from moribound.polytope import (
     CombinatorialPolytope,
     PolytopeError,
@@ -475,6 +475,48 @@ def test_validate_diagram_refuses_a_model_not_simple_in_the_ambient_face():
         validate_diagram(
             DiagramInstance.of(system, tri.polytope, tri.facet_rays, model=model)
         )
+
+
+def _unit_model(system):
+    """The system realized with unit ray vectors: each divisor's vector is its
+    pairing column."""
+    n = len(system.rays)
+    return RealizedModel(
+        rho=n,
+        base_system=system,
+        ray_vectors={
+            rid: RVector.of([int(i == j) for j in range(n)])
+            for i, rid in enumerate(system.ray_ids)
+        },
+        divisor_vectors={
+            did: RVector.of([row[c] for row in system.pairing])
+            for c, did in enumerate(system.divisors)
+        },
+    )
+
+
+def test_validate_diagram_refuses_a_model_of_another_system():
+    tri = load_diagram(f"{FIXTURES}/diagram_triangle.json")
+    s = tri.system
+    validate_diagram(DiagramInstance.of(s, tri.polytope, tri.facet_rays, model=_unit_model(s)))
+    # A model without faces realizes the same system.
+    unfaced = _unit_model(s.with_faces(None))
+    validate_diagram(DiagramInstance.of(s, tri.polytope, tri.facet_rays, model=unfaced))
+    flipped = [list(row) for row in s.pairing]
+    flipped[0][1] += 1
+    others = {
+        "rays": realized_b2(0)[0],  # rays C1 and C2
+        "divisors": _unit_model(RayDivisorSystem.of(
+            rays=s.rays, divisors=s.divisors[::-1], pairing=[row[::-1] for row in s.pairing],
+        )),
+        "pairing": _unit_model(RayDivisorSystem.of(
+            rays=s.rays, divisors=s.divisors, pairing=flipped,
+        )),
+    }
+    for part, model in others.items():
+        inst = DiagramInstance.of(s, tri.polytope, tri.facet_rays, model=model)
+        with pytest.raises(ValueError, match=f"differs from the bundle's in its {part}$"):
+            validate_diagram(inst)
 
 
 def test_validate_diagram_errors():

@@ -392,6 +392,26 @@ def test_diagram_band_width_below_one_exits_two(capsys, rule, d):
     assert err == "error: band width d must be at least 1\n"
 
 
+@pytest.mark.parametrize("command", ["check", "diagram"])
+def test_bundle_model_of_another_system_is_a_correspondence_error(
+    capsys, tmp_path, command
+):
+    from moribound.generate import realized_b2
+    from moribound.realized import model_to_json
+
+    bundle = json.loads(Path(f"{FIXTURES}/diagram_triangle.json").read_text())
+    bundle["model"] = model_to_json(realized_b2(0)[0])  # rays C1 and C2
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run(capsys, command, str(path))
+    want = "the realized model's system differs from the bundle's in its rays"
+    assert code == 1
+    if command == "check":
+        assert f"  correspondence-mismatch []: {want}" in out.splitlines()
+    else:
+        assert (out, err) == ("", f"correspondence error: {want}\n")
+
+
 def test_diagram_json_report(capsys):
     code, out, _ = run(
         capsys, "diagram", f"{FIXTURES}/diagram_square_258.json",
@@ -554,6 +574,22 @@ def _write_bad_inputs(directory: Path) -> None:
         "small-ray-with-divisor.json": dict(
             pair, rays=[pair["rays"][0], {"id": "B", "type": "small", "divisor": "Y"}]
         ),
+        "ray-id-integer.json": {
+            "rays": [{"id": 7, "type": "II", "divisor": "D"}],
+            "divisors": ["D"],
+            "pairing": [[-1]],
+        },
+        "face-ray-integer.json": {
+            "rays": [{"id": 7, "type": "II", "divisor": "D"}],
+            "divisors": ["D"],
+            "pairing": [[-1]],
+            "faces": [[], [7]],
+        },
+        "divisor-id-integer.json": {
+            "rays": [{"id": "A", "type": "II", "divisor": 1}],
+            "divisors": [1],
+            "pairing": [[-1]],
+        },
         "rho-string.json": dict(model, rho=str(model["rho"])),
         "rho-float.json": dict(model, rho=model["rho"] + 0.9),
         "rho-bool.json": dict(model, rho=True),
@@ -569,6 +605,9 @@ def _write_bad_inputs(directory: Path) -> None:
 NAMED_ERRORS = {
     "ray-without-divisor.json": "type II ray B must carry a divisor",
     "small-ray-with-divisor.json": "small ray B carries no divisor",
+    "ray-id-integer.json": "ray id must be a string, got 7",
+    "face-ray-integer.json": "ray id must be a string, got 7",
+    "divisor-id-integer.json": "divisor id must be a string, got 1",
 }
 
 
@@ -613,7 +652,8 @@ NAMED_ERRORS = {
     *(
         pytest.param(["check", f"{name}.json"], id=f"check-{name}")
         for name in ("rho-string", "rho-float", "rho-bool",
-                     "form-index-string", "form-index-float", "form-index-bool")
+                     "form-index-string", "form-index-float", "form-index-bool",
+                     "ray-id-integer", "face-ray-integer", "divisor-id-integer")
     ),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, argv):

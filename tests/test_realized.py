@@ -23,6 +23,7 @@ from moribound.raysystem import RayDivisorSystem, validate
 from moribound.realized import (
     RealizedModel,
     b2_invariants,
+    b2_pairs,
     b2_nef_combine,
     check_prop238_form,
     cm_nef_extension,
@@ -278,8 +279,8 @@ def test_b2_invariants_guard():
 def test_b2_invariants_counts_a_pinned_pair_as_a_witness():
     # A and B share D; C pairs positively with D, A positively with D(C) = E,
     # and B is orthogonal to E: C pins the pair.  D and E are not listed in
-    # contact, or {A, B, C} would be one component and the pair no B2 pair;
-    # so the system fails `validate` (pairing without a meet).
+    # contact, so the system fails `validate` (pairing without a meet); the
+    # pair is read from the rays all the same.
     rays = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, 1)}
     divisors = {"D": (-1, -1, 1), "E": (1, 0, -1)}
     system = RayDivisorSystem.of(
@@ -299,6 +300,32 @@ def test_b2_invariants_counts_a_pinned_pair_as_a_witness():
     out = b2_invariants(m, system)
     assert (out["n"], out["m"], out["k"], out["delta"]) == (1, 1, 0, 0)
     assert (out["m1"], out["m2"]) == (1, 0)
+
+
+def test_b2_pairs_inside_a_larger_contact_component():
+    # R1 and R2 share D, R3 carries E and D touches E, so all three rays form
+    # one contact component; R3 pins the pair, as in the test above, and the
+    # system is valid.
+    rays = {"R1": (1, 0, 0), "R2": (0, 1, 0), "R3": (0, 0, 1)}
+    divisors = {"D": (-1, -1, 1), "E": (1, 0, -1)}
+    system = RayDivisorSystem.of(
+        rays=[("R1", "II", "D"), ("R2", "II", "D"), ("R3", "II", "E")],
+        divisors=list(divisors),
+        pairing=[[sum(a * b for a, b in zip(r, d)) for d in divisors.values()]
+                 for r in rays.values()],
+        meets=[("D", "E")],
+    )
+    assert [list(row) for row in system.pairing] == [[-1, 1], [-1, 0], [1, -1]]
+    assert validate(system) == []
+    assert b2_pairs(system) == [frozenset({"R1", "R2"})]
+    m = RealizedModel(
+        rho=3,
+        base_system=system,
+        ray_vectors={rid: RVector.of(v) for rid, v in rays.items()},
+        divisor_vectors={did: RVector.of(v) for did, v in divisors.items()},
+    )
+    out = b2_invariants(m, system)
+    assert (out["n"], out["m"], out["m1"], out["m2"]) == (1, 1, 1, 0)
 
 
 # --- face simplicity ---------------------------------------------------------------
