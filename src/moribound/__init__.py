@@ -69,7 +69,6 @@ from .structure import (
     ClassificationReport,
     ComponentType,
     EsetType,
-    accepts_nef_combination,
     check_condition_ii,
     check_condition_iii,
     check_lemma11,
@@ -78,7 +77,6 @@ from .structure import (
     classify_extremal_set,
     classify_report,
     condition_iii_full,
-    d2_condition,
     detect_e2_pairs,
     find_esets,
     is_extremal,

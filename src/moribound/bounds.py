@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .core import INF, SystemFormatError, format_rational, json_list, rational
+from .core import INF, KINDS, format_rational, rational, walk
 from .polytope import (
     CombinatorialPolytope,
     PolytopeError,
@@ -622,22 +622,10 @@ def diagram_to_json(inst: DiagramInstance) -> dict:
 
 
 def diagram_from_json(data: dict) -> DiagramInstance:
-    try:
-        system = system_from_json(data["system"])
-        polytope = polytope_from_json(data["polytope"])
-        facet_rays = tuple(json_list(data["facet_rays"], "facet_rays"))
-        perp_rays = frozenset(json_list(data.get("perp_rays", ()), "perp_rays"))
-        model = model_from_json(data["model"]) if "model" in data else None
-    except (KeyError, TypeError) as exc:
-        raise SystemFormatError(f"malformed diagram instance: {exc}") from exc
-    for rid in (*facet_rays, *perp_rays):
-        if not isinstance(rid, str):
-            raise SystemFormatError(f"facet and perp rays must be ray ids, got {rid!r}")
+    parsers = {"system": system_from_json, "polytope": polytope_from_json,
+               "realized": model_from_json}
+    f = walk(data, KINDS["diagram"], parsers)
     return DiagramInstance(
-        system=system,
-        polytope=polytope,
-        facet_rays=facet_rays,
-        perp_rays=perp_rays,
-        model=model,
+        **f | {"facet_rays": tuple(f["facet_rays"]), "perp_rays": frozenset(f["perp_rays"])}
     )
 

@@ -181,7 +181,7 @@ def check_one(path: str) -> dict:
         data = _read_json(path)
         kind = result["kind"] = detect_kind(data)
         violations, notes = _check_instance(kind, data)
-    except (SystemFormatError, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+    except (SystemFormatError, json.JSONDecodeError, OSError) as exc:
         result["error"] = f"{type(exc).__name__}: {exc}"
         return result
     result["violations"] = [

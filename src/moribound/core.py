@@ -9,10 +9,12 @@ place a float sneaks in, and it is never mixed into rational arithmetic.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
-from itertools import permutations, repeat
-from typing import Iterable, Sequence
+from itertools import chain, count, permutations, repeat
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 INF = float("inf")
 
@@ -22,28 +24,16 @@ class DimensionMismatch(ValueError):
 
 
 class SystemFormatError(ValueError):
-    """The instance data is structurally unusable (not merely invalid)."""
+    """The instance data is structurally unusable (not merely invalid).  The
+    message starts with `path`, the JSON keys down to the field at fault."""
 
+    def __init__(self, message: str, *path: str | int) -> None:
+        super().__init__(message)
+        self.path = list(path)
 
-def json_list(value: object, name: str) -> Sequence:
-    """`value`, which must be a list or tuple, not a string of characters."""
-    if not isinstance(value, (list, tuple)):
-        raise SystemFormatError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def json_int(value: object, name: str) -> int:
-    """`value`, which must be an int: not a bool, a float or a string."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SystemFormatError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def json_lists(value: object, name: str, what: str) -> Sequence:
-    """`value`, which must be a list of lists, named `what` in the error."""
-    if not all(map(isinstance, json_list(value, name), repeat((list, tuple)))):
-        raise SystemFormatError(f"{name} must be a list of {what}")
-    return value
+    def __str__(self) -> str:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in self.path)
+        return f"{where.lstrip('.')}: {self.args[0]}" if where else self.args[0]
 
 
 def rational(value: object) -> Fraction:
@@ -59,6 +49,20 @@ def rational(value: object) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def number(value: object) -> int | Fraction:
+    """`rational(value)` as an `int` where integral, the one type of pairing
+    and anticanonical entries.  A string tries `int` before `Fraction`."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    q = rational(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def format_rational(q: Fraction | int) -> str:
@@ -333,3 +337,125 @@ def scale_primitive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     for v in ints:
         g = math.gcd(g, abs(v.numerator))
     return tuple(v / g for v in ints)
+
+
+# ---------------------------------------------------------------------------
+# Instance files: each kind's fields, declared once, and the one walker that
+# reads a file through them.
+# ---------------------------------------------------------------------------
+
+
+class RayType(Enum):
+    I = "I"
+    II = "II"
+    SMALL = "small"
+
+
+class Leaf(NamedTuple):
+    """A scalar field: the JSON types it accepts, and `read`, which turns an
+    accepted value into the program's or raises ValueError."""
+
+    expected: str
+    types: set[type]
+    read: Optional[Callable[[Any], Any]] = None
+
+
+class Opt(NamedTuple):
+    """An optional field, read as `default` when absent or null."""
+
+    shape: object
+    default: object = None
+
+
+ID = Leaf("a string", {str})
+INT = Leaf("an integer", {int})
+BOOL = Leaf("true or false", {bool})
+RATIONAL = Leaf('an integer or a "p/q" string', {int, str}, number)
+VERTEX = Leaf("a string or an integer", {str, int})
+RAY_TYPE = Leaf("I, II or small", {str}, RayType)
+
+# A shape is a Leaf; [shape], a list of it; (shape, ...), a list with one
+# shape per position; {key: shape}, an object with these fields (Opt marks
+# the optional ones); {str: shape}, an object from any key to shape; or the
+# name of another kind, an object that kind's parser reads.  The keys of a
+# kind are the parameters of the constructor its parser calls.
+KINDS: dict[str, dict] = {
+    "system": {"rays": [{"id": ID, "type": RAY_TYPE, "divisor": Opt(ID)}],
+               "divisors": [ID], "pairing": [[RATIONAL]], "meets": Opt([[ID]], ()),
+               "faces": Opt([[ID]]), "anticanonical": Opt([RATIONAL]),
+               "fano_mode": Opt(BOOL, False)},
+    "polytope": {"dim": INT, "vertices": [VERTEX], "facets": [[VERTEX]]},
+    "realized": {"rho": INT, "base_system": "system", "ray_vectors": {str: [RATIONAL]},
+                 "divisor_vectors": {str: [RATIONAL]},
+                 "intersection_form": Opt([(INT, INT, INT, RATIONAL)]),
+                 "anticanonical_vector": Opt([RATIONAL])},
+    "diagram": {"system": "system", "polytope": "polytope", "facet_rays": [ID],
+                "perp_rays": Opt([ID], ()), "model": Opt("realized")},
+}
+
+_MISSING = object()
+
+
+def walk(value: object, shape: object, parsers: Optional[Mapping[str, Callable]] = None) -> Any:
+    """`value` read as `shape`, another kind's object by `parsers[kind]`.  The
+    first field at fault, in declaration and list order, raises
+    SystemFormatError with its JSON path, which is built only then."""
+    kind = type(shape)
+    if kind is str:
+        return parsers[shape](value)
+    if kind is Leaf:
+        try:
+            if type(value) in shape.types:
+                return value if shape.read is None else shape.read(value)
+        except ValueError:
+            pass
+        raise SystemFormatError(f"expected {shape.expected}, got {reprlib.repr(value)}")
+    if kind is dict:
+        if type(value) is not dict:
+            raise SystemFormatError(f"expected an object, got {reprlib.repr(value)}")
+        fields = zip(value, repeat(shape[str])) if str in shape else shape.items()
+        items = ((key, value.get(key, _MISSING), sub) for key, sub in fields)
+    else:
+        if type(value) is not list:
+            raise SystemFormatError(f"expected a list, got {reprlib.repr(value)}")
+        if kind is tuple and len(value) != len(shape):
+            raise SystemFormatError(f"expected {len(shape)} entries, got {reprlib.repr(value)}")
+        fast = None if kind is tuple else _fast(value, shape[0])
+        if fast is not None:
+            return fast
+        items = zip(count(), value, shape if kind is tuple else repeat(shape[0]))
+    out = {}
+    for key, v, sub in items:
+        if type(sub) is Opt:
+            if v is None or v is _MISSING:
+                out[key] = sub.default
+                continue
+            sub = sub.shape
+        elif v is _MISSING:
+            raise SystemFormatError("missing", key)
+        try:
+            out[key] = walk(v, sub, parsers)
+        except SystemFormatError as exc:
+            exc.path.insert(0, key)
+            raise
+    return out if kind is dict else list(out.values())
+
+
+def _fast(values: list, shape: object) -> Optional[list]:
+    """The reading of `values`, a list of `shape`, when `shape` is lists
+    around a Leaf: one pass over the entries' types and one `map` per list,
+    not a walk per entry.  None when an entry does not fit."""
+    if type(shape) is list:
+        if not {*map(type, values)} <= {list}:
+            return None
+        item = shape[0]
+        if type(item) is Leaf and item.read is None:  # lists of ids: one pass in all
+            return values if {*map(type, chain.from_iterable(values))} <= item.types else None
+        rows = [_fast(row, item) for row in values]
+        return None if None in rows else rows
+    if type(shape) is Leaf and {*map(type, values)} <= shape.types:
+        try:
+            return values if shape.read is None else list(map(shape.read, values))
+        except ValueError:
+            pass
+    return None

@@ -482,7 +482,6 @@ def enumerate_sign_systems(
         for t in ("I", "II")
         for d in names
     }
-    entry = {v: Fraction(v) for v in (-1, 0, 1)}
     for n in range(1, max_rays + 1):
         ids = [f"R{i + 1}" for i in range(n)]
         variants = tuple(face_variants(ids)) if with_faces else ()
@@ -502,11 +501,11 @@ def enumerate_sign_systems(
                 ]
                 for combo in iproduct((0, 1), repeat=len(cross_cells)):
                     pairing = [
-                        [entry[-1] if divisor_of[i] == d else entry[0] for d in divisors]
+                        [-1 if divisor_of[i] == d else 0 for d in divisors]
                         for i in range(n)
                     ]
                     for (i, b), value in zip(cross_cells, combo):
-                        pairing[i][b] = entry[value]
+                        pairing[i][b] = value
                     meets = {
                         share(frozenset((divisor_of[i], divisors[b])))
                         for (i, b), value in zip(cross_cells, combo)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import SystemFormatError, binomial, json_int, json_list, json_lists
+from .core import KINDS, binomial, walk
 
 VertexId = object  # JSON scalar: str or int
 
@@ -341,13 +341,4 @@ def polytope_to_json(p: CombinatorialPolytope) -> dict:
 
 
 def polytope_from_json(data: dict) -> CombinatorialPolytope:
-    try:
-        dim = json_int(data["dim"], "dim")
-        vertices = json_list(data["vertices"], "vertices")
-        facets = json_lists(data["facets"], "facets", "vertex lists")
-    except (KeyError, TypeError) as exc:
-        raise SystemFormatError(f"missing polytope field: {exc}") from exc
-    try:
-        return CombinatorialPolytope.of(dim, vertices, facets)
-    except TypeError as exc:  # non-scalar vertex ids
-        raise SystemFormatError(f"malformed polytope: {exc}") from exc
+    return CombinatorialPolytope.of(**walk(data, KINDS["polytope"]))

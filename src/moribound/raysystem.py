@@ -11,19 +11,12 @@ validated system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import INF, SystemFormatError, format_rational, json_list, json_lists, rational
-
-
-class RayType(Enum):
-    I = "I"
-    II = "II"
-    SMALL = "small"
+from .core import INF, KINDS, RayType, SystemFormatError, format_rational, number, walk
 
 
 @dataclass(frozen=True)
@@ -66,10 +59,10 @@ class Violation:
 class RayDivisorSystem:
     rays: tuple[Ray, ...]
     divisors: tuple[str, ...]
-    pairing: tuple[tuple[Fraction, ...], ...]
+    pairing: tuple[tuple[int | Fraction, ...], ...]  # int where integral
     meets: frozenset  # frozenset of 2-element frozensets of divisor ids
     faces: Optional[tuple[frozenset, ...]] = None  # deduplicated, by (size, sorted ids)
-    anticanonical: Optional[tuple[Fraction, ...]] = None
+    anticanonical: Optional[tuple[int | Fraction, ...]] = None  # int where integral
     fano_mode: bool = False
     _ray_index: dict = field(init=False, repr=False, compare=False)
     _div_index: dict = field(init=False, repr=False, compare=False)
@@ -81,49 +74,53 @@ class RayDivisorSystem:
     _face_masks: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sets = None if self.faces is None else dict.fromkeys(map(frozenset, self.faces))
         ray_index = {r.id: i for i, r in enumerate(self.rays)}
         div_index = {d: i for i, d in enumerate(self.divisors)}
         if len(ray_index) != len(self.rays):
-            raise SystemFormatError("duplicate ray ids")
+            raise SystemFormatError("duplicate ray ids", "rays")
         if len(div_index) != len(self.divisors):
-            raise SystemFormatError("duplicate divisor ids")
-        for r in self.rays:
-            if r.divisor is None:
-                if r.type is not RayType.SMALL:
-                    raise SystemFormatError(f"type {r.type.value} ray {r.id} must carry a divisor")
-            elif r.type is RayType.SMALL:
-                raise SystemFormatError(f"small ray {r.id} carries no divisor")
-            elif r.divisor not in div_index:
-                raise SystemFormatError(f"ray {r.id} names unknown divisor {r.divisor}")
+            raise SystemFormatError("duplicate divisor ids", "divisors")
+        for k, r in enumerate(self.rays):
+            if (r.divisor is None) != (r.type is RayType.SMALL):
+                why = (f"small ray {r.id} carries no divisor" if r.divisor is not None
+                       else f"type {r.type.value} ray {r.id} must carry a divisor")
+            elif r.divisor is not None and r.divisor not in div_index:
+                why = f"unknown divisor {r.divisor}"
+            else:
+                continue
+            raise SystemFormatError(why, "rays", k, "divisor")
         if len(self.pairing) != len(self.rays) or any(
             len(row) != len(self.divisors) for row in self.pairing
         ):
-            raise SystemFormatError("pairing matrix shape does not match rays x divisors")
-        for pair in self.meets:
-            if len(pair) != 2:
-                raise SystemFormatError(f"contact entry {sorted(pair)} must join two distinct divisors")
-            for d in pair:
-                if d not in div_index:
-                    raise SystemFormatError(f"contact entry names unknown divisor {d}")
+            raise SystemFormatError("shape does not match rays x divisors", "pairing")
+        bad = sorted(sorted(p) for p in self.meets if len(p) != 2 or not p.issubset(div_index))
+        if bad:
+            raise SystemFormatError(f"{bad[0]} must join two distinct listed divisors", "meets")
         if self.anticanonical is not None and len(self.anticanonical) != len(self.rays):
-            raise SystemFormatError("anticanonical column length does not match rays")
+            raise SystemFormatError("length does not match rays", "anticanonical")
         object.__setattr__(self, "_ray_index", ray_index)
         object.__setattr__(self, "_div_index", div_index)
         bit = {rid: 1 << k for k, rid in enumerate(sorted(ray_index, reverse=True))}
         object.__setattr__(self, "_bit", bit)
-        self._set_faces(sets)
+        self._set_faces(self.faces)
 
-    def _set_faces(self, sets: Optional[Iterable[frozenset]]) -> None:
-        """Store the distinct faces `sets` (or None), ordered, with their
-        masks.  Faces that arrive in order cost one linear pass of the sort."""
-        masks = faces = None
-        if sets is not None:
+    def _set_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> None:
+        """Store the distinct faces (or None), ordered, with their masks.
+        Faces that arrive in order cost one linear pass of the sort."""
+        masks = None
+        if faces is not None:
+            faces = tuple(faces)
             bit = self._bit
             try:
-                order = sorted((len(f), -sum(map(bit.__getitem__, f)), f) for f in sets)
-            except KeyError as exc:
-                raise SystemFormatError(f"face names unknown ray {exc.args[0]}") from None
+                order = sorted(
+                    (len(f), -sum(map(bit.__getitem__, f)), f)
+                    for f in dict.fromkeys(map(frozenset, faces))
+                )
+            except KeyError:
+                k, unknown = min(
+                    (k, min(set(f) - bit.keys())) for k, f in enumerate(faces) if set(f) - bit.keys()
+                )
+                raise SystemFormatError(f"face names unknown ray {unknown}", "faces", k) from None
             masks = tuple(-entry[1] for entry in order)
             faces = tuple(entry[2] for entry in order)
         object.__setattr__(self, "faces", faces)
@@ -142,12 +139,10 @@ class RayDivisorSystem:
         return RayDivisorSystem(
             rays=tuple(Ray.of(r) for r in rays),
             divisors=tuple(divisors),
-            pairing=tuple(tuple(rational(x) for x in row) for row in pairing),
+            pairing=tuple(tuple(map(number, row)) for row in pairing),
             meets=frozenset(frozenset(pair) for pair in meets),
             faces=faces,
-            anticanonical=None
-            if anticanonical is None
-            else tuple(rational(x) for x in anticanonical),
+            anticanonical=None if anticanonical is None else tuple(map(number, anticanonical)),
             fano_mode=fano_mode,
         )
 
@@ -163,7 +158,7 @@ class RayDivisorSystem:
         except KeyError:
             raise ValueError(f"unknown ray {rid}") from None
 
-    def q(self, rid: str, did: str) -> Fraction:
+    def q(self, rid: str, did: str) -> int | Fraction:
         try:
             return self.pairing[self._ray_index[rid]][self._div_index[did]]
         except KeyError as exc:
@@ -172,7 +167,7 @@ class RayDivisorSystem:
     def divisor_of(self, rid: str) -> Optional[str]:
         return self.ray(rid).divisor
 
-    def anticanonical_degree(self, rid: str) -> Fraction:
+    def anticanonical_degree(self, rid: str) -> int | Fraction:
         if self.anticanonical is None:
             raise ValueError("system has no anticanonical column")
         return self.anticanonical[self._ray_index[rid]]
@@ -200,7 +195,7 @@ class RayDivisorSystem:
         new.__dict__.update(
             {name: self.__dict__[name] for name in _SHARED_WITH_VARIANTS}
         )
-        new._set_faces(None if faces is None else dict.fromkeys(map(frozenset, faces)))
+        new._set_faces(faces)
         return new
 
     @cached_property
@@ -280,13 +275,12 @@ class Relations:
     id in sorted order holds the highest bit, so reading a mask from its
     highest bit down visits its rays in sorted id order; `order` lists the
     positions in declaration order.  `column[k]` is the index of D(ids[k])
-    and `toward[k][j]` is q(ids[k], D(ids[j])), an `int` where integral and
-    a `Fraction` otherwise (None when ids[j] carries no divisor).  Per ray k,
-    over the rays j that carry divisors: `contact[k]` holds those whose
-    divisor equals or touches D(ids[k]) (k itself included), `arrows[k]`
-    those j != k with toward[k][j] > 0 and `zeros[k]` those j != k with
-    toward[k][j] == 0.  `type_i`, `type_ii`, `divisorial` and `simple` are
-    masks of rays.
+    and `toward[k][j]` is q(ids[k], D(ids[j])) (None when ids[j] carries no
+    divisor).  Per ray k, over the rays j that carry divisors: `contact[k]`
+    holds those whose divisor equals or touches D(ids[k]) (k itself
+    included), `arrows[k]` those j != k with toward[k][j] > 0 and `zeros[k]`
+    those j != k with toward[k][j] == 0.  `type_i`, `type_ii`, `divisorial`
+    and `simple` are masks of rays.
     """
 
     __slots__ = (
@@ -310,10 +304,7 @@ class Relations:
         toward, contact, arrows, zeros = [], [], [], []
         type_i = type_ii = simple = 0
         for k, r in enumerate(rays):
-            row = [
-                v.numerator if v.denominator == 1 else v
-                for v in s.pairing[s._ray_index[r.id]]
-            ]
+            row = s.pairing[s._ray_index[r.id]]
             line = tuple(None if c is None else row[c] for c in column)
             near = 0 if column[k] is None else touching[column[k]]
             touches = up = level = 0
@@ -755,41 +746,6 @@ def system_to_json(s: RayDivisorSystem) -> dict:
 
 
 def system_from_json(data: Mapping) -> RayDivisorSystem:
-    try:
-        rays_raw = json_list(data["rays"], "rays")
-        divisors = json_list(data["divisors"], "divisors")
-        pairing_raw = json_lists(data["pairing"], "pairing", "rows, one per ray")
-    except (KeyError, TypeError) as exc:
-        raise SystemFormatError(f"missing system field: {exc}") from exc
-    faces, anti = data.get("faces"), data.get("anticanonical")
-    fano_mode = data.get("fano_mode", False)
-    if not isinstance(fano_mode, bool):
-        raise SystemFormatError(f"fano_mode must be true or false, got {fano_mode!r}")
-    rays = []
-    for entry in rays_raw:
-        try:
-            rid, rtype = entry["id"], RayType(entry["type"])
-        except ValueError as exc:
-            raise SystemFormatError(f"unknown ray type {entry.get('type')!r}") from exc
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise SystemFormatError(f"malformed ray entry {entry!r}") from exc
-        if not isinstance(rid, str):
-            raise SystemFormatError(f"ray id must be a string, got {rid!r}")
-        rays.append(Ray(rid, rtype, entry.get("divisor")))
-    for did in divisors:
-        if not isinstance(did, str):
-            raise SystemFormatError(f"divisor id must be a string, got {did!r}")
-    try:
-        return RayDivisorSystem.of(
-            rays=rays,
-            divisors=divisors,
-            pairing=pairing_raw,
-            meets=json_lists(data.get("meets", ()), "meets", "divisor pairs"),
-            faces=None if faces is None else json_lists(faces, "faces", "ray lists"),
-            anticanonical=None if anti is None else json_list(anti, "anticanonical"),
-            fano_mode=fano_mode,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SystemFormatError):
-            raise
-        raise SystemFormatError(str(exc)) from exc
+    f = walk(data, KINDS["system"])
+    f["rays"] = [Ray(**r) for r in f["rays"]]
+    return RayDivisorSystem.of(**f)

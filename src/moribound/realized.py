@@ -16,17 +16,15 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    KINDS,
     RVector,
-    SystemFormatError,
     TrilinearForm,
     format_rational,
-    json_int,
-    json_list,
-    json_lists,
     kernel_of_columns,
     rational,
     scale_primitive,
     span_rank,
+    walk,
 )
 from .raysystem import (
     RayDivisorSystem,
@@ -427,10 +425,6 @@ def _vector_to_json(v: RVector) -> list:
     return [format_rational(x) for x in v]
 
 
-def _vector_from_json(data: object, name: str) -> RVector:
-    return RVector.of([rational(x) for x in json_list(data, name)])
-
-
 def model_to_json(m: RealizedModel) -> dict:
     out = {
         "rho": m.rho,
@@ -455,39 +449,15 @@ def model_to_json(m: RealizedModel) -> dict:
 
 
 def model_from_json(data: dict) -> RealizedModel:
-    try:
-        rho = json_int(data["rho"], "rho")
-        base = system_from_json(data["base_system"])
-        rays = {
-            rid: _vector_from_json(vec, f"ray vector {rid}")
-            for rid, vec in data["ray_vectors"].items()
-        }
-        divisors = {
-            did: _vector_from_json(vec, f"divisor vector {did}")
-            for did, vec in data["divisor_vectors"].items()
-        }
-        form = None
-        if "intersection_form" in data:
-            entries = json_lists(data["intersection_form"], "intersection_form", "entries")
-            form = TrilinearForm.of(
-                rho,
-                [
-                    ([json_int(x, "intersection_form index") for x in (i, j, k)], rational(v))
-                    for i, j, k, v in entries
-                ],
-            )
-        anti = None
-        if "anticanonical_vector" in data:
-            anti = _vector_from_json(data["anticanonical_vector"], "anticanonical_vector")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        if isinstance(exc, SystemFormatError):
-            raise
-        raise SystemFormatError(f"malformed realized model: {exc}") from exc
+    f = walk(data, KINDS["realized"], {"system": system_from_json})
+    rho, form, anti = f["rho"], f["intersection_form"], f["anticanonical_vector"]
     return RealizedModel(
         rho=rho,
-        base_system=base,
-        ray_vectors=rays,
-        divisor_vectors=divisors,
-        intersection_form=form,
-        anticanonical_vector=anti,
+        base_system=f["base_system"],
+        ray_vectors={rid: RVector.of(v) for rid, v in f["ray_vectors"].items()},
+        divisor_vectors={did: RVector.of(v) for did, v in f["divisor_vectors"].items()},
+        intersection_form=None if form is None else TrilinearForm.of(
+            rho, [(entry[:3], entry[3]) for entry in form]
+        ),
+        anticanonical_vector=None if anti is None else RVector.of(anti),
     )

@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     format_rational,
-    rational,
     scale_primitive,
     solve_inequalities,
 )
@@ -189,24 +188,6 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
     )
 
 
-def d2_condition(s: RayDivisorSystem, s1: str, s2: str) -> bool:
-    """Condition (ii) on a (type II, type I) pair with negative self pairings and
-    positive crosses: no nonzero nonnegative divisor combination is >= 0 on both."""
-    r1, r2 = s.ray(s1), s.ray(s2)
-    if r1.type is not RayType.II or r2.type is not RayType.I:
-        raise ValueError("expected (type II, type I) in that order")
-    rel = s.relations
-    ks = [rel.bit[x].bit_length() - 1 for x in (s1, s2)]
-    rows = _rows(rel, ks, ks)
-    (q11, q12), (q21, q22) = rows
-    if q11 >= 0 or q22 >= 0 or q12 <= 0 or q21 <= 0:
-        raise ValueError(
-            "need negative self pairings and positive crosses, got "
-            f"({q11}, {q12}; {q21}, {q22})"
-        )
-    return _cone_witness(rows, 2, False) is None
-
-
 def classify_extremal_set(s: RayDivisorSystem, rays: Iterable[str]) -> ClassificationReport:
     """Component decomposition of one extremal set, with per-component types,
     recorded failures, and the shape filter verdict."""
@@ -269,7 +250,7 @@ def _admissible(
 # verdicts ask about 7,537 distinct ones, 4.9 MB of keys and witnesses.
 @lru_cache(maxsize=8192)
 def _cone_witness(
-    rows: tuple[tuple[Fraction, ...], ...], nvars: int, positive: bool
+    rows: tuple[tuple[int | Fraction, ...], ...], nvars: int, positive: bool
 ) -> Optional[tuple[Fraction, ...]]:
     """A primitive integer vector m with every row . m >= 0 and m >= 0,
     m != 0 (or, when `positive`, every m_i >= 1), or None when there is none.
@@ -277,9 +258,7 @@ def _cone_witness(
     Every solver question of this module is this one, and the sweeps ask it
     about the same few matrices again and again, so the answer is memoised by
     the exact rows.  Fourier-Motzkin is deterministic in its constraints, so a
-    remembered witness is the one a fresh solve would give.  Entries arrive
-    as `int`s where integral; an `int` and an equal `Fraction` hash and
-    compare alike, so both spellings of a matrix share one entry."""
+    remembered witness is the one a fresh solve would give."""
     units = [
         (tuple(int(i == j) for j in range(nvars)), int(positive))
         for i in range(nvars)
@@ -339,27 +318,6 @@ def check_condition_ii(s: RayDivisorSystem, e: Iterable[str]) -> bool:
     """True when every nonzero nonnegative divisor combination from the set is
     strictly negative on at least one member ray."""
     return condition_ii_witness(s, e) is None
-
-
-def accepts_nef_combination(
-    s: RayDivisorSystem, rays: Sequence[str], coeffs: Sequence[object]
-) -> bool:
-    """Whether sum coeffs_i * D(rays_i) is >= 0 against every listed ray
-    (coeffs must be >= 0 and not all zero)."""
-    ids = list(rays)
-    values = [rational(c) for c in coeffs]
-    if len(ids) != len(values):
-        raise ValueError("coefficient count does not match rays")
-    if any(v < 0 for v in values) or all(v == 0 for v in values):
-        return False
-    cols = [s.divisor_of(rid) for rid in ids]
-    for probe in s.ray_ids:
-        total = sum(
-            (v * s.q(probe, d) for v, d in zip(values, cols)), Fraction(0)
-        )
-        if total < 0:
-            return False
-    return True
 
 
 def check_condition_iii(

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -152,7 +153,7 @@ def test_check_malformed_ray_entries_exit_two(capsys, tmp_path):
     path.write_text(json.dumps(bad))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 2
-    assert "malformed ray entry" in out
+    assert "rays[0]: expected an object, got ['R1', 'II', 'D1']" in out
 
 
 def test_check_broken_json_exits_two(capsys, tmp_path):
@@ -603,11 +604,11 @@ def _write_bad_inputs(directory: Path) -> None:
 
 # Bad inputs whose error message must name the ray at fault and its type.
 NAMED_ERRORS = {
-    "ray-without-divisor.json": "type II ray B must carry a divisor",
-    "small-ray-with-divisor.json": "small ray B carries no divisor",
-    "ray-id-integer.json": "ray id must be a string, got 7",
-    "face-ray-integer.json": "ray id must be a string, got 7",
-    "divisor-id-integer.json": "divisor id must be a string, got 1",
+    "ray-without-divisor.json": "rays[1].divisor: type II ray B must carry a divisor",
+    "small-ray-with-divisor.json": "rays[1].divisor: small ray B carries no divisor",
+    "ray-id-integer.json": "rays[0].id: expected a string, got 7",
+    "face-ray-integer.json": "rays[0].id: expected a string, got 7",
+    "divisor-id-integer.json": "rays[0].divisor: expected a string, got 1",
 }
 
 
@@ -736,3 +737,155 @@ def test_mutated_fixtures_never_raise(tmp_path):
                 except Exception as exc:  # nothing may escape main
                     pytest.fail(f"{argv} raised {exc!r} on {json.dumps(mutant)}")
                 assert code in (0, 1, 2), (argv, mutant)
+
+
+# --- the field tables: every declared field, every wrong JSON type ------------
+
+WRONG_TYPES = (None, True, 7, 1.5, "x", [], {})
+DROP = object()  # `_replaced` deletes the field
+
+
+def _samples():
+    """One instance of each kind that holds every declared field, nested
+    kinds included (the parts need not agree with each other)."""
+    from moribound.generate import realized_fano
+    from moribound.realized import model_to_json
+
+    bundle = json.loads(Path(f"{FIXTURES}/diagram_triangle.json").read_text())
+    model = dict(model_to_json(realized_fano(9, m=2)[0]), base_system=bundle["system"],
+                 intersection_form=[[0, 1, 2, "1/2"]])
+    return {
+        "system": bundle["system"],
+        "polytope": bundle["polytope"],
+        "realized": model,
+        "diagram": dict(bundle, perp_rays=["S1"], model=model),
+    }
+
+
+def _declared(shape, sample, keys=()):
+    """(keys, shape, required) of every field declared under `shape`, down
+    through lists, objects and nested kinds, with each list and map read at
+    its last entry of `sample`.  `required` tells an object's required
+    fields from its optional ones, and is None for list and map entries."""
+    from moribound.core import KINDS, Opt
+
+    if type(shape) is Opt:
+        shape = shape.shape
+    if type(shape) is str:
+        shape = KINDS[shape]
+    if type(shape) is dict and str in shape:  # an object from any key
+        subs = [(list(sample)[-1], shape[str])]
+        shape = None
+    elif type(shape) is dict:
+        subs = shape.items()
+    elif type(shape) is list:
+        subs = [(len(sample) - 1, shape[0])]
+    elif type(shape) is tuple:
+        subs = list(enumerate(shape))
+    else:
+        return
+    for key, sub in subs:
+        assert key in sample if isinstance(sample, dict) else 0 <= key < len(sample), keys
+        yield keys + (key,), sub, type(sub) is not Opt if type(shape) is dict else None
+        yield from _declared(sub, sample[key], keys + (key,))
+
+
+def _json_path(keys):
+    out = ""
+    for key in keys:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}" if out else key
+    return out
+
+
+def _table_allows(shape, value):
+    from moribound.core import Leaf, Opt
+
+    if type(shape) is Opt:
+        return value is None or _table_allows(shape.shape, value)
+    if type(shape) is not Leaf or type(value) not in shape.types:
+        return False
+    try:
+        if shape.read is not None:
+            shape.read(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _replaced(data, keys, value):
+    data = json.loads(json.dumps(data))
+    parent = data
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    return data
+
+
+def test_every_declared_field_of_every_kind_names_its_path_on_a_wrong_type(tmp_path):
+    path = tmp_path / "mutant.json"
+    mutants = 0
+    for kind, sample in _samples().items():
+        for keys, shape, _ in _declared(kind, sample):  # asserts `sample` has every field
+            original = sample
+            for key in keys:
+                original = original[key]
+            for value in WRONG_TYPES:
+                if type(value) is type(original):
+                    continue
+                mutants += 1
+                path.write_text(json.dumps(_replaced(sample, keys, value)))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["check", str(path)])
+                text = out.getvalue() + err.getvalue()
+                assert "Traceback" not in text
+                if _table_allows(shape, value):
+                    assert code in (0, 1, 2), (kind, keys, value)
+                else:
+                    assert code == 2, (kind, keys, value, text)
+                    assert f"(SystemFormatError: {_json_path(keys)}: " in text, text
+    assert mutants == 762
+
+
+def test_a_missing_required_field_names_its_path():
+    seen = 0
+    for kind, sample in _samples().items():
+        for keys, _, required in _declared(kind, sample):
+            if not required:
+                continue
+            with pytest.raises(moribound.SystemFormatError) as caught:
+                cli.FROM_JSON[kind](_replaced(sample, keys, DROP))
+            assert str(caught.value) == f"{_json_path(keys)}: missing"
+            seen += 1
+    assert seen == 37  # the required fields of the four kinds, nested kinds included
+
+
+def test_readme_lists_exactly_the_declared_keys_of_each_kind():
+    from moribound.core import KINDS, Opt
+
+    text = Path(__file__).parents[1].joinpath("README.md").read_text()
+    section = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    labels = {"system": "system", "polytope": "polytope",
+              "realized model": "realized", "diagram bundle": "diagram"}
+    listed = {}
+    for bullet in section.split("\n- ")[1:]:
+        label, _, body = bullet.partition(":")
+        body = body.split("\n\n", 1)[0]
+        listed[labels[label]] = set(re.findall(r"`([a-z_]+)`", body))
+
+    def keys(shape):
+        if type(shape) is dict:
+            for key, sub in shape.items():
+                if key is not str:  # not an object from any key
+                    yield key
+                yield from keys(sub)
+        elif type(shape) in (list, tuple):
+            for sub in shape:
+                yield from keys(sub)
+        elif type(shape) is Opt:
+            yield from keys(shape.shape)
+
+    assert listed == {kind: set(keys(table)) for kind, table in KINDS.items()}

@@ -9,18 +9,23 @@ from hypothesis import strategies as st
 
 from moribound.core import (
     INF,
+    KINDS,
     DimensionMismatch,
     RVector,
+    SystemFormatError,
     TrilinearForm,
     binomial,
     format_rational,
     kernel_of_columns,
+    number,
     rank,
     rational,
     scale_primitive,
     solve_inequalities,
     span_rank,
+    walk,
 )
+from moribound.raysystem import RayDivisorSystem, system_from_json
 
 small_fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -38,6 +43,115 @@ def test_rational_coercions():
     assert rational(Fraction(1, 7)) == Fraction(1, 7)
     with pytest.raises(TypeError):
         rational(0.5)  # floats are never silently accepted
+
+
+@pytest.mark.parametrize("value", [1, "2/2", "-3", " 3 ", "+2", "1e3", "-4/2"])
+def test_number_is_an_int_where_integral(value):
+    assert type(number(value)) is int
+    assert number(value) == rational(value)
+
+
+@pytest.mark.parametrize("value", ["1/2", "1.5", Fraction(-3, 4)])
+def test_number_stays_a_fraction_otherwise(value):
+    assert type(number(value)) is Fraction
+    assert number(value) == rational(value)
+
+
+def test_number_refuses_what_rational_refuses():
+    for value in (True, 0.5, None):
+        with pytest.raises(TypeError):
+            number(value)
+    for value in ("x", "1/0", ""):
+        with pytest.raises(ValueError):
+            number(value)
+
+
+def test_pairings_are_ints_from_parse_on_and_both_spellings_agree():
+    def data(pairing):
+        return {
+            "rays": [{"id": "A", "type": "II", "divisor": "D"}, {"id": "X", "type": "small"}],
+            "divisors": ["D"],
+            "pairing": pairing,
+            "anticanonical": ["2/2", 1],
+        }
+
+    parsed = system_from_json(data([[-1], [" 3 "]]))
+    spelled = system_from_json(data([["-2/2"], ["6/2"]]))
+    built = RayDivisorSystem.of(
+        rays=[("A", "II", "D"), ("X", "small")], divisors=["D"],
+        pairing=[[Fraction(-1)], ["3"]], anticanonical=[Fraction(1), "1"],
+    )
+    for s in (parsed, spelled, built):
+        assert [type(v) for row in s.pairing for v in row] == [int, int]
+        assert [type(v) for v in s.anticanonical] == [int, int]
+    as_fractions = RayDivisorSystem(
+        rays=built.rays, divisors=built.divisors, meets=built.meets,
+        pairing=((Fraction(-1),), (Fraction(3),)), anticanonical=(Fraction(1), Fraction(1)),
+    )
+    assert parsed == spelled == built == as_fractions
+    assert len({hash(s) for s in (parsed, spelled, built, as_fractions)}) == 1
+    half = system_from_json(data([[-1], ["1/2"]]))
+    assert half.pairing[1][0] == Fraction(1, 2) and type(half.pairing[1][0]) is Fraction
+
+
+# --- the field tables and their walker --------------------------------------
+
+
+def test_walk_reads_every_shape():
+    table = {
+        "n": KINDS["polytope"]["dim"],
+        "q": KINDS["system"]["pairing"],
+        "opt": KINDS["system"]["fano_mode"],
+        "map": KINDS["realized"]["ray_vectors"],
+        "rows": KINDS["realized"]["intersection_form"],
+    }
+    got = walk({"n": 3, "q": [["1", "1/2"]], "map": {"R": [0, "-2/2"]},
+                "rows": [[0, 1, 2, "4/2"]], "extra": None}, table)
+    assert got == {"n": 3, "q": [[1, Fraction(1, 2)]], "opt": False,
+                   "map": {"R": [0, -1]}, "rows": [[0, 1, 2, 2]]}
+    assert type(got["rows"][0][3]) is int
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"rays": 7}, "rays: expected a list, got 7"),
+    ({"rays": [{"id": "A", "type": "II", "divisor": "D"}, {"id": "B", "type": "II", "divisor": 7}]},
+     "rays[1].divisor: expected a string, got 7"),
+    ({"rays": [{"id": "A", "type": "III"}]}, "rays[0].type: expected I, II or small, got 'III'"),
+    ({"rays": [{"type": "I"}]}, "rays[0].id: missing"),
+    ({"rays": [], "divisors": ["D", 1]}, "divisors[1]: expected a string, got 1"),
+    ({"rays": [], "divisors": [], "pairing": [[1], [1, "1/0"]]},
+     "pairing[1][1]: expected an integer or a \"p/q\" string, got '1/0'"),
+    ({"rays": [], "divisors": [], "pairing": [], "meets": [["D", 1]]},
+     "meets[0][1]: expected a string, got 1"),
+    ({"rays": [], "divisors": [], "pairing": [], "faces": [[], ["A", None]]},
+     "faces[1][1]: expected a string, got None"),
+    ({"rays": [], "divisors": [], "pairing": [], "fano_mode": "no"},
+     "fano_mode: expected true or false, got 'no'"),
+])
+def test_walk_names_the_first_bad_field_by_its_path(data, message):
+    with pytest.raises(SystemFormatError) as caught:
+        walk(data, KINDS["system"])
+    assert str(caught.value) == message
+
+
+def test_walk_reports_the_first_bad_field_in_declaration_then_list_order():
+    data = {"fano_mode": 1, "pairing": [[0, None], [True]], "divisors": "D", "rays": []}
+    with pytest.raises(SystemFormatError, match=r"^divisors: expected a list"):
+        walk(data, KINDS["system"])
+    with pytest.raises(SystemFormatError, match=r"^pairing\[0\]\[1\]: "):
+        walk(dict(data, divisors=[]), KINDS["system"])
+
+
+def test_walk_puts_the_outer_path_in_front_of_a_nested_kind():
+    def system(data):
+        return walk(data, KINDS["system"])
+
+    bad = {"rho": 1, "base_system": {"rays": [{"id": 7}]},
+           "ray_vectors": {}, "divisor_vectors": {}}
+    with pytest.raises(SystemFormatError) as caught:
+        walk(bad, KINDS["realized"], {"system": system})
+    assert str(caught.value) == "base_system.rays[0].id: expected a string, got 7"
+    assert caught.value.path == ["base_system", "rays", 0, "id"]
 
 
 def test_format_rational_round_trip():

@@ -31,7 +31,6 @@ from moribound.raysystem import (
 from moribound.structure import (
     ClassificationFailure,
     _cross_pairings_nonnegative,
-    accepts_nef_combination,
     check_condition_ii,
     check_condition_iii,
     check_lemma11,
@@ -41,7 +40,6 @@ from moribound.structure import (
     classify_report,
     condition_ii_witness,
     condition_iii_full,
-    d2_condition,
     detect_e2_pairs,
     find_esets,
     is_extremal,
@@ -197,18 +195,31 @@ def test_hub_ambiguity_flagged():
     assert t.hub == "A" and not t.hub_ambiguous
 
 
+def _determinant(s, a, b):
+    """Oracle for the D2 label: the determinant of a pair's 2 x 2 pairing."""
+    da, db = s.divisor_of(a), s.divisor_of(b)
+    return s.q(a, da) * s.q(b, db) - s.q(a, db) * s.q(b, da)
+
+
+def _d2_label(s, rays):
+    """Whether `classify_component` labels the pair D2 (False on a failure)."""
+    try:
+        return classify_component(s, rays).label == "D2"
+    except ClassificationFailure:
+        return False
+
+
 def test_d2_condition_determinant():
     s = system_d2()  # pairing [[-1, 1], [1, -2]]: 2 - 1 = 1 > 0
-    assert d2_condition(s, "S1", "S2")
+    assert _d2_label(s, ["S1", "S2"]) and _determinant(s, "S1", "S2") > 0
     t = RayDivisorSystem.of(
         rays=[("A", "II", "D1"), ("B", "I", "D2")],
         divisors=["D1", "D2"],
         pairing=[[-1, 2], [2, -1]],
         meets=[("D1", "D2")],
     )
-    assert not d2_condition(t, "A", "B")
-    with pytest.raises(ValueError):
-        d2_condition(t, "B", "A")  # wrong type order
+    assert not _d2_label(t, ["A", "B"]) and _determinant(t, "A", "B") < 0
+    assert not _d2_label(t, ["B", "A"])  # the order of the rays does not matter
 
 
 def test_d2_verdict_matches_the_determinant_on_every_small_mixed_pair():
@@ -231,10 +242,10 @@ def test_d2_verdict_matches_the_determinant_on_every_small_mixed_pair():
         else:
             assert got == ([], ["mixed-pair-cone-not-pointed"])
         if q11 < 0 and q22 < 0 and q12 > 0 and q21 > 0:
-            assert d2_condition(s, "A", "B") == (got[0] == ["D2"])
+            assert _d2_label(s, ["A", "B"]) == (_determinant(s, "A", "B") > 0)
         else:
-            with pytest.raises(ValueError, match="need negative self pairings"):
-                d2_condition(s, "A", "B")
+            with pytest.raises(ClassificationFailure, match="mixed-pair"):
+                classify_component(s, ["A", "B"])
 
 
 # --- extremal-set reports and the shape filter -------------------------------
@@ -297,11 +308,20 @@ def test_condition_ii_witness_on_cycle():
     assert check_condition_ii(s, ids) is False
 
 
+def _unit_row_sums(s, ids):
+    """Oracle for the condition (iii) row sums: every ray's pairing with the
+    sum of the members' divisors, added up as Fractions."""
+    return [
+        sum((Fraction(s.q(p, s.divisor_of(r))) for r in ids), Fraction(0))
+        for p in s.ray_ids
+    ]
+
+
 def test_condition_iii_prefers_unit_vector():
     s = system_eset_a()
     w = check_condition_iii(s, ["S1", "S2", "S3"])
     assert w == (Fraction(1), Fraction(1), Fraction(1))
-    assert accepts_nef_combination(s, ["S1", "S2", "S3"], (1, 1, 1))
+    assert min(_unit_row_sums(s, ["S1", "S2", "S3"])) >= 0
 
 
 def test_condition_iii_full_gate():
@@ -789,7 +809,7 @@ def _cyclic_triple_by_fractions(s, ids):
         strict = all(s.q(a.id, b.divisor) > 0 for a, b in ((x, y), (y, z), (z, x)))
         zero = all(s.q(b.id, a.divisor) == 0 for a, b in ((x, y), (y, z), (z, x)))
         if strict and zero:
-            if accepts_nef_combination(s, ids, (1, 1, 1)):
+            if min(_unit_row_sums(s, ids)) >= 0:
                 return structure.EsetType("a")
             raise ClassificationFailure("cyclic-triple-rejects-unit-combination", ids)
     raise ClassificationFailure("connected-triple-not-cyclic", ids)
