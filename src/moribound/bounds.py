@@ -17,21 +17,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .core import INF, KINDS, format_rational, rational, walk
-from .polytope import (
-    CombinatorialPolytope,
-    PolytopeError,
-    polytope_from_json,
-    polytope_to_json,
-)
-from .raysystem import (
-    RayDivisorSystem,
-    graph_nodes,
-    system_from_json,
-    system_to_json,
-)
+from .core import INF, KINDS, format_rational, rational, to_json, walk
+from .polytope import CombinatorialPolytope, PolytopeError, polytope_from_json
+from .raysystem import RayDivisorSystem, graph_nodes, system_from_json
 from .structure import condition_iii_full, find_esets, is_extremal
-from .realized import RealizedModel, is_simple_in_face, model_from_json, model_to_json
+from .realized import RealizedModel, is_simple_in_face, model_from_json
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +600,7 @@ def diagram_pipeline(
 
 
 def diagram_to_json(inst: DiagramInstance) -> dict:
-    out = {
-        "system": system_to_json(inst.system),
-        "polytope": polytope_to_json(inst.polytope),
-        "facet_rays": list(inst.facet_rays),
-        "perp_rays": sorted(inst.perp_rays),
-    }
-    if inst.model is not None:
-        out["model"] = model_to_json(inst.model)
-    return out
+    return to_json(inst, "diagram")
 
 
 def diagram_from_json(data: dict) -> DiagramInstance:

@@ -74,7 +74,7 @@ FROM_JSON = {
     "diagram": lambda data: diagram_from_json(data),
 }
 SYSTEM_KINDS = ("system", "realized", "diagram")
-NOT_A_SYSTEM = "{path} holds a {kind}, not a ray-divisor system"
+NOT_A_SYSTEM = "holds a {kind}, not a ray-divisor system"
 
 
 def detect_kind(data: object) -> str:
@@ -100,12 +100,20 @@ def load_instance(
     path: str, kinds: tuple[str, ...], wrong_kind: str
 ) -> tuple[str, object]:
     """The kind and parsed instance of a file that must hold one of `kinds`;
-    otherwise `wrong_kind`, formatted with the path and kind, is the error."""
-    data = _read_json(path)
-    kind = detect_kind(data)
-    if kind not in kinds:
-        raise SystemFormatError(wrong_kind.format(path=path, kind=kind))
-    return kind, FROM_JSON[kind](data)
+    otherwise `wrong_kind`, formatted with the kind, is the error.  An error
+    in reading, detecting or building the file names the file first."""
+    try:
+        data = _read_json(path)
+        kind = detect_kind(data)
+        if kind not in kinds:
+            raise SystemFormatError(wrong_kind.format(kind=kind))
+        return kind, FROM_JSON[kind](data)
+    except PolytopeError as exc:  # exits 1, as every PolytopeError does
+        raise PolytopeError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # an OSError's own text repeats the path
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _system_of(kind: str, inst) -> RayDivisorSystem:
@@ -379,7 +387,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_polytope_stats(args: argparse.Namespace) -> int:
-    _, p = load_instance(args.path, ("polytope",), "{path} is not a polytope file")
+    _, p = load_instance(args.path, ("polytope",), "not a polytope file")
     fv = p.fvector()
     payload: dict = {
         "dim": p.dim,
@@ -436,7 +444,7 @@ RULES = {
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    _, inst = load_instance(args.path, ("diagram",), "{path} is not a diagram bundle")
+    _, inst = load_instance(args.path, ("diagram",), "not a diagram bundle")
     check_band_width(args.d)  # out of its domain: exit 2, not a correspondence error
     rule = RULES[args.rule](args)
     try:
@@ -583,9 +591,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PolytopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, permutations, repeat
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 INF = float("inf")
@@ -162,6 +163,10 @@ class TrilinearForm:
             merged[(i, j, k)] = merged.get((i, j, k), Fraction(0)) + v
         items = tuple(sorted((key, v) for key, v in merged.items() if v != 0))
         return TrilinearForm(dim, items)
+
+    def __iter__(self):
+        """The stored entries as (i, j, k, value), the order they are kept in."""
+        return ((i, j, k, v) for (i, j, k), v in self.coeffs)
 
     def evaluate(self, a: RVector, b: RVector, c: RVector) -> Fraction:
         for v in (a, b, c):
@@ -340,8 +345,8 @@ def scale_primitive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Instance files: each kind's fields, declared once, and the one walker that
-# reads a file through them.
+# Instance files: each kind's fields, declared once, the one walker that
+# reads a file through them, and its inverse, which writes one.
 # ---------------------------------------------------------------------------
 
 
@@ -352,12 +357,14 @@ class RayType(Enum):
 
 
 class Leaf(NamedTuple):
-    """A scalar field: the JSON types it accepts, and `read`, which turns an
-    accepted value into the program's or raises ValueError."""
+    """A scalar field: the JSON types it accepts; `read`, which turns an
+    accepted value into the program's or raises ValueError; and `write`, its
+    inverse.  None stands for the identity."""
 
     expected: str
     types: set[type]
     read: Optional[Callable[[Any], Any]] = None
+    write: Optional[Callable[[Any], Any]] = None
 
 
 class Opt(NamedTuple):
@@ -370,20 +377,21 @@ class Opt(NamedTuple):
 ID = Leaf("a string", {str})
 INT = Leaf("an integer", {int})
 BOOL = Leaf("true or false", {bool})
-RATIONAL = Leaf('an integer or a "p/q" string', {int, str}, number)
+RATIONAL = Leaf('an integer or a "p/q" string', {int, str}, number, format_rational)
 VERTEX = Leaf("a string or an integer", {str, int})
-RAY_TYPE = Leaf("I, II or small", {str}, RayType)
+RAY_TYPE = Leaf("I, II or small", {str}, RayType, attrgetter("value"))
 
 # A shape is a Leaf; [shape], a list of it; (shape, ...), a list with one
 # shape per position; {key: shape}, an object with these fields (Opt marks
 # the optional ones); {str: shape}, an object from any key to shape; or the
 # name of another kind, an object that kind's parser reads.  The keys of a
-# kind are the parameters of the constructor its parser calls.
+# kind are the parameters of the constructor its parser calls, and the
+# attributes `to_json` writes, in this order.
 KINDS: dict[str, dict] = {
     "system": {"rays": [{"id": ID, "type": RAY_TYPE, "divisor": Opt(ID)}],
                "divisors": [ID], "pairing": [[RATIONAL]], "meets": Opt([[ID]], ()),
-               "faces": Opt([[ID]]), "anticanonical": Opt([RATIONAL]),
-               "fano_mode": Opt(BOOL, False)},
+               "fano_mode": Opt(BOOL, False), "faces": Opt([[ID]]),
+               "anticanonical": Opt([RATIONAL])},
     "polytope": {"dim": INT, "vertices": [VERTEX], "facets": [[VERTEX]]},
     "realized": {"rho": INT, "base_system": "system", "ray_vectors": {str: [RATIONAL]},
                  "divisor_vectors": {str: [RATIONAL]},
@@ -459,3 +467,42 @@ def _fast(values: list, shape: object) -> Optional[list]:
         except ValueError:
             pass
     return None
+
+
+def vertex_key(v: object) -> tuple[str, str]:
+    """The order of a set of scalar ids that may mix strings and integers."""
+    return (type(v).__name__, str(v))
+
+
+def to_json(value: object, shape: object) -> Any:
+    """`value` written as `shape`, the inverse of `walk`: an object's field
+    is its attribute of the same name, a nested kind is written through its
+    own table, an optional field that is None is left out, and a set is
+    written sorted."""
+    kind = type(shape)
+    if kind is str:
+        shape, kind = KINDS[shape], dict
+    if kind is Leaf:
+        return value if shape.write is None else shape.write(value)
+    if kind is dict:
+        if str in shape:
+            return {key: to_json(v, shape[str]) for key, v in value.items()}
+        out = {}
+        for key, sub in shape.items():
+            v = getattr(value, key)
+            if type(sub) is Opt:
+                if v is None:
+                    continue
+                sub = sub.shape
+            out[key] = to_json(v, sub)
+        return out
+    if kind is tuple:
+        return list(map(to_json, value, shape))
+    item = shape[0]
+    if type(item) is Leaf:  # scalars in one pass; ids sort as plain strings
+        out = value if item.write is None else map(item.write, value)
+        if type(value) is frozenset:
+            return sorted(out, key=None if item is ID else vertex_key)
+        return list(out)
+    out = [to_json(v, item) for v in value]
+    return sorted(out) if type(value) is frozenset else out

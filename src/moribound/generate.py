@@ -70,21 +70,13 @@ def _powerset(ids: Iterable[str], proper: bool = False) -> list[tuple[str, ...]]
 
 
 def system_c2() -> RayDivisorSystem:
-    """A hub-and-spoke pair: the spoke pairs positively with the hub divisor,
-    the hub vanishes on the spoke divisor."""
-    return RayDivisorSystem.of(
-        rays=[("S1", "II", "D1"), ("S2", "II", "D2")],
-        divisors=["D1", "D2"],
-        pairing=[[-1, 0], [1, -1]],
-        meets=[("D1", "D2")],
-        faces=_powerset(["S1", "S2"]),
-        anticanonical=[1, 1],
-        fano_mode=True,
-    )
+    """A hub-and-spoke pair, `system_cm(2)`: the spoke pairs positively with
+    the hub divisor, the hub vanishes on the spoke divisor."""
+    return system_cm(2)
 
 
 def system_cm(m: int) -> RayDivisorSystem:
-    """Hub ray plus m - 1 spokes on pairwise non-touching divisors."""
+    """Hub ray plus m - 1 spokes whose divisors touch the hub's and not each other."""
     if m < 1:
         raise ValueError("need at least one ray")
     ids = [f"S{i}" for i in range(1, m + 1)]

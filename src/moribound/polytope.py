@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import KINDS, binomial, walk
+from .core import KINDS, binomial, to_json, vertex_key, walk
 
 VertexId = object  # JSON scalar: str or int
 
@@ -34,10 +34,6 @@ class FVector:
     @property
     def dim(self) -> int:
         return len(self.counts) - 1
-
-
-def _sort_key(v: VertexId) -> tuple[str, str]:
-    return (type(v).__name__, str(v))
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ class CombinatorialPolytope:
             raise PolytopeError("duplicate facets")
         for f in self.facets:
             if not f <= vset:
-                raise PolytopeError(f"facet {sorted(f, key=_sort_key)} uses unknown vertices")
+                raise PolytopeError(f"facet {sorted(f, key=vertex_key)} uses unknown vertices")
             if f == vset:
                 raise PolytopeError("a facet may not contain every vertex")
         simple = True
@@ -99,11 +95,11 @@ class CombinatorialPolytope:
         object.__setattr__(self, "is_simple", simple)
 
     def _build_lattice(self) -> None:
-        # Faces are walked as vertex bitmasks: the first vertex in `_sort_key`
+        # Faces are walked as vertex bitmasks: the first vertex in `vertex_key`
         # order owns the highest bit, so among faces of one size, descending
         # mask is ascending sorted vertex keys.  Each face's vertex set is built
         # once, from its parent's set and the facet that cut it.
-        ranked = sorted(self.vertices, key=_sort_key)
+        ranked = sorted(self.vertices, key=vertex_key)
         bit = {v: 1 << i for i, v in enumerate(reversed(ranked))}
         masks = [sum(map(bit.__getitem__, facet)) for facet in self.facets]
         top = (1 << len(ranked)) - 1
@@ -144,7 +140,7 @@ class CombinatorialPolytope:
             else:
                 if face.bit_count() != 1:
                     raise PolytopeError(
-                        f"minimal face {sorted(sets[face], key=_sort_key)} is not a single vertex"
+                        f"minimal face {sorted(sets[face], key=vertex_key)} is not a single vertex"
                     )
                 dims[face] = 0
         by_dim: list = [[] for _ in range(max(dims.values()) + 1)]
@@ -173,7 +169,7 @@ class CombinatorialPolytope:
                 if d != self.dim - len(self._facets_of[face]):
                     raise PolytopeError(
                         "simple polytope has a face whose facet count and chain "
-                        f"length disagree: {sorted(face, key=_sort_key)}"
+                        f"length disagree: {sorted(face, key=vertex_key)}"
                     )
 
     # -- queries -----------------------------------------------------------
@@ -204,7 +200,7 @@ class CombinatorialPolytope:
         try:
             return table[face]
         except KeyError:
-            raise PolytopeError(f"{sorted(face, key=_sort_key)} is not a face") from None
+            raise PolytopeError(f"{sorted(face, key=vertex_key)} is not a face") from None
 
     def fvector(self) -> FVector:
         return FVector(tuple(map(len, self._by_dim)))
@@ -333,11 +329,7 @@ def product(p: CombinatorialPolytope, q: CombinatorialPolytope) -> Combinatorial
 
 
 def polytope_to_json(p: CombinatorialPolytope) -> dict:
-    return {
-        "dim": p.dim,
-        "vertices": list(p.vertices),
-        "facets": [sorted(f, key=_sort_key) for f in p.facets],
-    }
+    return to_json(p, "polytope")
 
 
 def polytope_from_json(data: dict) -> CombinatorialPolytope:

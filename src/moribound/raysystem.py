@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import INF, KINDS, RayType, SystemFormatError, format_rational, number, walk
+from .core import INF, KINDS, RayType, SystemFormatError, format_rational, number, to_json, walk
 
 
 @dataclass(frozen=True)
@@ -727,22 +727,7 @@ def contact_violations(s: RayDivisorSystem) -> list[Violation]:
 
 
 def system_to_json(s: RayDivisorSystem) -> dict:
-    data: dict = {
-        "rays": [
-            {"id": r.id, "type": r.type.value}
-            | ({"divisor": r.divisor} if r.divisor is not None else {})
-            for r in s.rays
-        ],
-        "divisors": list(s.divisors),
-        "pairing": [[format_rational(v) for v in row] for row in s.pairing],
-        "meets": sorted(sorted(pair) for pair in s.meets),
-        "fano_mode": s.fano_mode,
-    }
-    if s.faces is not None:
-        data["faces"] = [sorted(f) for f in s.faces]
-    if s.anticanonical is not None:
-        data["anticanonical"] = [format_rational(v) for v in s.anticanonical]
-    return data
+    return to_json(s, "system")
 
 
 def system_from_json(data: Mapping) -> RayDivisorSystem:

@@ -18,12 +18,13 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     KINDS,
     RVector,
+    SystemFormatError,
     TrilinearForm,
-    format_rational,
     kernel_of_columns,
     rational,
     scale_primitive,
     span_rank,
+    to_json,
     walk,
 )
 from .raysystem import (
@@ -31,7 +32,6 @@ from .raysystem import (
     RayType,
     divisorial_components,
     system_from_json,
-    system_to_json,
 )
 from .structure import ClassificationFailure, classify_component
 
@@ -51,6 +51,14 @@ class RealizedModel:
         if self.rho < 1:
             raise ValueError("rho must be positive")
         s = self.base_system
+        # Vectors name only the system's rays and divisors, kept in its order.
+        for name, ids, what in (("ray_vectors", s.ray_ids, "ray"),
+                                ("divisor_vectors", s.divisors, "divisor")):
+            vectors, known = getattr(self, name), set(ids)
+            for key in vectors:
+                if key not in known:
+                    raise SystemFormatError(f"no such {what}", name, key)
+            object.__setattr__(self, name, {k: vectors[k] for k in ids if k in vectors})
         for rid in s.ray_ids:
             if rid not in self.ray_vectors:
                 raise ValueError(f"ray {rid} has no vector")
@@ -421,31 +429,8 @@ def is_simple_in_face(m: RealizedModel, s: RayDivisorSystem, face: Iterable[str]
 # ---------------------------------------------------------------------------
 
 
-def _vector_to_json(v: RVector) -> list:
-    return [format_rational(x) for x in v]
-
-
 def model_to_json(m: RealizedModel) -> dict:
-    out = {
-        "rho": m.rho,
-        "base_system": system_to_json(m.base_system),
-        "ray_vectors": {
-            rid: _vector_to_json(m.ray_vectors[rid])
-            for rid in m.base_system.ray_ids
-        },
-        "divisor_vectors": {
-            did: _vector_to_json(m.divisor_vectors[did])
-            for did in m.base_system.divisors
-        },
-    }
-    if m.intersection_form is not None:
-        out["intersection_form"] = [
-            [i, j, k, format_rational(v)]
-            for (i, j, k), v in m.intersection_form.coeffs
-        ]
-    if m.anticanonical_vector is not None:
-        out["anticanonical_vector"] = _vector_to_json(m.anticanonical_vector)
-    return out
+    return to_json(m, "realized")
 
 
 def model_from_json(data: dict) -> RealizedModel:

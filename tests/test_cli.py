@@ -16,6 +16,7 @@ import pytest
 import moribound
 from moribound import cli
 from moribound.cli import POLYTOPE_FAMILIES, SYSTEM_FAMILIES, main
+from moribound.core import KINDS, to_json
 
 FIXTURES = "tests/fixtures"
 
@@ -670,6 +671,79 @@ def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     assert NAMED_ERRORS.get(argv[-1], "") in proc.stdout + proc.stderr
 
 
+def _bad_ray_id(data: dict) -> dict:
+    data = json.loads(json.dumps(data))
+    data["rays"][0]["id"] = 7
+    return data
+
+
+@pytest.mark.parametrize("command", ["classify", "esets", "diagram", "polytope-stats"])
+def test_a_file_that_cannot_be_built_is_named_first(capsys, tmp_path, command):
+    bundle = json.loads(Path(f"{FIXTURES}/diagram_triangle.json").read_text())
+    data, why = {
+        "classify": (_bad_ray_id(bundle["system"]), "rays[0].id: expected a string, got 7"),
+        "esets": (_bad_ray_id(bundle["system"]), "rays[0].id: expected a string, got 7"),
+        "diagram": (dict(bundle, system=_bad_ray_id(bundle["system"])),
+                    "system.rays[0].id: expected a string, got 7"),
+        "polytope-stats": (dict(bundle["polytope"], dim="3"),
+                           "dim: expected an integer, got '3'"),
+    }[command]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, command, str(path)) == (2, "", f"error: {path}: {why}\n")
+
+
+@pytest.mark.parametrize("command, why", [
+    ("classify", "holds a polytope, not a ray-divisor system"),
+    ("esets", "holds a polytope, not a ray-divisor system"),
+    ("diagram", "not a diagram bundle"),
+])
+def test_a_file_of_the_wrong_kind_is_named_once(capsys, tmp_path, command, why):
+    from moribound.polytope import cube, polytope_to_json
+
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(polytope_to_json(cube(3))))
+    assert run(capsys, command, str(path)) == (2, "", f"error: {path}: {why}\n")
+
+
+def test_an_unreadable_file_is_named_once(capsys, tmp_path):
+    path, broken = tmp_path / "absent.json", tmp_path / "broken.json"
+    broken.write_text("{not json")
+    assert run(capsys, "classify", str(path)) == (
+        2, "", f"error: {path}: No such file or directory\n")
+    code, out, err = run(capsys, "polytope-stats", str(broken))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {broken}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("field, key, what", [
+    ("ray_vectors", "GHOST", "ray"),
+    ("divisor_vectors", "DX", "divisor"),
+])
+@pytest.mark.parametrize("command", ["check", "classify", "esets", "diagram"])
+def test_a_model_vector_for_no_ray_or_divisor_of_its_system_exits_two(
+    capsys, tmp_path, field, key, what, command
+):
+    from moribound.generate import realized_d2
+    from moribound.realized import model_to_json
+
+    model = model_to_json(realized_d2(0)[0])
+    model[field][key] = [1, 0, 0]
+    where = f"{field}.{key}: no such {what}"
+    if command == "diagram":  # the model in a bundle of its own system
+        bundle = json.loads(Path(f"{FIXTURES}/diagram_triangle.json").read_text())
+        model = dict(bundle, system=model["base_system"], model=model)
+        where = f"model.{where}"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    if command == "check":
+        assert out == f"{path}: unreadable (SystemFormatError: {where})\n"
+    else:
+        assert (out, err) == ("", f"error: {path}: {where}\n")
+
+
 # --- fixture mutation: any damaged field still gets an exit code --------------
 
 REPLACEMENTS = (None, 0, -1, True, "x", "1/0", [], {}, [[]], [0], {"a": 1})
@@ -861,6 +935,46 @@ def test_a_missing_required_field_names_its_path():
             assert str(caught.value) == f"{_json_path(keys)}: missing"
             seen += 1
     assert seen == 37  # the required fields of the four kinds, nested kinds included
+
+
+def _written_instances():
+    """(kind, instance) for every fixture, every `gen` family at its default
+    options, each realized constructor, a model with an intersection form,
+    and a bundle that carries a model."""
+    from dataclasses import replace
+
+    from moribound import generate
+    from moribound.bounds import DiagramInstance
+    from moribound.core import TrilinearForm
+
+    for path in sorted(Path(FIXTURES).glob("*.json")):
+        data = json.loads(path.read_text())
+        kind = cli.detect_kind(data)
+        yield kind, cli.FROM_JSON[kind](data)
+    options = cli.build_parser().parse_args(["gen", "--family", "cube"])
+    yield from (("polytope", build(options)) for build in generate.POLYTOPES.values())
+    yield from (("system", build(options)[0]) for build in generate.SYSTEMS.values())
+    models = [build(1)[0] for build in (generate.realized_b2, generate.realized_cm,
+                                        generate.realized_d2, generate.realized_fano)]
+    models += [generate.planted_dependence(3, 1)[0], generate.planted_with_a1(3, 1)[0]]
+    form = TrilinearForm.of(3, [((0, 1, 2), "1/2"), ((2, 2, 0), -3)])
+    models.append(replace(models[2], intersection_form=form))
+    yield from (("realized", m) for m in models)
+    bundle = cli.FROM_JSON["diagram"](
+        json.loads(Path(f"{FIXTURES}/diagram_triangle.json").read_text()))
+    yield "diagram", DiagramInstance.of(bundle.system, bundle.polytope, bundle.facet_rays,
+                                        ["S1"], models[-1])
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_reads_back_what_it_writes(kind):
+    instances = [x for k, x in _written_instances() if k == kind]
+    assert instances and set(KINDS) == set(cli.FROM_JSON)
+    for x in instances:
+        text = json.dumps(to_json(x, kind))
+        again = cli.FROM_JSON[kind](json.loads(text))
+        assert again == x, text
+        assert json.dumps(to_json(again, kind)) == text  # key order included
 
 
 def test_readme_lists_exactly_the_declared_keys_of_each_kind():

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moribound.core import binomial
+from moribound.core import binomial, vertex_key
 from moribound.polytope import (
     CombinatorialPolytope,
     PolytopeError,
-    _sort_key,
     a02_bound,
     average_faces,
     cube,
@@ -264,7 +263,7 @@ def _frozenset_build_lattice(self) -> None:
         frontier = nxt
     dims: dict = {}
     facets_of: dict = {}
-    rank = {v: i for i, v in enumerate(sorted(self.vertices, key=_sort_key))}
+    rank = {v: i for i, v in enumerate(sorted(self.vertices, key=vertex_key))}
     for face in sorted(faces, key=lambda f: (len(f), sorted(map(rank.get, f)))):
         through, below = [], []
         for i, facet in enumerate(self.facets):
@@ -278,7 +277,7 @@ def _frozenset_build_lattice(self) -> None:
         else:
             if len(face) != 1:
                 raise PolytopeError(
-                    f"minimal face {sorted(face, key=_sort_key)} is not a single vertex"
+                    f"minimal face {sorted(face, key=vertex_key)} is not a single vertex"
                 )
             dims[face] = 0
     by_dim: list = [[] for _ in range(max(dims.values()) + 1)]

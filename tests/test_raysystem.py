@@ -556,6 +556,33 @@ def test_contact_product_inequality():
         check_lemma227(system_b2(), "R1", "R2")  # shared divisor
 
 
+HALVES = [Fraction(k, 2) for k in range(-4, 5)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lemma227_is_condition_ii_on_the_pair(seed):
+    # Lemma 2.27 and condition (ii) on the pair agree while the self pairings
+    # are negative and the cross pairings nonnegative; both signs are drawn
+    # from that range only.  A third type II ray on its own divisor puts the
+    # pair at seeded positions of a larger touching system.
+    rng = random.Random(seed)
+    selfs = [q for q in HALVES if q < 0]
+    crosses = [q for q in HALVES if q >= 0]
+    for _ in range(150):
+        ids = rng.sample(["A", "B", "C"], 3)
+        pairing = [[rng.choice(crosses) for _ in range(3)] for _ in range(3)]
+        for k in range(3):
+            pairing[k][k] = rng.choice(selfs)
+        s = RayDivisorSystem.of(
+            rays=[(rid, "II", f"D{rid}") for rid in ids],
+            divisors=[f"D{rid}" for rid in ids],
+            pairing=pairing,
+            meets=[(f"D{a}", f"D{b}") for a, b in combinations(ids, 2)],
+        )
+        a, b = rng.sample(ids, 2)
+        assert check_lemma227(s, a, b) == check_condition_ii(s, [a, b]), system_to_json(s)
+
+
 def test_contact_violations_on_cofacial_type_ii_pairs():
     # Type II rays A, B, C on touching divisors, a type I ray E and a small
     # ray F.  The products of cross pairings: A-B 1, A-C 0, B-C 2 against
