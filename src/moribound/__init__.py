@@ -53,9 +53,7 @@ from .raysystem import (
     SystemFormatError,
     Violation,
     build_graph,
-    check_lemma227,
     check_normalization,
-    contact_violations,
     distance,
     diameter,
     divisorial_components,
@@ -77,6 +75,7 @@ from .structure import (
     classify_extremal_set,
     classify_report,
     condition_iii_full,
+    contact_violations,
     detect_e2_pairs,
     find_esets,
     is_extremal,

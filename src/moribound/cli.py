@@ -40,7 +40,6 @@ from .raysystem import (
     RayDivisorSystem,
     Violation,
     check_normalization,
-    contact_violations,
     system_from_json,
     system_to_json,
     validate,
@@ -53,6 +52,7 @@ from .structure import (
     classify_report,
     condition_iii_full,
     check_condition_ii,
+    contact_violations,
     find_esets,
 )
 

@@ -15,8 +15,9 @@ from typing import Iterable, Iterator, Optional
 
 from .core import RVector
 from .polytope import CombinatorialPolytope, cube, cyclic_dual, product, simplex
-from .raysystem import Ray, RayDivisorSystem, RayType, contact_violations, validate
+from .raysystem import Ray, RayDivisorSystem, RayType, validate
 from .realized import RealizedModel
+from .structure import contact_violations
 
 
 # ---------------------------------------------------------------------------

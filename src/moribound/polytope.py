@@ -77,6 +77,9 @@ class CombinatorialPolytope:
         vset = set(self.vertices)
         if not vset:
             raise PolytopeError("a polytope needs at least one vertex")
+        for k, f in enumerate(self.facets):
+            if not f:
+                raise PolytopeError(f"facet {k} is empty")
         if len(set(self.facets)) != len(self.facets):
             raise PolytopeError("duplicate facets")
         for f in self.facets:
@@ -296,6 +299,8 @@ def cyclic_dual(d: int, m: int) -> CombinatorialPolytope:
     """
     if d < 1 or m < d + 1:
         raise ValueError(f"need m >= d+1 points, got d={d}, m={m}")
+    if d == 1 and m != 2:
+        raise ValueError(f"a 1-polytope is a segment with 2 facets, got m={m}")
     subsets = sorted(
         (
             s

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import INF, KINDS, RayType, SystemFormatError, format_rational, number, to_json, walk
@@ -242,14 +241,6 @@ class RayDivisorSystem:
             else:
                 found.append(m)
         return tuple(reversed(found))
-
-    @cached_property
-    def maximal_faces(self) -> tuple[frozenset, ...]:
-        """The inclusion-maximal faces, ordered like `faces`."""
-        keep = set(self.maximal_masks)
-        return tuple(
-            f for f, m in zip(self.faces or (), self._face_masks or ()) if m in keep
-        )
 
 
 def _positions(mask: int) -> list[int]:
@@ -673,52 +664,6 @@ def is_simple_ray(s: RayDivisorSystem, rid: str) -> bool:
         raise ValueError(f"ray {rid} has type {r.type.value}; simplicity applies to type II")
     rel = s.relations
     return bool(rel.simple & rel.bit[rid])
-
-
-def check_lemma227(s: RayDivisorSystem, r1: str, r2: str) -> bool:
-    """Product inequality for a touching pair of type II rays on distinct
-    divisors: cross pairings multiply to strictly less than the self pairings."""
-    a, b = s.ray(r1), s.ray(r2)
-    if a.type is not RayType.II or b.type is not RayType.II:
-        raise ValueError("both rays must have type II")
-    if a.divisor == b.divisor:
-        raise ValueError("rays must carry distinct divisors")
-    if not s.joined(a.divisor, b.divisor):
-        raise ValueError(f"divisors {a.divisor} and {b.divisor} are not in contact")
-    cross = s.q(r1, b.divisor) * s.q(r2, a.divisor)
-    selfs = s.q(r1, a.divisor) * s.q(r2, b.divisor)
-    return cross < selfs
-
-
-def contact_violations(s: RayDivisorSystem) -> list[Violation]:
-    """Co-facial type II pairs on distinct touching divisors that fail the
-    product inequality of `check_lemma227`.
-
-    Kept apart from `validate`: `enumerate_sign_systems` yields every system
-    that `validate` accepts, and many of those fail this check once crossed
-    with a face family.
-    """
-    if s.faces is None:
-        return []
-    cofacial = {pair for face in s.maximal_faces for pair in combinations(sorted(face), 2)}
-    bad = []
-    for a, b in sorted(cofacial):
-        ra, rb = s.ray(a), s.ray(b)
-        if ra.type is not RayType.II or rb.type is not RayType.II:
-            continue
-        if ra.divisor == rb.divisor:
-            continue
-        if not s.joined(ra.divisor, rb.divisor):
-            continue
-        if not check_lemma227(s, a, b):
-            bad.append(
-                Violation(
-                    "contact-product",
-                    (a, b),
-                    "cross pairings do not multiply below the self pairings",
-                )
-            )
-    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -412,12 +412,14 @@ def is_simple_in_face(m: RealizedModel, s: RayDivisorSystem, face: Iterable[str]
     # dual face sits inside some maximal face containing this one, and a rank
     # defect carries over to every larger face, so those maximal faces are
     # the only sets that need testing.
+    rel = s.relations
+    inner = rel.mask(perp)
     perp_vecs = [m.ray_vectors[rid] for rid in sorted(perp)]
     perp_rank = span_rank(perp_vecs) if perp_vecs else 0
-    for f in s.maximal_faces:
-        if not (perp <= f):
+    for f in s.maximal_masks:
+        if inner & ~f:
             continue
-        extra = sorted(f - perp)
+        extra = rel.names(f & ~inner)
         vecs = perp_vecs + [m.ray_vectors[rid] for rid in extra]
         if span_rank(vecs) - perp_rank != len(extra):
             return False

@@ -1,7 +1,8 @@
 """Classification machinery over ray-divisor systems.
 
 This module decides the component types of extremal sets, the two cone
-feasibility conditions used throughout the bound engines, extremality and
+feasibility conditions used throughout the bound engines (condition (ii) on a
+co-facial pair is also the contact check of Lemma 2.27), extremality and
 minimal non-extremal ("E-") sets against an explicit face structure, the
 four-case classification of E-sets, the bipartition-arrow connectivity check,
 and the witness searches involving small rays.
@@ -24,6 +25,7 @@ from .raysystem import (
     RayDivisorSystem,
     RayType,
     Relations,
+    Violation,
     _positions,
     divisorial_components,  # re-exported: callers take it from here too
     is_single_arrow_connected,
@@ -318,6 +320,35 @@ def check_condition_ii(s: RayDivisorSystem, e: Iterable[str]) -> bool:
     """True when every nonzero nonnegative divisor combination from the set is
     strictly negative on at least one member ray."""
     return condition_ii_witness(s, e) is None
+
+
+def contact_violations(s: RayDivisorSystem) -> list[Violation]:
+    """Co-facial type II pairs on distinct touching divisors that fail
+    condition (ii) on the pair, in sorted id order.  With negative self
+    pairings and nonnegative cross pairings this is Lemma 2.27's
+    q(R1, D2) q(R2, D1) < q(R1, D1) q(R2, D2) failing.
+
+    Kept apart from `validate`: `enumerate_sign_systems` yields every system
+    that `validate` accepts, and many of those fail this check once crossed
+    with a face family.
+    """
+    rel = s.relations
+    pairs = {
+        (a, b)
+        for face in s.maximal_masks
+        for a in rel.positions(face & rel.type_ii)
+        for b in rel.positions(face & rel.type_ii & rel.contact[a] & (1 << a) - 1)
+        if rel.column[a] != rel.column[b]
+    }
+    return [
+        Violation(
+            "contact-product",
+            (rel.ids[a], rel.ids[b]),
+            "cross pairings do not multiply below the self pairings",
+        )
+        for a, b in sorted(pairs, reverse=True)  # highest bits first: sorted ids
+        if _cone_witness(_rows(rel, (a, b), (a, b)), 2, False) is not None
+    ]
 
 
 def check_condition_iii(

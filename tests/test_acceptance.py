@@ -3,6 +3,7 @@ budget.  Run with -v to get a pass/fail line per criterion."""
 
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -39,6 +40,7 @@ from moribound.realized import (
 )
 from moribound.structure import (
     ClassificationFailure,
+    check_condition_ii,
     classify_component,
     classify_eset,
     classify_extremal_set,
@@ -230,10 +232,25 @@ def _compositions(n, cap=16):
     return out
 
 
+def _smallest_failing_subset(s, comp):
+    """The size of the smallest subset of a component that fails condition
+    (ii), or None when every nonempty subset satisfies it."""
+    for size in range(1, len(comp) + 1):
+        for sub in combinations(sorted(comp), size):
+            if not check_condition_ii(s, sub):
+                return size
+    return None
+
+
 def test_criterion_06_component_classifier_matches_oracle():
     comps_by_n: dict = {}
     grid_memo: dict = {}
     systems = components = grids = 0
+    # Failures split by the size of their smallest subset that fails
+    # condition (ii); the residual satisfy it on every subset.
+    classified = 0
+    excluded: Counter = Counter()
+    residual: Counter = Counter()
     with budget("criterion 6", 300.0):
         for s in enumerate_sign_systems(max_rays=4):
             systems += 1
@@ -243,13 +260,20 @@ def test_criterion_06_component_classifier_matches_oracle():
             for comp in divisorial_components(s, ids):
                 components += 1
                 want = _oracle_component(s, comp)
+                smallest = _smallest_failing_subset(s, comp)
                 try:
                     got = classify_component(s, comp)
                 except ClassificationFailure as fail:
                     assert want.get("fail") == fail.reason, (
                         comp, want, fail.reason, s.pairing
                     )
+                    if smallest is None:
+                        residual[len(comp), fail.reason] += 1
+                    else:
+                        excluded[smallest] += 1
                     continue
+                assert smallest is None, (comp, got, s.pairing)
+                classified += 1
                 assert "fail" not in want, (comp, got, want, s.pairing)
                 assert got.kind == want["kind"], (comp, got, want)
                 if want["kind"] == "C":
@@ -287,6 +311,9 @@ def test_criterion_06_component_classifier_matches_oracle():
                 )
                 grid_memo[rows] = True
     assert systems == 7729, systems
+    assert (components, classified) == (9045, 1470), (components, classified)
+    assert excluded == {2: 6622, 3: 202, 4: 6}, excluded
+    assert residual == {(3, "no-hub-ray"): 189, (4, "no-hub-ray"): 556}, residual
     print(f"criterion 6: {systems} systems, {components} components, "
           f"{grids} grid sweeps")
 

@@ -620,6 +620,11 @@ NAMED_ERRORS = {
     pytest.param(["gen", "--family", "cm", "--m", "0"], id="gen-cm-empty"),
     pytest.param(["gen", "--family", "cyclic-dual", "--n", "3", "--m", "2"],
                  id="gen-cyclic-dual-few-points"),
+    *(
+        pytest.param(["gen", "--family", "cyclic-dual", "--n", "1", "--m", m],
+                     id=f"gen-cyclic-dual-segment-{m}-points")
+        for m in ("3", "4")
+    ),
     pytest.param(["polytope-stats", "list-ids.json"], id="polytope-stats-list-ids"),
     pytest.param(["classify", "inconsistent-model.json"], id="classify-inconsistent-model"),
     pytest.param(["classify", "pairing-zero.json"], id="classify-pairing-zero"),

@@ -53,6 +53,11 @@ def test_cyclic_dual_small_cases():
     assert p.is_simple
     # One more point: 2*7 - 4 = 10 dual vertices.
     assert len(cyclic_dual(3, 7).vertices) == 10
+    # In dimension 1 only two points give a polytope, the segment.
+    assert cyclic_dual(1, 2).fvector().counts == (2, 1)
+    for m in (3, 4, 7):
+        with pytest.raises(ValueError, match=f"segment with 2 facets, got m={m}"):
+            cyclic_dual(1, m)
 
 
 def test_product_prism():
@@ -142,6 +147,10 @@ def test_construction_rejections():
     with pytest.raises(PolytopeError):
         # facet mentioning an unknown vertex
         CombinatorialPolytope.of(dim=2, vertices=["a", "b"], facets=[["a", "c"]])
+    with pytest.raises(PolytopeError, match="^facet 2 is empty$"):
+        CombinatorialPolytope.of(dim=1, vertices=["a", "b"], facets=[["a"], ["b"], []])
+    with pytest.raises(PolytopeError, match="^facet 0 is empty$"):
+        CombinatorialPolytope.of(dim=1, vertices=["a", "b"], facets=[[], ["a"], ["b"], []])
 
 
 def square_pyramid() -> CombinatorialPolytope:

@@ -31,9 +31,7 @@ from moribound.raysystem import (
     Violation,
     _validate_faces,
     build_graph,
-    check_lemma227,
     check_normalization,
-    contact_violations,
     diameter,
     distance,
     divisorial_components,
@@ -50,6 +48,7 @@ from moribound.structure import (
     classify_report,
     condition_ii_witness,
     condition_iii_full,
+    contact_violations,
     find_esets,
 )
 
@@ -363,7 +362,8 @@ def test_face_masks_match_frozenset_algebra():
         listed = {frozenset(f) for f in faces}
         assert list(s.faces) == sorted(listed, key=key)
         maximal = {f for f in listed if not any(f < g for g in listed)}
-        assert list(s.maximal_faces) == sorted(maximal, key=key), faces
+        decoded = [frozenset(s.relations.names(m)) for m in s.maximal_masks]
+        assert decoded == sorted(maximal, key=key), faces
         want = _frozenset_face_violations(s)
         assert _validate_faces(s) == want, faces
         flagged += any(v.code == "faces-not-intersection-closed" for v in want)
@@ -542,18 +542,41 @@ def test_is_simple_ray():
         is_simple_ray(system_d2(), "S2")  # type I
 
 
+def _lemma227(s, a, b):
+    """Lemma 2.27's inequality on two type II rays on distinct divisors."""
+    da, db = s.divisor_of(a), s.divisor_of(b)
+    return s.q(a, db) * s.q(b, da) < s.q(a, da) * s.q(b, db)
+
+
 def test_contact_product_inequality():
+    # The contact check flags a co-facial touching type II pair exactly when
+    # Lemma 2.27's product inequality fails on it.
     s = system_c2()
-    assert check_lemma227(s, "S1", "S2")
+    assert _lemma227(s, "S1", "S2")  # 1 * 0 < (-1)(-1)
+    assert contact_violations(s) == []
     t = RayDivisorSystem.of(
         rays=[("A", "II", "D1"), ("B", "II", "D2")],
         divisors=["D1", "D2"],
         pairing=[[-1, 1], [1, -1]],
         meets=[("D1", "D2")],
+        faces=[[], ["A"], ["B"], ["A", "B"]],
     )
-    assert not check_lemma227(t, "A", "B")  # 1*1 == (-1)(-1), not strict
-    with pytest.raises(ValueError):
-        check_lemma227(system_b2(), "R1", "R2")  # shared divisor
+    assert not _lemma227(t, "A", "B")  # 1*1 == (-1)(-1), not strict
+    assert [v.subjects for v in contact_violations(t)] == [("A", "B")]
+    # Divisors that are shared or do not touch make no pair of the lemma,
+    # whatever the pairings: these two would fail condition (ii).
+    assert contact_violations(system_b2()) == []
+    shared = RayDivisorSystem.of(
+        rays=[("A", "II", "D1"), ("B", "II", "D1")],
+        divisors=["D1"],
+        pairing=[[1], [1]],
+        faces=[[], ["A"], ["B"], ["A", "B"]],
+    )
+    assert not check_condition_ii(shared, ["A", "B"])
+    assert contact_violations(shared) == []
+    apart = replace(t, meets=frozenset())
+    assert not check_condition_ii(apart, ["A", "B"])
+    assert contact_violations(apart) == []
 
 
 HALVES = [Fraction(k, 2) for k in range(-4, 5)]
@@ -564,7 +587,8 @@ def test_lemma227_is_condition_ii_on_the_pair(seed):
     # Lemma 2.27 and condition (ii) on the pair agree while the self pairings
     # are negative and the cross pairings nonnegative; both signs are drawn
     # from that range only.  A third type II ray on its own divisor puts the
-    # pair at seeded positions of a larger touching system.
+    # pair at seeded positions of a larger touching system.  With every set
+    # a face, the contact check flags exactly the pairs that fail the lemma.
     rng = random.Random(seed)
     selfs = [q for q in HALVES if q < 0]
     crosses = [q for q in HALVES if q >= 0]
@@ -580,7 +604,11 @@ def test_lemma227_is_condition_ii_on_the_pair(seed):
             meets=[(f"D{a}", f"D{b}") for a, b in combinations(ids, 2)],
         )
         a, b = rng.sample(ids, 2)
-        assert check_lemma227(s, a, b) == check_condition_ii(s, [a, b]), system_to_json(s)
+        assert _lemma227(s, a, b) == check_condition_ii(s, [a, b]), system_to_json(s)
+        every = s.with_faces(next(face_variants(ids)))
+        assert [v.subjects for v in contact_violations(every)] == [
+            pair for pair in combinations("ABC", 2) if not _lemma227(s, *pair)
+        ], system_to_json(s)
 
 
 def test_contact_violations_on_cofacial_type_ii_pairs():

@@ -1,5 +1,6 @@
 """Component and E-set classification, feasibility conditions, filters."""
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -11,7 +12,9 @@ import pytest
 
 from moribound import structure
 from moribound.core import scale_primitive, solve_inequalities
+from moribound.cli import main
 from moribound.generate import (
+    enumerate_sign_systems,
     face_variants,
     random_valid_system,
     system_b2,
@@ -27,6 +30,7 @@ from moribound.raysystem import (
     SystemFormatError,
     is_single_arrow_connected,
     system_to_json,
+    validate,
 )
 from moribound.structure import (
     ClassificationFailure,
@@ -40,6 +44,7 @@ from moribound.structure import (
     classify_report,
     condition_ii_witness,
     condition_iii_full,
+    contact_violations,
     detect_e2_pairs,
     find_esets,
     is_extremal,
@@ -758,6 +763,10 @@ def _three_ray_system(faces):
     )
 
 
+def _maximal_faces(s):
+    return [frozenset(s.relations.names(m)) for m in s.maximal_masks]
+
+
 def test_maximal_faces_and_is_extremal_match_face_scan():
     # Every family of subsets of three rays, the empty family included.
     subsets = [frozenset(c) for k in range(4) for c in combinations("R1 R2 R3".split(), k)]
@@ -765,15 +774,15 @@ def test_maximal_faces_and_is_extremal_match_face_scan():
         faces = [f for f, bit in zip(subsets, bits) if bit]
         s = _three_ray_system(faces)
         maximal = {f for f in faces if not any(f < g for g in faces)}
-        assert list(s.maximal_faces) == sorted(maximal, key=lambda f: (len(f), sorted(f)))
+        assert _maximal_faces(s) == sorted(maximal, key=lambda f: (len(f), sorted(f)))
         for want in subsets:
             assert is_extremal(s, want) == any(want <= f for f in faces), (faces, want)
 
 
 def test_maximal_faces_edge_cases():
-    assert _three_ray_system([]).maximal_faces == ()
+    assert _three_ray_system([]).maximal_masks == ()
     assert not is_extremal(_three_ray_system([]), [])
-    assert _three_ray_system([[]]).maximal_faces == (frozenset(),)
+    assert _three_ray_system([[]]).maximal_masks == (0,)
     assert is_extremal(_three_ray_system([[]]), [])
     only_small = RayDivisorSystem.of(
         rays=[("X", "small")], divisors=[], pairing=[[]], faces=[[]]
@@ -781,10 +790,10 @@ def test_maximal_faces_edge_cases():
     assert classify_report(only_small)["maximal_sets"] == []
     listed_twice = [["R1", "R2"], ["R2", "R1"], ["R3"], ["R3"]]
     s = _three_ray_system(listed_twice)
-    expected = (frozenset({"R3"}), frozenset({"R1", "R2"}))
-    assert s.maximal_faces == expected
+    expected = [frozenset({"R3"}), frozenset({"R1", "R2"})]
+    assert _maximal_faces(s) == expected
     unnormalized = replace(s, faces=tuple(frozenset(f) for f in listed_twice))
-    assert unnormalized.maximal_faces == expected
+    assert _maximal_faces(unnormalized) == expected
 
 
 # --- small-ray structure ------------------------------------------------------
@@ -1032,3 +1041,96 @@ def test_verdicts_are_invariant_under_relabeling():
         seen.update(key for key, found in want.items() if found)
     # Every kind of answer is exercised.
     assert min(seen.values()) >= 30 and len(seen) == 6, seen
+
+
+# --- the contact check: Lemma 2.27 as condition (ii) on a pair ---------------------
+
+CONTACT = ("contact-product", "cross pairings do not multiply below the self pairings")
+
+
+def _lemma227_violations(s):
+    """The co-facial pairs of type II rays on distinct touching divisors whose
+    cross pairings do not multiply below the self pairings (Lemma 2.27), in
+    sorted id order, read from the listed faces and the pairing."""
+    out = []
+    for a, b in combinations(sorted(s.ray_ids), 2):
+        ra, rb = s.ray(a), s.ray(b)
+        if (
+            ra.type is RayType.II
+            and rb.type is RayType.II
+            and frozenset((ra.divisor, rb.divisor)) in s.meets
+            and any({a, b} <= f for f in s.faces)
+            and s.q(a, rb.divisor) * s.q(b, ra.divisor)
+            >= s.q(a, ra.divisor) * s.q(b, rb.divisor)
+        ):
+            out.append((a, b))
+    return out
+
+
+def _redrawn(s, rng):
+    """`s` with every nonzero pairing entry redrawn from 1/2, 1, 3/2 and 2
+    in size, its sign kept, so that `validate` gives the same answer."""
+    sizes = [Fraction(k, 2) for k in range(1, 5)]
+    return replace(s, pairing=tuple(
+        tuple(v and (1 if v > 0 else -1) * rng.choice(sizes) for v in row)
+        for row in s.pairing
+    ))
+
+
+def _contact_cases(rng):
+    """Systems that `validate` accepts, with order-changing names: every sign
+    pattern of one to three rays, four times with redrawn pairings, and
+    seeded random systems of up to four rays."""
+    sign_patterns = list(enumerate_sign_systems(max_rays=3))
+    for base in (
+        *(_redrawn(s, rng) for s in sign_patterns for _ in range(4)),
+        *(random_valid_system(k)[0] for k in range(100)),
+    ):
+        yield _relabeled(base, rng)[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_contact_violations_keep_the_product_meaning_on_valid_systems(seed):
+    # On a system that `validate` accepts, self pairings are negative and
+    # cross pairings nonnegative, so condition (ii) on a pair is Lemma 2.27's
+    # product inequality: the check flags what the product oracle flags, in
+    # the same order, under every face variant.
+    rng = random.Random(seed)
+    pairs = Counter()
+    for s in _contact_cases(rng):
+        assert validate(s) == [], system_to_json(s)
+        for faces in face_variants(list(s.ray_ids)):
+            v = s.with_faces(faces)
+            got = contact_violations(v)
+            want = _lemma227_violations(v)
+            assert [x.subjects for x in got] == want, system_to_json(v)
+            assert {(x.code, x.detail) for x in got} <= {CONTACT}
+            pairs[len(want)] += 1
+    assert pairs[0] > 1000 and pairs[1] > 300 and pairs[2] > 30, pairs
+
+
+def test_an_invalid_system_still_fails_check(capsys, tmp_path):
+    # Off the model's sign rules the product and the cone question part ways:
+    # this seeded system has a positive self pairing, so condition (ii) fails
+    # on pairs whose products look fine.  `check` still exits 1 on it, for
+    # `validate` refuses it first.
+    rng = random.Random(0)
+    while True:
+        ids = ["A", "B", "C"]
+        s = RayDivisorSystem.of(
+            rays=[(rid, "II", f"D{rid}") for rid in ids],
+            divisors=[f"D{rid}" for rid in ids],
+            pairing=[[rng.choice(range(-2, 3)) for _ in ids] for _ in ids],
+            meets=[(f"D{a}", f"D{b}") for a, b in combinations(ids, 2)],
+            faces=next(face_variants(ids)),
+        )
+        got = [v.subjects for v in contact_violations(s)]
+        if validate(s) and got != _lemma227_violations(s):
+            break
+    assert "self-pairing-not-negative" in {v.code for v in validate(s)}
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(system_to_json(s)))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    for v in validate(s) + contact_violations(s):
+        assert str(v) in out
