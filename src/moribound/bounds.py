@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -163,6 +164,14 @@ def enumerate_angles(p: CombinatorialPolytope) -> list[AngleData]:
     facets through it, both side orders.  The angle's 2-face is the face
     lying in the other facets through the vertex; on a simple polytope that
     face has dimension 2 exactly when it exists."""
+    return list(_angles(p))
+
+
+@lru_cache(maxsize=1)
+def _angles(p: CombinatorialPolytope) -> tuple[AngleData, ...]:
+    """`enumerate_angles` of the last polytope asked, kept so that a diagram
+    verdict and the `verify_lemma14` it calls enumerate them once.  A refusal
+    raises again on every call."""
     if not p.is_simple:
         raise PolytopeError("angles are defined on simple polytopes only")
     out: list[AngleData] = []
@@ -177,7 +186,7 @@ def enumerate_angles(p: CombinatorialPolytope) -> list[AngleData]:
                 ) from None
             out.append(AngleData(v, plane, f, g))
             out.append(AngleData(v, plane, g, f))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +289,10 @@ def verify_lemma14(
     angles = enumerate_angles(p)
     cc, dd = rational(c), rational(d)
     n = p.dim
-    ws = []
-    for a in angles:
-        if a not in weights:
-            raise ValueError(f"missing weight for angle {a}")
-        ws.append(rational(weights[a]))
+    try:
+        ws = [rational(weights[a]) for a in angles]
+    except KeyError as exc:
+        raise ValueError(f"missing weight for angle {exc.args[0]}") from None
     # Integer numerators over one common denominator: one Fraction per sum.
     den = math.lcm(*(w.denominator for w in ws))
     vertex_nums = dict.fromkeys(p.vertices, 0)
@@ -555,12 +563,11 @@ def diagram_pipeline(
     report = verify_lemma14(p, weights, c, dd)
     replay = None
     if isinstance(rule, Theorem258Rule):
-        max_sum = max(report.vertex_sums.values(), default=Fraction(0))
         replay = {
             "C": c,
             "D": dd,
-            "max_vertex_sum": max_sum,
-            "agrees": max_sum <= c * p.dim + dd,
+            "max_vertex_sum": max(report.vertex_sums.values(), default=Fraction(0)),
+            "agrees": report.condition1_holds,
         }
     counterexamples = []
     for f in report.failing_faces:

@@ -104,24 +104,21 @@ class RayDivisorSystem:
         self._set_faces(self.faces)
 
     def _set_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> None:
-        """Store the distinct faces (or None), ordered, with their masks.
-        Faces that arrive in order cost one linear pass of the sort."""
+        """Store the distinct faces (or None), keyed by mask and ordered by
+        size, then by descending mask, which is sorted ids."""
         masks = None
         if faces is not None:
             faces = tuple(faces)
             bit = self._bit
             try:
-                order = sorted(
-                    (len(f), -sum(map(bit.__getitem__, f)), f)
-                    for f in dict.fromkeys(map(frozenset, faces))
-                )
+                by_mask = {sum(map(bit.__getitem__, f)): f for f in map(frozenset, faces)}
             except KeyError:
                 k, unknown = min(
                     (k, min(set(f) - bit.keys())) for k, f in enumerate(faces) if set(f) - bit.keys()
                 )
                 raise SystemFormatError(f"face names unknown ray {unknown}", "faces", k) from None
-            masks = tuple(-entry[1] for entry in order)
-            faces = tuple(entry[2] for entry in order)
+            masks = tuple(sorted(sorted(by_mask, reverse=True), key=int.bit_count))
+            faces = tuple(map(by_mask.__getitem__, masks))
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "_face_masks", masks)
 
@@ -267,60 +264,59 @@ class Relations:
     highest bit down visits its rays in sorted id order; `order` lists the
     positions in declaration order.  `column[k]` is the index of D(ids[k])
     and `toward[k][j]` is q(ids[k], D(ids[j])) (None when ids[j] carries no
-    divisor).  Per ray k, over the rays j that carry divisors: `contact[k]`
-    holds those whose divisor equals or touches D(ids[k]) (k itself
-    included), `arrows[k]` those j != k with toward[k][j] > 0 and `zeros[k]`
-    those j != k with toward[k][j] == 0.  `type_i`, `type_ii`, `divisorial`
-    and `simple` are masks of rays.
+    divisor).  `touching[c]` is the mask, by divisor index, of the listed
+    divisors that equal or touch the c-th, carried by a ray or not.  Per ray
+    k, over the rays j that carry divisors: `contact[k]` holds those whose
+    divisor equals or touches D(ids[k]) (k itself included), `arrows[k]`
+    those j != k with toward[k][j] > 0 and `zeros[k]` those j != k with
+    toward[k][j] == 0.  `type_i`, `type_ii`, `divisorial` and `simple` are
+    masks of rays.
     """
 
     __slots__ = (
-        "ids", "bit", "order", "column", "toward", "contact", "arrows", "zeros",
-        "type_i", "type_ii", "divisorial", "simple",
+        "ids", "bit", "order", "column", "touching", "toward", "contact", "arrows",
+        "zeros", "type_i", "type_ii", "divisorial", "simple",
     )
 
     def __init__(self, s: RayDivisorSystem) -> None:
-        self.bit = s._bit
-        self.ids = ids = tuple(self.bit)
-        rays = [s.rays[s._ray_index[rid]] for rid in ids]
-        self.order = tuple(self.bit[r.id].bit_length() - 1 for r in s.rays)
-        self.column = column = tuple(
-            None if r.divisor is None else s._div_index[r.divisor] for r in rays
-        )
+        self.bit = bit = s._bit
+        self.ids = ids = tuple(bit)
+        self.order = order = tuple([bit[r.id].bit_length() - 1 for r in s.rays])
+        n = len(ids)
+        column = [None] * n
+        for k, r in zip(order, s.rays):
+            column[k] = s._div_index.get(r.divisor)  # None for a small ray
+        self.column = column = tuple(column)
         touching = [1 << c for c in range(len(s.divisors))]
         for pair in s.meets:
-            a, b = (s._div_index[d] for d in pair)
+            a, b = map(s._div_index.__getitem__, pair)
             touching[a] |= 1 << b
             touching[b] |= 1 << a
-        toward, contact, arrows, zeros = [], [], [], []
+        self.touching = tuple(touching)
+        carried = [(1 << j, c) for j, c in enumerate(column) if c is not None]
+        toward, contact, arrows, zeros = [None] * n, [0] * n, [0] * n, [0] * n
         type_i = type_ii = simple = 0
-        for k, r in enumerate(rays):
-            row = s.pairing[s._ray_index[r.id]]
-            line = tuple(None if c is None else row[c] for c in column)
+        for k, r, row in zip(order, s.rays, s.pairing):
+            toward[k] = tuple([None if c is None else row[c] for c in column])
             near = 0 if column[k] is None else touching[column[k]]
             touches = up = level = 0
-            for j, v in enumerate(line):
-                if v is None:
-                    continue
-                if near >> column[j] & 1:
-                    touches |= 1 << j
-                if j == k:
-                    continue
-                if v > 0:
-                    up |= 1 << j
-                elif v == 0:
-                    level |= 1 << j
-            toward.append(line)
-            contact.append(touches)
-            arrows.append(up)
-            zeros.append(level)
+            for b, c in carried:
+                if near >> c & 1:
+                    touches |= b
+                if row[c] > 0:
+                    up |= b
+                elif row[c] == 0:
+                    level |= b
+            contact[k] = touches
+            arrows[k] = up & ~(1 << k)
+            zeros[k] = level & ~(1 << k)
             if r.type is RayType.I:
                 type_i |= 1 << k
             elif r.type is RayType.II:
                 type_ii |= 1 << k
                 # Simple: its own pairing plus any positive pairing with a
                 # listed divisor stays >= 0.
-                own = line[k]
+                own = row[column[k]]
                 if all(v <= 0 or own + v >= 0 for v in row):
                     simple |= 1 << k
         self.toward = tuple(toward)
@@ -395,167 +391,119 @@ class Relations:
 
 
 def validate(s: RayDivisorSystem) -> list[Violation]:
-    """All model-invariant violations, deterministically ordered."""
+    """All model-invariant violations, deterministically ordered.  Every
+    rule reads a fresh `Relations` of the system, so nothing is kept on it."""
+    rel = Relations(s)
+    ids, column, toward, contact = rel.ids, rel.column, rel.toward, rel.contact
+    divisor = [None if c is None else s.divisors[c] for c in column]
+    walk = [k for k in rel.order if rel.divisorial >> k & 1]  # declaration order
     out: list[Violation] = []
 
     def flag(code: str, subjects: Sequence[str], detail: str) -> None:
         out.append(Violation(code, tuple(subjects), detail))
 
-    for r in s.rays:
-        if r.divisor is None:
+    owners: dict[str, list[int]] = {}
+    for k in walk:
+        owners.setdefault(divisor[k], []).append(k)
+        if toward[k][k] >= 0:
+            flag("self-pairing-not-negative", (ids[k], divisor[k]),
+                 f"Q[{ids[k]}][{divisor[k]}] = {format_rational(toward[k][k])} must be < 0")
+    for did, ks in sorted(owners.items()):
+        if len(ks) > 2:
+            flag("divisor-overloaded", [ids[k] for k in ks],
+                 f"divisor {did} is carried by {len(ks)} rays (max 2)")
+        elif len(ks) == 2 and sum(1 << k for k in ks) & ~rel.type_ii:
+            flag("shared-divisor-not-type-ii", [ids[k] for k in ks],
+                 f"divisor {did} is shared, so both rays must have type II")
+
+    # These two range over every listed divisor, carried by a ray or not.
+    for row, k in zip(s.pairing, rel.order):
+        if column[k] is None:
             continue
-        if s.q(r.id, r.divisor) >= 0:
-            flag(
-                "self-pairing-not-negative",
-                (r.id, r.divisor),
-                f"Q[{r.id}][{r.divisor}] = {format_rational(s.q(r.id, r.divisor))} must be < 0",
-            )
-
-    by_divisor: dict[str, list[Ray]] = {}
-    for r in s.rays:
-        if r.divisor is not None:
-            by_divisor.setdefault(r.divisor, []).append(r)
-    for did, owners in sorted(by_divisor.items()):
-        if len(owners) > 2:
-            flag(
-                "divisor-overloaded",
-                tuple(o.id for o in owners),
-                f"divisor {did} is carried by {len(owners)} rays (max 2)",
-            )
-        elif len(owners) == 2 and not all(o.type is RayType.II for o in owners):
-            flag(
-                "shared-divisor-not-type-ii",
-                tuple(o.id for o in owners),
-                f"divisor {did} is shared, so both rays must have type II",
-            )
-
-    divisorial = s.divisorial_rays
-    for r in divisorial:
-        for did in s.divisors:
-            if did == r.divisor:
+        near = rel.touching[column[k]]
+        for c, v in enumerate(row):
+            if v == 0 or c == column[k]:
                 continue
-            v = s.q(r.id, did)
+            did = s.divisors[c]
             if v < 0:
-                flag(
-                    "negative-cross-pairing",
-                    (r.id, did),
-                    f"Q[{r.id}][{did}] = {format_rational(v)}: a divisorial ray pairs "
-                    "negatively only with its own divisor",
-                )
-            if v != 0 and not s.joined(r.divisor, did):
-                flag(
-                    "pairing-without-meet",
-                    (r.id, did),
-                    f"Q[{r.id}][{did}] = {format_rational(v)} but divisors "
-                    f"{r.divisor} and {did} are not in contact",
-                )
+                flag("negative-cross-pairing", (ids[k], did),
+                     f"Q[{ids[k]}][{did}] = {format_rational(v)}: a divisorial ray pairs "
+                     "negatively only with its own divisor")
+            if not near >> c & 1:
+                flag("pairing-without-meet", (ids[k], did),
+                     f"Q[{ids[k]}][{did}] = {format_rational(v)} but divisors "
+                     f"{divisor[k]} and {did} are not in contact")
 
-    for i, r1 in enumerate(divisorial):
-        for r2 in divisorial[i + 1 :]:
-            d1, d2 = r1.divisor, r2.divisor
-            if d1 == d2:
+    for i, a in enumerate(walk):
+        for b in walk[i + 1 :]:
+            if column[a] == column[b] or not contact[a] >> b & 1:
                 continue
-            touching = s.joined(d1, d2)
-            types = {r1.type, r2.type}
-            if not touching:
-                continue
-            if types == {RayType.I}:
-                flag(
-                    "type-i-divisors-meet",
-                    (r1.id, r2.id),
-                    f"divisors {d1} and {d2} of two type I rays may not touch",
-                )
-            elif types == {RayType.I, RayType.II}:
-                if s.q(r1.id, d2) <= 0 or s.q(r2.id, d1) <= 0:
-                    flag(
-                        "mixed-meeting-pair-crosses",
-                        (r1.id, r2.id),
-                        "touching divisors of a type II / type I pair force both "
-                        f"cross pairings positive, got {format_rational(s.q(r1.id, d2))} "
-                        f"and {format_rational(s.q(r2.id, d1))}",
-                    )
-            else:  # both type II
-                if s.q(r1.id, d2) == 0 and s.q(r2.id, d1) == 0:
-                    flag(
-                        "meeting-pair-no-contact",
-                        (r1.id, r2.id),
-                        f"divisors {d1} and {d2} touch but both cross pairings vanish",
-                    )
+            pair, d1, d2 = 1 << a | 1 << b, divisor[a], divisor[b]
+            if not pair & rel.type_ii:
+                flag("type-i-divisors-meet", (ids[a], ids[b]),
+                     f"divisors {d1} and {d2} of two type I rays may not touch")
+            elif not pair & rel.type_i:  # both type II
+                if rel.zeros[a] >> b & 1 and rel.zeros[b] >> a & 1:
+                    flag("meeting-pair-no-contact", (ids[a], ids[b]),
+                         f"divisors {d1} and {d2} touch but both cross pairings vanish")
+            elif not (rel.arrows[a] >> b & 1 and rel.arrows[b] >> a & 1):
+                flag("mixed-meeting-pair-crosses", (ids[a], ids[b]),
+                     "touching divisors of a type II / type I pair force both cross "
+                     f"pairings positive, got {format_rational(toward[a][b])} "
+                     f"and {format_rational(toward[b][a])}")
 
-    for r in s.rays:
-        if r.type is not RayType.II:
-            continue
-        neighbors = [
-            q.id
-            for q in divisorial
-            if q.type is RayType.I and q.divisor != r.divisor and s.joined(r.divisor, q.divisor)
-        ]
+    type_ii = [k for k in walk if rel.type_ii >> k & 1]
+    for k in type_ii:
+        near = contact[k] & rel.type_i
+        neighbors = [ids[j] for j in walk if near >> j & 1 and column[j] != column[k]]
         if len(neighbors) > 1:
-            flag(
-                "multiple-type-i-neighbors",
-                (r.id, *neighbors),
-                f"divisor {r.divisor} touches divisors of {len(neighbors)} type I rays (max 1)",
-            )
+            flag("multiple-type-i-neighbors", (ids[k], *neighbors),
+                 f"divisor {divisor[k]} touches divisors of {len(neighbors)} type I rays (max 1)")
 
     if s.fano_mode:
-        for r in s.rays:
-            if r.type is RayType.II and not is_simple_ray(s, r.id):
-                flag(
-                    "nonsimple-ray-in-fano-mode",
-                    (r.id,),
-                    "every type II ray must be simple here",
-                )
-        if s.anticanonical is not None:
-            for r, a in zip(s.rays, s.anticanonical):
-                if a <= 0:
-                    flag(
-                        "anticanonical-not-positive",
-                        (r.id,),
-                        f"A[{r.id}] = {format_rational(a)} must be > 0",
-                    )
+        for k in type_ii:
+            if not rel.simple >> k & 1:
+                flag("nonsimple-ray-in-fano-mode", (ids[k],),
+                     "every type II ray must be simple here")
+        for k, a in zip(rel.order, s.anticanonical or ()):
+            if a <= 0:
+                flag("anticanonical-not-positive", (ids[k],),
+                     f"A[{ids[k]}] = {format_rational(a)} must be > 0")
 
     if s.faces is not None:
-        out.extend(_validate_faces(s))
-
+        out.extend(_validate_faces(s, rel))
     return out
 
 
-def _validate_faces(s: RayDivisorSystem) -> list[Violation]:
-    out: list[Violation] = []
+def _validate_faces(s: RayDivisorSystem, rel: Relations) -> list[Violation]:
     faces = set(s._face_masks)
+    out = []
     if 0 not in faces:
         out.append(Violation("faces-missing-empty", (), "the empty set must be a face"))
-    for r in s.rays:
-        if s._bit[r.id] not in faces:
-            out.append(
-                Violation(
-                    "singleton-not-a-face",
-                    (r.id,),
-                    "every single ray spans a face of the cone",
-                )
-            )
+    for k in rel.order:
+        if 1 << k not in faces:
+            out.append(Violation("singleton-not-a-face", (rel.ids[k],),
+                                 "every single ray spans a face of the cone"))
     # A face is full when all its subsets are faces: walked smallest first,
     # that is when every f minus one bit is full.  f1 & f2 is a face whenever
     # f1 or f2 is full, so only pairs of faces that are not full are cut.
     full: set[int] = set()
-    partial: list[tuple[int, frozenset]] = []
-    for f, face in zip(s._face_masks, s.faces):
+    partial: list[int] = []
+    for f in s._face_masks:
         for k in _positions(f):
             if f ^ 1 << k not in full:
-                partial.append((f, face))
+                partial.append(f)
                 break
         else:
             full.add(f)
-    for i, (f1, face1) in enumerate(partial):
-        for f2, face2 in partial[i + 1 :]:
+    for i, f1 in enumerate(partial):
+        for f2 in partial[i + 1 :]:
             if f1 & f2 not in faces:
-                out.append(
-                    Violation(
-                        "faces-not-intersection-closed",
-                        (",".join(sorted(face1)), ",".join(sorted(face2))),
-                        f"intersection {sorted(face1 & face2)} is missing from the face list",
-                    )
-                )
+                out.append(Violation(
+                    "faces-not-intersection-closed",
+                    (",".join(rel.names(f1)), ",".join(rel.names(f2))),
+                    f"intersection {rel.names(f1 & f2)} is missing from the face list",
+                ))
     return out
 
 

@@ -344,7 +344,8 @@ def contact_violations(s: RayDivisorSystem) -> list[Violation]:
         Violation(
             "contact-product",
             (rel.ids[a], rel.ids[b]),
-            "cross pairings do not multiply below the self pairings",
+            "some nonzero nonnegative combination of the two divisors is nonnegative "
+            "on both rays (condition (ii) fails on the pair)",
         )
         for a, b in sorted(pairs, reverse=True)  # highest bits first: sorted ids
         if _cone_witness(_rows(rel, (a, b), (a, b)), 2, False) is not None
@@ -441,8 +442,14 @@ def _eset_masks(s: RayDivisorSystem, within: Iterable[str]) -> tuple[int, ...]:
 
 
 def _find_eset_masks(s: RayDivisorSystem, ids: Sequence[str]) -> tuple[int, ...]:
+    # A ray is extremal on its own when some maximal face holds its bit.
+    rel, covered = s.relations, 0
+    for face in s.maximal_masks:
+        covered |= face
     for rid in ids:
-        if not is_extremal(s, (rid,)):
+        if rid not in rel.bit:
+            raise ValueError(f"unknown ray {rid}")
+        if not rel.bit[rid] & covered:
             raise ValueError(f"ray {rid} is not extremal on its own")
     if not ids:
         return ()

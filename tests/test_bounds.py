@@ -2,6 +2,7 @@
 diagram pipeline."""
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -357,6 +358,26 @@ def test_square_pipeline_replay_agrees():
         assert entry["full_nef_combination"]
 
 
+def test_triangle_pipeline_replay_disagrees():
+    # Arrows run both ways between every two rays, so each vertex carries two
+    # angles at distance 1: 4/3 against the contact-only budget 2/3.
+    s = RayDivisorSystem.of(
+        rays=[(rid, "II", f"D{rid}") for rid in "ABC"],
+        divisors=["DA", "DB", "DC"],
+        pairing=[[-1, 1, 1], [1, -1, 1], [1, 1, -1]],
+        meets=[("DA", "DB"), ("DB", "DC"), ("DA", "DC")],
+        faces=[[], ["A"], ["B"], ["C"], ["A", "B"], ["B", "C"], ["A", "C"]],
+    )
+    report = diagram_pipeline(DiagramInstance.of(s, simplex(2), "ABC"), 1, Theorem258Rule())
+    assert report.replay == {
+        "C": Fraction(0),
+        "D": Fraction(2, 3),
+        "max_vertex_sum": Fraction(4, 3),
+        "agrees": False,
+    }
+    assert report.failing_vertices == (0, 1, 2) and not report.conforming
+
+
 def test_bad_quadrangle_counterexamples():
     inst = load_diagram(f"{FIXTURES}/diagram_bad_quadrangle.json")
     report = diagram_pipeline(inst, 1, Theorem258Rule())
@@ -411,6 +432,35 @@ def test_pipeline_verifies_through_verify_lemma14(monkeypatch, fixture, d, rule)
     assert report.vertex_sums == direct.vertex_sums
     assert report.face_sums == direct.face_sums
     assert report.chain == direct.chain
+
+
+@pytest.mark.parametrize("fixture,d,rule", [
+    ("diagram_triangle.json", 2, Theorem12Rule(2)),
+    ("diagram_square_258.json", 1, Theorem258Rule()),
+    ("diagram_bad_quadrangle.json", 1, Theorem258Rule()),
+])
+def test_pipeline_enumerates_the_angles_once(monkeypatch, fixture, d, rule):
+    lookups = []
+    face_on = CombinatorialPolytope.face_on
+
+    def counted(p, facets):
+        lookups.append(p)
+        return face_on(p, facets)
+
+    enumerate_angles(simplex(3))  # so no earlier run has this polytope's angles
+    monkeypatch.setattr(CombinatorialPolytope, "face_on", counted)
+    inst = load_diagram(f"{FIXTURES}/{fixture}")
+    report = diagram_pipeline(inst, d, rule)
+    p = inst.polytope
+    # One 2-face lookup per vertex and pair of facets through it.
+    assert len(lookups) == len(p.vertices) * math.comb(p.dim, 2)
+    # Asked again, the angles come back as a fresh list, with no lookup.
+    again = enumerate_angles(p)
+    assert again == enumerate_angles(p) and again is not enumerate_angles(p)
+    assert len(lookups) == len(p.vertices) * math.comb(p.dim, 2)
+    if isinstance(rule, Theorem258Rule):
+        assert report.replay["agrees"] == report.condition1_holds
+        assert report.replay["max_vertex_sum"] == max(report.vertex_sums.values())
 
 
 def test_pipeline_rejects_band_width_mismatch(monkeypatch):

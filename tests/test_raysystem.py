@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moribound.bounds import count_condition_b
-from moribound.core import INF, scale_primitive, solve_inequalities
+from moribound.core import INF, format_rational, scale_primitive, solve_inequalities
 from moribound.generate import (
     face_variants,
     random_valid_system,
@@ -27,6 +28,7 @@ from moribound.raysystem import (
     Ray,
     RayDivisorSystem,
     RayType,
+    Relations,
     SystemFormatError,
     Violation,
     _validate_faces,
@@ -290,7 +292,7 @@ def test_face_checks_match_all_pairs_scan():
     flagged = 0
     for s in systems:
         want = _all_pairs_face_violations(s)
-        assert _validate_faces(s) == want, s.faces
+        assert _validate_faces(s, Relations(s)) == want, s.faces
         flagged += any(v.code == "faces-not-intersection-closed" for v in want)
     assert flagged == 200
 
@@ -365,7 +367,7 @@ def test_face_masks_match_frozenset_algebra():
         decoded = [frozenset(s.relations.names(m)) for m in s.maximal_masks]
         assert decoded == sorted(maximal, key=key), faces
         want = _frozenset_face_violations(s)
-        assert _validate_faces(s) == want, faces
+        assert _validate_faces(s, Relations(s)) == want, faces
         flagged += any(v.code == "faces-not-intersection-closed" for v in want)
     assert flagged > 20
 
@@ -391,6 +393,206 @@ def test_normalization_audit():
     assert validate(s) == []  # scaling is not an invariant violation
     audit = check_normalization(s)
     assert [v.subjects for v in audit] == [("A",)]
+
+
+def test_divisor_overloaded_flagged():
+    s = RayDivisorSystem.of(
+        rays=[("C", "II", "D1"), ("A", "II", "D1"), ("B", "II", "D1")],
+        divisors=["D1"],
+        pairing=[[-1], [-1], [-1]],
+    )
+    assert validate(s) == [
+        Violation("divisor-overloaded", ("C", "A", "B"),
+                  "divisor D1 is carried by 3 rays (max 2)"),
+    ]
+
+
+def test_nonsimple_ray_in_fano_mode_flagged():
+    # B's own pairing -2 plus its positive cross pairing 1 dips below zero.
+    s = RayDivisorSystem.of(
+        rays=[("A", "II", "D1"), ("B", "II", "D2")],
+        divisors=["D1", "D2"],
+        pairing=[[-1, 1], [1, -2]],
+        meets=[("D1", "D2")],
+        fano_mode=True,
+    )
+    assert validate(s) == [
+        Violation("nonsimple-ray-in-fano-mode", ("B",), "every type II ray must be simple here"),
+    ]
+    assert validate(replace(s, fano_mode=False)) == []
+
+
+VALIDATE_CODES = {
+    "self-pairing-not-negative", "divisor-overloaded", "shared-divisor-not-type-ii",
+    "negative-cross-pairing", "pairing-without-meet", "type-i-divisors-meet",
+    "mixed-meeting-pair-crosses", "meeting-pair-no-contact", "multiple-type-i-neighbors",
+    "nonsimple-ray-in-fano-mode", "anticanonical-not-positive", "faces-missing-empty",
+    "singleton-not-a-face", "faces-not-intersection-closed",
+}
+
+
+def _scan_validate(s):
+    """Reference: the model invariants read one pairing at a time through
+    `q` and `joined`, simplicity by `_fraction_simple`, faces by
+    `_frozenset_face_violations`."""
+    out = []
+
+    def flag(code, subjects, detail):
+        out.append(Violation(code, tuple(subjects), detail))
+
+    fmt = format_rational
+    for r in s.rays:
+        if r.divisor is not None and s.q(r.id, r.divisor) >= 0:
+            flag("self-pairing-not-negative", (r.id, r.divisor),
+                 f"Q[{r.id}][{r.divisor}] = {fmt(s.q(r.id, r.divisor))} must be < 0")
+    by_divisor = {}
+    for r in s.rays:
+        if r.divisor is not None:
+            by_divisor.setdefault(r.divisor, []).append(r)
+    for did, owners in sorted(by_divisor.items()):
+        if len(owners) > 2:
+            flag("divisor-overloaded", tuple(o.id for o in owners),
+                 f"divisor {did} is carried by {len(owners)} rays (max 2)")
+        elif len(owners) == 2 and not all(o.type is RayType.II for o in owners):
+            flag("shared-divisor-not-type-ii", tuple(o.id for o in owners),
+                 f"divisor {did} is shared, so both rays must have type II")
+    divisorial = s.divisorial_rays
+    for r in divisorial:
+        for did in s.divisors:
+            if did == r.divisor:
+                continue
+            v = s.q(r.id, did)
+            if v < 0:
+                flag("negative-cross-pairing", (r.id, did),
+                     f"Q[{r.id}][{did}] = {fmt(v)}: a divisorial ray pairs "
+                     "negatively only with its own divisor")
+            if v != 0 and not s.joined(r.divisor, did):
+                flag("pairing-without-meet", (r.id, did),
+                     f"Q[{r.id}][{did}] = {fmt(v)} but divisors "
+                     f"{r.divisor} and {did} are not in contact")
+    for i, r1 in enumerate(divisorial):
+        for r2 in divisorial[i + 1 :]:
+            d1, d2 = r1.divisor, r2.divisor
+            if d1 == d2 or not s.joined(d1, d2):
+                continue
+            types = {r1.type, r2.type}
+            if types == {RayType.I}:
+                flag("type-i-divisors-meet", (r1.id, r2.id),
+                     f"divisors {d1} and {d2} of two type I rays may not touch")
+            elif types == {RayType.I, RayType.II}:
+                if s.q(r1.id, d2) <= 0 or s.q(r2.id, d1) <= 0:
+                    flag("mixed-meeting-pair-crosses", (r1.id, r2.id),
+                         "touching divisors of a type II / type I pair force both "
+                         f"cross pairings positive, got {fmt(s.q(r1.id, d2))} "
+                         f"and {fmt(s.q(r2.id, d1))}")
+            elif s.q(r1.id, d2) == 0 and s.q(r2.id, d1) == 0:
+                flag("meeting-pair-no-contact", (r1.id, r2.id),
+                     f"divisors {d1} and {d2} touch but both cross pairings vanish")
+    for r in s.rays:
+        if r.type is not RayType.II:
+            continue
+        neighbors = [
+            q.id for q in divisorial
+            if q.type is RayType.I and q.divisor != r.divisor and s.joined(r.divisor, q.divisor)
+        ]
+        if len(neighbors) > 1:
+            flag("multiple-type-i-neighbors", (r.id, *neighbors),
+                 f"divisor {r.divisor} touches divisors of {len(neighbors)} type I rays (max 1)")
+    if s.fano_mode:
+        for r in s.rays:
+            if r.type is RayType.II and not _fraction_simple(s, r.id):
+                flag("nonsimple-ray-in-fano-mode", (r.id,), "every type II ray must be simple here")
+        for r, a in zip(s.rays, s.anticanonical or ()):
+            if a <= 0:
+                flag("anticanonical-not-positive", (r.id,), f"A[{r.id}] = {fmt(a)} must be > 0")
+    if s.faces is not None:
+        out.extend(_frozenset_face_violations(s))
+    return out
+
+
+def _random_model_system(rng):
+    """One to six odd-named rays, now and then a small one, on divisors
+    drawn with repeats, so some are shared or overloaded and some carried by
+    no ray; own pairings mostly negative, the others in -2 ... 2 with halves
+    and leaning to 0 and 1; meets, faces (or none), an anticanonical column
+    (or none) and `fano_mode` at random."""
+    ids = rng.sample(ODD_IDS, rng.randint(1, 6))
+    divisors = [f"D{i}" for i in range(rng.randint(1, len(ids) + 1))]
+    rays = [
+        (rid, "small") if rng.random() < 0.15
+        else (rid, rng.choice(("I", "II")), rng.choice(divisors))
+        for rid in ids
+    ]
+    entries = HALVES + [0, 0, 0, 1, 1]
+    pairing = [[rng.choice(entries) for _ in divisors] for _ in rays]
+    for row, ray in zip(pairing, rays):
+        if len(ray) == 3 and rng.random() < 0.8:
+            row[divisors.index(ray[2])] = rng.choice((-1, -2, Fraction(-1, 2)))
+    faces = None
+    if rng.random() < 0.7:
+        faces = [rng.sample(ids, rng.randint(0, len(ids))) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.7:
+            faces += [[]] + [[rid] for rid in ids]
+    return RayDivisorSystem.of(
+        rays=rays,
+        divisors=divisors,
+        pairing=pairing,
+        meets=[p for p in combinations(divisors, 2) if rng.random() < 0.5],
+        faces=faces,
+        anticanonical=None if rng.random() < 0.5
+        else [rng.choice((1, 1, 2, Fraction(1, 2), 0, -1)) for _ in rays],
+        fano_mode=rng.random() < 0.5,
+    )
+
+
+def test_validate_matches_the_scan_on_random_systems():
+    seen = Counter()
+    for seed in range(5000):
+        s = _random_model_system(random.Random(seed))
+        before = dict(s.__dict__)
+        got = validate(s)
+        assert s.__dict__ == before  # validate keeps no tables on the system
+        assert got == _scan_validate(s), (seed, system_to_json(s))
+        seen.update({v.code for v in got})
+    assert seen.keys() == VALIDATE_CODES, seen
+
+
+def _tuple_sorted_faces(s, faces):
+    """Reference: the faces and masks sorted as (size, -mask, face) tuples."""
+    faces = tuple(faces)
+    bit = s._bit
+    try:
+        order = sorted(
+            (len(f), -sum(map(bit.__getitem__, f)), f) for f in dict.fromkeys(map(frozenset, faces))
+        )
+    except KeyError:
+        k, unknown = min(
+            (k, min(set(f) - bit.keys())) for k, f in enumerate(faces) if set(f) - bit.keys()
+        )
+        raise SystemFormatError(f"face names unknown ray {unknown}", "faces", k) from None
+    return tuple(e[2] for e in order), tuple(-e[1] for e in order)
+
+
+def test_face_normalization_matches_the_tuple_sort():
+    unknown = 0
+    for seed, (ids, faces) in enumerate(_odd_face_families(300)):
+        rng = random.Random(seed)
+        faces += [rng.sample(f, len(f)) for f in rng.sample(faces, len(faces) // 2)]
+        rng.shuffle(faces)
+        if rng.random() < 0.3:
+            faces.insert(rng.randint(0, len(faces)), [*rng.sample(ids, 1), "ZZ", "Q"])
+        base = _system_on(ids, [])
+        try:
+            want = _tuple_sorted_faces(base, faces)
+        except SystemFormatError as exc:
+            unknown += 1
+            with pytest.raises(SystemFormatError) as got:
+                base.with_faces(faces)
+            assert str(got.value) == str(exc) and "face names unknown ray Q" in str(exc)
+            continue
+        for s in (base.with_faces(faces), _system_on(ids, faces)):
+            assert (s.faces, s._face_masks) == want, faces
+    assert unknown > 50
 
 
 # --- graphs ---------------------------------------------------------------
@@ -625,11 +827,11 @@ def test_contact_violations_on_cofacial_type_ii_pairs():
     )
     assert contact_violations(s) == []  # no faces, so no pair is co-facial
     everything = next(face_variants(list(s.ray_ids)))
+    detail = ("some nonzero nonnegative combination of the two divisors is "
+              "nonnegative on both rays (condition (ii) fails on the pair)")
     assert contact_violations(s.with_faces(everything)) == [
-        Violation("contact-product", ("A", "B"),
-                  "cross pairings do not multiply below the self pairings"),
-        Violation("contact-product", ("B", "C"),
-                  "cross pairings do not multiply below the self pairings"),
+        Violation("contact-product", ("A", "B"), detail),
+        Violation("contact-product", ("B", "C"), detail),
     ]
     # Only co-facial pairs count: B and C share no face here.
     apart = [f for f in everything if not {"B", "C"} <= set(f)]

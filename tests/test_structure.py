@@ -647,7 +647,20 @@ def test_find_esets_checks_only_singletons(monkeypatch):
     monkeypatch.setattr(structure, "is_extremal", counted)
     s = system_eset_d(14)
     assert find_esets(s, s.ray_ids) == [frozenset(s.ray_ids)]
-    assert len(calls) == 14
+    # Each singleton is tested against the union of the maximal faces, so
+    # no set of rays, single or not, is asked of `is_extremal`.
+    assert calls == []
+
+
+@pytest.mark.parametrize("within, error", [
+    (["C", "B", "A"], "ray B is not extremal on its own"),  # B sorts before unknown C
+    (["B", "AA", "A"], "unknown ray AA"),  # unknown AA sorts before B
+])
+def test_find_esets_reports_the_first_bad_ray_in_sorted_order(within, error):
+    s = _system_over(["A", "B"], [[], ["A"]])  # B lies in no face
+    with pytest.raises(ValueError) as exc:
+        find_esets(s, within)
+    assert str(exc.value) == error
 
 
 def test_eset_case_a_cycle():
@@ -1045,7 +1058,11 @@ def test_verdicts_are_invariant_under_relabeling():
 
 # --- the contact check: Lemma 2.27 as condition (ii) on a pair ---------------------
 
-CONTACT = ("contact-product", "cross pairings do not multiply below the self pairings")
+CONTACT = (
+    "contact-product",
+    "some nonzero nonnegative combination of the two divisors is nonnegative "
+    "on both rays (condition (ii) fails on the pair)",
+)
 
 
 def _lemma227_violations(s):
