@@ -2,7 +2,7 @@
 
 The machinery: weight rules assigning a rational to each oriented angle from a
 combinatorial distance, the self-referential dimension inequality and its
-resolution by scan, the linear face-dimension bound, oriented-angle
+resolution by bisection, the linear face-dimension bound, oriented-angle
 enumeration on simple polytopes, the per-vertex / per-2-face weight-sum
 verifier with its inequality-chain audit, and the full diagram pipeline that
 ties a ray-divisor system to a polytope cross-section and extracts the
@@ -12,6 +12,7 @@ dimension bound or a structured counterexample.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from fractions import Fraction
@@ -113,20 +114,23 @@ def _lemma14_rhs(n: int, c: Fraction, d: Fraction) -> object:
 
 def lemma14_max_n(c: object, d: object) -> int:
     """Largest n >= 1 satisfying the parity-dependent strict inequality
-    n < 8C + 5 + (1 + 8D/n | (8C+8D)/(n-1)), found by upward scan.
+    n < 8C + 5 + (1 + 8D/n | (8C+8D)/(n-1)).
 
-    Both branch right-hand sides stay below 8C + 8D + 16, so the scan horizon
-    is safe.
+    n = 1 always admits.  Within one parity the left side grows and the right
+    side does not for n >= 2, so the admissible n of each parity are a
+    prefix, found by bisection.  Past 8C + 8D + 16 both right-hand sides stay
+    below n, which bounds the search.
     """
     cc, dd = rational(c), rational(d)
     if cc < 0 or dd < 0:
         raise ValueError("constants must be nonnegative")
     horizon = math.ceil(8 * cc + 8 * dd + 16)
-    best = None
-    for n in range(1, horizon + 1):
-        if n < _lemma14_rhs(n, cc, dd):
-            best = n
-    assert best is not None  # n = 1 always admits
+    best = 1
+    for first in (2, 3):
+        ns = range(first, horizon + 1, 2)
+        admitted = bisect_left(ns, True, key=lambda n: n >= _lemma14_rhs(n, cc, dd))
+        if admitted:
+            best = max(best, ns[admitted - 1])
     return best
 
 
@@ -613,8 +617,4 @@ def diagram_to_json(inst: DiagramInstance) -> dict:
 def diagram_from_json(data: dict) -> DiagramInstance:
     parsers = {"system": system_from_json, "polytope": polytope_from_json,
                "realized": model_from_json}
-    f = walk(data, KINDS["diagram"], parsers)
-    return DiagramInstance(
-        **f | {"facet_rays": tuple(f["facet_rays"]), "perp_rays": frozenset(f["perp_rays"])}
-    )
-
+    return DiagramInstance.of(**walk(data, KINDS["diagram"], parsers))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, permutations, repeat
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 INF = float("inf")
@@ -68,7 +68,6 @@ def number(value: object) -> int | Fraction:
 
 def format_rational(q: Fraction | int) -> str:
     """Render as ``p/q``, or just ``p`` for integers (the wire format)."""
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -273,75 +272,55 @@ def solve_inequalities(
     Returns one exact solution or None when the system is infeasible.  All
     inequalities are non-strict; strict requirements must be encoded by the
     caller (e.g. positivity as ``x_i >= 1`` on a scale-invariant system).
+    Each x_k takes its largest lower bound, or with none the least of 0 and
+    its upper bounds, so where every variable has a lower bound the witness
+    is the lexicographic minimum (x_0 first) of the solutions.
     """
-    cons: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    rows: set[tuple[int, ...]] = set()
     for coeffs, rhs in constraints:
-        row = tuple(rational(c) for c in coeffs)
+        row = tuple(map(number, coeffs))
         if len(row) != nvars:
             raise DimensionMismatch("constraint arity does not match nvars")
-        cons.append((row, rational(rhs)))
-    return _eliminate(cons, nvars)
+        rows.add(_primitive((-number(rhs), *row)))
+    return _eliminate(rows, nvars)
 
 
-def _eliminate(
-    cons: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int
-) -> tuple[Fraction, ...] | None:
+def _eliminate(rows: set[tuple[int, ...]], nvars: int) -> tuple[Fraction, ...] | None:
+    """Fourier-Motzkin on primitive integer rows r, each meaning
+    r . (1, x) >= 0.  The last variable goes by pairing each row that bounds
+    it from below with each that bounds it from above, with no division;
+    only back-substitution divides."""
     if nvars == 0:
-        return () if all(rhs <= 0 for _, rhs in cons) else None
-    k = nvars - 1
-    # Bounds on x_k as affine functions of the remaining variables:
-    # x_k >= coeffs . x' + const (lower), x_k <= ... (upper).
-    lowers: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    uppers: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    rest: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for coeffs, rhs in cons:
-        a = coeffs[k]
-        head = coeffs[:k]
-        if a == 0:
-            rest.append((head, rhs))
-        else:
-            bound = (tuple(-h / a for h in head), rhs / a)
-            (lowers if a > 0 else uppers).append(bound)
-    projected = list(rest)
-    for lc, lconst in lowers:
-        for uc, uconst in uppers:
-            # upper(x') >= lower(x')
-            projected.append(
-                (tuple(u - l for u, l in zip(uc, lc)), lconst - uconst)
-            )
-    sub = _eliminate(projected, k)
+        return () if all(r[0] >= 0 for r in rows) else None
+    lowers = [r for r in rows if r[-1] > 0]
+    uppers = [r for r in rows if r[-1] < 0]
+    projected = {r[:-1] for r in rows if r[-1] == 0}
+    projected.update(
+        _primitive([lo[-1] * u - up[-1] * l for u, l in zip(up[:-1], lo)])
+        for lo in lowers
+        for up in uppers
+    )
+    sub = _eliminate(projected, nvars - 1)
     if sub is None:
         return None
-    low = max((_affine(b, sub) for b in lowers), default=None)
-    high = min((_affine(b, sub) for b in uppers), default=None)
-    if low is not None:
-        value = low
-    elif high is not None:
-        value = min(Fraction(0), high)
-    else:
-        value = Fraction(0)
-    return sub + (value,)
+    # The bound each row puts on the last variable, given sub.
+    at = [Fraction(-sum(map(mul, r[1:], sub), r[0]), r[-1]) for r in lowers or uppers]
+    return (*sub, max(at) if lowers else min([Fraction(0), *at]))
 
 
-def _affine(bound: tuple[tuple[Fraction, ...], Fraction], point: tuple[Fraction, ...]) -> Fraction:
-    coeffs, const = bound
-    return sum((c * x for c, x in zip(coeffs, point)), const)
+def _primitive(row: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """The positive multiple of a rational row with coprime integer entries
+    (a zero row stays zero): times the lcm of its denominators, over the gcd."""
+    lcm = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (lcm // x.denominator) for x in row]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def scale_primitive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale a rational vector to the smallest integer vector with the same
     direction (positive scaling only); the zero vector is returned as-is."""
-    vals = [rational(v) for v in values]
-    if all(v == 0 for v in vals):
-        return tuple(vals)
-    denom_lcm = 1
-    for v in vals:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    ints = [v * denom_lcm for v in vals]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v.numerator))
-    return tuple(v / g for v in ints)
+    return tuple(map(Fraction, _primitive([rational(v) for v in values])))
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,10 @@ def _cone_witness(
 
     Every solver question of this module is this one, and the sweeps ask it
     about the same few matrices again and again, so the answer is memoised by
-    the exact rows.  Fourier-Motzkin is deterministic in its constraints, so a
-    remembered witness is the one a fresh solve would give."""
+    the exact rows.  Every m_i has a lower bound row, so the solver's witness
+    is the lexicographic minimum (m_0 first) of the feasible set, which no
+    row order, positive row scaling or repeated row changes: a remembered
+    witness is the one a fresh solve would give."""
     units = [
         (tuple(int(i == j) for j in range(nvars)), int(positive))
         for i in range(nvars)

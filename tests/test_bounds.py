@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -125,6 +126,24 @@ def test_max_n_is_below_coarse_line(c):
     # With D = 0 the even branch caps n strictly below 8C + 6.
     n = lemma14_max_n(c, 0)
     assert n < 8 * c + 6
+
+
+def test_lemma14_max_n_matches_a_scan():
+    def scan(c, d):  # the admissible n below the horizon, one by one
+        horizon = math.ceil(8 * c + 8 * d + 16)
+        return max(n for n in range(1, horizon + 1) if n < bounds._lemma14_rhs(n, c, d))
+
+    grid = [Fraction(p, q) for q in (1, 2, 3, 7) for p in range(10)]
+    for c in grid:
+        for d in grid:
+            assert lemma14_max_n(c, d) == scan(c, d), (c, d)
+
+
+def test_lemma14_max_n_answers_large_constants_at_once():
+    start = time.perf_counter()
+    assert lemma14_max_n(10**9, 10**9) == 8_000_000_006
+    assert lemma14_max_n(1_000_000, 0) == 8_000_005
+    assert time.perf_counter() - start < 1.0
 
 
 def test_max_n_rejects_negative():

@@ -1,5 +1,6 @@
 """Exact-arithmetic kernel: vectors, forms, elimination, feasibility."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -157,6 +158,7 @@ def test_walk_puts_the_outer_path_in_front_of_a_nested_kind():
 def test_format_rational_round_trip():
     for text in ("0", "5", "-5", "3/4", "-17/3"):
         assert format_rational(rational(text)) == text
+        assert format_rational(number(text)) == text  # an int where integral
 
 
 def test_binomial_small_table():
@@ -285,6 +287,89 @@ def test_inequalities_fixed_cases():
     assert solve_inequalities([((1,), 1), ((-1,), 0)], 1) is None
     w = solve_inequalities([((1, 1), 1), ((1, -1), 0)], 2)
     assert w is not None and w[0] + w[1] >= 1 and w[0] >= w[1]
+
+
+def _fraction_elimination(cons, nvars):
+    """Reference: Fourier-Motzkin on Fraction rows, dividing by each pivot and
+    keeping every row, with the same back-substitution rules as the solver."""
+    if nvars == 0:
+        return () if all(rhs <= 0 for _, rhs in cons) else None
+    k = nvars - 1
+    lowers, uppers, projected = [], [], []
+    for coeffs, rhs in cons:
+        a = coeffs[k]
+        if a == 0:
+            projected.append((coeffs[:k], rhs))
+        else:  # x_k >= (or <=) c . x' + const
+            (lowers if a > 0 else uppers).append((tuple(-h / a for h in coeffs[:k]), rhs / a))
+    for lc, lconst in lowers:
+        for uc, uconst in uppers:
+            projected.append((tuple(u - l for u, l in zip(uc, lc)), lconst - uconst))
+    sub = _fraction_elimination(projected, k)
+    if sub is None:
+        return None
+    at = [sum((c * x for c, x in zip(coeffs, sub)), const) for coeffs, const in lowers or uppers]
+    return sub + (max(at) if lowers else min([Fraction(0), *at]),)
+
+
+def _random_system(rng, nvars):
+    """Rows of halves in -2..2, unit and all-ones rows among them, and a
+    right-hand side in {-1, 0, 1/2, 1}: some variables have no lower bound."""
+    halves = [Fraction(i, 2) for i in range(-4, 5)]
+    cons = []
+    for _ in range(rng.randint(1, 7)):
+        pick = rng.random()
+        if pick < 0.2:
+            unit = rng.randrange(nvars)
+            coeffs = tuple(int(j == unit) for j in range(nvars))
+        elif pick < 0.3:
+            coeffs = (1,) * nvars
+        else:
+            coeffs = tuple(rng.choice(halves) for _ in range(nvars))
+        cons.append((coeffs, rng.choice([-1, 0, Fraction(1, 2), 1])))
+    return cons
+
+
+def test_solver_matches_fraction_elimination_on_seeded_systems():
+    rng = random.Random(20)
+    infeasible = 0
+    for _ in range(5000):
+        nvars = rng.randint(1, 4)
+        cons = _random_system(rng, nvars)
+        want = _fraction_elimination([(tuple(map(Fraction, c)), Fraction(r)) for c, r in cons], nvars)
+        got = solve_inequalities(cons, nvars)
+        assert got == want, cons
+        if got is None:
+            infeasible += 1
+        else:
+            assert all(type(x) is Fraction for x in got)
+    assert 500 < infeasible < 4500  # both answers are exercised
+
+
+def _cone_system(rng, nvars, positive):
+    """The constraints of a cone question on a random square matrix: rows
+    . m >= 0 with m >= 0 and 1 . m >= 1, or every m_i >= 1 when `positive`."""
+    halves = [Fraction(i, 2) for i in range(-4, 5)]
+    units = [(tuple(int(i == j) for j in range(nvars)), int(positive)) for i in range(nvars)]
+    cone = [(tuple(rng.choice(halves) for _ in range(nvars)), 0) for _ in range(nvars)]
+    return units + cone + ([] if positive else [((1,) * nvars, 1)])
+
+
+def test_cone_witness_is_invariant_under_row_order_scaling_and_repetition():
+    rng = random.Random(27)
+    feasible = 0
+    for trial in range(600):
+        nvars = rng.randint(1, 4)
+        cons = _cone_system(rng, nvars, positive=trial % 2 == 1)
+        want = solve_inequalities(cons, nvars)
+        feasible += want is not None
+        for _ in range(3):
+            variant = [(tuple(k * c for c in coeffs), k * rhs)
+                       for coeffs, rhs in cons for k in [rng.randint(1, 5)]]
+            variant += rng.sample(variant, rng.randint(0, len(variant)))
+            rng.shuffle(variant)
+            assert solve_inequalities(variant, nvars) == want, (cons, variant)
+    assert 60 < feasible < 540
 
 
 @given(st.lists(small_fractions, min_size=1, max_size=5))
