@@ -77,6 +77,7 @@ from .structure import (
     condition_iii_full,
     contact_violations,
     detect_e2_pairs,
+    esets_report,
     find_esets,
     is_extremal,
     lemma251_witness,

@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .bounds import (
     Theorem12Rule,
@@ -45,16 +45,7 @@ from .raysystem import (
     validate,
 )
 from .realized import model_from_json
-from .structure import (
-    ClassificationFailure,
-    check_lemma11,
-    classify_eset,
-    classify_report,
-    condition_iii_full,
-    check_condition_ii,
-    contact_violations,
-    find_esets,
-)
+from .structure import classify_report, contact_violations, esets_report
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -254,9 +245,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _report_on(path: str, report: Callable[[RayDivisorSystem], dict]) -> dict:
+    """`report` on the system a file holds.  An error in deciding it, such as
+    a face family that leaves a ray out, names the file as a load error does."""
+    s = _system_of(*load_instance(path, SYSTEM_KINDS, NOT_A_SYSTEM))
+    try:
+        return report(s)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
-    s = _system_of(*load_instance(args.path, SYSTEM_KINDS, NOT_A_SYSTEM))
-    report = classify_report(s)
+    report = _report_on(args.path, classify_report)
     lines = ["components:"]
     for comp in report["components"]:
         lines.append(f"  {comp['type']} [{', '.join(comp['rays'])}]")
@@ -287,28 +287,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_esets(args: argparse.Namespace) -> int:
-    s = _system_of(*load_instance(args.path, SYSTEM_KINDS, NOT_A_SYSTEM))
-    if s.faces is None:
-        print("system has no face structure", file=sys.stderr)
-        return EXIT_USAGE
-    divisorial = [r.id for r in s.divisorial_rays]
-    entries = []
-    for eset in find_esets(s, divisorial):
-        entry: dict = {"rays": sorted(eset)}
-        try:
-            etype = classify_eset(s, eset)
-            entry["case"] = etype.kind
-            entry["witness"] = etype.to_json()
-        except ClassificationFailure as fail:
-            entry["failure"] = fail.reason
-        entry["condition_ii_members"] = check_condition_ii(s, eset)
-        full = condition_iii_full(s, eset)
-        entry["condition_iii_full"] = (
-            None if full is None else [format_rational(c) for c in full]
-        )
-        if full is not None:
-            entry["bipartition_arrows"] = check_lemma11(s, eset)
-        entries.append(entry)
+    report = _report_on(args.path, esets_report)
+    entries = report["esets"]
     lines = []
     for e in entries:
         if "case" in e:
@@ -330,7 +310,7 @@ def cmd_esets(args: argparse.Namespace) -> int:
             lines.append("  full nef combination: none")
     if not entries:
         lines = ["no minimal non-extremal sets"]
-    _emit(args, {"esets": entries}, lines)
+    _emit(args, report, lines)
     return EXIT_OK
 
 

@@ -200,14 +200,6 @@ class RayDivisorSystem:
         life of this system object."""
         return Relations(self)
 
-    @cached_property
-    def _memo(self) -> dict:
-        """Answers of `structure`'s set questions about this very object
-        (the E-set hypothesis and E-sets), keyed by question and ray mask.
-        It lives and dies with the object, which for the sweeps is one
-        (system, face family) verdict."""
-        return {}
-
     # -- faces as ray masks ------------------------------------------------
 
     def ray_mask(self, rids: Iterable[str], small: Optional[str] = None) -> int:

@@ -303,21 +303,6 @@ def _member_mask(s: RayDivisorSystem, ids: Iterable[str]) -> int:
     return mask
 
 
-def _recall(s: RayDivisorSystem, question: str, ids: Sequence[str], answer):
-    """`answer()`, remembered on `s` under the question and the mask of the
-    sorted distinct `ids` for as long as `s` lives.  Only answers are kept:
-    a call that raises is not, and with an unknown ray among `ids` nothing
-    is looked up, so the call behaves as it would without the memo."""
-    mask = s.relations.mask(ids)
-    if mask is None:
-        return answer()
-    key = (question, mask)
-    memo = s._memo
-    if key not in memo:
-        memo[key] = answer()
-    return memo[key]
-
-
 def check_condition_ii(s: RayDivisorSystem, e: Iterable[str]) -> bool:
     """True when every nonzero nonnegative divisor combination from the set is
     strictly negative on at least one member ray."""
@@ -361,7 +346,11 @@ def check_condition_iii(
     nonnegative against every ray of the system, or None.  The all-ones
     vector is preferred when it works."""
     rel = s.relations
-    ks = rel.positions(_member_mask(s, l))
+    return _nef_combination(rel, rel.positions(_member_mask(s, l)))
+
+
+def _nef_combination(rel: Relations, ks: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
+    """`check_condition_iii` on the positions of the member rays."""
     rows = _rows(rel, rel.order, ks)
     if all(sum(row) >= 0 for row in rows):
         return (Fraction(1),) * len(ks)
@@ -382,21 +371,26 @@ def condition_iii_full(
     on a subset, padded with zeros, is one on every larger subset, since each
     added ray pairs >= 0 with it.  Then the k subsets of size k-1 decide the
     hypothesis and only they are solved; otherwise every size is walked."""
+    rel = s.relations
     ids = sorted(set(l))
-    return _recall(s, "iii", ids, lambda: _condition_iii_full(s, ids))
-
-
-def _condition_iii_full(
-    s: RayDivisorSystem, ids: Sequence[str]
-) -> Optional[tuple[Fraction, ...]]:
-    sizes = range(1, len(ids))
+    mask = rel.mask(ids)
+    if mask is None or mask & ~rel.divisorial:
+        # The walk meets each unknown or small ray as a singleton, in sorted
+        # order, and raises there unless a singleton before it fails (ii).
+        for rid in ids:
+            if not check_condition_ii(s, (rid,)):
+                return None
+    if not mask:
+        raise ValueError("empty ray set")
+    ks = rel.positions(mask)
+    sizes = range(1, len(ks))
     if _cross_pairings_nonnegative(s, ids):
         sizes = sizes[-1:]
     for size in sizes:
-        for sub in combinations(ids, size):
-            if not check_condition_ii(s, sub):
+        for sub in combinations(ks, size):
+            if _cone_witness(_rows(rel, sub, sub), size, False) is not None:
                 return None
-    return check_condition_iii(s, ids)
+    return _nef_combination(rel, ks)
 
 
 def _cross_pairings_nonnegative(s: RayDivisorSystem, ids: Sequence[str]) -> bool:
@@ -435,31 +429,27 @@ def find_esets(s: RayDivisorSystem, within: Iterable[str]) -> list[frozenset]:
     return [frozenset(rel.names(m)) for m in _eset_masks(s, within)]
 
 
-def _eset_masks(s: RayDivisorSystem, within: Iterable[str]) -> tuple[int, ...]:
+def _eset_masks(s: RayDivisorSystem, within: Iterable[str]) -> list[int]:
     """`find_esets` as masks, smallest first, ties by sorted ids."""
     if s.faces is None:
         raise ValueError("system has no face structure")
-    ids = sorted(set(within))
-    return _recall(s, "esets", ids, lambda: _find_eset_masks(s, ids))
-
-
-def _find_eset_masks(s: RayDivisorSystem, ids: Sequence[str]) -> tuple[int, ...]:
     # A ray is extremal on its own when some maximal face holds its bit.
     rel, covered = s.relations, 0
     for face in s.maximal_masks:
         covered |= face
+    ids = sorted(set(within))
     for rid in ids:
         if rid not in rel.bit:
             raise ValueError(f"unknown ray {rid}")
         if not rel.bit[rid] & covered:
             raise ValueError(f"ray {rid} is not extremal on its own")
     if not ids:
-        return ()
+        return []
     whole = s.ray_mask(ids)
     edges = {whole & ~face for face in s.maximal_masks}
     if 0 in edges:  # W lies in a face
-        return ()
-    return tuple(sorted(_minimal_transversals(edges), key=lambda m: (m.bit_count(), -m)))
+        return []
+    return sorted(_minimal_transversals(edges), key=lambda m: (m.bit_count(), -m))
 
 
 def _minimal_transversals(edges: Iterable[int]) -> list[int]:
@@ -764,3 +754,35 @@ def classify_report(s: RayDivisorSystem) -> dict:
         "maximal_sets": maximal,
         "e2_pairs": [list(p) for p in detect_e2_pairs(s)],
     }
+
+
+def esets_report(s: RayDivisorSystem) -> dict:
+    """Every E-set of the system's divisorial rays, with its case or failure,
+    condition (ii) on the members, the condition (iii) combination and, when
+    there is one, whether Lemma 11's arrows cross every bipartition.
+
+    The result is JSON-shaped, the twin of `classify_report`.  Each E-set is
+    asked each question once: it is a minimal non-extremal set of divisorial
+    rays, which is all `classify_eset` checks before it classifies, and with
+    the combination known, the arrows are all `check_lemma11` has left to ask.
+    """
+    rel = s.relations
+    entries: list[dict] = []
+    for eset in _eset_masks(s, rel.names(rel.divisorial)):
+        ids = rel.names(eset)
+        entry: dict = {"rays": ids}
+        try:
+            etype = _eset_type(rel, eset)
+            entry["case"] = etype.kind
+            entry["witness"] = etype.to_json()
+        except ClassificationFailure as fail:
+            entry["failure"] = fail.reason
+        entry["condition_ii_members"] = check_condition_ii(s, ids)
+        full = condition_iii_full(s, ids)
+        entry["condition_iii_full"] = (
+            None if full is None else [format_rational(c) for c in full]
+        )
+        if full is not None:
+            entry["bipartition_arrows"] = is_single_arrow_connected(s, ids)
+        entries.append(entry)
+    return {"esets": entries}

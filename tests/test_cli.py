@@ -721,6 +721,32 @@ def test_an_unreadable_file_is_named_once(capsys, tmp_path):
     assert err.startswith(f"error: {broken}: invalid JSON: ")
 
 
+def _two_rays(**extra):
+    return dict(
+        rays=[{"id": "R1", "type": "II", "divisor": "D1"},
+              {"id": "R2", "type": "II", "divisor": "D2"}],
+        divisors=["D1", "D2"], pairing=[[-1, 0], [0, -1]], **extra,
+    )
+
+
+@pytest.mark.parametrize("command", ["classify", "esets"])
+def test_a_ray_in_no_face_is_named_with_the_file(capsys, tmp_path, command):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(_two_rays(faces=[[], ["R1"]])))
+    assert run(capsys, command, str(path)) == (
+        2, "", f"error: {path}: ray R2 is not extremal on its own\n")
+    code, out, _ = run(capsys, "check", str(path))
+    assert (code, out.splitlines()[1].split()[0]) == (1, "singleton-not-a-face")
+
+
+def test_esets_without_faces_names_the_file(capsys, tmp_path):
+    path = tmp_path / "nofaces.json"
+    path.write_text(json.dumps(_two_rays()))
+    assert run(capsys, "esets", str(path)) == (
+        2, "", f"error: {path}: system has no face structure\n")
+    assert run(capsys, "classify", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("field, key, what", [
     ("ray_vectors", "GHOST", "ray"),
     ("divisor_vectors", "DX", "divisor"),

@@ -3,7 +3,7 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,6 +51,7 @@ from moribound.structure import (
     condition_ii_witness,
     condition_iii_full,
     contact_violations,
+    esets_report,
     find_esets,
 )
 
@@ -1034,27 +1035,36 @@ def test_with_faces_matches_a_fresh_system():
         base.ray_mask(["S1", "X", "Y"])
 
 
+def _verdict(s):
+    """A sweep verdict on `s`: the classification, the E-set report, and the
+    E-set questions asked one by one through the public functions."""
+    esets = []
+    for eset in find_esets(s, [r.id for r in s.divisorial_rays]):
+        full = condition_iii_full(s, eset)
+        esets.append((
+            sorted(eset),
+            check_condition_ii(s, eset),
+            full,
+            None if full is None else check_lemma11(s, eset),
+        ))
+    return classify_report(s), esets_report(s), esets
+
+
 def test_verdicts_leave_the_base_untouched():
-    """Every answer remembered for a verdict lives on that verdict's
-    variant: the base is unchanged after verdicts on all its variants, and
-    the memo holds answers only, never exceptions."""
-    questions = 0
+    """A verdict on a face variant changes nothing on the base, and leaves
+    nothing on the variant but its dataclass fields and the cached relation
+    tables and maximal face masks: it equals the verdict on a fresh
+    variant."""
+    kept = {f.name for f in fields(RayDivisorSystem)} | {"relations", "maximal_masks"}
+    esets = 0
     for base in (system_eset_a(), system_cm(3), system_d2(), system_eset_d(3)):
         before = dict(base.__dict__)
         for faces in face_variants(list(base.ray_ids)):
             s = base.with_faces(faces)
-            report = classify_report(s)
-            for eset in find_esets(s, [r.id for r in s.divisorial_rays]):
-                check_condition_ii(s, eset)
-                full = condition_iii_full(s, eset)
-                if full is not None:
-                    check_lemma11(s, eset)
-            # The remembered answers are the ones a fresh object gives.
-            assert classify_report(base.with_faces(faces)) == report
-            for key, value in s._memo.items():
-                assert not isinstance(value, BaseException), key
-                assert not any(isinstance(v, BaseException) for v in value or ()), key
-            questions += len(s._memo)
+            verdict = _verdict(s)
+            assert s.__dict__.keys() <= kept, faces
+            assert _verdict(base.with_faces(faces)) == verdict, faces
+            esets += len(verdict[2])
         assert base.__dict__ == before
         assert base.__dict__.keys() == before.keys()
-    assert questions > 20
+    assert esets > 10

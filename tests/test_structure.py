@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from moribound import structure
-from moribound.core import scale_primitive, solve_inequalities
+from moribound.core import format_rational, scale_primitive, solve_inequalities
 from moribound.cli import main
 from moribound.generate import (
     enumerate_sign_systems,
@@ -46,6 +46,7 @@ from moribound.structure import (
     condition_iii_full,
     contact_violations,
     detect_e2_pairs,
+    esets_report,
     find_esets,
     is_extremal,
     lemma251_witness,
@@ -391,15 +392,15 @@ def test_condition_iii_full_matches_subset_walk():
 def test_condition_iii_full_solves_only_the_largest_subsets(monkeypatch):
     s = system_eset_d(12)
     calls = []
-    real = structure.check_condition_ii
+    real = structure._cone_witness
 
-    def counted(system, e):
-        calls.append(tuple(e))
-        return real(system, e)
+    def counted(rows, nvars, positive):
+        calls.append(nvars)
+        return real(rows, nvars, positive)
 
-    monkeypatch.setattr(structure, "check_condition_ii", counted)
+    monkeypatch.setattr(structure, "_cone_witness", counted)
     assert condition_iii_full(s, s.ray_ids) is None
-    assert len(calls) <= 12
+    assert 0 < len(calls) <= 13  # the 12 subsets of 11 rays, then (iii)
 
 
 def _fresh_cone_witness(rows, nvars, positive):
@@ -519,6 +520,46 @@ def test_check_lemma11_matches_bipartition_scan(k):
 
 
 # --- E-sets -------------------------------------------------------------------
+
+
+def _esets_by_parts(s):
+    """Reference for `esets_report`: the E-sets found, then each question
+    asked of the public function that answers it alone."""
+    entries = []
+    for eset in find_esets(s, [r.id for r in s.divisorial_rays]):
+        entry = {"rays": sorted(eset)}
+        try:
+            etype = classify_eset(s, eset)
+            entry["case"], entry["witness"] = etype.kind, etype.to_json()
+        except ClassificationFailure as fail:
+            entry["failure"] = fail.reason
+        entry["condition_ii_members"] = check_condition_ii(s, eset)
+        full = condition_iii_full(s, eset)
+        entry["condition_iii_full"] = (
+            None if full is None else [format_rational(c) for c in full]
+        )
+        if full is not None:
+            entry["bipartition_arrows"] = check_lemma11(s, eset)
+        entries.append(entry)
+    return {"esets": entries}
+
+
+def test_esets_report_matches_the_public_functions():
+    pairs = enumerate_sign_systems(3, with_faces=True)
+    systems = [base.with_faces(faces) for base, faces in pairs]
+    assert len(systems) == 752
+    systems += [system_eset_a()]
+    systems += [system_eset_d(k) for k in range(2, 9)]
+    systems += [system_cm(k) for k in range(2, 7)]
+    seen = Counter()
+    for s in systems:
+        report = esets_report(s)
+        assert report == _esets_by_parts(s), system_to_json(s)
+        for e in report["esets"]:
+            seen[e.get("case", "failure"), e.get("bipartition_arrows")] += 1
+    # Every case, failures, and E-sets with and without a nef combination.
+    assert {case for case, _ in seen} == {"a", "b", "c", "d", "failure"}
+    assert {arrows for _, arrows in seen} == {None, True}
 
 
 def test_find_esets_on_cycle():
