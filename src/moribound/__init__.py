@@ -81,7 +81,6 @@ from .structure import (
     find_esets,
     is_extremal,
     lemma251_witness,
-    theorem258_filter,
 )
 from .realized import (
     NefCertificate,
@@ -104,7 +103,6 @@ from .realized import (
 from .bounds import (
     AngleData,
     BoundReport,
-    CustomRule,
     DiagramInstance,
     Theorem12Rule,
     Theorem258Rule,

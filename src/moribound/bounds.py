@@ -65,30 +65,7 @@ class Theorem258Rule:
         return "Theorem258Rule"
 
 
-@dataclass(frozen=True)
-class CustomRule:
-    """Explicit table of ((lo, hi), weight) distance bands; hi may be INF."""
-
-    table: tuple  # of ((lo, hi), Fraction)
-
-    @staticmethod
-    def of(entries: Iterable[tuple[tuple[object, object], object]]) -> "CustomRule":
-        rows = []
-        for (lo, hi), w in entries:
-            weight = rational(w)
-            if weight < 0:
-                raise ValueError("weights must be nonnegative")
-            rows.append(((lo, hi), weight))
-        return CustomRule(tuple(rows))
-
-    def describe(self) -> str:
-        return "CustomRule"
-
-
-WeightRule = object  # Theorem12Rule | Theorem258Rule | CustomRule, each with a `table`
-
-
-def sigma(rule: WeightRule, dist: object) -> Fraction:
+def sigma(rule: Theorem12Rule | Theorem258Rule, dist: object) -> Fraction:
     """Weight of an oriented angle whose sides sit at the given distance: that
     of the first band of the rule's table holding it, else 0."""
     for (lo, hi), weight in rule.table:
@@ -396,7 +373,8 @@ class DiagramInstance:
 
 def validate_diagram(inst: DiagramInstance) -> None:
     """Raise when the facet-ray correspondence does not match the system's
-    face structure, or when the bundle's realized model realizes another
+    face structure, when a facet or perp ray is small and so cannot enter a
+    vertex's graph, or when the bundle's realized model realizes another
     system or is not simple in the ambient face."""
     s, p = inst.system, inst.polytope
     if len(inst.facet_rays) != len(p.facets):
@@ -406,7 +384,7 @@ def validate_diagram(inst: DiagramInstance) -> None:
     if len(set(inst.facet_rays)) != len(inst.facet_rays):
         raise ValueError("facet rays must be pairwise distinct")
     for rid in list(inst.facet_rays) + sorted(inst.perp_rays):
-        s.ray(rid)  # raises on unknown ids
+        graph_nodes(s, (rid,))  # raises on unknown and small ids
     if s.faces is None:
         raise ValueError("system has no face structure to correspond to")
     if not p.is_simple:
@@ -486,7 +464,8 @@ def _eset_condition_a_audit(
         )
         if not extendable:
             continue
-        dist = s.relations.distances(graph_nodes(s, eset | inst.perp_rays))
+        # validate_diagram made every perp ray divisorial.
+        dist = s.relations.distances(s.relations.mask(eset | inst.perp_rays))
         # Two or more rays, so the zero self-distances never decide the max.
         diam = max(dist[a, b] for a in eset for b in eset)
         ok = diam != INF and diam <= d
@@ -503,7 +482,7 @@ def _eset_condition_a_audit(
 
 
 def diagram_pipeline(
-    inst: DiagramInstance, d: int, rule: WeightRule
+    inst: DiagramInstance, d: int, rule: Theorem12Rule | Theorem258Rule
 ) -> BoundReport:
     """Weight every oriented angle of the cross-section by the distance of
     its side rays in the contact graph of the rays vanishing at its vertex,
@@ -513,10 +492,15 @@ def diagram_pipeline(
     the vertices' extremal sets (C = 2/3 C1 + 1/2 C2, D = 0); with the
     contact-only rule the stated constants (C, D) = (0, 2/3) are replayed and
     any vertex whose empirical sum exceeds that budget is flagged as a
-    disagreement; a custom rule gets the trivial budget C = 0,
-    D = max vertex sum.  A two-band rule must have band width d (at least 1),
-    the width that condition (b) and the E-set audit use.
+    disagreement.  Any other rule object is a TypeError.  A two-band rule
+    must have band width d (at least 1), the width that condition (b) and the
+    E-set audit use.
     """
+    if not isinstance(rule, (Theorem12Rule, Theorem258Rule)):
+        raise TypeError(
+            f"unknown weight rule {type(rule).__name__}: "
+            "use Theorem12Rule or Theorem258Rule"
+        )
     check_band_width(d)
     if isinstance(rule, Theorem12Rule) and rule.d != d:
         raise ValueError(
@@ -527,14 +511,15 @@ def diagram_pipeline(
     angles = enumerate_angles(p)
 
     # Each vertex's graph is the system's arrow masks restricted to the rays
-    # vanishing there; only its distances are read.
+    # vanishing there; only its distances are read.  validate_diagram made
+    # every facet and perp ray divisorial.
     rel = s.relations
     dists: dict = {}
     raysets: dict = {}
     for v in p.vertices:
         rayset = inst.face_rayset(frozenset((v,)))
         raysets[v] = rayset
-        dists[v] = rel.distances(graph_nodes(s, rayset))
+        dists[v] = rel.distances(rel.mask(rayset))
 
     weights: dict = {}
     for a in angles:
@@ -555,13 +540,8 @@ def diagram_pipeline(
     if isinstance(rule, Theorem12Rule):
         c = Fraction(2, 3) * c1_emp + Fraction(1, 2) * c2_emp
         dd = Fraction(0)
-    elif isinstance(rule, Theorem258Rule):
-        c, dd = Fraction(0), Fraction(2, 3)
     else:
-        vertex_sums = dict.fromkeys(p.vertices, Fraction(0))
-        for a, w in weights.items():
-            vertex_sums[a.vertex] += w
-        c, dd = Fraction(0), max(vertex_sums.values())
+        c, dd = Fraction(0), Fraction(2, 3)
 
     audit, audit_ok = _eset_condition_a_audit(inst, d)
     report = verify_lemma14(p, weights, c, dd)

@@ -91,7 +91,10 @@ class ClassificationReport:
 
     @property
     def passes_theorem258(self) -> bool:
-        return theorem258_filter(self, len(self.rays))
+        """Whether the component multiset is one of the four admissible
+        shapes for a k-ray extremal set: A1 + (k-1) C:1, D2 + (k-2) C:1,
+        C:2 + (k-2) C:1, or k C:1."""
+        return _admissible(self.components, self.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +221,6 @@ def _decompose(
     for k in rel.positions(mask & ~rel.divisorial):
         failures.append((1 << k, "small-ray-unclassified"))
     return components, failures
-
-
-def theorem258_filter(report: ClassificationReport, k: int) -> bool:
-    """Whether the component multiset is one of the four admissible shapes
-    for a k-element extremal set: A1 + (k-1) C:1, D2 + (k-2) C:1,
-    C:2 + (k-2) C:1, or k C:1."""
-    total = sum(len(c) for c, _ in report.components) + sum(
-        len(c) for c, _ in report.failures
-    )
-    if total != k:
-        raise ValueError(f"report covers {total} rays, filter called with k={k}")
-    return _admissible(report.components, report.failures)
 
 
 def _admissible(

@@ -49,7 +49,6 @@ from moribound.structure import (
     condition_iii_full,
     divisorial_components,
     find_esets,
-    theorem258_filter,
 )
 
 FIXTURES = "tests/fixtures"
@@ -578,10 +577,7 @@ def test_criterion_10_diagram_pipeline_conformance():
         s = sq.system
         for face in s.faces:
             if len(face) == 2:
-                verdict = theorem258_filter(
-                    classify_extremal_set(s, face), 2
-                )
-                assert verdict is True
+                assert classify_extremal_set(s, face).passes_theorem258 is True
         third = Fraction(2, 3)
         for v, total in rep.vertex_sums.items():
             count = total / third

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from moribound import bounds
 from moribound.bounds import (
     AngleData,
-    CustomRule,
     DiagramInstance,
     Theorem12Rule,
     Theorem258Rule,
@@ -86,15 +85,6 @@ def test_contact_only_rule_weights():
         assert sigma(rule, dist) == 0
     for dist in [*range(12), INF]:
         assert sigma(rule, dist) == (Fraction(2, 3) if dist == 1 else 0), dist
-
-
-def test_custom_rule_table():
-    rule = CustomRule.of([((1, 1), "1/3"), ((2, 3), "1/6")])
-    assert sigma(rule, 1) == Fraction(1, 3)
-    assert sigma(rule, 2) == Fraction(1, 6)
-    assert sigma(rule, 3) == Fraction(1, 6)
-    assert sigma(rule, 4) == 0
-    assert sigma(rule, INF) == 0
 
 
 def test_rule_descriptions_distinguish_rules():
@@ -416,22 +406,10 @@ def test_bad_quadrangle_counterexamples():
     assert rational(band["limit"]) == 1
 
 
-def test_custom_rule_pipeline_budget():
-    inst = load_diagram(f"{FIXTURES}/diagram_triangle.json")
-    rule = CustomRule.of([((1, 2), "2/3")])
-    report = diagram_pipeline(inst, 2, rule)
-    # Custom budget: C = 0, D = the worst vertex sum, so condition (1) is
-    # tight but never violated.
-    assert report.c == 0
-    assert report.d == max(report.vertex_sums.values())
-    assert report.condition1_holds
-
-
 @pytest.mark.parametrize("fixture,d,rule", [
     ("diagram_triangle.json", 2, Theorem12Rule(2)),
     ("diagram_square_258.json", 1, Theorem258Rule()),
     ("diagram_bad_quadrangle.json", 1, Theorem258Rule()),
-    ("diagram_triangle.json", 2, CustomRule.of([((1, 2), "2/3")])),
 ])
 def test_pipeline_verifies_through_verify_lemma14(monkeypatch, fixture, d, rule):
     calls = []
@@ -494,8 +472,8 @@ def test_pipeline_rejects_band_width_mismatch(monkeypatch):
 @pytest.mark.parametrize("d", [0, -3])
 @pytest.mark.parametrize(
     "rule",
-    [Theorem12Rule(1), Theorem258Rule(), CustomRule.of([((1, 1), 1)])],
-    ids=["theorem12", "theorem258", "custom"],
+    [Theorem12Rule(1), Theorem258Rule()],
+    ids=["theorem12", "theorem258"],
 )
 def test_pipeline_rejects_band_width_below_one(monkeypatch, rule, d):
     inst = load_diagram(f"{FIXTURES}/diagram_triangle.json")
@@ -618,6 +596,22 @@ def test_vertex_rayset_must_be_a_declared_face():
                 facet_rays=list(inst.facet_rays),
             )
         )
+
+
+@pytest.mark.parametrize("rid", ["S3", "X"])
+def test_validate_diagram_refuses_small_facet_and_perp_rays(small_ray_bundles, rid):
+    inst = diagram_from_json(small_ray_bundles[rid])
+    with pytest.raises(ValueError, match=f"^ray {rid} is small and cannot enter the graph$"):
+        validate_diagram(inst)
+
+
+def test_pipeline_refuses_other_rule_objects():
+    class BandTable:  # a weight table that is neither of the paper's rules
+        table = (((1, 2), Fraction(2, 3)),)
+
+    inst = load_diagram(f"{FIXTURES}/diagram_triangle.json")
+    with pytest.raises(TypeError, match="unknown weight rule BandTable"):
+        diagram_pipeline(inst, 2, BandTable())
 
 
 def test_count_condition_b_shapes():

@@ -18,6 +18,8 @@ from moribound import cli
 from moribound.cli import POLYTOPE_FAMILIES, SYSTEM_FAMILIES, main
 from moribound.core import KINDS, to_json
 
+from conftest import add_small_perp_ray, retype_small
+
 FIXTURES = "tests/fixtures"
 
 
@@ -412,6 +414,84 @@ def test_bundle_model_of_another_system_is_a_correspondence_error(
         assert f"  correspondence-mismatch []: {want}" in out.splitlines()
     else:
         assert (out, err) == ("", f"correspondence error: {want}\n")
+
+
+@pytest.mark.parametrize("rid", ["S3", "X"])
+def test_check_reports_a_small_facet_or_perp_ray(capsys, tmp_path, small_ray_bundles, rid):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(small_ray_bundles[rid]))
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [{
+        "code": "correspondence-mismatch",
+        "subjects": [],
+        "detail": f"ray {rid} is small and cannot enter the graph",
+    }]
+
+
+@pytest.mark.parametrize("rule", sorted(cli.RULES))
+@pytest.mark.parametrize("rid", ["S3", "X"])
+def test_diagram_refuses_a_small_facet_or_perp_ray(
+    capsys, tmp_path, small_ray_bundles, rid, rule
+):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(small_ray_bundles[rid]))
+    code, out, err = run(capsys, "diagram", str(path), "--rule", rule)
+    want = f"correspondence error: ray {rid} is small and cannot enter the graph\n"
+    assert (code, out, err) == (1, "", want)
+
+
+DIAGRAM_FIXTURES = (
+    "diagram_triangle.json", "diagram_square_258.json", "diagram_bad_quadrangle.json",
+)
+
+
+def _break_correspondence(bundle: dict, rng: random.Random) -> None:
+    """One seeded edit of a diagram bundle that may break its correspondence:
+    a facet ray retyped small, an unknown or small perp ray, a face dropped
+    from the system, or two facet rays swapped."""
+    s = bundle["system"]
+    edit = rng.choice(["small-facet", "unknown-perp", "small-perp", "drop-face", "swap"])
+    if edit == "small-facet":
+        retype_small(bundle, rng.choice(bundle["facet_rays"]))
+    elif edit == "unknown-perp":
+        bundle["perp_rays"] = sorted(set(bundle["perp_rays"]) | {"Z9"})
+    elif edit == "small-perp":
+        add_small_perp_ray(bundle, f"X{len(s['rays'])}", faces=rng.random() < 0.5)
+    elif edit == "drop-face":
+        s["faces"].pop(rng.randrange(len(s["faces"])))
+    else:
+        rays = bundle["facet_rays"]
+        i, j = rng.sample(range(len(rays)), 2)
+        rays[i], rays[j] = rays[j], rays[i]
+
+
+def test_check_passes_no_bundle_that_diagram_refuses(capsys, tmp_path):
+    """Over the diagram fixtures and 200 seeded edits of them, no bundle that
+    `check` passes gets a correspondence error from `diagram`."""
+    bundles = [json.loads(Path(f"{FIXTURES}/{name}").read_text())
+               for name in DIAGRAM_FIXTURES]
+    for seed in range(200):
+        rng = random.Random(seed)
+        bundle = json.loads(json.dumps(bundles[seed % len(DIAGRAM_FIXTURES)]))
+        for _ in range(rng.randint(1, 2)):
+            _break_correspondence(bundle, rng)
+        bundles.append(bundle)
+    passed = refused = 0
+    for i, bundle in enumerate(bundles):
+        path = tmp_path / f"bundle{i}.json"
+        path.write_text(json.dumps(bundle))
+        code, _, _ = run(capsys, "check", str(path))
+        assert code in (0, 1), i
+        passed += code == 0
+        for rule in cli.RULES:
+            diagram_code, _, err = run(capsys, "diagram", str(path), "--rule", rule)
+            assert diagram_code in (0, 1), (i, rule, err)
+            if err.startswith("correspondence error"):
+                refused += 1
+                assert code == 1, (i, rule, err)
+    # Both verdicts occur, so the agreement is not vacuous.
+    assert passed > len(DIAGRAM_FIXTURES) and refused
 
 
 def test_diagram_json_report(capsys):

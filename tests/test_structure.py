@@ -50,7 +50,6 @@ from moribound.structure import (
     find_esets,
     is_extremal,
     lemma251_witness,
-    theorem258_filter,
 )
 
 
@@ -269,12 +268,6 @@ def test_classify_extremal_set_and_filter():
 
     d = classify_extremal_set(system_d2(), ["S1", "S2"])
     assert d.passes_theorem258
-
-
-def test_filter_k_mismatch():
-    report = classify_extremal_set(system_c2(), ["S1", "S2"])
-    with pytest.raises(ValueError):
-        theorem258_filter(report, 3)
 
 
 def test_filter_empty_set_passes():
