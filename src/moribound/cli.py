@@ -434,16 +434,13 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         return EXIT_VIOLATION
     j = report.to_json()
     lines = [
-        f"rule: {j.get('rule', args.rule)}",
+        f"rule: {j['rule']}",
         f"n = {j['n']}, C = {j['C']}, D = {j['D']}",
         f"vertex sums within budget: {'yes' if report.condition1_holds else 'NO'}",
         f"2-face sums reach floor: {'yes' if report.condition2_holds else 'NO'}",
         f"chain: {j['chain']['lhs']} >= {j['chain']['total']} >= {j['chain']['rhs']}",
+        f"empirical C1 = {j['empirical_C1']}, C2 = {j['empirical_C2']}",
     ]
-    if report.empirical_c1 is not None:
-        lines.append(
-            f"empirical C1 = {j['empirical_C1']}, C2 = {j['empirical_C2']}"
-        )
     ib = j["implied_bound"]
     lines.append(
         f"implied: rhs(n) = {ib['rhs_for_n']}, strict: "

@@ -457,11 +457,21 @@ def enumerate_sign_systems(
     """Every valid system with at most max_rays divisorial rays, pairings in
     {-1, 0, 1} (own divisor -1), and contact derived from nonzero pairings.
 
+    The candidates come per ray types and divisor matching, in `product`
+    order of their 0/1 cross pairings.  A divisor is shared only by two type
+    II rays and every meet comes from a nonzero pairing, so only four of
+    `validate`'s rules can reject a candidate.  They are decided here on
+    integer masks of the positive pairings and touching divisors, and
+    `validate` is not called: type-i-divisors-meet (no type I ray pairs
+    positively with a type I divisor), meeting-pair-no-contact,
+    mixed-meeting-pair-crosses and multiple-type-i-neighbors.  Only the
+    candidates that pass are built.
+
     With with_faces=True, yields (system, face-variant) pairs where each
     variant is a downward-closed face family: the full powerset and, for each
     ray subset of size >= 2, the family of sets not containing it.
     """
-    # Equal rays, pairing entries, rows and contact sets are shared between
+    # Equal rays, pairing rows, pairings and contact sets are shared between
     # the systems, built once each: a sweep holds thousands of systems.
     shared: dict = {}
 
@@ -480,43 +490,90 @@ def enumerate_sign_systems(
         variants = tuple(face_variants(ids)) if with_faces else ()
         for types in iproduct(("I", "II"), repeat=n):
             for blocks in _divisor_matchings(types):
-                blocks = sorted(blocks)
-                divisors = share(names[: len(blocks)])
-                divisor_of = {}
-                for b, block in enumerate(blocks):
+                m = len(blocks)
+                divisors = share(names[:m])
+                col = [0] * n  # each ray's divisor index
+                for b, block in enumerate(sorted(blocks)):
                     for i in block:
-                        divisor_of[i] = divisors[b]
-                cross_cells = [
-                    (i, b)
-                    for i in range(n)
-                    for b in range(len(blocks))
-                    if divisor_of[i] != divisors[b]
+                        col[i] = b
+                rays = share(tuple(ray_of[i, types[i], divisors[col[i]]] for i in range(n)))
+                type_i = sum(1 << col[i] for i in range(n) if types[i] == "I")
+                # Per ray, its rows in `product` order of its cross cells, each
+                # with `up`, the divisors it pairs positively with, and `meet`,
+                # the touching divisor pairs it makes (bits a * m + b and
+                # b * m + a).  The cross cells are ordered by ray, so `product`
+                # over these lists walks the candidates in `product` order of
+                # all cross cells.  A type I row pairing positively with a
+                # type I divisor breaks type-i-divisors-meet and is left out.
+                options = []
+                for i in range(n):
+                    cells = [b for b in range(m) if b != col[i]]
+                    rows = []
+                    for combo in iproduct((0, 1), repeat=len(cells)):
+                        row = [0] * m
+                        row[col[i]] = -1
+                        up = meet = 0
+                        for b, value in zip(cells, combo):
+                            row[b] = value
+                            if value:
+                                up |= 1 << b
+                                meet |= 1 << col[i] * m + b | 1 << b * m + col[i]
+                        if not (types[i] == "I" and up & type_i):
+                            rows.append((share(tuple(row)), up, meet))
+                    options.append(rows)
+                pairs = [
+                    (i, j, types[i] == types[j])
+                    for i, j in combinations(range(n), 2)
+                    if col[i] != col[j] and "II" in (types[i], types[j])
                 ]
-                for combo in iproduct((0, 1), repeat=len(cross_cells)):
-                    pairing = [
-                        [-1 if divisor_of[i] == d else 0 for d in divisors]
-                        for i in range(n)
-                    ]
-                    for (i, b), value in zip(cross_cells, combo):
-                        pairing[i][b] = value
-                    meets = {
-                        share(frozenset((divisor_of[i], divisors[b])))
-                        for (i, b), value in zip(cross_cells, combo)
-                        if value
-                    }
-                    system = RayDivisorSystem(
-                        rays=share(tuple(ray_of[i, types[i], divisor_of[i]] for i in range(n))),
-                        divisors=divisors,
-                        pairing=share(tuple(share(tuple(row)) for row in pairing)),
-                        meets=share(frozenset(meets)),
-                    )
-                    if validate(system):
+                type_ii = [i for i in range(n) if types[i] == "II"]
+                for choice in iproduct(*options):
+                    touch = _touching(choice, col, pairs, type_ii, type_i)
+                    if touch is None:
                         continue
+                    meets = frozenset(
+                        share(frozenset((divisors[a], divisors[b])))
+                        for a, b in combinations(range(m), 2)
+                        if touch >> a * m + b & 1
+                    )
+                    system = RayDivisorSystem(
+                        rays=rays,
+                        divisors=divisors,
+                        pairing=share(tuple(row for row, _, _ in choice)),
+                        meets=share(meets),
+                    )
                     if not with_faces:
                         yield system
                         continue
                     for variant in variants:
                         yield system, variant
+
+
+def _touching(
+    choice: tuple, col: list[int], pairs: list, type_ii: list[int], type_i: int
+) -> Optional[int]:
+    """The touching divisor pairs of one sign-system candidate as a mask of
+    bits a * m + b, or None when the candidate breaks meeting-pair-no-contact,
+    mixed-meeting-pair-crosses or multiple-type-i-neighbors.
+
+    `choice` holds each ray's (row, up, meet), `col` each ray's divisor index,
+    `pairs` the (i, j, both type II) ray pairs on distinct divisors with a
+    type II ray among them, and `type_i` the mask of type I divisors."""
+    m = len(choice[0][0])
+    touch = 0
+    for _, _, meet in choice:
+        touch |= meet
+    for i, j, both_ii in pairs:
+        if touch >> col[i] * m + col[j] & 1:
+            there = choice[i][1] >> col[j] & 1
+            back = choice[j][1] >> col[i] & 1
+            # Two type II rays need one positive cross pairing, a mixed pair both.
+            if not (there or back if both_ii else there and back):
+                return None
+    for i in type_ii:
+        if (touch >> col[i] * m & type_i).bit_count() > 1:
+            return None
+    return touch
 
 
 def face_variants(ids: list[str]) -> Iterator[tuple]:

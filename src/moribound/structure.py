@@ -306,9 +306,9 @@ def contact_violations(s: RayDivisorSystem) -> list[Violation]:
     pairings and nonnegative cross pairings this is Lemma 2.27's
     q(R1, D2) q(R2, D1) < q(R1, D1) q(R2, D2) failing.
 
-    Kept apart from `validate`: `enumerate_sign_systems` yields every system
-    that `validate` accepts, and many of those fail this check once crossed
-    with a face family.
+    Kept apart from `validate`: `enumerate_sign_systems` yields exactly the
+    candidates that `validate` accepts, and many of those fail this check
+    once crossed with a face family.
     """
     rel = s.relations
     pairs = {

@@ -1,22 +1,33 @@
 """Exact output of every generator: each realized model over seeds 0-19 with
 the helper data it returns, each `system_*` template, `random_valid_system`
-with its rejection count, `face_variants` on 1-4 rays and `polytope_family()`.
+with its rejection count, `face_variants` on 1-4 rays, `polytope_family()` and
+the `enumerate_sign_systems` sequence up to four rays, with and without face
+variants.
 
 Each case is one sha256 digest of a canonical JSON rendering that keeps list
-and key order, so a change to any value or to any order fails.  After a
-deliberate output change, print the new table with
+and key order, so a change to any value or to any order fails.  The rendering
+of a case's list is hashed an element at a time, so the 91,604 sign-system
+pairs are never held at once.  After a deliberate output change, print the
+new table with
 
     PYTHONPATH=src python3 tests/test_generate.py
+
+`validate` is also the oracle for `enumerate_sign_systems`: on every candidate
+of up to three rays it accepts exactly what the generator yields.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from moribound.core import RVector, format_rational
+from moribound import generate
 from moribound.generate import (
+    _divisor_matchings,
+    enumerate_sign_systems,
     face_variants,
     planted_dependence,
     planted_with_a1,
@@ -34,7 +45,7 @@ from moribound.generate import (
     system_eset_d,
 )
 from moribound.polytope import polytope_to_json
-from moribound.raysystem import system_to_json
+from moribound.raysystem import RayDivisorSystem, system_to_json, validate
 from moribound.realized import RealizedModel, model_to_json
 
 SEEDS = range(20)
@@ -42,6 +53,8 @@ SEEDS = range(20)
 
 def _canon(x):
     """A JSON-ready rendering of generator output that keeps every order."""
+    if isinstance(x, (str, int)):  # the common leaves, kept as they are
+        return x
     if isinstance(x, RealizedModel):
         return {
             "json": model_to_json(x),
@@ -57,6 +70,16 @@ def _canon(x):
     if isinstance(x, (tuple, list)):
         return [_canon(v) for v in x]
     return x
+
+
+def _sign_pairs(max_rays: int):
+    """Each (system, face variant) pair in yield order, the system rendered
+    once per run of pairs that share it."""
+    base = rendered = None
+    for s, variant in enumerate_sign_systems(max_rays, with_faces=True):
+        if s is not base:
+            base, rendered = s, system_to_json(s)
+        yield [rendered, variant]
 
 
 CASES = {
@@ -94,6 +117,10 @@ CASES = {
     "polytope_family": lambda: [
         [name, polytope_to_json(p)] for name, p in polytope_family()
     ],
+    "enumerate_sign_systems max_rays=4": lambda: (
+        system_to_json(s) for s in enumerate_sign_systems(max_rays=4)
+    ),
+    "enumerate_sign_systems max_rays=4 with_faces": lambda: _sign_pairs(4),
 }
 
 DIGESTS = {
@@ -121,17 +148,90 @@ DIGESTS = {
     "random_valid_system": "598228371012b75e437aeac3806b7cd7a211f8b797c297ee51d83d8c2ef21886",
     "face_variants": "15f9a477ba82265a9ca1391b5f098a580b57afd280bd6f493712b765916dffd1",
     "polytope_family": "27c331b83bbd926fbd2d439d76d6b4037fd1690e34d666ade508d0d2e9fb811f",
+    "enumerate_sign_systems max_rays=4": "15fb5e639b6232a62c4d089f3673509c67c0a7089df8ba77b5533579e7bf983e",
+    "enumerate_sign_systems max_rays=4 with_faces": "727e8df3cec540220e3165cce0ac00405a92d1908f9c78bf9cc20e5932da503b",
 }
 
 
 def digest(name: str) -> str:
-    text = json.dumps(_canon(CASES[name]()), separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The sha256 of `json.dumps` of the case's rendered list, fed one
+    element at a time."""
+    h = hashlib.sha256(b"[")
+    for k, item in enumerate(CASES[name]()):
+        text = json.dumps(_canon(item), separators=(",", ":"))
+        h.update((text if k == 0 else "," + text).encode())
+    h.update(b"]")
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_generator_output_is_unchanged(name):
     assert digest(name) == DIGESTS[name]
+
+
+# The only `validate` rules that a sign-system candidate can break.
+SIGN_RULES = {
+    "type-i-divisors-meet",
+    "meeting-pair-no-contact",
+    "mixed-meeting-pair-crosses",
+    "multiple-type-i-neighbors",
+}
+
+
+def _sign_candidates(max_rays: int):
+    """Every candidate of the sign-system space, unfiltered, in the order
+    `enumerate_sign_systems` walks it: per ray count, ray types and divisor
+    matching, every 0/1 filling of the cross cells in `product` order, with a
+    meet for each nonzero cross pairing."""
+    for n in range(1, max_rays + 1):
+        for types in product(("I", "II"), repeat=n):
+            for blocks in _divisor_matchings(types):
+                divisors = [f"D{b + 1}" for b in range(len(blocks))]
+                divisor = {i: divisors[b] for b, block in enumerate(sorted(blocks)) for i in block}
+                cells = [(i, d) for i in range(n) for d in divisors if d != divisor[i]]
+                for combo in product((0, 1), repeat=len(cells)):
+                    value = dict(zip(cells, combo))
+                    yield RayDivisorSystem.of(
+                        rays=[(f"R{i + 1}", types[i], divisor[i]) for i in range(n)],
+                        divisors=divisors,
+                        pairing=[[value.get((i, d), -1) for d in divisors] for i in range(n)],
+                        meets=[(divisor[i], d) for (i, d), v in value.items() if v],
+                    )
+
+
+def test_sign_systems_are_the_candidates_validate_accepts():
+    accepted, fired = [], set()
+    for s in _sign_candidates(3):
+        codes = {v.code for v in validate(s)}
+        assert codes <= SIGN_RULES, (codes, s)
+        fired |= codes
+        if not codes:
+            accepted.append(s)
+    # Each of the four rules rejects some candidate, so dropping any one of
+    # them from the generator lets a candidate through.
+    assert fired == SIGN_RULES, fired
+    assert list(enumerate_sign_systems(3)) == accepted
+    assert list(enumerate_sign_systems(3, with_faces=True)) == [
+        (s, v) for s in accepted for v in face_variants(list(s.ray_ids))
+    ]
+
+
+def test_sign_systems_build_only_what_they_yield(monkeypatch):
+    built = []
+    post_init = RayDivisorSystem.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    def refuse(s):
+        raise AssertionError("validate called")
+
+    monkeypatch.setattr(RayDivisorSystem, "__post_init__", counted)
+    monkeypatch.setattr(generate, "validate", refuse)
+    yielded = list(enumerate_sign_systems(4))
+    assert len(yielded) == 7729
+    assert built == yielded and all(a is b for a, b in zip(built, yielded))
 
 
 if __name__ == "__main__":
