@@ -12,7 +12,6 @@ dimension bound or a structured counterexample.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from fractions import Fraction
@@ -104,10 +103,16 @@ def lemma14_max_n(c: object, d: object) -> int:
     horizon = math.ceil(8 * cc + 8 * dd + 16)
     best = 1
     for first in (2, 3):
-        ns = range(first, horizon + 1, 2)
-        admitted = bisect_left(ns, True, key=lambda n: n >= _lemma14_rhs(n, cc, dd))
-        if admitted:
-            best = max(best, ns[admitted - 1])
+        # The admitted n of this parity are first + 2j for j < lo, bisected on
+        # plain integers: a range past sys.maxsize cannot be indexed.
+        lo, hi = 0, (horizon - first) // 2 + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if first + 2 * mid < _lemma14_rhs(first + 2 * mid, cc, dd):
+                lo = mid + 1
+            else:
+                hi = mid
+        best = max(best, first + 2 * lo - 2)  # first - 2 <= 1 when none is admitted
     return best
 
 

@@ -84,7 +84,11 @@ def detect_kind(data: object) -> str:
 
 def _read_json(path: str) -> object:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:  # nesting too deep for the parser is invalid JSON too
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
 
 
 def load_instance(
@@ -180,7 +184,7 @@ def check_one(path: str) -> dict:
         data = _read_json(path)
         kind = result["kind"] = detect_kind(data)
         violations, notes = _check_instance(kind, data)
-    except (SystemFormatError, json.JSONDecodeError, OSError) as exc:
+    except (SystemFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         result["error"] = f"{type(exc).__name__}: {exc}"
         return result
     result["violations"] = [

@@ -63,27 +63,20 @@ class RayDivisorSystem:
     faces: Optional[tuple[frozenset, ...]] = None  # deduplicated, by (size, sorted ids)
     anticanonical: Optional[tuple[int | Fraction, ...]] = None  # int where integral
     fano_mode: bool = False
-    _ray_index: dict = field(init=False, repr=False, compare=False)
-    _div_index: dict = field(init=False, repr=False, compare=False)
-    # Each ray's bit, and (with faces) each face of `faces` as the sum of its
-    # rays' bits.  The first id in sorted order holds the highest bit, so
-    # among sets of one size, the one whose sorted ids come first (the one
-    # holding the first id that the two do not share) has the larger mask.
-    _bit: dict = field(init=False, repr=False, compare=False)
+    # Each face of `faces` as the sum of its rays' `Relations.bit`s.
     _face_masks: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ray_index = {r.id: i for i, r in enumerate(self.rays)}
-        div_index = {d: i for i, d in enumerate(self.divisors)}
-        if len(ray_index) != len(self.rays):
+        divisors = set(self.divisors)
+        if len({r.id for r in self.rays}) != len(self.rays):
             raise SystemFormatError("duplicate ray ids", "rays")
-        if len(div_index) != len(self.divisors):
+        if len(divisors) != len(self.divisors):
             raise SystemFormatError("duplicate divisor ids", "divisors")
         for k, r in enumerate(self.rays):
             if (r.divisor is None) != (r.type is RayType.SMALL):
                 why = (f"small ray {r.id} carries no divisor" if r.divisor is not None
                        else f"type {r.type.value} ray {r.id} must carry a divisor")
-            elif r.divisor is not None and r.divisor not in div_index:
+            elif r.divisor is not None and r.divisor not in divisors:
                 why = f"unknown divisor {r.divisor}"
             else:
                 continue
@@ -92,15 +85,11 @@ class RayDivisorSystem:
             len(row) != len(self.divisors) for row in self.pairing
         ):
             raise SystemFormatError("shape does not match rays x divisors", "pairing")
-        bad = sorted(sorted(p) for p in self.meets if len(p) != 2 or not p.issubset(div_index))
+        bad = sorted(sorted(p) for p in self.meets if len(p) != 2 or not p.issubset(divisors))
         if bad:
             raise SystemFormatError(f"{bad[0]} must join two distinct listed divisors", "meets")
         if self.anticanonical is not None and len(self.anticanonical) != len(self.rays):
             raise SystemFormatError("length does not match rays", "anticanonical")
-        object.__setattr__(self, "_ray_index", ray_index)
-        object.__setattr__(self, "_div_index", div_index)
-        bit = {rid: 1 << k for k, rid in enumerate(sorted(ray_index, reverse=True))}
-        object.__setattr__(self, "_bit", bit)
         self._set_faces(self.faces)
 
     def _set_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> None:
@@ -109,7 +98,7 @@ class RayDivisorSystem:
         masks = None
         if faces is not None:
             faces = tuple(faces)
-            bit = self._bit
+            bit = self.relations.bit
             try:
                 by_mask = {sum(map(bit.__getitem__, f)): f for f in map(frozenset, faces)}
             except KeyError:
@@ -150,13 +139,14 @@ class RayDivisorSystem:
 
     def ray(self, rid: str) -> Ray:
         try:
-            return self.rays[self._ray_index[rid]]
+            return self.rays[self.relations.index[rid]]
         except KeyError:
             raise ValueError(f"unknown ray {rid}") from None
 
     def q(self, rid: str, did: str) -> int | Fraction:
+        rel = self.relations
         try:
-            return self.pairing[self._ray_index[rid]][self._div_index[did]]
+            return self.pairing[rel.index[rid]][rel.div_index[did]]
         except KeyError as exc:
             raise ValueError(f"unknown ray or divisor: {exc}") from None
 
@@ -166,12 +156,12 @@ class RayDivisorSystem:
     def anticanonical_degree(self, rid: str) -> int | Fraction:
         if self.anticanonical is None:
             raise ValueError("system has no anticanonical column")
-        return self.anticanonical[self._ray_index[rid]]
+        return self.anticanonical[self.relations.index[rid]]
 
     def joined(self, d1: str, d2: str) -> bool:
         """Whether two divisors share points (equal, or in explicit contact)."""
         for d in (d1, d2):
-            if d not in self._div_index:
+            if d not in self.relations.div_index:
                 raise ValueError(f"unknown divisor {d}")
         return d1 == d2 or frozenset((d1, d2)) in self.meets
 
@@ -185,19 +175,18 @@ class RayDivisorSystem:
 
     def with_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> "RayDivisorSystem":
         """This system with another face structure.  The new system shares
-        this one's validated rays, pairing and lookups; only the faces are
-        checked and turned into masks."""
+        this one's validated data fields; only the faces are checked and
+        turned into masks."""
         new = object.__new__(RayDivisorSystem)
-        new.__dict__.update(
-            {name: self.__dict__[name] for name in _SHARED_WITH_VARIANTS}
-        )
+        new.__dict__.update({f.name: self.__dict__[f.name] for f in fields(self) if f.init})
         new._set_faces(faces)
         return new
 
     @cached_property
     def relations(self) -> "Relations":
-        """The pairwise ray relations, derived on first use and kept for the
-        life of this system object."""
+        """The pairwise ray relations and id lookups, derived on first use
+        (at construction, for a system with faces) and kept for the life of
+        this system object."""
         return Relations(self)
 
     # -- faces as ray masks ------------------------------------------------
@@ -242,20 +231,17 @@ def _positions(mask: int) -> list[int]:
     return out
 
 
-# `with_faces` copies these and rebuilds only the face fields.
-_SHARED_WITH_VARIANTS = tuple(
-    f.name for f in fields(RayDivisorSystem) if f.name not in ("faces", "_face_masks")
-)
-
-
 class Relations:
     """A system's pairwise ray relations, derived once and read as bitmasks.
 
-    Ray `ids[k]` holds bit 1 << k, the bit it holds in face masks: the first
-    id in sorted order holds the highest bit, so reading a mask from its
-    highest bit down visits its rays in sorted id order; `order` lists the
-    positions in declaration order.  `column[k]` is the index of D(ids[k])
-    and `toward[k][j]` is q(ids[k], D(ids[j])) (None when ids[j] carries no
+    `index` and `div_index` map ray and divisor ids to their positions in
+    `rays` and `divisors`.  Ray `ids[k]` holds bit `bit[ids[k]]` = 1 << k,
+    the bit it holds in face masks: the first id in sorted order holds the
+    highest bit, so reading a mask from its highest bit down visits its rays
+    in sorted id order, and among sets of one size the one whose sorted ids
+    come first has the larger mask; `order` lists the positions in
+    declaration order.  `column[k]` is the index of D(ids[k]) and
+    `toward[k][j]` is q(ids[k], D(ids[j])) (None when ids[j] carries no
     divisor).  `touching[c]` is the mask, by divisor index, of the listed
     divisors that equal or touch the c-th, carried by a ray or not.  Per ray
     k, over the rays j that carry divisors: `contact[k]` holds those whose
@@ -266,22 +252,24 @@ class Relations:
     """
 
     __slots__ = (
-        "ids", "bit", "order", "column", "touching", "toward", "contact", "arrows",
-        "zeros", "type_i", "type_ii", "divisorial", "simple",
+        "index", "div_index", "ids", "bit", "order", "column", "touching", "toward",
+        "contact", "arrows", "zeros", "type_i", "type_ii", "divisorial", "simple",
     )
 
     def __init__(self, s: RayDivisorSystem) -> None:
-        self.bit = bit = s._bit
-        self.ids = ids = tuple(bit)
+        self.index = index = {r.id: i for i, r in enumerate(s.rays)}
+        self.div_index = div_index = {d: i for i, d in enumerate(s.divisors)}
+        self.ids = ids = tuple(sorted(index, reverse=True))
+        self.bit = bit = {rid: 1 << k for k, rid in enumerate(ids)}
         self.order = order = tuple([bit[r.id].bit_length() - 1 for r in s.rays])
         n = len(ids)
         column = [None] * n
         for k, r in zip(order, s.rays):
-            column[k] = s._div_index.get(r.divisor)  # None for a small ray
+            column[k] = div_index.get(r.divisor)  # None for a small ray
         self.column = column = tuple(column)
         touching = [1 << c for c in range(len(s.divisors))]
         for pair in s.meets:
-            a, b = map(s._div_index.__getitem__, pair)
+            a, b = map(div_index.__getitem__, pair)
             touching[a] |= 1 << b
             touching[b] |= 1 << a
         self.touching = tuple(touching)

@@ -133,6 +133,8 @@ def test_lemma14_max_n_answers_large_constants_at_once():
     start = time.perf_counter()
     assert lemma14_max_n(10**9, 10**9) == 8_000_000_006
     assert lemma14_max_n(1_000_000, 0) == 8_000_005
+    for c in (1, 10**17, 10**19, 10**30):  # past sys.maxsize from 10**18 on
+        assert lemma14_max_n(c, 0) == 8 * c + 5, c
     assert time.perf_counter() - start < 1.0
 
 

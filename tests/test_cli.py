@@ -61,6 +61,16 @@ def test_bound_vertex_count_exact_lines(capsys):
     assert "rho <= 7" in lines
 
 
+def test_bound_vertex_count_past_sys_maxsize(capsys):
+    code, out, err = run(capsys, "bound", "--lemma14", "--C", "1e19", "--D", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "C = 10000000000000000000, D = 0",
+        "max n = 80000000000000000005",
+        "rho <= 80000000000000000006",
+    ]
+
+
 def test_bound_vertex_count_json(capsys):
     code, out, _ = run(
         capsys, "bound", "--lemma14", "--C", "2/3", "--D", "0",
@@ -681,6 +691,8 @@ def _write_bad_inputs(directory: Path) -> None:
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data))
+    (directory / "deep-array.json").write_text("[" * 100_000 + "]" * 100_000)
+    (directory / "not-utf8.json").write_bytes(b"\xff\xfe{}")
 
 
 # Bad inputs whose error message must name the ray at fault and its type.
@@ -695,6 +707,11 @@ NAMED_ERRORS = {
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["check", "zero-denominator.json"], id="check-zero-denominator"),
+    *(
+        pytest.param([command, "deep-array.json"], id=f"{command}-deep-array")
+        for command in ("check", "classify", "esets", "polytope-stats", "diagram")
+    ),
+    pytest.param(["classify", "not-utf8.json"], id="classify-not-utf8"),
     pytest.param(["bound", "--c1", "1/0", "--c2", "0"], id="bound-zero-denominator"),
     pytest.param(["bound", "--lemma14", "--C", "-1", "--D", "0"], id="bound-negative"),
     pytest.param(["gen", "--family", "cm", "--m", "0"], id="gen-cm-empty"),
@@ -799,6 +816,20 @@ def test_an_unreadable_file_is_named_once(capsys, tmp_path):
     code, out, err = run(capsys, "polytope-stats", str(broken))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {broken}: invalid JSON: ")
+
+
+def test_a_batch_goes_on_past_files_it_cannot_decode(capsys, tmp_path):
+    _write_bad_inputs(tmp_path)
+    fixture = f"{FIXTURES}/eset_a.json"
+    deep, bad = str(tmp_path / "deep-array.json"), str(tmp_path / "not-utf8.json")
+    code, out, err = run(capsys, "check", fixture, bad, deep)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        f"{fixture}: OK [system]",
+        f"{bad}: unreadable (UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte)",
+        f"{deep}: unreadable (JSONDecodeError: nesting too deep: line 1 column 1 (char 0))",
+    ]
 
 
 def _two_rays(**extra):

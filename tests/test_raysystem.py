@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from moribound.bounds import count_condition_b
 from moribound.core import INF, format_rational, scale_primitive, solve_inequalities
 from moribound.generate import (
+    enumerate_sign_systems,
     face_variants,
     random_valid_system,
     system_b2,
@@ -561,7 +562,7 @@ def test_validate_matches_the_scan_on_random_systems():
 def _tuple_sorted_faces(s, faces):
     """Reference: the faces and masks sorted as (size, -mask, face) tuples."""
     faces = tuple(faces)
-    bit = s._bit
+    bit = s.relations.bit
     try:
         order = sorted(
             (len(f), -sum(map(bit.__getitem__, f)), f) for f in dict.fromkeys(map(frozenset, faces))
@@ -1018,21 +1019,38 @@ def test_with_faces_matches_a_fresh_system():
         assert variant == fresh
         assert variant.faces == fresh.faces
         assert variant._face_masks == fresh._face_masks
-        assert variant._bit == fresh._bit
-        assert variant._bit is base._bit
+        assert variant.relations.bit == fresh.relations.bit
         if faces is not None:
             want = sorted({frozenset(f) for f in faces}, key=lambda f: (len(f), sorted(f)))
             assert list(variant.faces) == want
             assert variant._face_masks == tuple(variant.ray_mask(f) for f in want)
             assert variant.maximal_masks == fresh.maximal_masks
             assert validate(variant) == validate(fresh)
-        assert variant._ray_index is base._ray_index
-        assert variant._div_index is base._div_index
+        for name in ("rays", "divisors", "pairing", "meets"):
+            assert getattr(variant, name) is getattr(base, name)
     for make in (base.with_faces, lambda faces: replace(base, faces=faces)):
         with pytest.raises(SystemFormatError, match="face names unknown ray X"):
             make([[], ["S1", "X"]])
     with pytest.raises(ValueError, match="unknown ray X"):
         base.ray_mask(["S1", "X", "Y"])
+
+
+def test_systems_keep_only_their_data_and_relations_index_them():
+    """A sweep system stores its dataclass fields and nothing else until a
+    question is asked; its `Relations` maps ids to positions, and gives the
+    first id in sorted order the highest bit."""
+    data = {f.name for f in fields(RayDivisorSystem)}
+    count = 0
+    for s in enumerate_sign_systems(4):
+        assert vars(s).keys() == data
+        rel = Relations(s)
+        assert rel.index == {r.id: i for i, r in enumerate(s.rays)}
+        assert rel.div_index == {d: i for i, d in enumerate(s.divisors)}
+        ids = sorted(rel.index)
+        assert rel.bit == {rid: 1 << (len(ids) - 1 - k) for k, rid in enumerate(ids)}
+        assert vars(s).keys() == data
+        count += 1
+    assert count == 7729
 
 
 def _verdict(s):
