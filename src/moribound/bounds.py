@@ -368,12 +368,14 @@ class DiagramInstance:
             model=model,
         )
 
-    def face_rayset(self, face: frozenset) -> frozenset:
-        """Rays killed on a polytope face: those of the facets containing it,
-        plus the globally orthogonal rays."""
-        return self.perp_rays.union(
-            self.facet_rays[i] for i in self.polytope.facets_through(face)
-        )
+    def face_mask(self, face: frozenset) -> int:
+        """The mask of the rays killed on a polytope face: those of the
+        facets containing it, plus the globally orthogonal rays."""
+        rel = self.system.relations
+        mask = rel.mask(self.perp_rays)
+        for i in self.polytope.facets_through(face):
+            mask |= rel.bit[self.facet_rays[i]]
+        return mask
 
 
 def validate_diagram(inst: DiagramInstance) -> None:
@@ -390,7 +392,7 @@ def validate_diagram(inst: DiagramInstance) -> None:
         raise ValueError("facet rays must be pairwise distinct")
     for rid in list(inst.facet_rays) + sorted(inst.perp_rays):
         graph_nodes(s, (rid,))  # raises on unknown and small ids
-    if s.faces is None:
+    if s._face_masks is None:
         raise ValueError("system has no face structure to correspond to")
     if not p.is_simple:
         raise ValueError("the cross-section must be a simple polytope")
@@ -399,13 +401,13 @@ def validate_diagram(inst: DiagramInstance) -> None:
     for v in p.vertices:
         if first[str(v)] is not v:
             raise ValueError(f"vertex ids {first[str(v)]!r} and {v!r} print alike")
-    listed = set(s.faces)
+    listed = set(s._face_masks)
     for face in p.faces():
-        rayset = inst.face_rayset(face)
+        rayset = inst.face_mask(face)
         if rayset not in listed:
             raise ValueError(
                 f"polytope face {sorted(str(v) for v in face)} maps to ray set "
-                f"{sorted(rayset)} which is not a listed face"
+                f"{s.relations.names(rayset)} which is not a listed face"
             )
     if inst.model is not None:
         base = inst.model.base_system
@@ -432,7 +434,7 @@ def count_condition_b(
     perpset = frozenset(perp)
     if not perpset <= set(eset):
         raise ValueError("perp rays must belong to the extremal set")
-    if s.faces is not None and not is_extremal(s, eset):
+    if s._face_masks is not None and not is_extremal(s, eset):
         raise ValueError("the ray set is not extremal")
     outer = [rid for rid in eset if rid not in perpset]
     return _count_condition_b(s.relations.distances(graph_nodes(s, eset)), outer, d)
@@ -519,12 +521,13 @@ def diagram_pipeline(
     # vanishing there; only its distances are read.  validate_diagram made
     # every facet and perp ray divisorial.
     rel = s.relations
+    perp = rel.mask(inst.perp_rays)
     dists: dict = {}
-    raysets: dict = {}
+    outers: dict = {}
     for v in p.vertices:
-        rayset = inst.face_rayset(frozenset((v,)))
-        raysets[v] = rayset
-        dists[v] = rel.distances(rel.mask(rayset))
+        rayset = inst.face_mask(frozenset((v,)))
+        dists[v] = rel.distances(rayset)
+        outers[v] = rel.names(rayset & ~perp)
 
     weights: dict = {}
     for a in angles:
@@ -533,10 +536,9 @@ def diagram_pipeline(
         weights[a] = sigma(rule, dists[a.vertex][r1, r2])
 
     c1_emp = c2_emp = Fraction(0)
-    for v in p.vertices:
+    for v, outer in outers.items():
         # validate_diagram made every vertex ray set a listed face, which is
         # all count_condition_b would check.
-        outer = raysets[v] - inst.perp_rays
         count1, count2 = _count_condition_b(dists[v], outer, d)
         if outer:
             c1_emp = max(c1_emp, Fraction(count1, len(outer)))

@@ -10,10 +10,11 @@ validated system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from types import SimpleNamespace
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .core import INF, KINDS, RayType, SystemFormatError, format_rational, number, to_json, walk
 
@@ -54,19 +55,46 @@ class Violation:
         return f"{self.code} [{subj}]: {self.detail}"
 
 
+class _FaceView:
+    """A system's `faces`: one frozenset of ray ids per face mask, in mask
+    order, built on first read and then kept on the system; None when the
+    system has no faces."""
+
+    def __get__(self, s: Optional["RayDivisorSystem"], owner: Optional[type] = None):
+        if s is None or s._face_masks is None:
+            return None
+        view = s.__dict__["faces"] = tuple(map(frozenset, _face_names(s)))
+        return view
+
+
+def _face_names(s: "RayDivisorSystem") -> list[list[str]]:
+    """The sorted ids of each face of `s`, in mask order.  A face's highest
+    bit holds its first id; the face without that ray comes earlier in mask
+    order, and when it is listed, as in a closed family, it gives the rest."""
+    rel, names = s.relations, {0: []}
+    for m in s._face_masks:
+        if m:
+            k = m.bit_length() - 1
+            rest = names.get(m ^ 1 << k)
+            names[m] = rel.names(m) if rest is None else [rel.ids[k], *rest]
+    return [names[m] for m in s._face_masks]
+
+
 @dataclass(frozen=True)
 class RayDivisorSystem:
     rays: tuple[Ray, ...]
     divisors: tuple[str, ...]
     pairing: tuple[tuple[int | Fraction, ...], ...]  # int where integral
     meets: frozenset  # frozenset of 2-element frozensets of divisor ids
-    faces: Optional[tuple[frozenset, ...]] = None  # deduplicated, by (size, sorted ids)
+    # Stored only as `_face_masks`; reading `faces` gives the view.
+    faces: InitVar[Optional[Iterable[Collection[str]]]] = _FaceView()
     anticanonical: Optional[tuple[int | Fraction, ...]] = None  # int where integral
     fano_mode: bool = False
-    # Each face of `faces` as the sum of its rays' `Relations.bit`s.
-    _face_masks: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    # The distinct faces, each the sum of its rays' `Relations.bit`s, ordered
+    # by size, then by descending mask, which is sorted ids.
+    _face_masks: Optional[tuple[int, ...]] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, faces: Optional[Iterable[Collection[str]]]) -> None:
         divisors = set(self.divisors)
         if len({r.id for r in self.rays}) != len(self.rays):
             raise SystemFormatError("duplicate ray ids", "rays")
@@ -90,25 +118,26 @@ class RayDivisorSystem:
             raise SystemFormatError(f"{bad[0]} must join two distinct listed divisors", "meets")
         if self.anticanonical is not None and len(self.anticanonical) != len(self.rays):
             raise SystemFormatError("length does not match rays", "anticanonical")
-        self._set_faces(self.faces)
+        self._set_faces(faces)
 
-    def _set_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> None:
-        """Store the distinct faces (or None), keyed by mask and ordered by
-        size, then by descending mask, which is sorted ids."""
+    def _set_faces(self, faces: Optional[Iterable[Collection[str]]]) -> None:
+        """Store the distinct faces (or None) as masks.  A face that repeats
+        an id sums one bit twice, which its popcount shows."""
         masks = None
         if faces is not None:
             faces = tuple(faces)
             bit = self.relations.bit
+            get, found = bit.__getitem__, set()
             try:
-                by_mask = {sum(map(bit.__getitem__, f)): f for f in map(frozenset, faces)}
+                for f in faces:
+                    m = sum(map(get, f))
+                    found.add(m if m.bit_count() == len(f) else sum(map(get, set(f))))
             except KeyError:
                 k, unknown = min(
                     (k, min(set(f) - bit.keys())) for k, f in enumerate(faces) if set(f) - bit.keys()
                 )
                 raise SystemFormatError(f"face names unknown ray {unknown}", "faces", k) from None
-            masks = tuple(sorted(sorted(by_mask, reverse=True), key=int.bit_count))
-            faces = tuple(map(by_mask.__getitem__, masks))
-        object.__setattr__(self, "faces", faces)
+            masks = tuple(sorted(sorted(found, reverse=True), key=int.bit_count))
         object.__setattr__(self, "_face_masks", masks)
 
     @staticmethod
@@ -117,7 +146,7 @@ class RayDivisorSystem:
         divisors: Sequence[str],
         pairing: Sequence[Sequence[object]],
         meets: Iterable[Iterable[str]] = (),
-        faces: Optional[Iterable[Iterable[str]]] = None,
+        faces: Optional[Iterable[Collection[str]]] = None,
         anticanonical: Optional[Sequence[object]] = None,
         fano_mode: bool = False,
     ) -> "RayDivisorSystem":
@@ -173,7 +202,7 @@ class RayDivisorSystem:
     def small_rays(self) -> tuple[Ray, ...]:
         return tuple(r for r in self.rays if r.type is RayType.SMALL)
 
-    def with_faces(self, faces: Optional[Iterable[Iterable[str]]]) -> "RayDivisorSystem":
+    def with_faces(self, faces: Optional[Iterable[Collection[str]]]) -> "RayDivisorSystem":
         """This system with another face structure.  The new system shares
         this one's validated data fields; only the faces are checked and
         turned into masks."""
@@ -372,8 +401,9 @@ class Relations:
 
 def validate(s: RayDivisorSystem) -> list[Violation]:
     """All model-invariant violations, deterministically ordered.  Every
-    rule reads a fresh `Relations` of the system, so nothing is kept on it."""
-    rel = Relations(s)
+    rule reads the system's `Relations`: its own, built at construction, when
+    it has faces, else a fresh one, so nothing is kept on it."""
+    rel = s.relations if s._face_masks is not None else Relations(s)
     ids, column, toward, contact = rel.ids, rel.column, rel.toward, rel.contact
     divisor = [None if c is None else s.divisors[c] for c in column]
     walk = [k for k in rel.order if rel.divisorial >> k & 1]  # declaration order
@@ -450,7 +480,7 @@ def validate(s: RayDivisorSystem) -> list[Violation]:
                 flag("anticanonical-not-positive", (ids[k],),
                      f"A[{ids[k]}] = {format_rational(a)} must be > 0")
 
-    if s.faces is not None:
+    if s._face_masks is not None:
         out.extend(_validate_faces(s, rel))
     return out
 
@@ -470,10 +500,13 @@ def _validate_faces(s: RayDivisorSystem, rel: Relations) -> list[Violation]:
     full: set[int] = set()
     partial: list[int] = []
     for f in s._face_masks:
-        for k in _positions(f):
-            if f ^ 1 << k not in full:
+        rest = f
+        while rest:
+            low = rest & -rest
+            if f ^ low not in full:
                 partial.append(f)
                 break
+            rest ^= low
         else:
             full.add(f)
     for i, f1 in enumerate(partial):
@@ -600,7 +633,11 @@ def is_simple_ray(s: RayDivisorSystem, rid: str) -> bool:
 
 
 def system_to_json(s: RayDivisorSystem) -> dict:
-    return to_json(s, "system")
+    """`s` as JSON.  Its faces are written from their masks, each as its
+    sorted ids, so writing builds no `faces` view."""
+    written = {key: getattr(s, key) for key in KINDS["system"] if key != "faces"}
+    written["faces"] = None if s._face_masks is None else _face_names(s)
+    return to_json(SimpleNamespace(**written), "system")
 
 
 def system_from_json(data: Mapping) -> RayDivisorSystem:

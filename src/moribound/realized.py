@@ -403,17 +403,17 @@ def is_simple_in_face(m: RealizedModel, s: RayDivisorSystem, face: Iterable[str]
     """Rank test: inside the span of rays touching the dual face, every
     extremal set containing the face's own rays is linearly independent
     modulo them."""
-    if s.faces is None:
+    if s._face_masks is None:
         raise ValueError("system has no face structure")
+    rel = s.relations
     perp = frozenset(face)
-    if perp not in s.faces:
+    inner = rel.mask(perp)
+    if inner not in s._face_masks:
         raise ValueError(f"{sorted(perp)} is not a listed face")
     # Every extremal set between the face's rays and the rays touching the
     # dual face sits inside some maximal face containing this one, and a rank
     # defect carries over to every larger face, so those maximal faces are
     # the only sets that need testing.
-    rel = s.relations
-    inner = rel.mask(perp)
     perp_vecs = [m.ray_vectors[rid] for rid in sorted(perp)]
     perp_rank = span_rank(perp_vecs) if perp_vecs else 0
     for f in s.maximal_masks:

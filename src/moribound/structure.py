@@ -402,7 +402,7 @@ def _cross_pairings_nonnegative(s: RayDivisorSystem, ids: Sequence[str]) -> bool
 
 def is_extremal(s: RayDivisorSystem, subset: Iterable[str]) -> bool:
     """Whether some face contains the subset, hence some maximal face does."""
-    if s.faces is None:
+    if s._face_masks is None:
         raise ValueError("system has no face structure")
     return _extremal(s, s.ray_mask(subset))
 
@@ -422,7 +422,7 @@ def find_esets(s: RayDivisorSystem, within: Iterable[str]) -> list[frozenset]:
 
 def _eset_masks(s: RayDivisorSystem, within: Iterable[str]) -> list[int]:
     """`find_esets` as masks, smallest first, ties by sorted ids."""
-    if s.faces is None:
+    if s._face_masks is None:
         raise ValueError("system has no face structure")
     # A ray is extremal on its own when some maximal face holds its bit.
     rel, covered = s.relations, 0
@@ -479,7 +479,7 @@ def _eset_preconditions(s: RayDivisorSystem, l: Iterable[str]) -> int:
     if mask & ~rel.divisorial:
         rid = rel.names(mask & ~rel.divisorial)[0]
         raise ValueError(f"ray {rid} is small; E-set members carry divisors")
-    if s.faces is not None:
+    if s._face_masks is not None:
         if _extremal(s, mask):
             raise ValueError("the set is extremal, hence not an E-set")
         # Subsets of an extremal set are extremal, so the largest proper subsets
@@ -700,7 +700,7 @@ def classify_report(s: RayDivisorSystem) -> dict:
     failures: list[dict] = []
     maximal: list[dict] = []
 
-    if s.faces is not None:
+    if s._face_masks is not None:
         rel = s.relations
         seen: set = set()
         for face in filter(None, s.maximal_masks):

@@ -1,6 +1,7 @@
 """Weight rules, the face-count bound engines, angle enumeration, and the
 diagram pipeline."""
 
+import glob
 import json
 import math
 import random
@@ -542,6 +543,45 @@ def _unit_model(system):
             for c, did in enumerate(system.divisors)
         },
     )
+
+
+def test_validate_diagram_maps_each_face_through_the_perp_rays():
+    """A polytope face maps to its facets' rays plus every perp ray, so the
+    triangle with a perp ray P corresponds to the faces that all hold P, and
+    not to the faces without it."""
+    with open(f"{FIXTURES}/diagram_triangle.json", encoding="utf-8") as fh:
+        bundle = json.load(fh)
+    s = bundle["system"]
+    s["rays"].append({"id": "P", "type": "I", "divisor": "DP"})
+    for row in s["pairing"]:
+        row.append("0")
+    s["divisors"].append("DP")
+    s["pairing"].append(["0"] * (len(s["divisors"]) - 1) + ["-1"])
+    s["anticanonical"].append("1")
+    bundle["perp_rays"] = ["P"]
+    listed = s["faces"]
+    s["faces"] = [f + ["P"] for f in listed]
+    validate_diagram(diagram_from_json(bundle))
+    s["faces"] = listed
+    with pytest.raises(ValueError, match=r"maps to ray set \['P'.*\] which is not a listed face"):
+        validate_diagram(diagram_from_json(bundle))
+
+
+@pytest.mark.parametrize("d,rule", [(1, Theorem258Rule()), (2, Theorem12Rule(2))])
+def test_diagram_verdicts_build_no_face_view(d, rule):
+    """`validate_diagram` and `diagram_pipeline` answer on the face masks:
+    afterwards the system's `faces` view is still unbuilt, also when a
+    realized model asks `is_simple_in_face`."""
+    bundles = [load_diagram(path) for path in sorted(glob.glob(f"{FIXTURES}/diagram_*.json"))]
+    tri = load_diagram(f"{FIXTURES}/diagram_triangle.json")
+    bundles.append(DiagramInstance.of(tri.system, tri.polytope, tri.facet_rays,
+                                      model=_unit_model(tri.system)))
+    assert len(bundles) >= 4
+    for inst in bundles:
+        validate_diagram(inst)
+        assert "faces" not in vars(inst.system)
+        diagram_pipeline(inst, d, rule)
+        assert "faces" not in vars(inst.system)
 
 
 def test_validate_diagram_refuses_a_model_of_another_system():

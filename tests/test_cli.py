@@ -122,6 +122,28 @@ def test_check_reports_kind_per_file(capsys):
     assert all(entry["violations"] == [] for entry in payload)
 
 
+def test_check_builds_one_relations_per_system_with_faces(capsys, monkeypatch, tmp_path):
+    """`validate` reads the `Relations` a system with faces built at
+    construction, so one `check` of its file builds exactly one."""
+    from moribound.generate import system_eset_d
+    from moribound.raysystem import Relations, system_to_json
+
+    (tmp_path / "eset_d.json").write_text(json.dumps(system_to_json(system_eset_d(6))))
+    built = []
+    init = Relations.__init__
+
+    def counted(self, s):
+        built.append(s)
+        init(self, s)
+
+    monkeypatch.setattr(Relations, "__init__", counted)
+    for path in (f"{FIXTURES}/eset_a.json", f"{FIXTURES}/b2_pair.json", str(tmp_path / "eset_d.json")):
+        built.clear()
+        code, out, _ = run(capsys, "check", path)
+        assert code == 0 and out.startswith(f"{path}: OK"), out
+        assert len(built) == 1, path
+
+
 def test_check_detects_realized_and_polytope_kinds(capsys, tmp_path):
     from moribound.generate import realized_d2
     from moribound.polytope import cube, polytope_to_json

@@ -220,9 +220,9 @@ def test_sign_systems_build_only_what_they_yield(monkeypatch):
     built = []
     post_init = RayDivisorSystem.__post_init__
 
-    def counted(self):
+    def counted(self, faces):
         built.append(self)
-        post_init(self)
+        post_init(self, faces)
 
     def refuse(s):
         raise AssertionError("validate called")

@@ -1,18 +1,21 @@
 """Ray-divisor systems: invariants, contact graphs, serialization."""
 
+import glob
 import json
 import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moribound.bounds import count_condition_b
-from moribound.core import INF, format_rational, scale_primitive, solve_inequalities
+from moribound.cli import detect_kind
+from moribound.core import INF, KINDS, format_rational, scale_primitive, solve_inequalities, to_json
 from moribound.generate import (
     enumerate_sign_systems,
     face_variants,
@@ -55,6 +58,8 @@ from moribound.structure import (
     esets_report,
     find_esets,
 )
+
+FIXTURES = "tests/fixtures"
 
 
 def codes(violations):
@@ -595,6 +600,106 @@ def test_face_normalization_matches_the_tuple_sort():
         for s in (base.with_faces(faces), _system_on(ids, faces)):
             assert (s.faces, s._face_masks) == want, faces
     assert unknown > 50
+
+
+def _frozenset_set_faces(s, faces):
+    """Reference: the face normalization on frozensets of ids that a system
+    ran at construction when it kept a frozenset per face.  The distinct
+    faces keyed by mask, and the masks, by size, then by descending mask."""
+    faces = tuple(faces)
+    bit = s.relations.bit
+    try:
+        by_mask = {sum(map(bit.__getitem__, f)): f for f in map(frozenset, faces)}
+    except KeyError:
+        k, unknown = min(
+            (k, min(set(f) - bit.keys())) for k, f in enumerate(faces) if set(f) - bit.keys()
+        )
+        raise SystemFormatError(f"face names unknown ray {unknown}", "faces", k) from None
+    masks = tuple(sorted(sorted(by_mask, reverse=True), key=int.bit_count))
+    return tuple(map(by_mask.__getitem__, masks)), masks
+
+
+def _frozenset_written(s, faces):
+    """Reference: the JSON text of `s` with its faces written from frozensets."""
+    fields = {key: getattr(s, key) for key in KINDS["system"] if key != "faces"}
+    return json.dumps(to_json(SimpleNamespace(faces=faces, **fields), "system"))
+
+
+def _untidy(rng, ids, faces):
+    """The face list with ids repeated inside some faces, some faces listed
+    twice in shuffled order, the empty face now and then, all shuffled, and
+    a face naming unknown ids about one time in four."""
+    faces = [f + rng.choices(f, k=rng.randint(1, 3)) if f and rng.random() < 0.3 else f
+             for f in faces]
+    faces += [rng.sample(f, len(f)) for f in rng.sample(faces, len(faces) // 3)]
+    if rng.random() < 0.5:
+        faces.append([])
+    rng.shuffle(faces)
+    if rng.random() < 0.25:
+        faces.insert(rng.randint(0, len(faces)), [*rng.sample(ids, 1), "ZZ", "Q", "Q"])
+    return faces
+
+
+def test_mask_only_faces_match_the_frozenset_faces():
+    """A system keeps its faces only as masks; built by `of`, `with_faces` or
+    `system_from_json`, it reads, compares, hashes and writes as when it kept
+    the frozensets, and an unknown id fails with the same message and path."""
+    by_ids = {}
+    unknown = repeated = 0
+    for seed, (ids, faces) in enumerate(_odd_face_families(300)):
+        rng = random.Random(seed)
+        faces = _untidy(rng, ids, faces)
+        repeated += any(len(set(f)) < len(f) for f in faces)
+        base = _system_on(ids, None)
+        data = system_to_json(base) | {"faces": faces}
+        makers = (
+            lambda: _system_on(ids, faces),
+            lambda: base.with_faces(faces),
+            lambda: system_from_json(json.loads(json.dumps(data))),
+        )
+        try:
+            want, masks = _frozenset_set_faces(base, faces)
+        except SystemFormatError as exc:
+            unknown += 1
+            for make in makers:
+                with pytest.raises(SystemFormatError) as got:
+                    make()
+                assert str(got.value) == str(exc) and got.value.path == exc.path
+            continue
+        text = _frozenset_written(base, want)
+        built = [make() for make in makers]
+        for s in built:
+            assert s._face_masks == masks, faces
+            assert json.dumps(system_to_json(s)) == text, faces
+            assert "faces" not in vars(s)  # writing builds no view
+            assert type(s.faces) is tuple and s.faces == want, faces
+            assert s.faces is s.faces  # built once
+            assert s == built[0] and hash(s) == hash(built[0])
+        for other_want, other in by_ids.get(tuple(ids), []):
+            assert (built[0] == other) == (other_want == want)
+            if other_want == want:
+                assert hash(built[0]) == hash(other)
+        by_ids.setdefault(tuple(ids), []).append((want, built[0]))
+    assert unknown > 50 and repeated > 100
+    assert sum(len(v) for v in by_ids.values()) > 200
+
+
+def test_verdicts_build_no_face_view():
+    """`check`, `classify` and `esets` answer on the face masks: after each,
+    a system's `faces` view is still unbuilt."""
+    systems = [system_eset_d(12)]
+    for path in sorted(glob.glob(f"{FIXTURES}/*.json")):
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if detect_kind(data) == "system":
+            systems.append(system_from_json(data))
+    assert len(systems) >= 3
+    for s in systems:
+        assert s._face_masks is not None
+        for verdict in (validate, contact_violations, check_normalization,
+                        classify_report, esets_report):
+            verdict(s)
+            assert "faces" not in vars(s), verdict.__name__
 
 
 # --- graphs ---------------------------------------------------------------

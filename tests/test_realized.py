@@ -3,6 +3,7 @@ dependence detection."""
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -393,6 +394,18 @@ def test_is_simple_in_face_maximal_faces_decide():
             assert got == _simple_in_face_over_every_face(m, s, perp), (seed, perp)
             answers.append(got)
     assert True in answers and False in answers
+
+
+def test_is_simple_in_face_refuses_an_unlisted_face():
+    m, _ = planted_dependence(3, 0)
+    ids = sorted(m.base_system.ray_ids)
+    s = m.base_system.with_faces([[], *([rid] for rid in ids)])
+    assert is_simple_in_face(m, s, ids[:1])
+    for face in (ids[:2], ["nope"], [ids[0], "nope"]):
+        with pytest.raises(ValueError, match=re.escape(f"{sorted(face)} is not a listed face")):
+            is_simple_in_face(m, s, face)
+    with pytest.raises(ValueError, match="no face structure"):
+        is_simple_in_face(m, s.with_faces(None), [])
 
 
 # --- serialization ------------------------------------------------------------------
