@@ -55,9 +55,7 @@ from .raysystem import (
     build_graph,
     check_normalization,
     distance,
-    diameter,
     divisorial_components,
-    is_simple_ray,
     system_from_json,
     system_to_json,
     validate,

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
-from .core import INF, KINDS, format_rational, rational, to_json, walk
+from .core import INF, KINDS, format_rational, mask_names, rational, to_json, walk
 from .polytope import CombinatorialPolytope, PolytopeError, polytope_from_json
 from .raysystem import RayDivisorSystem, graph_nodes, system_from_json
 from .structure import condition_iii_full, find_esets, is_extremal
@@ -147,9 +147,9 @@ class AngleData:
 
 def enumerate_angles(p: CombinatorialPolytope) -> list[AngleData]:
     """All oriented angles of a simple polytope: per vertex, per pair of
-    facets through it, both side orders.  The angle's 2-face is the face
-    lying in the other facets through the vertex; on a simple polytope that
-    face has dimension 2 exactly when it exists."""
+    facets through it, both side orders.  The angle's `plane` is the face in
+    the other facets through the vertex, `face_on` of their masks; on a
+    simple polytope it has dimension 2 exactly when it exists."""
     return list(_angles(p))
 
 
@@ -162,7 +162,7 @@ def _angles(p: CombinatorialPolytope) -> tuple[AngleData, ...]:
         raise PolytopeError("angles are defined on simple polytopes only")
     out: list[AngleData] = []
     for v in p.vertices:
-        through = p.facets_through(frozenset((v,)))
+        through = p._lattice[p._bit[v]][0]
         for f, g in combinations(through, 2):
             try:
                 plane = p.face_on(i for i in through if i != f and i != g)
@@ -368,12 +368,12 @@ class DiagramInstance:
             model=model,
         )
 
-    def face_mask(self, face: frozenset) -> int:
-        """The mask of the rays killed on a polytope face: those of the
-        facets containing it, plus the globally orthogonal rays."""
+    def face_mask(self, face: int) -> int:
+        """The mask of the rays killed on the polytope face of vertex mask
+        `face`: those of the facets containing it, plus the perp rays."""
         rel = self.system.relations
         mask = rel.mask(self.perp_rays)
-        for i in self.polytope.facets_through(face):
+        for i in self.polytope._lattice[face][0]:
             mask |= rel.bit[self.facet_rays[i]]
         return mask
 
@@ -402,11 +402,11 @@ def validate_diagram(inst: DiagramInstance) -> None:
         if first[str(v)] is not v:
             raise ValueError(f"vertex ids {first[str(v)]!r} and {v!r} print alike")
     listed = set(s._face_masks)
-    for face in p.faces():
+    for face in chain.from_iterable(p._by_dim):  # in the order of `p.faces()`
         rayset = inst.face_mask(face)
         if rayset not in listed:
             raise ValueError(
-                f"polytope face {sorted(str(v) for v in face)} maps to ray set "
+                f"polytope face {sorted(map(str, mask_names(p._ids, face)))} maps to ray set "
                 f"{s.relations.names(rayset)} which is not a listed face"
             )
     if inst.model is not None:
@@ -525,7 +525,7 @@ def diagram_pipeline(
     dists: dict = {}
     outers: dict = {}
     for v in p.vertices:
-        rayset = inst.face_mask(frozenset((v,)))
+        rayset = inst.face_mask(p._bit[v])
         dists[v] = rel.distances(rayset)
         outers[v] = rel.names(rayset & ~perp)
 

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, permutations, repeat
 from operator import attrgetter, mul
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 INF = float("inf")
 
@@ -451,6 +451,48 @@ def _fast(values: list, shape: object) -> Optional[list]:
 def vertex_key(v: object) -> tuple[str, str]:
     """The order of a set of scalar ids that may mix strings and integers."""
     return (type(v).__name__, str(v))
+
+
+# Face masks, the one format of polytope and ray-system faces: `ids[k]` holds
+# bit 1 << k, the first id in sorted order the highest bit, so a mask read from
+# the top visits its ids sorted, and descending masks of one size sort by ids.
+
+
+def bit_order(ids: Iterable, key: Optional[Callable] = None) -> tuple[tuple, dict]:
+    """The ids by bit position, and each id's bit."""
+    ranked = tuple(sorted(ids, key=key, reverse=True))
+    return ranked, {v: 1 << k for k, v in enumerate(ranked)}
+
+
+def face_order(masks: Iterable[int]) -> list[int]:
+    return sorted(sorted(masks, reverse=True), key=int.bit_count)
+
+
+def positions(mask: int) -> list[int]:
+    """The bit positions of a mask, highest first."""
+    out = []
+    while mask:
+        k = mask.bit_length() - 1
+        out.append(k)
+        mask ^= 1 << k
+    return out
+
+
+def mask_names(ids: Sequence, mask: int) -> list:
+    """The sorted ids of a mask."""
+    return [ids[k] for k in positions(mask)]
+
+
+def face_names(ids: Sequence, masks: Iterable[int]) -> Iterator[list]:
+    """The sorted ids of each mask.  When the mask without its highest bit,
+    which holds the first id, came earlier, its ids give the rest."""
+    names: dict = {0: []}
+    for m in masks:
+        if m not in names:
+            k = m.bit_length() - 1
+            rest = names.get(m ^ 1 << k)
+            names[m] = mask_names(ids, m) if rest is None else [ids[k], *rest]
+        yield names[m]
 
 
 def to_json(value: object, shape: object) -> Any:

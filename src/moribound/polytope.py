@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import KINDS, binomial, to_json, vertex_key, walk
+from .core import (KINDS, binomial, bit_order, face_names, face_order, mask_names, to_json,
+                   vertex_key, walk)
 
 VertexId = object  # JSON scalar: str or int
 
@@ -41,20 +43,23 @@ class CombinatorialPolytope:
     """An abstract polytope of dimension ``dim`` given by its facets.
 
     The face lattice (all nonempty intersections of facet subsets, plus the
-    full vertex set as the unique top face) is computed eagerly, each face
-    with its dimension and the indices of the facets containing it, which
-    name it uniquely, and ordered once; instances are immutable afterwards.
+    full vertex set as the unique top face) is computed eagerly on vertex
+    masks, each face with its dimension and the indices of the facets
+    containing it, which name it uniquely, and ordered once.  Vertex sets are
+    decoded from the masks on first read; instances are immutable otherwise.
     """
 
     dim: int
     vertices: tuple[VertexId, ...]
     facets: tuple[frozenset, ...]
     is_simple: bool = field(init=False, repr=False, compare=False)
-    _dims: dict = field(init=False, repr=False, compare=False)
-    # The faces of each dimension, by size, then by sorted vertex keys.
+    # The vertices by bit position, each one's bit, each facet's mask; face
+    # mask -> (facets through it, dimension); each dimension's face masks.
+    _ids: tuple = field(init=False, repr=False, compare=False)
+    _bit: dict = field(init=False, repr=False, compare=False)
+    _facet_masks: tuple = field(init=False, repr=False, compare=False)
+    _lattice: dict = field(init=False, repr=False, compare=False)
     _by_dim: tuple = field(init=False, repr=False, compare=False)
-    _facets_of: dict = field(init=False, repr=False, compare=False)
-    _face_on: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def of(dim: int, vertices: Sequence[VertexId], facets: Iterable[Iterable[VertexId]]) -> "CombinatorialPolytope":
@@ -65,7 +70,6 @@ class CombinatorialPolytope:
     def __post_init__(self) -> None:
         self._validate_incidence()
         self._build_lattice()
-        self._check_consistency()
 
     # -- construction ------------------------------------------------------
 
@@ -98,23 +102,17 @@ class CombinatorialPolytope:
         object.__setattr__(self, "is_simple", simple)
 
     def _build_lattice(self) -> None:
-        # Faces are walked as vertex bitmasks: the first vertex in `vertex_key`
-        # order owns the highest bit, so among faces of one size, descending
-        # mask is ascending sorted vertex keys.  Each face's vertex set is built
-        # once, from its parent's set and the facet that cut it.
-        ranked = sorted(self.vertices, key=vertex_key)
-        bit = {v: 1 << i for i, v in enumerate(reversed(ranked))}
-        masks = [sum(map(bit.__getitem__, facet)) for facet in self.facets]
-        top = (1 << len(ranked)) - 1
-        sets = {top: frozenset(self.vertices)}
-        frontier = [top]
+        ids, bit = bit_order(self.vertices, vertex_key)
+        masks = tuple(sum(map(bit.__getitem__, facet)) for facet in self.facets)
+        top = (1 << len(ids)) - 1
+        found, frontier = {top}, [top]
         while frontier:
             nxt = []
             for face in frontier:
-                for fm, facet in zip(masks, self.facets):
+                for fm in masks:
                     cut = face & fm
-                    if cut and cut not in sets:
-                        sets[cut] = sets[face] & facet
+                    if cut and cut not in found:
+                        found.add(cut)
                         nxt.append(cut)
             frontier = nxt
         # Dimension = longest strictly increasing chain from a minimal face,
@@ -123,87 +121,80 @@ class CombinatorialPolytope:
         # one of its facet cuts (Kaibel & Pfetsch 2002), so the chain only
         # needs those.  The facets containing `face` are recorded on the way:
         # they name the face.
-        dims: dict = {}
-        facets_of: dict = {}
-        # By size, then descending mask, which is sorted vertex keys: each
-        # dimension's faces come out of grading in their final order.
-        order = sorted(sets, reverse=True)
-        order.sort(key=int.bit_count)
-        for face in order:
+        lattice: dict = {}
+        for face in face_order(found):
             through, below = [], []
             for i, fm in enumerate(masks):
                 cut = face & fm
                 if cut == face:
                     through.append(i)
                 elif cut:
-                    below.append(dims[cut])
-            facets_of[sets[face]] = tuple(through)
-            if below:
-                dims[face] = 1 + max(below)
-            else:
-                if face.bit_count() != 1:
-                    raise PolytopeError(
-                        f"minimal face {sorted(sets[face], key=vertex_key)} is not a single vertex"
-                    )
-                dims[face] = 0
-        by_dim: list = [[] for _ in range(max(dims.values()) + 1)]
-        for face, d in dims.items():
-            by_dim[d].append(sets[face])
-        object.__setattr__(self, "_dims", {sets[face]: d for face, d in dims.items()})
-        object.__setattr__(self, "_by_dim", tuple(map(tuple, by_dim)))
-        object.__setattr__(self, "_facets_of", facets_of)
-        object.__setattr__(self, "_face_on", {ids: face for face, ids in facets_of.items()})
-
-    def _check_consistency(self) -> None:
-        top = frozenset(self.vertices)
-        if self._dims[top] != self.dim:
+                    below.append(lattice[cut][1])
+            if not below and face.bit_count() != 1:
+                raise PolytopeError(f"minimal face {mask_names(ids, face)} is not a single vertex")
+            lattice[face] = (tuple(through), 1 + max(below) if below else 0)
+        if lattice[top][1] != self.dim:
             raise PolytopeError(
-                f"face chains reach dimension {self._dims[top]}, declared dim is {self.dim}"
+                f"face chains reach dimension {lattice[top][1]}, declared dim is {self.dim}"
             )
         # So no dimension lacks faces: a face of dimension d > 0 has a facet
         # cut of dimension d - 1, down from the top face to the vertices.
         for v in self.vertices:
-            if frozenset((v,)) not in self._dims:
+            if bit[v] not in lattice:
                 raise PolytopeError(f"vertex {v!r} is not separated by the facets")
-        if self.is_simple:
+        by_dim: list = [[] for _ in range(self.dim + 1)]
+        for face, (through, d) in lattice.items():
             # For simple polytopes the chain grading must agree with the
             # facet-count grading (codim k faces lie in exactly k facets).
-            for face, d in self._dims.items():
-                if d != self.dim - len(self._facets_of[face]):
-                    raise PolytopeError(
-                        "simple polytope has a face whose facet count and chain "
-                        f"length disagree: {sorted(face, key=vertex_key)}"
-                    )
+            if self.is_simple and d != self.dim - len(through):
+                raise PolytopeError(
+                    "simple polytope has a face whose facet count and chain "
+                    f"length disagree: {mask_names(ids, face)}"
+                )
+            by_dim[d].append(face)
+        for name, value in (("_ids", ids), ("_bit", bit), ("_facet_masks", masks),
+                            ("_lattice", lattice), ("_by_dim", tuple(map(tuple, by_dim)))):
+            object.__setattr__(self, name, value)
 
     # -- queries -----------------------------------------------------------
+
+    @cached_property
+    def _view(self) -> dict:
+        """Each face's vertex set by its mask, decoded on first read."""
+        return dict(zip(self._lattice, map(frozenset, face_names(self._ids, self._lattice))))
 
     def faces(self, k: int | None = None) -> list[frozenset]:
         """All faces, or just the k-dimensional ones, by dimension, size, then
         sorted vertex keys."""
-        if k is None:
-            return [face for layer in self._by_dim for face in layer]
-        return list(self._by_dim[k]) if 0 <= k <= self.dim else []
+        layers = self._by_dim if k is None else self._by_dim[k : k + 1] if k >= 0 else ()
+        return [self._view[face] for layer in layers for face in layer]
 
     def face_dim(self, face: frozenset) -> int:
-        return self._lookup(self._dims, face)
+        return self._entry(face)[1]
 
     def facets_through(self, face: frozenset) -> tuple[int, ...]:
         """Indices of the facets containing a face, in facet order."""
-        return self._lookup(self._facets_of, face)
+        return self._entry(face)[0]
 
-    def face_on(self, facets: Iterable[int]) -> frozenset:
-        """The face whose facet set is exactly `facets` (indices, any order)."""
-        key = tuple(sorted(facets))
+    def _entry(self, face: frozenset) -> tuple:
         try:
-            return self._face_on[key]
-        except KeyError:
-            raise PolytopeError(f"no face lies in exactly facets {list(key)}") from None
-
-    def _lookup(self, table: dict, face: frozenset):
-        try:
-            return table[face]
+            return self._lattice[sum(map(self._bit.__getitem__, frozenset(face)))]
         except KeyError:
             raise PolytopeError(f"{sorted(face, key=vertex_key)} is not a face") from None
+
+    def face_on(self, facets: Iterable[int]) -> frozenset:
+        """The face whose facet set is exactly `facets` (indices, any order):
+        the AND of their masks, when those are all the facets through it."""
+        key = tuple(sorted(facets))
+        face = (1 << len(self._ids)) - 1
+        try:
+            for i in key:
+                face &= self._facet_masks[i]
+            if self._lattice[face][0] == key:
+                return self._view[face]
+        except (IndexError, KeyError, TypeError):
+            pass
+        raise PolytopeError(f"no face lies in exactly facets {list(key)}")
 
     def fvector(self) -> FVector:
         return FVector(tuple(map(len, self._by_dim)))
@@ -213,14 +204,11 @@ def average_faces(p: CombinatorialPolytope, i: int, k: int) -> Fraction:
     """Average number of i-faces per k-face, exactly."""
     if not 0 <= i < k <= p.dim:
         raise ValueError(f"need 0 <= i < k <= dim, got i={i}, k={k}, dim={p.dim}")
-    kfaces = p.faces(k)
-    if not kfaces:
-        raise ValueError(f"no {k}-dimensional faces")
+    kfaces = p._by_dim[k]  # on face masks; no dimension lacks faces
     if i == 0:  # every vertex of a k-face is one of its 0-faces
-        total = sum(map(len, kfaces))
+        total = sum(map(int.bit_count, kfaces))
     else:
-        ifaces = p.faces(i)
-        total = sum(1 for big in kfaces for small in ifaces if small <= big)
+        total = sum(1 for big in kfaces for small in p._by_dim[i] if not small & ~big)
     return Fraction(total, len(kfaces))
 
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .core import INF, KINDS, RayType, SystemFormatError, format_rational, number, to_json, walk
+from .core import (INF, KINDS, RayType, SystemFormatError, bit_order, face_names, face_order,
+                   format_rational, mask_names, number, positions, to_json, walk)
 
 
 @dataclass(frozen=True)
@@ -63,21 +64,9 @@ class _FaceView:
     def __get__(self, s: Optional["RayDivisorSystem"], owner: Optional[type] = None):
         if s is None or s._face_masks is None:
             return None
-        view = s.__dict__["faces"] = tuple(map(frozenset, _face_names(s)))
+        names = face_names(s.relations.ids, s._face_masks)
+        view = s.__dict__["faces"] = tuple(map(frozenset, names))
         return view
-
-
-def _face_names(s: "RayDivisorSystem") -> list[list[str]]:
-    """The sorted ids of each face of `s`, in mask order.  A face's highest
-    bit holds its first id; the face without that ray comes earlier in mask
-    order, and when it is listed, as in a closed family, it gives the rest."""
-    rel, names = s.relations, {0: []}
-    for m in s._face_masks:
-        if m:
-            k = m.bit_length() - 1
-            rest = names.get(m ^ 1 << k)
-            names[m] = rel.names(m) if rest is None else [rel.ids[k], *rest]
-    return [names[m] for m in s._face_masks]
 
 
 @dataclass(frozen=True)
@@ -90,8 +79,8 @@ class RayDivisorSystem:
     faces: InitVar[Optional[Iterable[Collection[str]]]] = _FaceView()
     anticanonical: Optional[tuple[int | Fraction, ...]] = None  # int where integral
     fano_mode: bool = False
-    # The distinct faces, each the sum of its rays' `Relations.bit`s, ordered
-    # by size, then by descending mask, which is sorted ids.
+    # The distinct faces, each the sum of its rays' `Relations.bit`s, in
+    # `core.face_order`.
     _face_masks: Optional[tuple[int, ...]] = field(init=False)
 
     def __post_init__(self, faces: Optional[Iterable[Collection[str]]]) -> None:
@@ -137,7 +126,7 @@ class RayDivisorSystem:
                     (k, min(set(f) - bit.keys())) for k, f in enumerate(faces) if set(f) - bit.keys()
                 )
                 raise SystemFormatError(f"face names unknown ray {unknown}", "faces", k) from None
-            masks = tuple(sorted(sorted(found, reverse=True), key=int.bit_count))
+            masks = tuple(face_order(found))
         object.__setattr__(self, "_face_masks", masks)
 
     @staticmethod
@@ -250,26 +239,13 @@ class RayDivisorSystem:
         return tuple(reversed(found))
 
 
-def _positions(mask: int) -> list[int]:
-    """The bit positions of a mask, highest first."""
-    out = []
-    while mask:
-        k = mask.bit_length() - 1
-        out.append(k)
-        mask ^= 1 << k
-    return out
-
-
 class Relations:
     """A system's pairwise ray relations, derived once and read as bitmasks.
 
     `index` and `div_index` map ray and divisor ids to their positions in
     `rays` and `divisors`.  Ray `ids[k]` holds bit `bit[ids[k]]` = 1 << k,
-    the bit it holds in face masks: the first id in sorted order holds the
-    highest bit, so reading a mask from its highest bit down visits its rays
-    in sorted id order, and among sets of one size the one whose sorted ids
-    come first has the larger mask; `order` lists the positions in
-    declaration order.  `column[k]` is the index of D(ids[k]) and
+    the bit it holds in face masks, in `core.bit_order`; `order` lists the
+    positions in declaration order.  `column[k]` is the index of D(ids[k]) and
     `toward[k][j]` is q(ids[k], D(ids[j])) (None when ids[j] carries no
     divisor).  `touching[c]` is the mask, by divisor index, of the listed
     divisors that equal or touch the c-th, carried by a ray or not.  Per ray
@@ -288,8 +264,7 @@ class Relations:
     def __init__(self, s: RayDivisorSystem) -> None:
         self.index = index = {r.id: i for i, r in enumerate(s.rays)}
         self.div_index = div_index = {d: i for i, d in enumerate(s.divisors)}
-        self.ids = ids = tuple(sorted(index, reverse=True))
-        self.bit = bit = {rid: 1 << k for k, rid in enumerate(ids)}
+        self.ids, self.bit = ids, bit = bit_order(index)
         self.order = order = tuple([bit[r.id].bit_length() - 1 for r in s.rays])
         n = len(ids)
         column = [None] * n
@@ -335,8 +310,6 @@ class Relations:
         self.type_i, self.type_ii, self.simple = type_i, type_ii, simple
         self.divisorial = type_i | type_ii
 
-    positions = staticmethod(_positions)
-
     def mask(self, rids: Iterable[str]) -> Optional[int]:
         """The mask of the given rays, or None when one of them is unknown."""
         try:
@@ -346,7 +319,7 @@ class Relations:
 
     def names(self, mask: int) -> list[str]:
         """The sorted ids of a mask's rays."""
-        return [self.ids[k] for k in self.positions(mask)]
+        return mask_names(self.ids, mask)
 
     def closure(self, table: Sequence[int], mask: int, seed: int) -> int:
         """The rays of `mask` reached from the rays of `seed` along `table`."""
@@ -365,7 +338,7 @@ class Relations:
         pairs in sorted id order.  One breadth-first search per ray, a layer
         of masks at a time."""
         ids, arrows = self.ids, self.arrows
-        ks = _positions(mask)
+        ks = positions(mask)
         dist: dict[tuple[str, str], int | float] = {}
         for a in ks:
             source = ids[a]
@@ -375,7 +348,7 @@ class Relations:
             steps = 0
             while frontier:
                 reached = 0
-                for k in _positions(frontier):
+                for k in positions(frontier):
                     dist[source, ids[k]] = steps
                     reached |= arrows[k]
                 frontier = reached & mask & ~seen
@@ -570,10 +543,10 @@ def build_graph(s: RayDivisorSystem, subset: Iterable[str]) -> OrientedGraph:
     restricted to the subset, with `Relations.distances` as its distances."""
     rel = s.relations
     mask = graph_nodes(s, subset)
-    ids, ks = rel.ids, rel.positions(mask)
+    ids, ks = rel.ids, positions(mask)
     return OrientedGraph(
         tuple(ids[k] for k in ks),
-        frozenset((ids[k], ids[j]) for k in ks for j in rel.positions(rel.arrows[k] & mask)),
+        frozenset((ids[k], ids[j]) for k in ks for j in positions(rel.arrows[k] & mask)),
         rel.distances(mask),
     )
 
@@ -589,11 +562,6 @@ def distance(g: OrientedGraph, a: str, b: str) -> int | float:
         if (n, n) not in g.dist:
             raise ValueError(f"unknown node {n}")
     return g.dist[a, b]
-
-
-def diameter(g: OrientedGraph) -> int | float:
-    """Largest pairwise distance; 0 for graphs with fewer than two nodes."""
-    return max(g.dist.values(), default=0)
 
 
 def divisorial_components(
@@ -614,17 +582,7 @@ def is_single_arrow_connected(s: RayDivisorSystem, subset: Iterable[str]) -> boo
     from each of its rays."""
     rel = s.relations
     mask = graph_nodes(s, subset)
-    return all(rel.closure(rel.arrows, mask, 1 << k) == mask for k in rel.positions(mask))
-
-
-def is_simple_ray(s: RayDivisorSystem, rid: str) -> bool:
-    """A type II ray stays nonnegative against its divisor plus any divisor it
-    pairs positively with (quantified over the listed divisors)."""
-    r = s.ray(rid)
-    if r.type is not RayType.II:
-        raise ValueError(f"ray {rid} has type {r.type.value}; simplicity applies to type II")
-    rel = s.relations
-    return bool(rel.simple & rel.bit[rid])
+    return all(rel.closure(rel.arrows, mask, 1 << k) == mask for k in positions(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +594,8 @@ def system_to_json(s: RayDivisorSystem) -> dict:
     """`s` as JSON.  Its faces are written from their masks, each as its
     sorted ids, so writing builds no `faces` view."""
     written = {key: getattr(s, key) for key in KINDS["system"] if key != "faces"}
-    written["faces"] = None if s._face_masks is None else _face_names(s)
+    masks = s._face_masks
+    written["faces"] = None if masks is None else list(face_names(s.relations.ids, masks))
     return to_json(SimpleNamespace(**written), "system")
 
 

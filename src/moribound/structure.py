@@ -16,17 +16,12 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .core import (
-    format_rational,
-    scale_primitive,
-    solve_inequalities,
-)
+from .core import face_order, format_rational, positions, scale_primitive, solve_inequalities
 from .raysystem import (
     RayDivisorSystem,
     RayType,
     Relations,
     Violation,
-    _positions,
     divisorial_components,  # re-exported: callers take it from here too
     is_single_arrow_connected,
 )
@@ -133,7 +128,7 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
     if mask.bit_count() == 1:
         return ComponentType("A1") if mask & rel.type_i else ComponentType("C", m=1)
 
-    ks = rel.positions(mask)
+    ks = positions(mask)
     if len(ks) == 2 and rel.column[ks[0]] == rel.column[ks[1]]:
         if not mask & rel.type_i:
             return ComponentType("B2")
@@ -178,8 +173,8 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
         k
         for k in ks
         if not (others := mask ^ 1 << k) & ~rel.zeros[k]
-        and all(rel.arrows[o] >> k & 1 for o in rel.positions(others))
-        and not any(rel.contact[o] & others & ~(1 << o) for o in rel.positions(others))
+        and all(rel.arrows[o] >> k & 1 for o in positions(others))
+        and not any(rel.contact[o] & others & ~(1 << o) for o in positions(others))
     ]
     if not hubs:
         raise ClassificationFailure(
@@ -218,7 +213,7 @@ def _decompose(
             components.append((comp, _component_type(rel, comp)))
         except ClassificationFailure as fail:
             failures.append((comp, fail.reason))
-    for k in rel.positions(mask & ~rel.divisorial):
+    for k in positions(mask & ~rel.divisorial):
         failures.append((1 << k, "small-ray-unclassified"))
     return components, failures
 
@@ -276,7 +271,7 @@ def condition_ii_witness(
     with every member ray pairing >= 0 against sum m_i D(R_i).  Coefficient
     order follows sorted ray ids."""
     rel = s.relations
-    ks = rel.positions(_member_mask(s, e))
+    ks = positions(_member_mask(s, e))
     return _cone_witness(_rows(rel, ks, ks), len(ks), False)
 
 
@@ -314,8 +309,8 @@ def contact_violations(s: RayDivisorSystem) -> list[Violation]:
     pairs = {
         (a, b)
         for face in s.maximal_masks
-        for a in rel.positions(face & rel.type_ii)
-        for b in rel.positions(face & rel.type_ii & rel.contact[a] & (1 << a) - 1)
+        for a in positions(face & rel.type_ii)
+        for b in positions(face & rel.type_ii & rel.contact[a] & (1 << a) - 1)
         if rel.column[a] != rel.column[b]
     }
     return [
@@ -337,7 +332,7 @@ def check_condition_iii(
     nonnegative against every ray of the system, or None.  The all-ones
     vector is preferred when it works."""
     rel = s.relations
-    return _nef_combination(rel, rel.positions(_member_mask(s, l)))
+    return _nef_combination(rel, positions(_member_mask(s, l)))
 
 
 def _nef_combination(rel: Relations, ks: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
@@ -373,7 +368,7 @@ def condition_iii_full(
                 return None
     if not mask:
         raise ValueError("empty ray set")
-    ks = rel.positions(mask)
+    ks = positions(mask)
     sizes = range(1, len(ks))
     if _cross_pairings_nonnegative(s, ids):
         sizes = sizes[-1:]
@@ -391,7 +386,7 @@ def _cross_pairings_nonnegative(s: RayDivisorSystem, ids: Sequence[str]) -> bool
     rel = s.relations
     mask = rel.mask(ids)
     return mask is not None and not mask & ~rel.divisorial and all(
-        not mask & ~(1 << k) & ~(rel.arrows[k] | rel.zeros[k]) for k in rel.positions(mask)
+        not mask & ~(1 << k) & ~(rel.arrows[k] | rel.zeros[k]) for k in positions(mask)
     )
 
 
@@ -440,7 +435,7 @@ def _eset_masks(s: RayDivisorSystem, within: Iterable[str]) -> list[int]:
     edges = {whole & ~face for face in s.maximal_masks}
     if 0 in edges:  # W lies in a face
         return []
-    return sorted(_minimal_transversals(edges), key=lambda m: (m.bit_count(), -m))
+    return face_order(_minimal_transversals(edges))
 
 
 def _minimal_transversals(edges: Iterable[int]) -> list[int]:
@@ -460,7 +455,7 @@ def _minimal_transversals(edges: Iterable[int]) -> list[int]:
     found = [0]
     for edge in minimal:
         kept = [t for t in found if t & edge]
-        grown = [t | 1 << k for t in found if not t & edge for k in _positions(edge)]
+        grown = [t | 1 << k for t in found if not t & edge for k in positions(edge)]
         found = kept + [g for g in grown if all(k & ~g for k in kept)]
     return found
 
@@ -484,7 +479,7 @@ def _eset_preconditions(s: RayDivisorSystem, l: Iterable[str]) -> int:
             raise ValueError("the set is extremal, hence not an E-set")
         # Subsets of an extremal set are extremal, so the largest proper subsets
         # decide minimality, met in `combinations` order: lowest bit dropped first.
-        for k in reversed(rel.positions(mask)):
+        for k in reversed(positions(mask)):
             if not _extremal(s, mask ^ 1 << k):
                 raise ValueError(
                     f"proper subset {rel.names(mask ^ 1 << k)} is already non-extremal; "
@@ -507,7 +502,7 @@ def _case_c_witness(rel: Relations, k1: int, k2: int) -> Optional[str]:
     if (1 << k1 | 1 << k2) & ~rel.type_ii:
         return None
     for x, y in ((k1, k2), (k2, k1)):
-        for r in rel.positions(rel.simple & ~(1 << x)):
+        for r in positions(rel.simple & ~(1 << x)):
             if (
                 rel.column[r] == rel.column[x]
                 and rel.zeros[r] >> y & 1
@@ -518,7 +513,7 @@ def _case_c_witness(rel: Relations, k1: int, k2: int) -> Optional[str]:
 
 
 def _classify_connected_pair(rel: Relations, mask: int) -> EsetType:
-    k1, k2 = rel.positions(mask)
+    k1, k2 = positions(mask)
     if rel.column[k1] == rel.column[k2]:
         raise ClassificationFailure(
             "shared-divisor-pair",
@@ -560,7 +555,7 @@ def _classify_connected_triple(rel: Relations, mask: int) -> EsetType:
             "the three-element case needs all rays of type II",
         )
     arrows, zeros = rel.arrows, rel.zeros
-    ks = rel.positions(mask)
+    ks = positions(mask)
     for x, y, z in permutations(ks):
         strict = arrows[x] >> y & 1 and arrows[y] >> z & 1 and arrows[z] >> x & 1
         zero = zeros[y] >> x & 1 and zeros[z] >> y & 1 and zeros[x] >> z & 1
@@ -650,7 +645,7 @@ def detect_e2_pairs(s: RayDivisorSystem) -> list[tuple[str, str]]:
     negative on the divisor, sorted."""
     rel = s.relations
     small = (1 << len(rel.ids)) - 1 & ~rel.divisorial
-    pairs = ((r, k) for k in rel.positions(small) for r in rel.positions(rel.type_ii))
+    pairs = ((r, k) for k in positions(small) for r in positions(rel.type_ii))
     return sorted((rel.ids[r], rel.ids[k]) for r, k in pairs if rel.toward[k][r] < 0)
 
 

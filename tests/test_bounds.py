@@ -584,6 +584,19 @@ def test_diagram_verdicts_build_no_face_view(d, rule):
         assert "faces" not in vars(inst.system)
 
 
+def test_polytope_construction_builds_no_face_view():
+    """A polytope stores its faces as masks: after `cube(8)` is built, and
+    after `validate_diagram` reads every face of a bundle's cross-section,
+    no face's vertex set has been decoded."""
+    assert "_view" not in vars(cube(8))
+    paths = sorted(glob.glob(f"{FIXTURES}/diagram_*.json"))
+    assert len(paths) >= 3
+    for path in paths:
+        inst = load_diagram(path)
+        validate_diagram(inst)
+        assert "_view" not in vars(inst.polytope), path
+
+
 def test_validate_diagram_refuses_a_model_of_another_system():
     tri = load_diagram(f"{FIXTURES}/diagram_triangle.json")
     s = tri.system

@@ -214,8 +214,16 @@ def test_faces_carry_their_facets(name, p):
     for q in non_faces:
         with pytest.raises(PolytopeError, match="is not a face"):
             p.facets_through(q)
+    for q in non_faces[1], frozenset({p.vertices[0], "no-such-vertex"}):
+        for query in p.face_dim, p.facets_through:
+            with pytest.raises(PolytopeError, match=r"^\[.*'no-such-vertex'.*\] is not a face$"):
+                query(q)
     with pytest.raises(PolytopeError, match="no face lies in exactly facets"):
         p.face_on(range(len(p.facets)))
+    # An index out of range, negative or repeated names no face.
+    for ids in [-1], [99], [0, 0]:
+        with pytest.raises(PolytopeError, match=rf"^no face lies in exactly facets \{ids}$"):
+            p.face_on(ids)
 
 
 def mixed_id_square() -> CombinatorialPolytope:
@@ -254,17 +262,39 @@ def test_faces_ordered_by_dimension_size_and_vertex_keys(name, p):
     assert max(map(p.face_dim, lattice)) == p.dim, name
 
 
-def _frozenset_build_lattice(self) -> None:
-    """Reference: the lattice walked and graded on frozensets of vertex ids.
+def frozenset_lattice(dim, vertices, facets):
+    """Reference: an incidence checked, and its lattice walked, graded and
+    checked, on frozensets of vertex ids.  Returns each face with its
+    dimension and the facets through it, by dimension, size, then sorted
+    vertex keys, or raises the PolytopeError that construction raises.
     Equal-size faces are graded in sorted vertex-key order, so an error that
     names one of them names the same face on every hash seed."""
-    top = frozenset(self.vertices)
+    top = frozenset(vertices)
+    if dim < 1:
+        raise PolytopeError("dimension must be at least 1")
+    if len(top) != len(vertices):
+        raise PolytopeError("duplicate vertex ids")
+    if not top:
+        raise PolytopeError("a polytope needs at least one vertex")
+    if frozenset() in facets:
+        raise PolytopeError(f"facet {facets.index(frozenset())} is empty")
+    if len(set(facets)) != len(facets):
+        raise PolytopeError("duplicate facets")
+    for f in facets:
+        if not f <= top:
+            raise PolytopeError(f"facet {sorted(f, key=vertex_key)} uses unknown vertices")
+        if f == top:
+            raise PolytopeError("a facet may not contain every vertex")
+    incident = {v: sum(v in f for f in facets) for v in vertices}
+    for v in vertices:
+        if incident[v] < dim:
+            raise PolytopeError(f"vertex {v!r} lies in {incident[v]} facets, fewer than dim {dim}")
     faces = {top}
     frontier = [top]
     while frontier:
         nxt = []
         for face in frontier:
-            for facet in self.facets:
+            for facet in facets:
                 cut = face & facet
                 if cut and cut not in faces:
                     faces.add(cut)
@@ -272,10 +302,10 @@ def _frozenset_build_lattice(self) -> None:
         frontier = nxt
     dims: dict = {}
     facets_of: dict = {}
-    rank = {v: i for i, v in enumerate(sorted(self.vertices, key=vertex_key))}
+    rank = {v: i for i, v in enumerate(sorted(vertices, key=vertex_key))}
     for face in sorted(faces, key=lambda f: (len(f), sorted(map(rank.get, f)))):
         through, below = [], []
-        for i, facet in enumerate(self.facets):
+        for i, facet in enumerate(facets):
             if face <= facet:
                 through.append(i)
             elif cut := face & facet:
@@ -289,17 +319,20 @@ def _frozenset_build_lattice(self) -> None:
                     f"minimal face {sorted(face, key=vertex_key)} is not a single vertex"
                 )
             dims[face] = 0
-    by_dim: list = [[] for _ in range(max(dims.values()) + 1)]
-    for face in sorted(dims, key=lambda f: (dims[f], len(f), sorted(map(rank.get, f)))):
-        by_dim[dims[face]].append(face)
-    object.__setattr__(self, "_dims", dims)
-    object.__setattr__(self, "_by_dim", tuple(map(tuple, by_dim)))
-    object.__setattr__(self, "_facets_of", facets_of)
-    object.__setattr__(self, "_face_on", {ids: face for face, ids in facets_of.items()})
-
-
-class FrozensetLattice(CombinatorialPolytope):
-    _build_lattice = _frozenset_build_lattice
+    if dims[top] != dim:
+        raise PolytopeError(f"face chains reach dimension {dims[top]}, declared dim is {dim}")
+    for v in vertices:
+        if frozenset((v,)) not in dims:
+            raise PolytopeError(f"vertex {v!r} is not separated by the facets")
+    if all(incident[v] == dim for v in vertices):
+        for face, d in dims.items():
+            if d != dim - len(facets_of[face]):
+                raise PolytopeError(
+                    "simple polytope has a face whose facet count and chain "
+                    f"length disagree: {sorted(face, key=vertex_key)}"
+                )
+    order = sorted(dims, key=lambda f: (dims[f], len(f), sorted(map(rank.get, f))))
+    return [(face, dims[face], facets_of[face]) for face in order]
 
 
 # Ids whose sorted-key order differs from their numeric and insertion order,
@@ -364,30 +397,39 @@ RARE_INCIDENCES = [
 ]
 
 
+def _big_incidences():
+    """Cubes, cyclic duals and products, up to thousands of faces."""
+    for p in [
+        *map(cube, range(3, 9)), cyclic_dual(5, 10), cyclic_dual(6, 12), cyclic_dual(7, 14),
+        product(simplex(3), cube(3)), product(cube(3), cube(3)), product(simplex(4), simplex(3)),
+    ]:
+        yield p.dim, p.vertices, p.facets
+
+
 def test_mask_lattice_matches_frozenset_lattice():
     outcomes = {}
-    for dim, ids, facets in [*_random_incidences(300), *RARE_INCIDENCES]:
+    cases = [*_random_incidences(300), *RARE_INCIDENCES, *_big_incidences()]
+    for dim, ids, facets in cases:
         args = (dim, tuple(ids), tuple(frozenset(f) for f in facets))
-        results = []
-        for cls in (CombinatorialPolytope, FrozensetLattice):
-            try:
-                results.append(cls(*args))
-            except PolytopeError as exc:
-                results.append(exc)
-        got, want = results
-        if isinstance(want, PolytopeError):
-            assert (type(got), str(got)) == (type(want), str(want)), args
-            key = str(want).split()[0]
+        try:
+            want = frozenset_lattice(*args)
+        except PolytopeError as exc:
+            with pytest.raises(PolytopeError) as got:
+                CombinatorialPolytope(*args)
+            assert str(got.value) == str(exc), args
+            key = str(exc).split()[0]
         else:
-            assert not isinstance(got, PolytopeError), (args, got)
-            faces = want.faces()
-            assert got.faces() == faces, args
-            assert got.fvector() == want.fvector(), args
-            for face in faces:
-                assert got.face_dim(face) == want.face_dim(face), args
-                through = want.facets_through(face)
-                assert got.facets_through(face) == through, args
-                assert got.face_on(through) == want.face_on(through) == face, args
+            p = CombinatorialPolytope(*args)
+            assert p.faces() == [face for face, _, _ in want], args
+            counts = [0] * (dim + 1)
+            for face, d, through in want:
+                counts[d] += 1
+                assert p.face_dim(face) == d, args
+                assert p.facets_through(face) == through, args
+                assert p.face_on(through) == face, args
+            assert p.fvector().counts == tuple(counts), args
+            for k in range(-1, dim + 2):
+                assert p.faces(k) == [face for face, d, _ in want if d == k], args
             key = "valid"
         outcomes[key] = outcomes.get(key, 0) + 1
     # Valid inputs and the lattice-level rejections are all exercised.
@@ -419,8 +461,9 @@ def test_every_dimension_has_faces():
     # The top face has dimension `dim` and every face of dimension d > 0 has
     # a facet cut of dimension d - 1, so the grading leaves no layer empty.
     for name, p in polytope_family():
-        assert len(p._by_dim) == p.dim + 1, name
-        assert all(p._by_dim), name
+        assert len(p.fvector().counts) == p.dim + 1, name
+        assert all(p.faces(k) for k in range(p.dim + 1)), name
+        assert p.faces(p.dim + 1) == [], name
         assert p.fvector().counts[p.dim] == 1, name
 
 
