@@ -78,7 +78,6 @@ from .structure import (
     esets_report,
     find_esets,
     is_extremal,
-    lemma251_witness,
 )
 from .realized import (
     NefCertificate,

@@ -147,9 +147,10 @@ class AngleData:
 
 def enumerate_angles(p: CombinatorialPolytope) -> list[AngleData]:
     """All oriented angles of a simple polytope: per vertex, per pair of
-    facets through it, both side orders.  The angle's `plane` is the face in
-    the other facets through the vertex, `face_on` of their masks; on a
-    simple polytope it has dimension 2 exactly when it exists."""
+    facets through it, both side orders.  The angle's `plane` is the face cut
+    by the other facets through the vertex, the AND of their masks; on a
+    simple polytope it is a 2-face exactly when those are all the facets
+    through it."""
     return list(_angles(p))
 
 
@@ -160,18 +161,19 @@ def _angles(p: CombinatorialPolytope) -> tuple[AngleData, ...]:
     raises again on every call."""
     if not p.is_simple:
         raise PolytopeError("angles are defined on simple polytopes only")
+    planes = dict(zip(p._by_dim[2] if p.dim > 1 else (), p.faces(2)))
     out: list[AngleData] = []
     for v in p.vertices:
         through = p._lattice[p._bit[v]][0]
         for f, g in combinations(through, 2):
-            try:
-                plane = p.face_on(i for i in through if i != f and i != g)
-            except PolytopeError:
-                raise PolytopeError(
-                    f"facet complement at vertex {v!r} does not cut a 2-face"
-                ) from None
-            out.append(AngleData(v, plane, f, g))
-            out.append(AngleData(v, plane, g, f))
+            others = tuple(i for i in through if i != f and i != g)
+            face = (1 << len(p._ids)) - 1
+            for i in others:
+                face &= p._facet_masks[i]
+            if p._lattice[face][0] != others:  # face holds v, so it is listed
+                raise PolytopeError(f"facet complement at vertex {v!r} does not cut a 2-face")
+            out.append(AngleData(v, planes[face], f, g))
+            out.append(AngleData(v, planes[face], g, f))
     return tuple(out)
 
 

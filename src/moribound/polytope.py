@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .core import (KINDS, binomial, bit_order, face_names, face_order, mask_names, to_json,
@@ -45,8 +44,9 @@ class CombinatorialPolytope:
     The face lattice (all nonempty intersections of facet subsets, plus the
     full vertex set as the unique top face) is computed eagerly on vertex
     masks, each face with its dimension and the indices of the facets
-    containing it, which name it uniquely, and ordered once.  Vertex sets are
-    decoded from the masks on first read; instances are immutable otherwise.
+    containing it, which name it uniquely, and ordered once.  Every facet
+    must be a (dim - 1)-face.  Only the mask table is kept: `faces` decodes
+    the vertex sets of the dimensions asked on each call.
     """
 
     dim: int
@@ -152,22 +152,21 @@ class CombinatorialPolytope:
                     f"length disagree: {mask_names(ids, face)}"
                 )
             by_dim[d].append(face)
+        for fm in masks:
+            if lattice[fm][1] != self.dim - 1:
+                raise PolytopeError(f"facet {mask_names(ids, fm)} has dimension "
+                                    f"{lattice[fm][1]}, not {self.dim - 1}")
         for name, value in (("_ids", ids), ("_bit", bit), ("_facet_masks", masks),
                             ("_lattice", lattice), ("_by_dim", tuple(map(tuple, by_dim)))):
             object.__setattr__(self, name, value)
 
     # -- queries -----------------------------------------------------------
 
-    @cached_property
-    def _view(self) -> dict:
-        """Each face's vertex set by its mask, decoded on first read."""
-        return dict(zip(self._lattice, map(frozenset, face_names(self._ids, self._lattice))))
-
     def faces(self, k: int | None = None) -> list[frozenset]:
         """All faces, or just the k-dimensional ones, by dimension, size, then
-        sorted vertex keys."""
+        sorted vertex keys, decoded from their masks on each call."""
         layers = self._by_dim if k is None else self._by_dim[k : k + 1] if k >= 0 else ()
-        return [self._view[face] for layer in layers for face in layer]
+        return list(map(frozenset, face_names(self._ids, chain.from_iterable(layers))))
 
     def face_dim(self, face: frozenset) -> int:
         return self._entry(face)[1]
@@ -181,20 +180,6 @@ class CombinatorialPolytope:
             return self._lattice[sum(map(self._bit.__getitem__, frozenset(face)))]
         except KeyError:
             raise PolytopeError(f"{sorted(face, key=vertex_key)} is not a face") from None
-
-    def face_on(self, facets: Iterable[int]) -> frozenset:
-        """The face whose facet set is exactly `facets` (indices, any order):
-        the AND of their masks, when those are all the facets through it."""
-        key = tuple(sorted(facets))
-        face = (1 << len(self._ids)) - 1
-        try:
-            for i in key:
-                face &= self._facet_masks[i]
-            if self._lattice[face][0] == key:
-                return self._view[face]
-        except (IndexError, KeyError, TypeError):
-            pass
-        raise PolytopeError(f"no face lies in exactly facets {list(key)}")
 
     def fvector(self) -> FVector:
         return FVector(tuple(map(len, self._by_dim)))

@@ -187,10 +187,6 @@ class RayDivisorSystem:
     def divisorial_rays(self) -> tuple[Ray, ...]:
         return tuple(r for r in self.rays if r.is_divisorial)
 
-    @property
-    def small_rays(self) -> tuple[Ray, ...]:
-        return tuple(r for r in self.rays if r.type is RayType.SMALL)
-
     def with_faces(self, faces: Optional[Iterable[Collection[str]]]) -> "RayDivisorSystem":
         """This system with another face structure.  The new system shares
         this one's validated data fields; only the faces are checked and

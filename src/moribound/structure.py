@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 from .core import face_order, format_rational, positions, scale_primitive, solve_inequalities
 from .raysystem import (
     RayDivisorSystem,
-    RayType,
     Relations,
     Violation,
     divisorial_components,  # re-exported: callers take it from here too
@@ -647,36 +646,6 @@ def detect_e2_pairs(s: RayDivisorSystem) -> list[tuple[str, str]]:
     small = (1 << len(rel.ids)) - 1 & ~rel.divisorial
     pairs = ((r, k) for k in positions(small) for r in positions(rel.type_ii))
     return sorted((rel.ids[r], rel.ids[k]) for r, k in pairs if rel.toward[k][r] < 0)
-
-
-def lemma251_witness(
-    s: RayDivisorSystem, e: Sequence[str]
-) -> Optional[tuple[str, int]]:
-    """A small ray that blocks extremality of a pairwise-disjoint type II set:
-    negative against anticanonical-plus-one-divisor and zero on the others.
-    Returns (small ray id, 1-based index of the distinguished member)."""
-    if s.anticanonical is None:
-        raise ValueError("anticanonical column required")
-    if not s.fano_mode:
-        raise ValueError("witness search applies to fano_mode systems")
-    ids = list(e)
-    members = [s.ray(rid) for rid in ids]
-    for r in members:
-        if r.type is not RayType.II:
-            raise ValueError(f"ray {r.id} must have type II")
-    for a, b in combinations(members, 2):
-        if s.joined(a.divisor, b.divisor):
-            raise ValueError(
-                f"divisors of {a.id} and {b.id} touch; the set must be pairwise disjoint"
-            )
-    for small in s.small_rays:
-        degrees = [s.q(small.id, r.divisor) for r in members]
-        for i, r in enumerate(members):
-            if s.anticanonical_degree(small.id) + degrees[i] >= 0:
-                continue
-            if all(degrees[j] == 0 for j in range(len(members)) if j != i):
-                return (small.id, i + 1)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from moribound.bounds import (
     validate_diagram,
     verify_lemma14,
 )
-from moribound.core import INF, RVector, rational
+from moribound.core import INF, RVector, face_names, rational
 from moribound.generate import polytope_family, realized_b2
 from moribound.polytope import (
     CombinatorialPolytope,
@@ -211,6 +211,26 @@ def test_angles_require_simple_polytope():
     )
     with pytest.raises(PolytopeError):
         enumerate_angles(pyramid)
+
+
+def test_angles_refuse_a_vertex_whose_facet_complement_cuts_no_2_face():
+    # Simple, with f-vector (10, 14, 14, 7, 1), and every facet a 3-face; yet
+    # the facets through vertex 0 other than some pair meet in a face that
+    # lies in further facets.
+    p = CombinatorialPolytope.of(4, range(10), [
+        [3, 4, 5, 6, 7, 8, 9], [0, 1, 2, 4, 5, 6, 8, 9], [0, 4, 7, 9], [1, 2, 3, 5, 8],
+        [0, 2, 7, 9], [1, 2, 3, 4, 5, 6], [0, 1, 3, 6, 7, 8],
+    ])
+    assert p.is_simple and p.fvector().counts == (10, 14, 14, 7, 1)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(PolytopeError) as got:
+            enumerate_angles(p)
+        assert str(got.value) == "facet complement at vertex 0 does not cut a 2-face"
+
+
+@pytest.mark.parametrize("p", [simplex(1), cube(1)])
+def test_a_segment_has_no_angles(p):
+    assert p.faces(2) == [] and enumerate_angles(p) == []
 
 
 # --- direct weight verification ---------------------------------------------------
@@ -441,23 +461,23 @@ def test_pipeline_verifies_through_verify_lemma14(monkeypatch, fixture, d, rule)
 ])
 def test_pipeline_enumerates_the_angles_once(monkeypatch, fixture, d, rule):
     lookups = []
-    face_on = CombinatorialPolytope.face_on
+    faces = CombinatorialPolytope.faces
 
-    def counted(p, facets):
-        lookups.append(p)
-        return face_on(p, facets)
+    def counted(p, k=None):
+        lookups.append(k)
+        return faces(p, k)
 
     enumerate_angles(simplex(3))  # so no earlier run has this polytope's angles
-    monkeypatch.setattr(CombinatorialPolytope, "face_on", counted)
+    monkeypatch.setattr(CombinatorialPolytope, "faces", counted)
     inst = load_diagram(f"{FIXTURES}/{fixture}")
     report = diagram_pipeline(inst, d, rule)
     p = inst.polytope
-    # One 2-face lookup per vertex and pair of facets through it.
-    assert len(lookups) == len(p.vertices) * math.comb(p.dim, 2)
-    # Asked again, the angles come back as a fresh list, with no lookup.
+    # One 2-face decode for the angles' planes, one for the 2-face sums.
+    assert lookups == [2, 2]
+    # Asked again, the angles come back as a fresh list, with no decode.
     again = enumerate_angles(p)
     assert again == enumerate_angles(p) and again is not enumerate_angles(p)
-    assert len(lookups) == len(p.vertices) * math.comb(p.dim, 2)
+    assert lookups == [2, 2]
     if isinstance(rule, Theorem258Rule):
         assert report.replay["agrees"] == report.condition1_holds
         assert report.replay["max_vertex_sum"] == max(report.vertex_sums.values())
@@ -584,17 +604,47 @@ def test_diagram_verdicts_build_no_face_view(d, rule):
         assert "faces" not in vars(inst.system)
 
 
-def test_polytope_construction_builds_no_face_view():
-    """A polytope stores its faces as masks: after `cube(8)` is built, and
-    after `validate_diagram` reads every face of a bundle's cross-section,
-    no face's vertex set has been decoded."""
-    assert "_view" not in vars(cube(8))
-    paths = sorted(glob.glob(f"{FIXTURES}/diagram_*.json"))
-    assert len(paths) >= 3
-    for path in paths:
-        inst = load_diagram(path)
-        validate_diagram(inst)
-        assert "_view" not in vars(inst.polytope), path
+def _contact_bundle(p, seed):
+    """One type II ray per facet of `p`, each on its own divisor, with a
+    seeded 0/1 contact pattern.  The system's faces are the ray sets of the
+    polytope's faces; the bundle is read back from JSON, as a file is."""
+    rng = random.Random(seed)
+    ids = [f"T{i + 1}" for i in range(len(p.facets))]
+    divisors = [f"D{rid}" for rid in ids]
+    pairing = [[-1 if a == b else rng.randint(0, 1) for b in ids] for a in ids]
+    meets = {tuple(sorted((divisors[i], divisors[j])))
+             for i, row in enumerate(pairing) for j, q in enumerate(row) if i != j and q > 0}
+    system = RayDivisorSystem.of(
+        rays=[(rid, "II", div) for rid, div in zip(ids, divisors)],
+        divisors=divisors,
+        pairing=pairing,
+        meets=sorted(meets),
+        faces={frozenset(ids[i] for i in p.facets_through(face)) for face in p.faces()},
+    )
+    return diagram_from_json(diagram_to_json(DiagramInstance.of(system, p, ids)))
+
+
+@pytest.mark.parametrize("d,rule", [(1, Theorem258Rule()), (2, Theorem12Rule(2))])
+def test_diagram_verdicts_decode_only_2_faces(monkeypatch, d, rule):
+    """A polytope keeps its faces as masks: a diagram verdict decodes the
+    vertex sets of its cross-section's 2-faces, which Lemma 14 reads, and of
+    no other face."""
+    bundles = [load_diagram(path) for path in sorted(glob.glob(f"{FIXTURES}/diagram_*.json"))]
+    assert len(bundles) >= 3
+    bundles.append(_contact_bundle(cube(6), 6))
+    decoded = []
+
+    def recorded(ids, masks):
+        masks = list(masks)
+        decoded.extend(masks)
+        return face_names(ids, masks)
+
+    monkeypatch.setattr("moribound.polytope.face_names", recorded)
+    for inst in bundles:
+        decoded.clear()
+        diagram_pipeline(inst, d, rule)
+        p = inst.polytope
+        assert decoded and set(decoded) <= set(p._by_dim[2]), p.fvector()
 
 
 def test_validate_diagram_refuses_a_model_of_another_system():

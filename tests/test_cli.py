@@ -392,6 +392,22 @@ def test_polytope_stats_skips_the_bound_below_dimension_three(capsys, tmp_path, 
     }
 
 
+def test_a_nested_facet_fails_polytope_stats_and_check(capsys, tmp_path):
+    # Facet [1, 3] lies inside facet [0, 1, 3, 4, 5], so it is an edge.
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({
+        "dim": 3, "vertices": [0, 1, 2, 3, 4, 5],
+        "facets": [[1, 3], [0, 2, 5], [0, 1, 3, 4, 5], [2, 3, 4, 5], [0, 1, 2, 4]],
+    }))
+    message = "facet [1, 3] has dimension 1, not 2"
+    assert run(capsys, "polytope-stats", str(path)) == (1, "", f"error: {path}: {message}\n")
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        {"code": "polytope-invalid", "detail": message, "subjects": []}
+    ]
+
+
 # --- diagram --------------------------------------------------------------------------
 
 

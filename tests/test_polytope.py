@@ -206,7 +206,6 @@ def test_faces_carry_their_facets(name, p):
     for face in p.faces():
         scan = tuple(i for i, f in enumerate(p.facets) if face <= f)
         assert p.facets_through(face) == scan, name
-        assert p.face_on(reversed(scan)) == face, name
     faces = set(p.faces())
     pairs = (frozenset(pair) for pair in combinations(p.vertices, 2))
     non_faces = [frozenset(), frozenset({"no-such-vertex"})]
@@ -218,12 +217,6 @@ def test_faces_carry_their_facets(name, p):
         for query in p.face_dim, p.facets_through:
             with pytest.raises(PolytopeError, match=r"^\[.*'no-such-vertex'.*\] is not a face$"):
                 query(q)
-    with pytest.raises(PolytopeError, match="no face lies in exactly facets"):
-        p.face_on(range(len(p.facets)))
-    # An index out of range, negative or repeated names no face.
-    for ids in [-1], [99], [0, 0]:
-        with pytest.raises(PolytopeError, match=rf"^no face lies in exactly facets \{ids}$"):
-            p.face_on(ids)
 
 
 def mixed_id_square() -> CombinatorialPolytope:
@@ -331,6 +324,11 @@ def frozenset_lattice(dim, vertices, facets):
                     "simple polytope has a face whose facet count and chain "
                     f"length disagree: {sorted(face, key=vertex_key)}"
                 )
+    for f in facets:
+        if dims[f] != dim - 1:
+            raise PolytopeError(
+                f"facet {sorted(f, key=vertex_key)} has dimension {dims[f]}, not {dim - 1}"
+            )
     order = sorted(dims, key=lambda f: (dims[f], len(f), sorted(map(rank.get, f))))
     return [(face, dims[face], facets_of[face]) for face in order]
 
@@ -417,7 +415,7 @@ def test_mask_lattice_matches_frozenset_lattice():
             with pytest.raises(PolytopeError) as got:
                 CombinatorialPolytope(*args)
             assert str(got.value) == str(exc), args
-            key = str(exc).split()[0]
+            key = "facet-dimension" if "has dimension" in str(exc) else str(exc).split()[0]
         else:
             p = CombinatorialPolytope(*args)
             assert p.faces() == [face for face, _, _ in want], args
@@ -426,15 +424,31 @@ def test_mask_lattice_matches_frozenset_lattice():
                 counts[d] += 1
                 assert p.face_dim(face) == d, args
                 assert p.facets_through(face) == through, args
-                assert p.face_on(through) == face, args
             assert p.fvector().counts == tuple(counts), args
             for k in range(-1, dim + 2):
                 assert p.faces(k) == [face for face, d, _ in want if d == k], args
             key = "valid"
         outcomes[key] = outcomes.get(key, 0) + 1
     # Valid inputs and the lattice-level rejections are all exercised.
-    for start in ("valid", "minimal", "face", "simple"):
+    for start in ("valid", "minimal", "face", "simple", "facet-dimension"):
         assert outcomes.get(start, 0) >= 1, outcomes
+
+
+# A facet inside another facet: the incidence is otherwise consistent, and
+# simple in the first case, but the nested facet is not a (dim - 1)-face.
+NESTED_FACETS = [
+    ((3, range(6), [[1, 3], [0, 2, 5], [0, 1, 3, 4, 5], [2, 3, 4, 5], [0, 1, 2, 4]]),
+     "facet [1, 3] has dimension 1, not 2"),
+    ((3, cube(3).vertices, [*cube(3).facets, ["000", "001"]]),
+     "facet ['000', '001'] has dimension 1, not 2"),
+]
+
+
+@pytest.mark.parametrize("args,message", NESTED_FACETS, ids=["simple", "cube-3-with-an-edge"])
+def test_a_facet_must_be_a_face_of_codimension_one(args, message):
+    with pytest.raises(PolytopeError) as got:
+        CombinatorialPolytope.of(*args)
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("p", [simplex(3), cube(3), cyclic_dual(3, 7)])

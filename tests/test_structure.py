@@ -49,7 +49,6 @@ from moribound.structure import (
     esets_report,
     find_esets,
     is_extremal,
-    lemma251_witness,
 )
 
 
@@ -849,7 +848,7 @@ def test_maximal_faces_edge_cases():
 def _e2_pairs_by_fractions(s):
     """Oracle for `detect_e2_pairs` on `Fraction` lookups."""
     out = []
-    for small in s.small_rays:
+    for small in [r for r in s.rays if r.type is RayType.SMALL]:
         for r in s.divisorial_rays:
             if r.type is RayType.II and s.q(small.id, r.divisor) < 0:
                 out.append((r.id, small.id))
@@ -947,36 +946,6 @@ def test_detect_e2_pairs():
         meets=[],
     )
     assert detect_e2_pairs(s) == [("A", "X")]
-
-
-def test_lemma251_witness_found():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "II", "D2"), ("F", "small")],
-        divisors=["D1", "D2"],
-        pairing=[[-1, 0], [0, -1], [-2, 0]],
-        meets=[],
-        anticanonical=[1, 1, 1],
-        fano_mode=True,
-    )
-    assert lemma251_witness(s, ["A", "B"]) == ("F", 1)
-
-
-def test_lemma251_boundary_zero_is_no_witness():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "II", "D2"), ("F", "small")],
-        divisors=["D1", "D2"],
-        pairing=[[-1, 0], [0, -1], [-1, 0]],
-        meets=[],
-        anticanonical=[1, 1, 1],
-        fano_mode=True,
-    )
-    assert lemma251_witness(s, ["A", "B"]) is None  # 1 - 1 = 0 is not negative
-
-
-def test_lemma251_preconditions():
-    s = system_b2()  # shared divisor: members not pairwise disjoint
-    with pytest.raises(ValueError):
-        lemma251_witness(s, ["R1", "R2"])
 
 
 # --- whole-system report -------------------------------------------------------
