@@ -147,34 +147,52 @@ class AngleData:
 
 def enumerate_angles(p: CombinatorialPolytope) -> list[AngleData]:
     """All oriented angles of a simple polytope: per vertex, per pair of
-    facets through it, both side orders.  The angle's `plane` is the face cut
-    by the other facets through the vertex, the AND of their masks; on a
-    simple polytope it is a 2-face exactly when those are all the facets
-    through it."""
-    return list(_angles(p))
+    facets through it, both side orders, each with its 2-face decoded from
+    one `faces(2)` call.  These are the rows of `_angles` as objects, for
+    callers that key weights by angle; `diagram_pipeline` weighs the rows."""
+    return list(_angle_data(_angles(p), _planes(p)))
 
 
 @lru_cache(maxsize=1)
-def _angles(p: CombinatorialPolytope) -> tuple[AngleData, ...]:
-    """`enumerate_angles` of the last polytope asked, kept so that a diagram
-    verdict and the `verify_lemma14` it calls enumerate them once.  A refusal
-    raises again on every call."""
+def _angles(p: CombinatorialPolytope) -> tuple:
+    """The oriented angles of the last simple polytope asked, as integer
+    rows: per vertex, in vertex order, the vertex and its facet pairs
+    (f, g), f before g in facet order, each with the vertex mask of its
+    2-face.  A pair stands for the two angles (f, g) and (g, f).  The
+    2-face is the AND of the masks of the vertex's other facets; on a simple
+    polytope it is a 2-face exactly when those are all the facets through
+    it.  A refusal raises again on every call."""
     if not p.is_simple:
         raise PolytopeError("angles are defined on simple polytopes only")
-    planes = dict(zip(p._by_dim[2] if p.dim > 1 else (), p.faces(2)))
-    out: list[AngleData] = []
+    top = (1 << len(p._ids)) - 1
+    rows = []
     for v in p.vertices:
         through = p._lattice[p._bit[v]][0]
+        pairs = []
         for f, g in combinations(through, 2):
             others = tuple(i for i in through if i != f and i != g)
-            face = (1 << len(p._ids)) - 1
+            face = top
             for i in others:
                 face &= p._facet_masks[i]
             if p._lattice[face][0] != others:  # face holds v, so it is listed
                 raise PolytopeError(f"facet complement at vertex {v!r} does not cut a 2-face")
-            out.append(AngleData(v, planes[face], f, g))
-            out.append(AngleData(v, planes[face], g, f))
-    return tuple(out)
+            pairs.append((f, g, face))
+        rows.append((v, tuple(pairs)))
+    return tuple(rows)
+
+
+def _planes(p: CombinatorialPolytope) -> dict:
+    """Each 2-face mask of `p` to its vertex set, in face order, from one
+    decode."""
+    return dict(zip(p._by_dim[2] if p.dim > 1 else (), p.faces(2)))
+
+
+def _angle_data(rows: tuple, planes: dict):
+    """The `AngleData` of `_angles` rows, both orders of each pair."""
+    for v, pairs in rows:
+        for f, g, face in pairs:
+            yield AngleData(v, planes[face], f, g)
+            yield AngleData(v, planes[face], g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -273,27 +291,44 @@ def verify_lemma14(
     C n + D.  Condition (2): on every 2-face with k vertices they sum to at
     least 5 - k.  The chain audit recomputes
     (C n + D) alpha_0 >= total >= alpha_2 (5 - average k).
+
+    `weights` is keyed by `AngleData` and read in `enumerate_angles` order.
+    The weights become integer numerators over their common denominator on
+    the rows of `_angles`, and `_bound_report`, which `diagram_pipeline`
+    shares, sums them.
     """
-    angles = enumerate_angles(p)
+    rows, planes = _angles(p), _planes(p)
     cc, dd = rational(c), rational(d)
-    n = p.dim
     try:
-        ws = [rational(weights[a]) for a in angles]
+        ws = [rational(weights[a]) for a in _angle_data(rows, planes)]
     except KeyError as exc:
         raise ValueError(f"missing weight for angle {exc.args[0]}") from None
-    # Integer numerators over one common denominator: one Fraction per sum.
     den = math.lcm(*(w.denominator for w in ws))
-    vertex_nums = dict.fromkeys(p.vertices, 0)
-    face_nums = dict.fromkeys(p.faces(2), 0)
-    for a, w in zip(angles, ws):
-        num = w.numerator * (den // w.denominator)
-        vertex_nums[a.vertex] += num
-        face_nums[a.plane] += num
+    nums = (w.numerator * (den // w.denominator) for w in ws)
+    # Consecutive angles are the two orders of one pair.
+    return _bound_report(p, rows, map(sum, zip(nums, nums)), den, cc, dd, planes)
+
+
+def _bound_report(p: CombinatorialPolytope, rows: tuple, nums: Iterable[int], den: int,
+                  c: Fraction, d: Fraction, planes: dict) -> BoundReport:
+    """The `verify_lemma14` report from `nums`, one integer weight numerator
+    over `den` per facet pair of the `_angles` rows (its two angles
+    together), in row order.  `planes` is `_planes(p)`: the 2-face sums are
+    kept by mask and keyed by vertex set once, at the end."""
+    n = p.dim
+    vertex_nums, face_nums = {}, dict.fromkeys(planes, 0)
+    nums = iter(nums)
+    for v, pairs in rows:
+        at_v = 0
+        for (_, _, face), num in zip(pairs, nums):  # pairs first: no num is skipped
+            at_v += num
+            face_nums[face] += num
+        vertex_nums[v] = at_v
     vertex_sums = {v: Fraction(s, den) for v, s in vertex_nums.items()}
-    face_sums = {f: Fraction(s, den) for f, s in face_nums.items()}
+    face_sums = {planes[f]: Fraction(s, den) for f, s in face_nums.items()}
     total = Fraction(sum(vertex_nums.values()), den)
 
-    budget = cc * n + dd
+    budget = c * n + d
     failing_vertices = tuple(
         v for v in p.vertices if vertex_sums[v] > budget
     )
@@ -316,16 +351,16 @@ def verify_lemma14(
         "rhs_ok": total >= alpha2 * (5 - avg_k),
         "average_k": avg_k,
     }
-    rhs_n = _lemma14_rhs(n, cc, dd)
+    rhs_n = _lemma14_rhs(n, c, d)
     implied = {
         "rhs_for_n": rhs_n,
         "strict_ok": True if rhs_n == INF else n < rhs_n,
-        "max_admissible_n": lemma14_max_n(cc, dd),
+        "max_admissible_n": lemma14_max_n(c, d),
     }
     return BoundReport(
         n=n,
-        c=cc,
-        d=dd,
+        c=c,
+        d=d,
         vertex_sums=vertex_sums,
         face_sums=face_sums,
         condition1_holds=not failing_vertices,
@@ -495,7 +530,10 @@ def diagram_pipeline(
 ) -> BoundReport:
     """Weight every oriented angle of the cross-section by the distance of
     its side rays in the contact graph of the rays vanishing at its vertex,
-    then verify the weight-sum conditions.
+    then verify the weight-sum conditions.  The weights are summed as
+    integer numerators on the rows of `_angles`, with no `AngleData` built,
+    and reported by the tail `verify_lemma14` shares, which decodes the
+    2-faces once.
 
     With the two-band rule the budget constants are computed empirically from
     the vertices' extremal sets (C = 2/3 C1 + 1/2 C2, D = 0); with the
@@ -517,31 +555,36 @@ def diagram_pipeline(
         )
     validate_diagram(inst)
     s, p = inst.system, inst.polytope
-    angles = enumerate_angles(p)
+    rows = _angles(p)
 
     # Each vertex's graph is the system's arrow masks restricted to the rays
     # vanishing there; only its distances are read.  validate_diagram made
     # every facet and perp ray divisorial.
     rel = s.relations
     perp = rel.mask(inst.perp_rays)
-    dists: dict = {}
-    outers: dict = {}
+    dists, outers = [], []
     for v in p.vertices:
         rayset = inst.face_mask(p._bit[v])
-        dists[v] = rel.distances(rayset)
-        outers[v] = rel.names(rayset & ~perp)
+        dists.append(rel.distances(rayset))
+        outers.append(rel.names(rayset & ~perp))
 
-    weights: dict = {}
-    for a in angles:
-        r1 = inst.facet_rays[a.side1]
-        r2 = inst.facet_rays[a.side2]
-        weights[a] = sigma(rule, dists[a.vertex][r1, r2])
+    # Weights are integer numerators over the lcm of the rule's weights.  A
+    # shortest path inside a ray set has fewer steps than the system has
+    # rays, so every side distance is one of these, each weighed once.
+    den = math.lcm(*(w.denominator for _, w in rule.table))
+    num_at = {}
+    for x in chain(range(len(rel.ids)), (INF,)):
+        w = sigma(rule, x)
+        num_at[x] = w.numerator * (den // w.denominator)
+    rays = inst.facet_rays
+    nums = (num_at[dist[rays[f], rays[g]]] + num_at[dist[rays[g], rays[f]]]
+            for (_, pairs), dist in zip(rows, dists) for f, g, _ in pairs)
 
     c1_emp = c2_emp = Fraction(0)
-    for v, outer in outers.items():
+    for dist, outer in zip(dists, outers):
         # validate_diagram made every vertex ray set a listed face, which is
         # all count_condition_b would check.
-        count1, count2 = _count_condition_b(dists[v], outer, d)
+        count1, count2 = _count_condition_b(dist, outer, d)
         if outer:
             c1_emp = max(c1_emp, Fraction(count1, len(outer)))
             c2_emp = max(c2_emp, Fraction(count2, len(outer)))
@@ -553,7 +596,7 @@ def diagram_pipeline(
         c, dd = Fraction(0), Fraction(2, 3)
 
     audit, audit_ok = _eset_condition_a_audit(inst, d)
-    report = verify_lemma14(p, weights, c, dd)
+    report = _bound_report(p, rows, nums, den, c, dd, _planes(p))
     replay = None
     if isinstance(rule, Theorem258Rule):
         replay = {

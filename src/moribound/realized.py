@@ -10,9 +10,11 @@ face-simplicity rank test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -79,24 +81,37 @@ class RealizedModel:
             and self.anticanonical_vector.dim != self.rho
         ):
             raise ValueError("anticanonical vector dimension does not match rho")
-        for rid in s.ray_ids:
-            for did in s.divisors:
-                got = self.ray_vectors[rid].dot(self.divisor_vectors[did])
-                want = s.q(rid, did)
-                if got != want:
+        # Each vector scaled once to integers, with its scale: a ray and a
+        # divisor may share an id, so each has its own table.
+        rays = {rid: _integral(v) for rid, v in self.ray_vectors.items()}
+        divisors = {did: _integral(v) for did, v in self.divisor_vectors.items()}
+        for rid, row in zip(s.ray_ids, s.pairing):
+            r, lr = rays[rid]
+            for did, want in zip(s.divisors, row):
+                d, ld = divisors[did]
+                if sum(map(mul, r, d)) != want * (lr * ld):
+                    got = self.ray_vectors[rid].dot(self.divisor_vectors[did])
                     raise ValueError(
                         f"pairing mismatch at ({rid}, {did}): "
                         f"vectors give {got}, table says {want}"
                     )
         if self.anticanonical_vector is not None and s.anticanonical is not None:
-            for rid in s.ray_ids:
-                got = self.ray_vectors[rid].dot(self.anticanonical_vector)
-                want = s.anticanonical_degree(rid)
-                if got != want:
+            a, la = _integral(self.anticanonical_vector)
+            for rid, want in zip(s.ray_ids, s.anticanonical):
+                r, lr = rays[rid]
+                if sum(map(mul, r, a)) != want * (lr * la):
+                    got = self.ray_vectors[rid].dot(self.anticanonical_vector)
                     raise ValueError(
                         f"anticanonical mismatch at {rid}: "
                         f"vector gives {got}, column says {want}"
                     )
+
+
+def _integral(v: RVector) -> tuple[tuple[int, ...], int]:
+    """The vector times the lcm of its denominators, as integers, and that
+    lcm."""
+    scale = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (scale // x.denominator) for x in v), scale
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Weight rules, the face-count bound engines, angle enumeration, and the
 diagram pipeline."""
 
+import functools
 import glob
 import json
 import math
+import os
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -429,29 +432,60 @@ def test_bad_quadrangle_counterexamples():
     assert rational(band["limit"]) == 1
 
 
+# Seeded contact bundles (see `_contact_bundle`) by name, beside the fixtures.
+CONTACT_POLYTOPES = {
+    "cube-3": lambda: cube(3),
+    "cube-4": lambda: cube(4),
+    "cube-5": lambda: cube(5),
+    "cube-6": lambda: cube(6),
+    "cyclic_dual-4-8": lambda: cyclic_dual(4, 8),
+    "cyclic_dual-5-10": lambda: cyclic_dual(5, 10),
+    "simplex3xcube3": lambda: product(simplex(3), cube(3)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bundle(name):
+    """A diagram fixture by file name, or a seeded contact bundle by
+    polytope name."""
+    if name in CONTACT_POLYTOPES:
+        return _contact_bundle(CONTACT_POLYTOPES[name](), 1)
+    return load_diagram(f"{FIXTURES}/{name}")
+
+
+RULES_BY_D = [(d, Theorem12Rule(d)) for d in (1, 2, 3)] + [(2, Theorem258Rule())]
+
+
 @pytest.mark.parametrize("fixture,d,rule", [
     ("diagram_triangle.json", 2, Theorem12Rule(2)),
     ("diagram_square_258.json", 1, Theorem258Rule()),
     ("diagram_bad_quadrangle.json", 1, Theorem258Rule()),
+] + [
+    pytest.param(name, d, rule, id=f"{name}-{rule.describe()}")
+    for name in sorted(map(os.path.basename, glob.glob(
+        os.path.join(os.path.dirname(__file__), "fixtures", "diagram_*.json")
+    ))) + list(CONTACT_POLYTOPES)
+    for d, rule in RULES_BY_D
 ])
-def test_pipeline_verifies_through_verify_lemma14(monkeypatch, fixture, d, rule):
-    calls = []
-
-    def counted(p, weights, c, dd, **extra):
-        calls.append((p, weights, c, dd))
-        return verify_lemma14(p, weights, c, dd, **extra)
-
-    monkeypatch.setattr(bounds, "verify_lemma14", counted)
-    inst = load_diagram(f"{FIXTURES}/{fixture}")
+def test_pipeline_verifies_through_verify_lemma14(fixture, d, rule):
+    """The pipeline sums integer weight numerators on the angle rows.
+    `verify_lemma14`, given the weights keyed by `AngleData` and built here
+    from `sigma` of each angle's side distance, reports the same sums,
+    failures, chain and implied bound."""
+    inst = _bundle(fixture)
     report = diagram_pipeline(inst, d, rule)
-    assert len(calls) == 1
-    p, weights, c, dd = calls[0]
-    assert p is inst.polytope
-    direct = verify_lemma14(p, weights, c, dd)
-    assert (report.c, report.d) == (c, dd)
-    assert report.vertex_sums == direct.vertex_sums
-    assert report.face_sums == direct.face_sums
-    assert report.chain == direct.chain
+    p, rel, rays = inst.polytope, inst.system.relations, inst.facet_rays
+    dists = {v: rel.distances(inst.face_mask(p._bit[v])) for v in p.vertices}
+    weights = {a: sigma(rule, dists[a.vertex][rays[a.side1], rays[a.side2]])
+               for a in enumerate_angles(p)}
+    direct = verify_lemma14(p, weights, report.c, report.d)
+    assert list(report.vertex_sums.items()) == list(direct.vertex_sums.items())
+    assert list(report.face_sums.items()) == list(direct.face_sums.items())
+    for name in ("chain", "failing_vertices", "failing_faces", "implied_bound",
+                 "condition1_holds", "condition2_holds"):
+        assert getattr(report, name) == getattr(direct, name), name
+    if isinstance(rule, Theorem258Rule):
+        assert (report.c, report.d) == (0, Fraction(2, 3))
 
 
 @pytest.mark.parametrize("fixture,d,rule", [
@@ -468,19 +502,42 @@ def test_pipeline_enumerates_the_angles_once(monkeypatch, fixture, d, rule):
         return faces(p, k)
 
     enumerate_angles(simplex(3))  # so no earlier run has this polytope's angles
+    misses = bounds._angles.cache_info().misses
     monkeypatch.setattr(CombinatorialPolytope, "faces", counted)
     inst = load_diagram(f"{FIXTURES}/{fixture}")
     report = diagram_pipeline(inst, d, rule)
     p = inst.polytope
-    # One 2-face decode for the angles' planes, one for the 2-face sums.
-    assert lookups == [2, 2]
-    # Asked again, the angles come back as a fresh list, with no decode.
+    # One pass over the angles, and one 2-face decode, for the 2-face sums.
+    assert lookups == [2]
+    assert bounds._angles.cache_info().misses == misses + 1
+    # Asked again, the angles come back as a fresh list from the kept rows,
+    # with one decode each for their planes.
     again = enumerate_angles(p)
     assert again == enumerate_angles(p) and again is not enumerate_angles(p)
-    assert lookups == [2, 2]
+    assert lookups == [2, 2, 2, 2]
+    assert bounds._angles.cache_info().misses == misses + 1
     if isinstance(rule, Theorem258Rule):
         assert report.replay["agrees"] == report.condition1_holds
         assert report.replay["max_vertex_sum"] == max(report.vertex_sums.values())
+
+
+@pytest.mark.parametrize("fixture", ["diagram_triangle.json", "cube-4", "simplex3xcube3"])
+def test_diagram_pipeline_builds_no_angle_data(monkeypatch, fixture):
+    built = []
+    init = AngleData.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(AngleData, "__init__", counted)
+    inst = _bundle(fixture)
+    for d, rule in RULES_BY_D:
+        diagram_pipeline(inst, d, rule)
+    assert built == []
+    # The spy sees the angles that are built.
+    angles = enumerate_angles(inst.polytope)
+    assert len(built) == len(angles) > 0
 
 
 def test_pipeline_rejects_band_width_mismatch(monkeypatch):
@@ -627,8 +684,8 @@ def _contact_bundle(p, seed):
 @pytest.mark.parametrize("d,rule", [(1, Theorem258Rule()), (2, Theorem12Rule(2))])
 def test_diagram_verdicts_decode_only_2_faces(monkeypatch, d, rule):
     """A polytope keeps its faces as masks: a diagram verdict decodes the
-    vertex sets of its cross-section's 2-faces, which Lemma 14 reads, and of
-    no other face."""
+    vertex set of each of its cross-section's 2-faces, which Lemma 14 reads,
+    once, and of no other face."""
     bundles = [load_diagram(path) for path in sorted(glob.glob(f"{FIXTURES}/diagram_*.json"))]
     assert len(bundles) >= 3
     bundles.append(_contact_bundle(cube(6), 6))
@@ -644,7 +701,8 @@ def test_diagram_verdicts_decode_only_2_faces(monkeypatch, d, rule):
         decoded.clear()
         diagram_pipeline(inst, d, rule)
         p = inst.polytope
-        assert decoded and set(decoded) <= set(p._by_dim[2]), p.fvector()
+        # Each 2-face once, and no other face.
+        assert decoded and Counter(decoded) == Counter(p._by_dim[2]), p.fvector()
 
 
 def test_validate_diagram_refuses_a_model_of_another_system():

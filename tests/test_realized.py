@@ -84,6 +84,75 @@ def test_anticanonical_mismatch_rejected():
         )
 
 
+def _first_mismatch(model_args):
+    """Reference: the first pairing, then anticanonical, mismatch of a model's
+    vectors, found with `Fraction` dot products, as its error text."""
+    s, rays, divisors = model_args["base_system"], model_args["ray_vectors"], model_args["divisor_vectors"]
+    for rid in s.ray_ids:
+        for did in s.divisors:
+            got, want = rays[rid].dot(divisors[did]), s.q(rid, did)
+            if got != want:
+                return f"pairing mismatch at ({rid}, {did}): vectors give {got}, table says {want}"
+    anti = model_args.get("anticanonical_vector")
+    for rid in s.ray_ids if anti is not None else ():
+        got, want = rays[rid].dot(anti), s.anticanonical_degree(rid)
+        if got != want:
+            return f"anticanonical mismatch at {rid}: vector gives {got}, column says {want}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pairing_checked_in_integers_matches_fraction_dots(seed):
+    """Seeded models with fractional and negative entries pass, and one
+    perturbed entry raises the first mismatch that `Fraction` dot products
+    find.  Odd seeds give each ray's divisor the ray's own id."""
+    rng = random.Random(seed)
+    rho, n = rng.randint(2, 4), rng.randint(2, 5)
+
+    def vector():
+        while True:
+            v = RVector.of(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+                           for _ in range(rho))
+            if not v.is_zero():
+                return v
+
+    ids = [f"X{i}" for i in range(n)]
+    divs = ids if seed % 2 else [f"D{i}" for i in range(n)]
+    rays = {rid: vector() for rid in ids}
+    divisors = {did: vector() for did in divs}
+    anti = vector()
+    system = RayDivisorSystem.of(
+        rays=[(rid, "II", did) for rid, did in zip(ids, divs)],
+        divisors=divs,
+        pairing=[[rays[rid].dot(divisors[did]) for did in divs] for rid in ids],
+        anticanonical=[rays[rid].dot(anti) for rid in ids],
+        fano_mode=True,
+    )
+    args = dict(rho=rho, base_system=system, ray_vectors=rays, divisor_vectors=divisors,
+                anticanonical_vector=anti)
+    assert _first_mismatch(args) is None
+    RealizedModel(**args)
+    for _ in range(6):
+        part = rng.choice(("ray_vectors", "divisor_vectors", "anticanonical_vector"))
+        vectors = dict(rays if part == "ray_vectors" else divisors)
+        key = rng.choice(list(vectors))
+        old = anti if part == "anticanonical_vector" else vectors[key]
+        entries = list(old)
+        k = rng.randrange(rho)
+        entries[k] += Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 5)))
+        if part == "anticanonical_vector":
+            bad = dict(args, anticanonical_vector=RVector(tuple(entries)))
+        else:
+            vectors[key] = RVector(tuple(entries))
+            bad = dict(args, **{part: vectors})
+        want = _first_mismatch(bad)
+        if want is None or RVector(tuple(entries)).is_zero():
+            continue  # the entry pairs to zero everywhere, or the vector vanished
+        with pytest.raises(ValueError) as got:
+            RealizedModel(**bad)
+        assert str(got.value) == want
+
+
 def test_zero_ray_vector_rejected():
     with pytest.raises(ValueError):
         RealizedModel(
