@@ -405,14 +405,14 @@ class DiagramInstance:
             model=model,
         )
 
-    def face_mask(self, face: int) -> int:
+    def face_mask(self, face: int, perp: int) -> int:
         """The mask of the rays killed on the polytope face of vertex mask
-        `face`: those of the facets containing it, plus the perp rays."""
-        rel = self.system.relations
-        mask = rel.mask(self.perp_rays)
+        `face`: those of the facets containing it, plus `perp`, the mask of
+        the perp rays."""
+        bit = self.system.relations.bit
         for i in self.polytope._lattice[face][0]:
-            mask |= rel.bit[self.facet_rays[i]]
-        return mask
+            perp |= bit[self.facet_rays[i]]
+        return perp
 
 
 def validate_diagram(inst: DiagramInstance) -> None:
@@ -438,9 +438,9 @@ def validate_diagram(inst: DiagramInstance) -> None:
     for v in p.vertices:
         if first[str(v)] is not v:
             raise ValueError(f"vertex ids {first[str(v)]!r} and {v!r} print alike")
-    listed = set(s._face_masks)
+    listed, perp = set(s._face_masks), s.relations.mask(inst.perp_rays)
     for face in chain.from_iterable(p._by_dim):  # in the order of `p.faces()`
-        rayset = inst.face_mask(face)
+        rayset = inst.face_mask(face, perp)
         if rayset not in listed:
             raise ValueError(
                 f"polytope face {sorted(map(str, mask_names(p._ids, face)))} maps to ray set "
@@ -564,7 +564,7 @@ def diagram_pipeline(
     perp = rel.mask(inst.perp_rays)
     dists, outers = [], []
     for v in p.vertices:
-        rayset = inst.face_mask(p._bit[v])
+        rayset = inst.face_mask(p._bit[v], perp)
         dists.append(rel.distances(rayset))
         outers.append(rel.names(rayset & ~perp))
 

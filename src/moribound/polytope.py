@@ -44,9 +44,13 @@ class CombinatorialPolytope:
     The face lattice (all nonempty intersections of facet subsets, plus the
     full vertex set as the unique top face) is computed eagerly on vertex
     masks, each face with its dimension and the indices of the facets
-    containing it, which name it uniquely, and ordered once.  Every facet
-    must be a (dim - 1)-face.  Only the mask table is kept: `faces` decodes
-    the vertex sets of the dimensions asked on each call.
+    containing it, which name it uniquely, and ordered once.  A simple
+    incidence is walked once over facet subsets and graded by facet count;
+    when that walk cannot vouch for the result, and for every other
+    incidence, the lattice is closed from the top face and graded by
+    longest chains.  Both give the same lattice wherever both apply.  Every
+    facet must be a (dim - 1)-face.  Only the mask table is kept: `faces`
+    decodes the vertex sets of the dimensions asked on each call.
     """
 
     dim: int
@@ -104,6 +108,55 @@ class CombinatorialPolytope:
     def _build_lattice(self) -> None:
         ids, bit = bit_order(self.vertices, vertex_key)
         masks = tuple(sum(map(bit.__getitem__, facet)) for facet in self.facets)
+        # The facet-subset walk costs one AND per subset tried; the chain
+        # build, two passes over every (face, facet) pair.
+        lattice, by_dim = (self.is_simple and self._subset_lattice(masks, len(ids))
+                           or self._chain_lattice(ids, bit, masks))
+        for name, value in (("_ids", ids), ("_bit", bit), ("_facet_masks", masks),
+                            ("_lattice", lattice), ("_by_dim", by_dim)):
+            object.__setattr__(self, name, value)
+
+    def _subset_lattice(self, masks: tuple, n: int) -> tuple | None:
+        """The lattice of a simple incidence graded by facet count, or None
+        when the walk cannot vouch for it.
+
+        Each facet subset S is reached once, from S without its highest
+        index, as the AND of its facets' masks, and kept while that is
+        nonzero, so every nonempty intersection of facets is reached.  On a
+        simple polytope a face's dimension is dim - |S| (Ziegler, *Lectures
+        on Polytopes*, ch. 2).  The walk vouches for that when no two
+        subsets cut the same face and the dim-subsets number the vertices:
+        then S is exactly the facets through its face, the chain grading
+        agrees face by face, the minimal faces are the vertices and every
+        facet has dimension dim - 1, so `_chain_lattice` builds the same
+        table."""
+        pairs = tuple(enumerate(masks))
+        tails = [pairs[j:] for j in range(len(pairs) + 1)]
+        top = (1 << n) - 1
+        lattice = {top: ((), self.dim)}
+        by_dim = [()] * self.dim + [(top,)]
+        level, reached = [(top, (), pairs)], 1
+        for d in range(self.dim - 1, -1, -1):
+            nxt = []
+            for face, through, rest in level:
+                for i, fm in rest:
+                    cut = face & fm
+                    if cut:
+                        s = (*through, i)
+                        lattice[cut] = (s, d)
+                        nxt.append((cut, s, tails[i + 1]))
+            level, reached = nxt, reached + len(nxt)
+            by_dim[d] = tuple(face_order([cut for cut, _, _ in nxt]))
+        # On a simple incidence no dim + 1 facets share a vertex, so the
+        # walk ends at the dim-subsets.
+        if len(lattice) != reached or len(level) != n:
+            return None
+        return lattice, tuple(by_dim)
+
+    def _chain_lattice(self, ids: tuple, bit: dict, masks: tuple) -> tuple:
+        """The lattice closed from the top face by facet cuts and graded by
+        longest chains, for any incidence, or the PolytopeError that names
+        what is wrong with it."""
         top = (1 << len(ids)) - 1
         found, frontier = {top}, [top]
         while frontier:
@@ -156,9 +209,7 @@ class CombinatorialPolytope:
             if lattice[fm][1] != self.dim - 1:
                 raise PolytopeError(f"facet {mask_names(ids, fm)} has dimension "
                                     f"{lattice[fm][1]}, not {self.dim - 1}")
-        for name, value in (("_ids", ids), ("_bit", bit), ("_facet_masks", masks),
-                            ("_lattice", lattice), ("_by_dim", tuple(map(tuple, by_dim)))):
-            object.__setattr__(self, name, value)
+        return lattice, tuple(map(tuple, by_dim))
 
     # -- queries -----------------------------------------------------------
 

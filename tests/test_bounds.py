@@ -475,7 +475,8 @@ def test_pipeline_verifies_through_verify_lemma14(fixture, d, rule):
     inst = _bundle(fixture)
     report = diagram_pipeline(inst, d, rule)
     p, rel, rays = inst.polytope, inst.system.relations, inst.facet_rays
-    dists = {v: rel.distances(inst.face_mask(p._bit[v])) for v in p.vertices}
+    perp = rel.mask(inst.perp_rays)
+    dists = {v: rel.distances(inst.face_mask(p._bit[v], perp)) for v in p.vertices}
     weights = {a: sigma(rule, dists[a.vertex][rays[a.side1], rays[a.side2]])
                for a in enumerate_angles(p)}
     direct = verify_lemma14(p, weights, report.c, report.d)

@@ -17,6 +17,7 @@ import moribound
 from moribound import cli
 from moribound.cli import POLYTOPE_FAMILIES, SYSTEM_FAMILIES, main
 from moribound.core import KINDS, to_json
+from moribound.polytope import cube, polytope_to_json
 
 from conftest import add_small_perp_ray, retype_small
 
@@ -146,7 +147,6 @@ def test_check_builds_one_relations_per_system_with_faces(capsys, monkeypatch, t
 
 def test_check_detects_realized_and_polytope_kinds(capsys, tmp_path):
     from moribound.generate import realized_d2
-    from moribound.polytope import cube, polytope_to_json
     from moribound.realized import model_to_json
 
     m, _ = realized_d2(0)
@@ -400,6 +400,24 @@ def test_a_nested_facet_fails_polytope_stats_and_check(capsys, tmp_path):
         "facets": [[1, 3], [0, 2, 5], [0, 1, 3, 4, 5], [2, 3, 4, 5], [0, 1, 2, 4]],
     }))
     message = "facet [1, 3] has dimension 1, not 2"
+    assert run(capsys, "polytope-stats", str(path)) == (1, "", f"error: {path}: {message}\n")
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        {"code": "polytope-invalid", "detail": message, "subjects": []}
+    ]
+
+
+def test_a_doubled_vertex_fails_polytope_stats_and_check(capsys, tmp_path):
+    # cube(3) with a vertex x in the same three facets as 000: simple, but no
+    # facet separates the two.
+    c = polytope_to_json(cube(3))
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(dict(
+        c, vertices=[*c["vertices"], "x"],
+        facets=[f + ["x"] if "000" in f else f for f in c["facets"]],
+    )))
+    message = "minimal face ['000', 'x'] is not a single vertex"
     assert run(capsys, "polytope-stats", str(path)) == (1, "", f"error: {path}: {message}\n")
     code, out, _ = run(capsys, "check", str(path), "--format", "json")
     assert code == 1

@@ -434,6 +434,91 @@ def test_mask_lattice_matches_frozenset_lattice():
         assert outcomes.get(start, 0) >= 1, outcomes
 
 
+def _simple_incidences(count):
+    """Seeded simple (dim, vertices, facets) inputs over int, str and mixed
+    ids, each vertex in exactly dim facets: at random, or a simple polytope
+    relabelled."""
+    bases = [b for b in BASES if b.is_simple]
+    for seed in range(count):
+        rng = random.Random(seed)
+        pool = ID_POOLS[("int", "str", "mixed")[seed % 3]]
+        if seed % 4:
+            dim = rng.randint(2, 4)
+            ids = rng.sample(pool, rng.randint(dim + 1, 10))
+            m = rng.randint(dim + 1, 7)
+            at = {v: rng.sample(range(m), dim) for v in ids}
+            facets = [f for f in ([v for v in ids if i in at[v]] for i in range(m)) if f]
+        else:
+            base = rng.choice(bases)
+            label = dict(zip(base.vertices, rng.sample(pool, len(base.vertices))))
+            ids, dim = list(label.values()), base.dim
+            facets = [[label[v] for v in f] for f in base.facets]
+        rng.shuffle(ids)
+        rng.shuffle(facets)
+        yield dim, ids, facets
+
+
+# A simple incidence the chain build accepts, though facets 4 and 5 meet
+# only in vertex 8, the face of facets 2, 4 and 5: two facet subsets cut the
+# same face, so the facet-subset walk must decline it.
+REPEATED_CUT = (3, range(9), [[1, 2, 4, 6, 7], [0, 3, 5, 6, 7], [1, 2, 3, 5, 8],
+                              [0, 4, 6], [0, 2, 3, 4, 8], [1, 5, 7, 8]])
+
+
+def test_facet_subset_lattice_matches_frozenset_lattice(monkeypatch):
+    """On simple incidences the facet-subset walk builds the lattice, or
+    declines and leaves it to the chain build, which builds it or raises.
+    Either way each face, dimension and facet tuple, and each error text,
+    is the reference's, and an accepted table is the chain build's."""
+    chain_calls, chain = [], CombinatorialPolytope._chain_lattice
+
+    def counted(self, *args):
+        chain_calls.append(self.dim)
+        return chain(self, *args)
+
+    monkeypatch.setattr(CombinatorialPolytope, "_chain_lattice", counted)
+    outcomes = {}
+    for dim, ids, facets in [*_simple_incidences(1200), REPEATED_CUT]:
+        args = (dim, tuple(ids), tuple(frozenset(f) for f in facets))
+        chain_calls.clear()
+        try:
+            want = frozenset_lattice(*args)
+        except PolytopeError as exc:
+            with pytest.raises(PolytopeError) as got:
+                CombinatorialPolytope(*args)
+            assert str(got.value) == str(exc), args
+            key = "rejected"
+        else:
+            p = CombinatorialPolytope(*args)
+            assert p.is_simple, args
+            got = [(face, p.face_dim(face), p.facets_through(face)) for face in p.faces()]
+            assert got == want, args
+            key = "chain" if chain_calls else "subsets"
+            table = chain(p, p._ids, p._bit, p._facet_masks)
+            assert table == (p._lattice, p._by_dim), args
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert key == "chain", "the repeated cut must fall back"
+    for key in ("subsets", "chain", "rejected"):
+        assert outcomes.get(key, 0) >= 1, outcomes
+
+
+def test_simple_families_take_the_facet_subset_walk(monkeypatch):
+    """The standing family, cubes, cyclic duals and the benchmark's products
+    build without the chain build, so a walk that always declines fails
+    here though every lattice would still come out right."""
+    def refused(self, *args):
+        raise AssertionError(f"chain build on a simple {self.dim}-polytope")
+
+    monkeypatch.setattr(CombinatorialPolytope, "_chain_lattice", refused)
+    built = [
+        *(p for _, p in polytope_family()), *map(cube, range(3, 9)),
+        cyclic_dual(4, 8), cyclic_dual(5, 10), cyclic_dual(7, 14),
+        product(simplex(3), cube(3)), product(cube(3), cube(3)), product(simplex(4), simplex(3)),
+        product(simplex(2), simplex(2)), product(cube(3), simplex(2)),
+    ]
+    assert all(p.is_simple for p in built)
+
+
 # A facet inside another facet: the incidence is otherwise consistent, and
 # simple in the first case, but the nested facet is not a (dim - 1)-face.
 NESTED_FACETS = [
