@@ -16,9 +16,11 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .core import INF, KINDS, format_rational, mask_names, rational, to_json, walk
+from .core import (INF, KINDS, format_rational, mask_names, positions, rational, to_json,
+                   walk)
 from .polytope import CombinatorialPolytope, PolytopeError, polytope_from_json
 from .raysystem import RayDivisorSystem, graph_nodes, system_from_json
 from .structure import condition_iii_full, find_esets, is_extremal
@@ -241,13 +243,11 @@ class BoundReport:
                 self.vertex_sums.items(), key=lambda kv: str(kv[0])
             )},
             "face_sums": [
-                {
-                    "face": sorted(str(v) for v in plane),
-                    "k": len(plane),
-                    "sum": fmt(s),
-                }
-                for plane, s in sorted(
-                    self.face_sums.items(), key=lambda kv: sorted(str(v) for v in kv[0])
+                {"face": face, "k": k, "sum": format_rational(s)}
+                for face, k, s in sorted(
+                    ((sorted(map(str, plane)), len(plane), s)
+                     for plane, s in self.face_sums.items()),
+                    key=itemgetter(0),
                 )
             ],
             "condition1_holds": self.condition1_holds,
@@ -474,14 +474,7 @@ def count_condition_b(
     if s._face_masks is not None and not is_extremal(s, eset):
         raise ValueError("the ray set is not extremal")
     outer = [rid for rid in eset if rid not in perpset]
-    return _count_condition_b(s.relations.distances(graph_nodes(s, eset)), outer, d)
-
-
-def _count_condition_b(
-    dist: dict, outer: Iterable[str], d: int
-) -> tuple[int, int]:
-    """`count_condition_b` over the rays `outer`, from a distance table of
-    `Relations.distances`."""
+    dist = s.relations.distances(graph_nodes(s, eset))
     dists = [dist[a, b] for a in outer for b in outer if a != b]
     count1 = sum(1 <= x <= d for x in dists)
     count2 = sum(d + 1 <= x <= 2 * d + 1 for x in dists)
@@ -530,10 +523,13 @@ def diagram_pipeline(
 ) -> BoundReport:
     """Weight every oriented angle of the cross-section by the distance of
     its side rays in the contact graph of the rays vanishing at its vertex,
-    then verify the weight-sum conditions.  The weights are summed as
-    integer numerators on the rows of `_angles`, with no `AngleData` built,
-    and reported by the tail `verify_lemma14` shares, which decodes the
-    2-faces once.
+    then verify the weight-sum conditions.  Distances are read as bands: at
+    each vertex, one breadth-first search per facet ray through it, stopped
+    after 2d + 1 steps, gives the masks of the rays in each band, and an
+    angle's weight and condition (b)'s counts are read from them.  The
+    weights are summed as integer numerators on the rows of `_angles`, with
+    no `AngleData` built, and reported by the tail `verify_lemma14` shares,
+    which decodes the 2-faces once.
 
     With the two-band rule the budget constants are computed empirically from
     the vertices' extremal sets (C = 2/3 C1 + 1/2 C2, D = 0); with the
@@ -558,36 +554,43 @@ def diagram_pipeline(
     rows = _angles(p)
 
     # Each vertex's graph is the system's arrow masks restricted to the rays
-    # vanishing there; only its distances are read.  validate_diagram made
-    # every facet and perp ray divisorial.
-    rel = s.relations
-    perp = rel.mask(inst.perp_rays)
-    dists, outers = [], []
-    for v in p.vertices:
-        rayset = inst.face_mask(p._bit[v], perp)
-        dists.append(rel.distances(rayset))
-        outers.append(rel.names(rayset & ~perp))
-
-    # Weights are integer numerators over the lcm of the rule's weights.  A
-    # shortest path inside a ray set has fewer steps than the system has
-    # rays, so every side distance is one of these, each weighed once.
+    # vanishing there.  A breadth-first search from each facet ray through
+    # the vertex cuts the rays it reaches into bands of distance, on each of
+    # which both the rule's weight and condition (b)'s band are constant: the
+    # cuts are d, 2d + 1 and the ends of the rule's bands, past which every
+    # weight is 0.  validate_diagram made every facet and perp ray divisorial.
+    cuts = sorted({d, 2 * d + 1}.union(*((lo - 1, hi) for (lo, hi), _ in rule.table)) - {0})
+    near, far = cuts.index(d) + 1, cuts.index(2 * d + 1) + 1
+    # Weights are integer numerators over the lcm of the rule's weights.
     den = math.lcm(*(w.denominator for _, w in rule.table))
-    num_at = {}
-    for x in chain(range(len(rel.ids)), (INF,)):
-        w = sigma(rule, x)
-        num_at[x] = w.numerator * (den // w.denominator)
-    rays = inst.facet_rays
-    nums = (num_at[dist[rays[f], rays[g]]] + num_at[dist[rays[g], rays[f]]]
-            for (_, pairs), dist in zip(rows, dists) for f, g, _ in pairs)
+    band_nums = [int(sigma(rule, cut) * den) for cut in cuts]
+    rel, perp = s.relations, s.relations.mask(inst.perp_rays)
+    at = [rel.bit[rid].bit_length() - 1 for rid in inst.facet_rays]
 
+    nums = []
     c1_emp = c2_emp = Fraction(0)
-    for dist, outer in zip(dists, outers):
-        # validate_diagram made every vertex ray set a listed face, which is
-        # all count_condition_b would check.
-        count1, count2 = _count_condition_b(dist, outer, d)
+    for v, pairs in rows:
+        rayset = inst.face_mask(p._bit[v], perp)
+        outer = rayset & ~perp
+        count1 = count2 = 0
+        # Per facet f through v: the weight numerator, by ray position, of
+        # each ray in a weighed band of f's ray.
+        weight = {}
+        for f in p._lattice[p._bit[v]][0]:
+            bands = rel.bands(rayset, at[f], cuts)
+            weight[f] = {k: num for band, num in zip(bands, band_nums) if num
+                         for k in positions(band)}
+            # Condition (b) counts ordered pairs of outer rays, all of them
+            # facet rays through v.  The bands are disjoint, so their sum is
+            # their union.  validate_diagram made the vertex ray set a listed
+            # face, which is all count_condition_b would check.
+            if outer >> at[f] & 1:
+                count1 += (sum(bands[:near]) & outer).bit_count()
+                count2 += (sum(bands[near:far]) & outer).bit_count()
+        nums += [weight[f].get(at[g], 0) + weight[g].get(at[f], 0) for f, g, _ in pairs]
         if outer:
-            c1_emp = max(c1_emp, Fraction(count1, len(outer)))
-            c2_emp = max(c2_emp, Fraction(count2, len(outer)))
+            c1_emp = max(c1_emp, Fraction(count1, outer.bit_count()))
+            c2_emp = max(c2_emp, Fraction(count2, outer.bit_count()))
 
     if isinstance(rule, Theorem12Rule):
         c = Fraction(2, 3) * c1_emp + Fraction(1, 2) * c2_emp

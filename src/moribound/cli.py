@@ -120,7 +120,70 @@ def _system_of(kind: str, inst) -> RayDivisorSystem:
 
 
 def _dumps(payload: object) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """`json.dumps(payload, indent=2, sort_keys=True)`, written in one pass
+    into one list.  With an indent, `json` encodes in pure Python through a
+    generator per nesting level; this writer makes the same bytes without
+    them.  A payload nested past the recursion limit, or circular, goes to
+    `json`, which raises its own error."""
+    out: list[str] = []
+    try:
+        _write(payload, out, "\n")
+    except RecursionError:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write(value: object, out: list, newline: str) -> None:
+    """Append the indented JSON of `value` to `out`; `newline` is the line
+    break and indent of its own level.  Types are tested in `json`'s order,
+    and a value of no type tested here (a float, or an unsupported type) is
+    encoded, or refused, by `json` itself."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _json_key(key) + ": ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_key(key: object) -> str:
+    """An object key as `json` writes it, or `json`'s TypeError."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (float, int)):  # bools are ints
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _emit(args: argparse.Namespace, payload: object, text_lines: list[str]) -> None:

@@ -352,6 +352,29 @@ class Relations:
                 steps += 1
         return dist
 
+    def bands(self, mask: int, k: int, cuts: Sequence[int]) -> list[int]:
+        """The rays of a mask whose shortest oriented path from the ray at
+        position `k`, along arrows inside the mask, has more than cuts[i - 1]
+        and at most cuts[i] steps: one mask per cut, read from 0 up.  One
+        breadth-first search, stopped after cuts[-1] steps."""
+        arrows = self.arrows
+        seen = frontier = 1 << k
+        steps, out = 0, []
+        for cut in cuts:
+            band = 0
+            while steps < cut and frontier:
+                reached = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reached |= arrows[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reached & mask & ~seen
+                seen |= frontier
+                band |= frontier
+                steps += 1
+            out.append(band)
+        return out
+
     def components(self, mask: int) -> list[int]:
         """The contact components of a set of divisorial rays, ordered by
         their first ids."""

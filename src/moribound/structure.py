@@ -445,17 +445,38 @@ def _minimal_transversals(edges: Iterable[int]) -> list[int]:
     A grown set is minimal unless it contains a kept transversal, one that
     already met the edge.  Nothing else can nest: the kept ones were minimal
     before, and two grown sets are two incomparable transversals that miss
-    the edge, each plus one bit of it."""
+    the edge, each plus one bit of it.  A kept set inside t | b meets the
+    edge in exactly b, so the kept sets are grouped by their hit on the edge
+    and t | b is checked against b's group alone."""
     minimal: list[int] = []
     for edge in sorted(edges, key=int.bit_count):
-        if any(not e & ~edge for e in minimal):
-            continue  # an edge contained in this one implies it
-        minimal.append(edge)
+        for e in minimal:
+            if not e & ~edge:
+                break  # an edge contained in this one implies it
+        else:
+            minimal.append(edge)
     found = [0]
     for edge in minimal:
-        kept = [t for t in found if t & edge]
-        grown = [t | 1 << k for t in found if not t & edge for k in positions(edge)]
-        found = kept + [g for g in grown if all(k & ~g for k in kept)]
+        kept, missing, by_hit = [], [], {}
+        for t in found:
+            hit = t & edge
+            if not hit:
+                missing.append(t)
+                continue
+            kept.append(t)
+            if not hit & (hit - 1):  # a single bit
+                by_hit.setdefault(hit, []).append(t)
+        bits, rest = [], edge
+        while rest:  # lowest first
+            bits.append(rest & -rest)
+            rest &= rest - 1
+        bits.reverse()
+        for t in missing:
+            for b in bits:
+                group = by_hit.get(b)
+                if group is None or all(k & ~(t | b) for k in group):
+                    kept.append(t | b)
+        found = kept
     return found
 
 

@@ -489,6 +489,68 @@ def test_pipeline_verifies_through_verify_lemma14(fixture, d, rule):
         assert (report.c, report.d) == (0, Fraction(2, 3))
 
 
+# Contact bundles whose vertex graphs hold perp rays, which paths may pass.
+PERP_BUNDLES = {
+    "cube-4+perp2": (lambda: cube(4), 2),
+    "cyclic_dual-4-8+perp1": (lambda: cyclic_dual(4, 8), 1),
+    "simplex3xcube3+perp3": (lambda: product(simplex(3), cube(3)), 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _perp_bundle(name):
+    polytope, perp = PERP_BUNDLES[name]
+    return _contact_bundle(polytope(), 3, perp)
+
+
+@pytest.mark.parametrize("name", sorted(map(os.path.basename, glob.glob(
+    os.path.join(os.path.dirname(__file__), "fixtures", "diagram_*.json")
+))) + list(CONTACT_POLYTOPES) + list(PERP_BUNDLES))
+def test_pipeline_bands_match_distance_tables(name):
+    """The pipeline reads distances as bands of breadth-first searches cut
+    at d and 2d + 1.  Under both rules at d = 1..4 its vertex sums, 2-face
+    sums and empirical C1, C2 equal a reference built here from whole
+    `Relations.distances` tables: `sigma` of each angle's side distance, and
+    condition (b)'s counts over each vertex's outer rays.  The bands of every
+    facet ray through a vertex are the rays its table puts in each band."""
+    inst = _perp_bundle(name) if name in PERP_BUNDLES else _bundle(name)
+    p, rel, rays = inst.polytope, inst.system.relations, inst.facet_rays
+    perp = rel.mask(inst.perp_rays)
+    raysets = {v: inst.face_mask(p._bit[v], perp) for v in p.vertices}
+    dists = {v: rel.distances(rayset) for v, rayset in raysets.items()}
+    outers = {v: rel.names(rayset & ~perp) for v, rayset in raysets.items()}
+    if perp:  # some shortest path passes a perp ray
+        assert any(rel.distances(rayset & ~perp).items() - dists[v].items()
+                   for v, rayset in raysets.items())
+    for d in (1, 2, 3, 4):
+        cuts = sorted({1, d, 2 * d + 1})
+        for v, dist in dists.items():
+            for f in p.facets_through(frozenset([v])):
+                k = rel.bit[rays[f]].bit_length() - 1
+                want = [rel.mask(b for (a, b), x in dist.items() if a == rays[f] and lo < x <= hi)
+                        for lo, hi in zip([0] + cuts, cuts)]
+                assert rel.bands(raysets[v], k, cuts) == want
+        c1 = c2 = Fraction(0)
+        for v, outer in outers.items():
+            apart = [dists[v][a, b] for a in outer for b in outer if a != b]
+            if outer:
+                c1 = max(c1, Fraction(sum(1 <= x <= d for x in apart), len(outer)))
+                c2 = max(c2, Fraction(sum(d < x <= 2 * d + 1 for x in apart), len(outer)))
+        for rule in (Theorem12Rule(d), Theorem258Rule()):
+            report = diagram_pipeline(inst, d, rule)
+            vertex_sums = dict.fromkeys(p.vertices, Fraction(0))
+            face_sums = Counter()
+            for a in enumerate_angles(p):
+                w = sigma(rule, dists[a.vertex][rays[a.side1], rays[a.side2]])
+                vertex_sums[a.vertex] += w
+                face_sums[a.plane] += w
+            assert list(report.vertex_sums.items()) == list(vertex_sums.items()), (d, rule)
+            assert report.face_sums == dict(face_sums), (d, rule)
+            assert (report.empirical_c1, report.empirical_c2) == (c1, c2), (d, rule)
+            if isinstance(rule, Theorem12Rule):
+                assert report.c == Fraction(2, 3) * c1 + Fraction(1, 2) * c2
+
+
 @pytest.mark.parametrize("fixture,d,rule", [
     ("diagram_triangle.json", 2, Theorem12Rule(2)),
     ("diagram_square_258.json", 1, Theorem258Rule()),
@@ -662,12 +724,15 @@ def test_diagram_verdicts_build_no_face_view(d, rule):
         assert "faces" not in vars(inst.system)
 
 
-def _contact_bundle(p, seed):
-    """One type II ray per facet of `p`, each on its own divisor, with a
-    seeded 0/1 contact pattern.  The system's faces are the ray sets of the
-    polytope's faces; the bundle is read back from JSON, as a file is."""
+def _contact_bundle(p, seed, perp=0):
+    """One type II ray per facet of `p`, and `perp` more that vanish on the
+    whole cross-section, each on its own divisor, with a seeded 0/1 contact
+    pattern.  The system's faces are the ray sets of the polytope's faces,
+    each with the perp rays; the bundle is read back from JSON, as a file
+    is."""
     rng = random.Random(seed)
-    ids = [f"T{i + 1}" for i in range(len(p.facets))]
+    ids = [f"T{i + 1}" for i in range(len(p.facets))] + [f"P{j + 1}" for j in range(perp)]
+    perps = frozenset(ids[len(p.facets):])
     divisors = [f"D{rid}" for rid in ids]
     pairing = [[-1 if a == b else rng.randint(0, 1) for b in ids] for a in ids]
     meets = {tuple(sorted((divisors[i], divisors[j])))
@@ -677,9 +742,10 @@ def _contact_bundle(p, seed):
         divisors=divisors,
         pairing=pairing,
         meets=sorted(meets),
-        faces={frozenset(ids[i] for i in p.facets_through(face)) for face in p.faces()},
+        faces={frozenset(ids[i] for i in p.facets_through(face)) | perps for face in p.faces()},
     )
-    return diagram_from_json(diagram_to_json(DiagramInstance.of(system, p, ids)))
+    inst = DiagramInstance.of(system, p, ids[:len(p.facets)], perps)
+    return diagram_from_json(diagram_to_json(inst))
 
 
 @pytest.mark.parametrize("d,rule", [(1, Theorem258Rule()), (2, Theorem12Rule(2))])

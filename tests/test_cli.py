@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, pinned output lines, JSON payloads,
 and the generate -> check loop."""
 
+import enum
 import io
 import json
 import os
@@ -570,6 +571,78 @@ def test_diagram_json_report(capsys):
     assert payload["conforming"] is True
     assert payload["replay"]["agrees"] is True
     assert payload["empirical_C1"] == "1/2"
+
+
+# --- the JSON writer ----------------------------------------------------------------
+
+JSON_LEAVES = [
+    "", "plain", 'a "quoted" \\ back\\slash', "tab\tnew\nline\r\x00\x1f\x7f", "é ☃ 𝄞  ",
+    0, 1, -1, 2**64, -(2**70), 10**300, True, False, None,
+    0.0, -0.0, 1.5, -2.25e-300, 1e300, float("inf"), float("-inf"), float("nan"),
+]
+JSON_KEYS = ["", "a", "b", "B", "é", '"q"', "new\nline", "\\", "10", "9", "ä"]
+
+
+def _json_payload(rng, depth=0):
+    """A seeded nested payload of lists, tuples and dicts (empty ones too)
+    over the leaves and string keys `json` writes."""
+    roll = rng.random()
+    if depth >= 5 or roll < 0.35:
+        return rng.choice(JSON_LEAVES)
+    size = rng.choice([0, 0, 1, 2, 3, 5])
+    if roll < 0.6:
+        return [_json_payload(rng, depth + 1) for _ in range(size)]
+    if roll < 0.7:
+        return tuple(_json_payload(rng, depth + 1) for _ in range(size))
+    return {rng.choice(JSON_KEYS) + rng.choice(["", "x", "1"]): _json_payload(rng, depth + 1)
+            for _ in range(size)}
+
+
+def test_dumps_matches_json_dumps_byte_for_byte():
+    """`cli._dumps` writes JSON in one pass; its bytes are those of
+    `json.dumps(indent=2, sort_keys=True)` on seeded nested payloads, on
+    non-string keys of each kind `json` accepts, and on the reports of every
+    diagram fixture under both rules."""
+    rng = random.Random(30)
+    payloads = [_json_payload(rng) for _ in range(2000)]
+    payloads += [{1: "one", -2: [], 10**20: {}}, {1.5: 0, float("nan"): 1, -0.0: 2},
+                 {True: 1, False: {"x": ()}}, {None: [None]}, [[], {}, [[]], [{}]], (), {}]
+    # Subclasses: `json` writes an int subclass by `int.__repr__`, a float
+    # one by `float.__repr__` and a str one by its characters.
+    Code = enum.IntEnum("Code", "OK BAD")
+    Count = type("Count", (int,), {"__str__": lambda self: "other", "__repr__": lambda self: "other"})
+    Name = type("Name", (str,), {"__str__": lambda self: "other"})
+    Ratio = type("Ratio", (float,), {"__repr__": lambda self: "other"})
+    payloads += [{Code.BAD: [Code.OK, Name("é\n"), Ratio(0.5)], Code.OK: {Ratio(2.5): Code.OK}},
+                 {Name("k"): Name("v"), "j": {Code.OK: Ratio(-1.0)}}, {Count(7): [Count(-8)]}]
+    for path in DIAGRAM_FIXTURES:
+        for rule in cli.RULES:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                main(["diagram", f"{FIXTURES}/{path}", "--rule", rule, "--format", "json"])
+            payloads.append(json.loads(out.getvalue()))
+    assert sum(isinstance(p, dict) and len(p) > 1 for p in payloads) > 100
+    for payload in payloads:
+        assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": object()}, [1, {2, 3}], {(1, 2): "tuple key"}, {"a": 1, 2: "mixed keys"},
+    {"a": [b"bytes"]}, {"a": 1j},
+])
+def test_dumps_refuses_what_json_refuses(payload):
+    with pytest.raises(Exception) as want:
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(type(want.value)) as got:
+        cli._dumps(payload)
+    assert str(got.value) == str(want.value)
+
+
+def test_dumps_hands_circular_payloads_to_json():
+    loop = {"a": []}
+    loop["a"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        cli._dumps(loop)
 
 
 # --- gen -> check loop -------------------------------------------------------------

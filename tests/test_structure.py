@@ -670,6 +670,34 @@ def test_find_esets_edge_families():
     ]
 
 
+def _brute_minimal_transversals(edges, width):
+    """Every inclusion-minimal subset of `width` bits meeting each edge, by
+    testing all 2^width subsets."""
+    hitting = [t for t in range(1 << width) if all(t & edge for edge in edges)]
+    return sorted(t for t in hitting if not any(u != t and not u & ~t for u in hitting))
+
+
+def test_minimal_transversals_match_brute_force():
+    """Berge's method, with each grown set checked only against the kept sets
+    hitting the edge in its new bit, finds the minimal transversals of a
+    subset scan: on seeded edge families of up to 9 bits (nested, repeated
+    and single-bit edges among them), on no edges and on an empty edge."""
+    rng = random.Random(30)
+    assert structure._minimal_transversals([]) == [0]
+    assert structure._minimal_transversals([0, 3]) == []
+    grew = 0
+    for _ in range(600):
+        width = rng.randint(1, 9)
+        edges = [rng.randrange(1, 1 << width) for _ in range(rng.randint(1, 8))]
+        edges += [e & rng.randrange(1 << width) or e for e in rng.sample(edges, len(edges) // 2)]
+        edges += rng.sample(edges, len(edges) // 3)
+        found = structure._minimal_transversals(edges)
+        assert len(found) == len(set(found)), edges
+        assert sorted(found) == _brute_minimal_transversals(edges, width), edges
+        grew += len(found) > len(edges)
+    assert grew > 50
+
+
 def test_find_esets_checks_only_singletons(monkeypatch):
     calls = []
 
