@@ -7,7 +7,7 @@ The package has six layers:
 - ``polytope``: combinatorial simple polytopes, face lattices, f-vectors, and
   the closed-form average-face bounds.
 - ``raysystem``: abstract ray-divisor systems, their invariants, contact
-  graphs, and distance computations.
+  graphs, and the banded breadth-first search that reads their distances.
 - ``structure``: component classification, minimal non-extremal sets, and the
   shape filter for maximal extremal sets.
 - ``realized``: systems with explicit rational coordinates, nef certificates,
@@ -98,7 +98,6 @@ from .realized import (
     numerical_kodaira_dim,
 )
 from .bounds import (
-    AngleData,
     BoundReport,
     DiagramInstance,
     Theorem12Rule,

@@ -136,27 +136,8 @@ def max_integer_below(q: object) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AngleData:
-    """An oriented angle: a vertex, the 2-face it lives on, and the ordered
-    pair of side facets."""
-
-    vertex: object
-    plane: frozenset  # vertex set of the 2-face
-    side1: int  # facet index determining the first side
-    side2: int  # facet index determining the second side
-
-
-def enumerate_angles(p: CombinatorialPolytope) -> list[AngleData]:
-    """All oriented angles of a simple polytope: per vertex, per pair of
-    facets through it, both side orders, each with its 2-face decoded from
-    one `faces(2)` call.  These are the rows of `_angles` as objects, for
-    callers that key weights by angle; `diagram_pipeline` weighs the rows."""
-    return list(_angle_data(_angles(p), _planes(p)))
-
-
 @lru_cache(maxsize=1)
-def _angles(p: CombinatorialPolytope) -> tuple:
+def enumerate_angles(p: CombinatorialPolytope) -> tuple:
     """The oriented angles of the last simple polytope asked, as integer
     rows: per vertex, in vertex order, the vertex and its facet pairs
     (f, g), f before g in facet order, each with the vertex mask of its
@@ -181,20 +162,6 @@ def _angles(p: CombinatorialPolytope) -> tuple:
             pairs.append((f, g, face))
         rows.append((v, tuple(pairs)))
     return tuple(rows)
-
-
-def _planes(p: CombinatorialPolytope) -> dict:
-    """Each 2-face mask of `p` to its vertex set, in face order, from one
-    decode."""
-    return dict(zip(p._by_dim[2] if p.dim > 1 else (), p.faces(2)))
-
-
-def _angle_data(rows: tuple, planes: dict):
-    """The `AngleData` of `_angles` rows, both orders of each pair."""
-    for v, pairs in rows:
-        for f, g, face in pairs:
-            yield AngleData(v, planes[face], f, g)
-            yield AngleData(v, planes[face], g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -292,30 +259,34 @@ def verify_lemma14(
     least 5 - k.  The chain audit recomputes
     (C n + D) alpha_0 >= total >= alpha_2 (5 - average k).
 
-    `weights` is keyed by `AngleData` and read in `enumerate_angles` order.
-    The weights become integer numerators over their common denominator on
-    the rows of `_angles`, and `_bound_report`, which `diagram_pipeline`
-    shares, sums them.
+    `weights` is keyed by oriented angle `(vertex, side1, side2)`, the two
+    side facets by index, and read in the order of the `enumerate_angles`
+    rows: per facet pair (f, g) of a vertex, (vertex, f, g) and then
+    (vertex, g, f).  The weights become integer numerators over their common
+    denominator, and `_bound_report`, which `diagram_pipeline` shares, sums
+    them on the rows.
     """
-    rows, planes = _angles(p), _planes(p)
+    rows = enumerate_angles(p)
     cc, dd = rational(c), rational(d)
     try:
-        ws = [rational(weights[a]) for a in _angle_data(rows, planes)]
+        ws = [rational(weights[key]) for v, pairs in rows for f, g, _ in pairs
+              for key in ((v, f, g), (v, g, f))]
     except KeyError as exc:
         raise ValueError(f"missing weight for angle {exc.args[0]}") from None
     den = math.lcm(*(w.denominator for w in ws))
     nums = (w.numerator * (den // w.denominator) for w in ws)
     # Consecutive angles are the two orders of one pair.
-    return _bound_report(p, rows, map(sum, zip(nums, nums)), den, cc, dd, planes)
+    return _bound_report(p, rows, map(sum, zip(nums, nums)), den, cc, dd)
 
 
 def _bound_report(p: CombinatorialPolytope, rows: tuple, nums: Iterable[int], den: int,
-                  c: Fraction, d: Fraction, planes: dict) -> BoundReport:
+                  c: Fraction, d: Fraction) -> BoundReport:
     """The `verify_lemma14` report from `nums`, one integer weight numerator
-    over `den` per facet pair of the `_angles` rows (its two angles
-    together), in row order.  `planes` is `_planes(p)`: the 2-face sums are
-    kept by mask and keyed by vertex set once, at the end."""
+    over `den` per facet pair of the `enumerate_angles` rows (its two angles
+    together), in row order.  The 2-face sums are kept by mask and keyed by
+    vertex set once, at the end, from one decode."""
     n = p.dim
+    planes = dict(zip(p._by_dim[2] if n > 1 else (), p.faces(2)))  # 2-face mask -> vertex set
     vertex_nums, face_nums = {}, dict.fromkeys(planes, 0)
     nums = iter(nums)
     for v, pairs in rows:
@@ -466,18 +437,22 @@ def count_condition_b(
     d: int,
 ) -> tuple[int, int]:
     """Ordered pairs of non-orthogonal rays of an extremal set at graph
-    distance within [1, d] and within [d+1, 2d+1]."""
+    distance within [1, d] and within [d+1, 2d+1], from one search per
+    non-orthogonal ray, cut at d and 2d + 1."""
+    check_band_width(d)
     eset = sorted(set(e))
     perpset = frozenset(perp)
     if not perpset <= set(eset):
         raise ValueError("perp rays must belong to the extremal set")
     if s._face_masks is not None and not is_extremal(s, eset):
         raise ValueError("the ray set is not extremal")
-    outer = [rid for rid in eset if rid not in perpset]
-    dist = s.relations.distances(graph_nodes(s, eset))
-    dists = [dist[a, b] for a in outer for b in outer if a != b]
-    count1 = sum(1 <= x <= d for x in dists)
-    count2 = sum(d + 1 <= x <= 2 * d + 1 for x in dists)
+    rel, mask = s.relations, graph_nodes(s, eset)
+    outer = mask & ~rel.mask(perpset)
+    count1 = count2 = 0
+    for k in positions(outer):
+        near, far = rel.bands(mask, k, (d, 2 * d + 1))
+        count1 += (near & outer).bit_count()
+        count2 += (far & outer).bit_count()
     return (count1, count2)
 
 
@@ -488,7 +463,7 @@ def _eset_condition_a_audit(
     orthogonal set and extremal proper extensions: its members must sit at
     pairwise distance <= d."""
     s = inst.system
-    divisorial = [r.id for r in s.divisorial_rays]
+    rel, divisorial = s.relations, [r.id for r in s.divisorial_rays]
     audit = []
     all_ok = True
     for eset in find_esets(s, divisorial):
@@ -501,10 +476,17 @@ def _eset_condition_a_audit(
         )
         if not extendable:
             continue
-        # validate_diagram made every perp ray divisorial.
-        dist = s.relations.distances(s.relations.mask(eset | inst.perp_rays))
-        # Two or more rays, so the zero self-distances never decide the max.
-        diam = max(dist[a, b] for a in eset for b in eset)
+        # One search per member, a band per step up to the longest possible
+        # path; two or more members, so each reaches another or the diameter
+        # is INF.  validate_diagram made every perp ray divisorial.
+        members, mask = rel.mask(eset), rel.mask(eset | inst.perp_rays)
+        diam = 0
+        for k in positions(members):
+            bands = rel.bands(mask, k, range(1, mask.bit_count()))
+            if members & ~sum(bands) & ~(1 << k):
+                diam = INF
+                break
+            diam = max(diam, max(i for i, band in enumerate(bands, 1) if band & members))
         ok = diam != INF and diam <= d
         audit.append(
             {
@@ -527,9 +509,9 @@ def diagram_pipeline(
     each vertex, one breadth-first search per facet ray through it, stopped
     after 2d + 1 steps, gives the masks of the rays in each band, and an
     angle's weight and condition (b)'s counts are read from them.  The
-    weights are summed as integer numerators on the rows of `_angles`, with
-    no `AngleData` built, and reported by the tail `verify_lemma14` shares,
-    which decodes the 2-faces once.
+    weights are summed as integer numerators on the `enumerate_angles` rows
+    and reported by the tail `verify_lemma14` shares, which decodes the
+    2-faces once.
 
     With the two-band rule the budget constants are computed empirically from
     the vertices' extremal sets (C = 2/3 C1 + 1/2 C2, D = 0); with the
@@ -551,7 +533,7 @@ def diagram_pipeline(
         )
     validate_diagram(inst)
     s, p = inst.system, inst.polytope
-    rows = _angles(p)
+    rows = enumerate_angles(p)
 
     # Each vertex's graph is the system's arrow masks restricted to the rays
     # vanishing there.  A breadth-first search from each facet ray through
@@ -599,7 +581,7 @@ def diagram_pipeline(
         c, dd = Fraction(0), Fraction(2, 3)
 
     audit, audit_ok = _eset_condition_a_audit(inst, d)
-    report = _bound_report(p, rows, nums, den, c, dd, _planes(p))
+    report = _bound_report(p, rows, nums, den, c, dd)
     replay = None
     if isinstance(rule, Theorem258Rule):
         replay = {

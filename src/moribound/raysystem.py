@@ -328,30 +328,6 @@ class Relations:
             frontier |= new
         return found
 
-    def distances(self, mask: int) -> dict:
-        """The length of a shortest oriented path between any two rays of a
-        mask, along arrows inside it (INF when there is none), keyed by id
-        pairs in sorted id order.  One breadth-first search per ray, a layer
-        of masks at a time."""
-        ids, arrows = self.ids, self.arrows
-        ks = positions(mask)
-        dist: dict[tuple[str, str], int | float] = {}
-        for a in ks:
-            source = ids[a]
-            for b in ks:
-                dist[source, ids[b]] = INF
-            seen = frontier = 1 << a
-            steps = 0
-            while frontier:
-                reached = 0
-                for k in positions(frontier):
-                    dist[source, ids[k]] = steps
-                    reached |= arrows[k]
-                frontier = reached & mask & ~seen
-                seen |= frontier
-                steps += 1
-        return dist
-
     def bands(self, mask: int, k: int, cuts: Sequence[int]) -> list[int]:
         """The rays of a mask whose shortest oriented path from the ray at
         position `k`, along arrows inside the mask, has more than cuts[i - 1]
@@ -559,14 +535,21 @@ class OrientedGraph:
 def build_graph(s: RayDivisorSystem, subset: Iterable[str]) -> OrientedGraph:
     """The oriented graph on the given divisorial rays: an arrow runs from R1
     to R2 exactly when Q[R1][D(R2)] > 0, read off the system's arrow masks
-    restricted to the subset, with `Relations.distances` as its distances."""
+    restricted to the subset.  Its distances, keyed by id pairs in sorted id
+    order, come from one `Relations.bands` search per ray, a band per step up
+    to the longest possible path."""
     rel = s.relations
     mask = graph_nodes(s, subset)
     ids, ks = rel.ids, positions(mask)
+    dist = {}
+    for a in ks:
+        bands = [1 << a, *rel.bands(mask, a, range(1, len(ks)))]
+        for b in ks:
+            dist[ids[a], ids[b]] = next((i for i, band in enumerate(bands) if band >> b & 1), INF)
     return OrientedGraph(
         tuple(ids[k] for k in ks),
         frozenset((ids[k], ids[j]) for k in ks for j in positions(rel.arrows[k] & mask)),
-        rel.distances(mask),
+        dist,
     )
 
 

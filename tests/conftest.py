@@ -1,10 +1,37 @@
-"""Inputs shared by the bounds and CLI tests."""
+"""Inputs and references shared by the bounds and CLI tests."""
 
 import json
 
 import pytest
 
+from moribound.core import INF, positions
+
 FIXTURES = "tests/fixtures"
+
+
+def distance_table(rel, mask: int) -> dict:
+    """Reference distances: the length of a shortest oriented path between
+    any two rays of a mask, along `rel`'s arrows inside it (INF when there is
+    none), keyed by id pairs in sorted id order.  One breadth-first search to
+    exhaustion per ray, a layer of masks at a time."""
+    ids, arrows = rel.ids, rel.arrows
+    ks = positions(mask)
+    dist = {}
+    for a in ks:
+        source = ids[a]
+        for b in ks:
+            dist[source, ids[b]] = INF
+        seen = frontier = 1 << a
+        steps = 0
+        while frontier:
+            reached = 0
+            for k in positions(frontier):
+                dist[source, ids[k]] = steps
+                reached |= arrows[k]
+            frontier = reached & mask & ~seen
+            seen |= frontier
+            steps += 1
+    return dist
 
 
 def retype_small(bundle: dict, rid: str) -> None:

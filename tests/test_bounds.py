@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import distance_table
 from moribound import bounds
 from moribound.bounds import (
-    AngleData,
     DiagramInstance,
     Theorem12Rule,
     Theorem258Rule,
@@ -163,21 +163,37 @@ def test_max_integer_below():
 # --- angle enumeration ----------------------------------------------------------
 
 
+def _oriented_angles(p):
+    """The oriented angles of the `enumerate_angles` rows, both orders of
+    each facet pair, as ((vertex, side1, side2), vertex set of the 2-face),
+    each 2-face read here from its mask."""
+    out = []
+    for v, pairs in enumerate_angles(p):
+        for f, g, face in pairs:
+            plane = frozenset(u for u in p.vertices if p._bit[u] & face)
+            out += [((v, f, g), plane), ((v, g, f), plane)]
+    return out
+
+
+def _angle_keys(p):
+    """The `verify_lemma14` weight keys, in the order it reads them."""
+    return [key for key, _ in _oriented_angles(p)]
+
+
 def test_cube_angle_count():
-    angles = enumerate_angles(cube(3))
+    rows = enumerate_angles(cube(3))
+    assert len(rows) == 8 and {len(pairs) for _, pairs in rows} == {3}
+    angles = _oriented_angles(cube(3))
     assert len(angles) == 48  # 8 vertices x C(3,2) pairs x 2 orders
-    per_vertex = {}
-    for a in angles:
-        per_vertex[a.vertex] = per_vertex.get(a.vertex, 0) + 1
-    assert set(per_vertex.values()) == {6}
-    for a in angles:
-        assert len(a.plane) == 4
+    assert Counter(v for (v, _, _), _ in angles) == dict.fromkeys(cube(3).vertices, 6)
+    for _, plane in angles:
+        assert len(plane) == 4
 
 
 def test_simplex_angle_count():
     # n+1 vertices x C(n,2) facet pairs x 2 orientations
     for n in (2, 3, 4):
-        assert len(enumerate_angles(simplex(n))) == (n + 1) * n * (n - 1)
+        assert len(_oriented_angles(simplex(n))) == (n + 1) * n * (n - 1)
 
 
 def _angles_by_intersection(p):
@@ -192,7 +208,7 @@ def _angles_by_intersection(p):
                 if i not in (f, g):
                     plane &= p.facets[i]
             assert p.face_dim(plane) == 2
-            out += [AngleData(v, plane, f, g), AngleData(v, plane, g, f)]
+            out += [((v, f, g), plane), ((v, g, f), plane)]
     return out
 
 
@@ -200,7 +216,8 @@ def _angles_by_intersection(p):
     "name,p", polytope_family() + [("cube-3-x-simplex-2", product(cube(3), simplex(2)))]
 )
 def test_angles_match_facet_intersection(name, p):
-    assert enumerate_angles(p) == _angles_by_intersection(p), name
+    assert [v for v, _ in enumerate_angles(p)] == list(p.vertices), name
+    assert _oriented_angles(p) == _angles_by_intersection(p), name
 
 
 def test_angles_require_simple_polytope():
@@ -233,7 +250,7 @@ def test_angles_refuse_a_vertex_whose_facet_complement_cuts_no_2_face():
 
 @pytest.mark.parametrize("p", [simplex(1), cube(1)])
 def test_a_segment_has_no_angles(p):
-    assert p.faces(2) == [] and enumerate_angles(p) == []
+    assert p.faces(2) == [] and enumerate_angles(p) == tuple((v, ()) for v in p.vertices)
 
 
 # --- direct weight verification ---------------------------------------------------
@@ -241,7 +258,7 @@ def test_a_segment_has_no_angles(p):
 
 def test_cube_uniform_quarter_weights():
     p = cube(3)
-    weights = {a: Fraction(1, 4) for a in enumerate_angles(p)}
+    weights = {a: Fraction(1, 4) for a in _angle_keys(p)}
     report = verify_lemma14(p, weights, 1, 0)
     assert report.conditions_hold
     assert report.chain == {
@@ -257,7 +274,7 @@ def test_cube_uniform_quarter_weights():
 
 def test_cube_zero_weights_fail_face_condition():
     p = cube(3)
-    weights = {a: 0 for a in enumerate_angles(p)}
+    weights = {a: 0 for a in _angle_keys(p)}
     report = verify_lemma14(p, weights, 1, 0)
     assert report.condition1_holds
     assert not report.condition2_holds
@@ -267,7 +284,7 @@ def test_cube_zero_weights_fail_face_condition():
 
 def test_missing_weight_rejected():
     p = cube(3)
-    angles = enumerate_angles(p)
+    angles = _angle_keys(p)
     weights = {a: Fraction(1, 4) for a in angles[1:]}
     with pytest.raises(ValueError, match="missing weight"):
         verify_lemma14(p, weights, 1, 0)
@@ -288,10 +305,10 @@ def _fraction_report(p, weights, c, d):
     failing faces and chain derived from them."""
     vertex_sums = dict.fromkeys(p.vertices, Fraction(0))
     face_sums = dict.fromkeys(p.faces(2), Fraction(0))
-    for a in enumerate_angles(p):
-        w = rational(weights[a])
-        vertex_sums[a.vertex] += w
-        face_sums[a.plane] += w
+    for (v, f, g), plane in _oriented_angles(p):
+        w = rational(weights[v, f, g])
+        vertex_sums[v] += w
+        face_sums[plane] += w
     total = sum(vertex_sums.values(), Fraction(0))
     budget = c * p.dim + d
     failing_faces = tuple(sorted(
@@ -315,7 +332,7 @@ def _fraction_report(p, weights, c, d):
     "p", [cube(4), cyclic_dual(4, 8), product(simplex(2), cube(2)), simplex(1)]
 )
 def test_common_denominator_sums_match_fraction_accumulation(p):
-    angles = enumerate_angles(p)
+    angles = _angle_keys(p)
     c, d = Fraction(2, 3), Fraction(1, 2)
     for seed in range(5):
         weights = _seeded_weights(angles, random.Random(seed))
@@ -336,11 +353,18 @@ def test_common_denominator_sums_match_fraction_accumulation(p):
     weights[angles[1]] = 0.5
     with pytest.raises(TypeError, match="cannot interpret 0.5"):
         verify_lemma14(p, weights, c, d)
+    # Within a facet pair (f, g), (vertex, f, g) is read before (vertex, g, f).
+    v, f, g = angles[2]
+    assert angles[3] == (v, g, f)
+    weights = _seeded_weights(angles, random.Random(0))
+    del weights[v, g, f], weights[v, f, g]
+    with pytest.raises(ValueError, match=re.escape(f"missing weight for angle {(v, f, g)}")):
+        verify_lemma14(p, weights, c, d)
 
 
 def test_report_json_shape():
     p = simplex(3)
-    weights = {a: Fraction(1, 3) for a in enumerate_angles(p)}
+    weights = {a: Fraction(1, 3) for a in _angle_keys(p)}
     report = verify_lemma14(p, weights, "2/3", 0)
     data = report.to_json()
     json.dumps(data)
@@ -469,16 +493,16 @@ RULES_BY_D = [(d, Theorem12Rule(d)) for d in (1, 2, 3)] + [(2, Theorem258Rule())
 ])
 def test_pipeline_verifies_through_verify_lemma14(fixture, d, rule):
     """The pipeline sums integer weight numerators on the angle rows.
-    `verify_lemma14`, given the weights keyed by `AngleData` and built here
-    from `sigma` of each angle's side distance, reports the same sums,
-    failures, chain and implied bound."""
+    `verify_lemma14`, given the weights keyed by (vertex, side1, side2) and
+    built here from `sigma` of each angle's side distance in the reference
+    table, reports the same sums, failures, chain and implied bound."""
     inst = _bundle(fixture)
     report = diagram_pipeline(inst, d, rule)
     p, rel, rays = inst.polytope, inst.system.relations, inst.facet_rays
     perp = rel.mask(inst.perp_rays)
-    dists = {v: rel.distances(inst.face_mask(p._bit[v], perp)) for v in p.vertices}
-    weights = {a: sigma(rule, dists[a.vertex][rays[a.side1], rays[a.side2]])
-               for a in enumerate_angles(p)}
+    dists = {v: distance_table(rel, inst.face_mask(p._bit[v], perp)) for v in p.vertices}
+    weights = {(v, f, g): sigma(rule, dists[v][rays[f], rays[g]])
+               for v, f, g in _angle_keys(p)}
     direct = verify_lemma14(p, weights, report.c, report.d)
     assert list(report.vertex_sums.items()) == list(direct.vertex_sums.items())
     assert list(report.face_sums.items()) == list(direct.face_sums.items())
@@ -510,17 +534,17 @@ def test_pipeline_bands_match_distance_tables(name):
     """The pipeline reads distances as bands of breadth-first searches cut
     at d and 2d + 1.  Under both rules at d = 1..4 its vertex sums, 2-face
     sums and empirical C1, C2 equal a reference built here from whole
-    `Relations.distances` tables: `sigma` of each angle's side distance, and
+    `distance_table` tables: `sigma` of each angle's side distance, and
     condition (b)'s counts over each vertex's outer rays.  The bands of every
     facet ray through a vertex are the rays its table puts in each band."""
     inst = _perp_bundle(name) if name in PERP_BUNDLES else _bundle(name)
     p, rel, rays = inst.polytope, inst.system.relations, inst.facet_rays
     perp = rel.mask(inst.perp_rays)
     raysets = {v: inst.face_mask(p._bit[v], perp) for v in p.vertices}
-    dists = {v: rel.distances(rayset) for v, rayset in raysets.items()}
+    dists = {v: distance_table(rel, rayset) for v, rayset in raysets.items()}
     outers = {v: rel.names(rayset & ~perp) for v, rayset in raysets.items()}
     if perp:  # some shortest path passes a perp ray
-        assert any(rel.distances(rayset & ~perp).items() - dists[v].items()
+        assert any(distance_table(rel, rayset & ~perp).items() - dists[v].items()
                    for v, rayset in raysets.items())
     for d in (1, 2, 3, 4):
         cuts = sorted({1, d, 2 * d + 1})
@@ -540,15 +564,38 @@ def test_pipeline_bands_match_distance_tables(name):
             report = diagram_pipeline(inst, d, rule)
             vertex_sums = dict.fromkeys(p.vertices, Fraction(0))
             face_sums = Counter()
-            for a in enumerate_angles(p):
-                w = sigma(rule, dists[a.vertex][rays[a.side1], rays[a.side2]])
-                vertex_sums[a.vertex] += w
-                face_sums[a.plane] += w
+            for (v, f, g), plane in _oriented_angles(p):
+                w = sigma(rule, dists[v][rays[f], rays[g]])
+                vertex_sums[v] += w
+                face_sums[plane] += w
             assert list(report.vertex_sums.items()) == list(vertex_sums.items()), (d, rule)
             assert report.face_sums == dict(face_sums), (d, rule)
             assert (report.empirical_c1, report.empirical_c2) == (c1, c2), (d, rule)
             if isinstance(rule, Theorem12Rule):
                 assert report.c == Fraction(2, 3) * c1 + Fraction(1, 2) * c2
+
+
+def test_audit_diameters_match_distance_tables():
+    """Each E-set the pipeline audits prints the diameter of its members in
+    the reference `distance_table` of the E-set with the perp rays, "inf"
+    when one member reaches no other, and is ok exactly when that is at most
+    d."""
+    names = sorted(map(os.path.basename, glob.glob(
+        os.path.join(os.path.dirname(__file__), "fixtures", "diagram_*.json")
+    ))) + list(CONTACT_POLYTOPES)
+    bundles = [_bundle(name) for name in names] + [_perp_bundle(name) for name in PERP_BUNDLES]
+    seen = Counter()
+    for inst in bundles:
+        rel = inst.system.relations
+        for d in (1, 2, 3):
+            for entry in diagram_pipeline(inst, d, Theorem12Rule(d)).eset_audit:
+                rays = entry["rays"]
+                dist = distance_table(rel, rel.mask(set(rays) | inst.perp_rays))
+                diam = max(dist[a, b] for a in rays for b in rays)
+                assert entry["diameter"] == ("inf" if diam == INF else diam), (rays, d)
+                assert entry["ok"] == (diam <= d), (rays, d)
+                seen[entry["diameter"]] += 1
+    assert {1, 2, 3, "inf"} <= set(seen), seen
 
 
 @pytest.mark.parametrize("fixture,d,rule", [
@@ -557,50 +604,39 @@ def test_pipeline_bands_match_distance_tables(name):
     ("diagram_bad_quadrangle.json", 1, Theorem258Rule()),
 ])
 def test_pipeline_enumerates_the_angles_once(monkeypatch, fixture, d, rule):
-    lookups = []
-    faces = CombinatorialPolytope.faces
+    """A verdict reads its angles through `bounds.enumerate_angles`, once per
+    verdict, and builds a polytope's rows once: a second verdict on it reads
+    the kept rows.  Each verdict decodes the 2-faces once, for the 2-face
+    sums."""
+    lookups, calls = [], []
+    faces, rows_of = CombinatorialPolytope.faces, bounds.enumerate_angles
 
-    def counted(p, k=None):
+    def counted_faces(p, k=None):
         lookups.append(k)
         return faces(p, k)
 
-    enumerate_angles(simplex(3))  # so no earlier run has this polytope's angles
-    misses = bounds._angles.cache_info().misses
-    monkeypatch.setattr(CombinatorialPolytope, "faces", counted)
+    def counted_rows(p):
+        calls.append(p)
+        return rows_of(p)
+
+    rows_of(simplex(3))  # so no earlier run has this polytope's angles
+    misses = rows_of.cache_info().misses
+    monkeypatch.setattr(CombinatorialPolytope, "faces", counted_faces)
+    monkeypatch.setattr(bounds, "enumerate_angles", counted_rows)
     inst = load_diagram(f"{FIXTURES}/{fixture}")
-    report = diagram_pipeline(inst, d, rule)
     p = inst.polytope
-    # One pass over the angles, and one 2-face decode, for the 2-face sums.
+    report = diagram_pipeline(inst, d, rule)
+    assert len(calls) == 1 and calls[0] is p
     assert lookups == [2]
-    assert bounds._angles.cache_info().misses == misses + 1
-    # Asked again, the angles come back as a fresh list from the kept rows,
-    # with one decode each for their planes.
-    again = enumerate_angles(p)
-    assert again == enumerate_angles(p) and again is not enumerate_angles(p)
-    assert lookups == [2, 2, 2, 2]
-    assert bounds._angles.cache_info().misses == misses + 1
+    assert rows_of.cache_info().misses == misses + 1
+    again = diagram_pipeline(inst, d, rule)
+    assert len(calls) == 2 and calls[1] is p
+    assert lookups == [2, 2]
+    assert rows_of.cache_info().misses == misses + 1
+    assert again == report and rows_of(p) is rows_of(p)
     if isinstance(rule, Theorem258Rule):
         assert report.replay["agrees"] == report.condition1_holds
         assert report.replay["max_vertex_sum"] == max(report.vertex_sums.values())
-
-
-@pytest.mark.parametrize("fixture", ["diagram_triangle.json", "cube-4", "simplex3xcube3"])
-def test_diagram_pipeline_builds_no_angle_data(monkeypatch, fixture):
-    built = []
-    init = AngleData.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(AngleData, "__init__", counted)
-    inst = _bundle(fixture)
-    for d, rule in RULES_BY_D:
-        diagram_pipeline(inst, d, rule)
-    assert built == []
-    # The spy sees the angles that are built.
-    angles = enumerate_angles(inst.polytope)
-    assert len(built) == len(angles) > 0
 
 
 def test_pipeline_rejects_band_width_mismatch(monkeypatch):
@@ -854,6 +890,9 @@ def test_count_condition_b_shapes():
         count_condition_b(s, ["T1", "T3"], [], 1)
     with pytest.raises(ValueError, match="perp"):
         count_condition_b(s, ["T1", "T2"], ["T3"], 1)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="band width d must be at least 1"):
+            count_condition_b(s, ["T1", "T2"], [], d)
 
 
 @given(st.integers(1, 4))
