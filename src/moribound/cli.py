@@ -120,16 +120,14 @@ def _system_of(kind: str, inst) -> RayDivisorSystem:
 
 
 def _dumps(payload: object) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True)`, written in one pass
-    into one list.  With an indent, `json` encodes in pure Python through a
-    generator per nesting level; this writer makes the same bytes without
-    them.  A payload nested past the recursion limit, or circular, goes to
-    `json`, which raises its own error."""
+    """The JSON that `json` writes with `indent=2, sort_keys=True`, written
+    in one pass into one list.  With an indent, `json` encodes in pure
+    Python through a generator per nesting level; this writer makes the same
+    bytes without them.  It writes only what the commands print: str, int
+    (bool included), None, lists, tuples and dicts with str keys.  Anything
+    else, a float included, raises `TypeError`."""
     out: list[str] = []
-    try:
-        _write(payload, out, "\n")
-    except RecursionError:
-        return json.dumps(payload, indent=2, sort_keys=True)
+    _write(payload, out, "\n")
     return "".join(out)
 
 
@@ -138,9 +136,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _write(value: object, out: list, newline: str) -> None:
     """Append the indented JSON of `value` to `out`; `newline` is the line
-    break and indent of its own level.  Types are tested in `json`'s order,
-    and a value of no type tested here (a float, or an unsupported type) is
-    encoded, or refused, by `json` itself."""
+    break and indent of its own level.  Types are tested in `json`'s order."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -169,21 +165,12 @@ def _write(value: object, out: list, newline: str) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            out.append(sep + _json_key(key) + ": ")
+            out.append(sep + _encode_str(key) + ": ")  # TypeError unless a str
             _write(item, out, inner)
             sep = "," + inner
         out.append(newline + "}")
     else:
-        out.append(json.dumps(value))
-
-
-def _json_key(key: object) -> str:
-    """An object key as `json` writes it, or `json`'s TypeError."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (float, int)):  # bools are ints
-        return _encode_str(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args: argparse.Namespace, payload: object, text_lines: list[str]) -> None:
