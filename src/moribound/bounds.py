@@ -19,8 +19,8 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .core import (INF, KINDS, format_rational, mask_names, positions, rational, to_json,
-                   walk)
+from .core import (INF, KINDS, format_rational, integral, mask_names, positions, rational,
+                   to_json, walk)
 from .polytope import CombinatorialPolytope, PolytopeError, polytope_from_json
 from .raysystem import RayDivisorSystem, graph_nodes, system_from_json
 from .structure import condition_iii_full, find_esets, is_extremal
@@ -273,8 +273,8 @@ def verify_lemma14(
               for key in ((v, f, g), (v, g, f))]
     except KeyError as exc:
         raise ValueError(f"missing weight for angle {exc.args[0]}") from None
-    den = math.lcm(*(w.denominator for w in ws))
-    nums = (w.numerator * (den // w.denominator) for w in ws)
+    ints, den = integral(ws)
+    nums = iter(ints)
     # Consecutive angles are the two orders of one pair.
     return _bound_report(p, rows, map(sum, zip(nums, nums)), den, cc, dd)
 
@@ -543,9 +543,8 @@ def diagram_pipeline(
     # weight is 0.  validate_diagram made every facet and perp ray divisorial.
     cuts = sorted({d, 2 * d + 1}.union(*((lo - 1, hi) for (lo, hi), _ in rule.table)) - {0})
     near, far = cuts.index(d) + 1, cuts.index(2 * d + 1) + 1
-    # Weights are integer numerators over the lcm of the rule's weights.
-    den = math.lcm(*(w.denominator for _, w in rule.table))
-    band_nums = [int(sigma(rule, cut) * den) for cut in cuts]
+    # Each band's weight, as an integer numerator over the bands' common lcm.
+    band_nums, den = integral([sigma(rule, cut) for cut in cuts])
     rel, perp = s.relations, s.relations.mask(inst.perp_rays)
     at = [rel.bit[rid].bit_length() - 1 for rid in inst.facet_rays]
 

@@ -1,5 +1,8 @@
-"""Exact arithmetic kernel: rationals, vectors, symmetric trilinear forms,
-and small dense linear algebra over the rationals.
+"""Exact arithmetic kernel: rational coercion and the one lcm scaling of
+rationals to integers (`integral`), vectors and symmetric trilinear forms,
+small dense linear algebra over the rationals, the inequality solver, the
+instance-file field tables with their reader and writer, and the face-mask
+format that polytopes and ray systems share.
 
 Everything here is immutable and pure.  No floating point enters any
 verification path; distances may be ``INF`` (unreachable), which is the one
@@ -15,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, permutations, repeat
 from operator import attrgetter, mul
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 INF = float("inf")
 
@@ -308,11 +311,17 @@ def _eliminate(rows: set[tuple[int, ...]], nvars: int) -> tuple[Fraction, ...] |
     return (*sub, max(at) if lowers else min([Fraction(0), *at]))
 
 
+def integral(row: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
+    """The row times the lcm of its denominators, as integers, and that lcm
+    (1 for the empty row)."""
+    lcm = math.lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (lcm // x.denominator) for x in row), lcm
+
+
 def _primitive(row: Sequence[int | Fraction]) -> tuple[int, ...]:
     """The positive multiple of a rational row with coprime integer entries
-    (a zero row stays zero): times the lcm of its denominators, over the gcd."""
-    lcm = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (lcm // x.denominator) for x in row]
+    (a zero row stays zero): `integral`'s integers over their gcd."""
+    ints, _ = integral(row)
     g = math.gcd(*ints) or 1
     return tuple(x // g for x in ints)
 
@@ -479,20 +488,14 @@ def positions(mask: int) -> list[int]:
 
 
 def mask_names(ids: Sequence, mask: int) -> list:
-    """The sorted ids of a mask."""
-    return [ids[k] for k in positions(mask)]
-
-
-def face_names(ids: Sequence, masks: Iterable[int]) -> Iterator[list]:
-    """The sorted ids of each mask.  When the mask without its highest bit,
-    which holds the first id, came earlier, its ids give the rest."""
-    names: dict = {0: []}
-    for m in masks:
-        if m not in names:
-            k = m.bit_length() - 1
-            rest = names.get(m ^ 1 << k)
-            names[m] = mask_names(ids, m) if rest is None else [ids[k], *rest]
-        yield names[m]
+    """The sorted ids of a mask: the loop of `positions`, taking each bit's
+    id as it goes, with no list of positions in between."""
+    out = []
+    while mask:
+        k = mask.bit_length() - 1
+        out.append(ids[k])
+        mask ^= 1 << k
+    return out
 
 
 def to_json(value: object, shape: object) -> Any:

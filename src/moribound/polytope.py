@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .core import (KINDS, binomial, bit_order, face_names, face_order, mask_names, to_json,
+from .core import (KINDS, binomial, bit_order, face_order, mask_names, to_json,
                    vertex_key, walk)
 
 VertexId = object  # JSON scalar: str or int
@@ -217,7 +217,8 @@ class CombinatorialPolytope:
         """All faces, or just the k-dimensional ones, by dimension, size, then
         sorted vertex keys, decoded from their masks on each call."""
         layers = self._by_dim if k is None else self._by_dim[k : k + 1] if k >= 0 else ()
-        return list(map(frozenset, face_names(self._ids, chain.from_iterable(layers))))
+        ids = self._ids
+        return [frozenset(mask_names(ids, m)) for m in chain.from_iterable(layers)]
 
     def face_dim(self, face: frozenset) -> int:
         return self._entry(face)[1]

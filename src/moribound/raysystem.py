@@ -16,7 +16,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .core import (INF, KINDS, RayType, SystemFormatError, bit_order, face_names, face_order,
+from .core import (INF, KINDS, RayType, SystemFormatError, bit_order, face_order,
                    format_rational, mask_names, number, positions, to_json, walk)
 
 
@@ -64,8 +64,8 @@ class _FaceView:
     def __get__(self, s: Optional["RayDivisorSystem"], owner: Optional[type] = None):
         if s is None or s._face_masks is None:
             return None
-        names = face_names(s.relations.ids, s._face_masks)
-        view = s.__dict__["faces"] = tuple(map(frozenset, names))
+        ids = s.relations.ids
+        view = s.__dict__["faces"] = tuple(frozenset(mask_names(ids, m)) for m in s._face_masks)
         return view
 
 
@@ -596,8 +596,8 @@ def system_to_json(s: RayDivisorSystem) -> dict:
     """`s` as JSON.  Its faces are written from their masks, each as its
     sorted ids, so writing builds no `faces` view."""
     written = {key: getattr(s, key) for key in KINDS["system"] if key != "faces"}
-    masks = s._face_masks
-    written["faces"] = None if masks is None else list(face_names(s.relations.ids, masks))
+    masks, ids = s._face_masks, s.relations.ids
+    written["faces"] = None if masks is None else [mask_names(ids, m) for m in masks]
     return to_json(SimpleNamespace(**written), "system")
 
 

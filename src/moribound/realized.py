@@ -10,7 +10,6 @@ face-simplicity rank test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +21,7 @@ from .core import (
     RVector,
     SystemFormatError,
     TrilinearForm,
+    integral,
     kernel_of_columns,
     rational,
     scale_primitive,
@@ -83,8 +83,8 @@ class RealizedModel:
             raise ValueError("anticanonical vector dimension does not match rho")
         # Each vector scaled once to integers, with its scale: a ray and a
         # divisor may share an id, so each has its own table.
-        rays = {rid: _integral(v) for rid, v in self.ray_vectors.items()}
-        divisors = {did: _integral(v) for did, v in self.divisor_vectors.items()}
+        rays = {rid: integral(v.entries) for rid, v in self.ray_vectors.items()}
+        divisors = {did: integral(v.entries) for did, v in self.divisor_vectors.items()}
         for rid, row in zip(s.ray_ids, s.pairing):
             r, lr = rays[rid]
             for did, want in zip(s.divisors, row):
@@ -96,7 +96,7 @@ class RealizedModel:
                         f"vectors give {got}, table says {want}"
                     )
         if self.anticanonical_vector is not None and s.anticanonical is not None:
-            a, la = _integral(self.anticanonical_vector)
+            a, la = integral(self.anticanonical_vector.entries)
             for rid, want in zip(s.ray_ids, s.anticanonical):
                 r, lr = rays[rid]
                 if sum(map(mul, r, a)) != want * (lr * la):
@@ -105,13 +105,6 @@ class RealizedModel:
                         f"anticanonical mismatch at {rid}: "
                         f"vector gives {got}, column says {want}"
                     )
-
-
-def _integral(v: RVector) -> tuple[tuple[int, ...], int]:
-    """The vector times the lcm of its denominators, as integers, and that
-    lcm."""
-    scale = math.lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (scale // x.denominator) for x in v), scale
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from moribound.bounds import (
     validate_diagram,
     verify_lemma14,
 )
-from moribound.core import INF, RVector, face_names, rational
+from moribound.core import INF, RVector, mask_names, rational
 from moribound.generate import polytope_family, realized_b2
 from moribound.polytope import (
     CombinatorialPolytope,
@@ -794,12 +794,11 @@ def test_diagram_verdicts_decode_only_2_faces(monkeypatch, d, rule):
     bundles.append(_contact_bundle(cube(6), 6))
     decoded = []
 
-    def recorded(ids, masks):
-        masks = list(masks)
-        decoded.extend(masks)
-        return face_names(ids, masks)
+    def recorded(ids, mask):
+        decoded.append(mask)
+        return mask_names(ids, mask)
 
-    monkeypatch.setattr("moribound.polytope.face_names", recorded)
+    monkeypatch.setattr("moribound.polytope.mask_names", recorded)
     for inst in bundles:
         decoded.clear()
         diagram_pipeline(inst, d, rule)

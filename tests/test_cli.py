@@ -1287,3 +1287,64 @@ def test_readme_lists_exactly_the_declared_keys_of_each_kind():
             yield from keys(shape.shape)
 
     assert listed == {kind: set(keys(table)) for kind, table in KINDS.items()}
+
+
+def test_readme_library_map_names_only_what_exists():
+    """Every backticked identifier in README's "Library map" is a moribound
+    module, an attribute of a module or of a class in one, a parameter of a
+    function in one, a CLI subcommand, a builtin or a component label, so a
+    deleted name cannot stay documented.  In a dotted name, each part after
+    a module or a class is an attribute of it."""
+    import argparse
+    import builtins
+    import importlib
+    import inspect
+    import pkgutil
+
+    text = Path(__file__).parents[1].joinpath("README.md").read_text()
+    section = text.split("## Library map", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)`", section))
+    assert len(names) > 100
+
+    def attributes(owner):
+        """`owner`'s attribute names, dataclass fields included."""
+        return {*dir(owner), *getattr(owner, "__dataclass_fields__", ())}
+
+    def parameters(fn):
+        try:
+            return set(inspect.signature(fn).parameters)
+        except (TypeError, ValueError):
+            return set()
+
+    scopes, known = {}, set()  # scopes: the modules and classes, by name
+    for info in pkgutil.iter_modules(moribound.__path__):
+        module = importlib.import_module(f"moribound.{info.name}")
+        scopes[info.name] = scopes[module.__name__] = module
+        for attr, value in vars(module).items():
+            known.add(attr)
+            if inspect.isclass(value):
+                scopes.setdefault(attr, value)
+                known |= attributes(value)
+                for member in vars(value).values():
+                    known |= parameters(getattr(member, "__func__", member))
+            if inspect.isfunction(value):
+                known |= parameters(value)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    known |= set(subparsers.choices) | set(dir(builtins)) | {"A1", "B2", "C", "D2", "E2"}
+
+    def resolves(name):
+        parts = name.split(".")
+        if parts[0] == "moribound" and len(parts) > 1:
+            parts[:2] = [".".join(parts[:2])]
+        scope = scopes.get(parts[0])
+        if scope is None and parts[0] not in known:
+            return False
+        for part in parts[1:]:
+            if part not in (known if scope is None else attributes(scope)):
+                return False
+            scope = scopes.get(part) if scope is None else getattr(scope, part, None)
+            scope = scope if inspect.ismodule(scope) or inspect.isclass(scope) else None
+        return True
+
+    assert sorted(n for n in names if not resolves(n)) == []

@@ -1,7 +1,9 @@
 """Exact-arithmetic kernel: vectors, forms, elimination, feasibility."""
 
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -15,8 +17,10 @@ from moribound.core import (
     RVector,
     SystemFormatError,
     TrilinearForm,
+    _primitive,
     binomial,
     format_rational,
+    integral,
     kernel_of_columns,
     number,
     rank,
@@ -391,6 +395,39 @@ def test_scale_primitive_properties(values):
     assert ratio > 0
     for a, b in zip(values, out):
         assert b == a * ratio
+
+
+def test_integral_scales_by_the_lcm_of_the_denominators():
+    """On seeded rows of ints and Fractions, negatives, zeros, the empty row
+    and all-zero rows among them: each integer over the scale is its entry,
+    the scale is the lcm of the denominators, and `_primitive` agrees with
+    its earlier one-pass form, which scaled and divided in place."""
+
+    def one_pass_primitive(row):
+        lcm = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (lcm // x.denominator) for x in row]
+        g = math.gcd(*ints) or 1
+        return tuple(x // g for x in ints)
+
+    def entry(rng):
+        if rng.random() < 0.4:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+
+    rng = random.Random(33)
+    rows = [(), (0,), (Fraction(0),), (0, Fraction(0), 0), (Fraction(0, 7),) * 5]
+    while len(rows) < 2000:
+        zero = rng.random() < 0.1
+        rows.append(tuple(rng.choice((0, Fraction(0))) if zero else entry(rng)
+                          for _ in range(rng.randint(0, 7))))
+    for row in rows:
+        ints, scale = integral(row)
+        assert all(type(x) is int for x in ints) and scale >= 1
+        assert [Fraction(x, scale) for x in ints] == list(row), row
+        dens = [Fraction(x).denominator for x in row]
+        assert scale == reduce(lambda a, b: a * b // math.gcd(a, b), dens, 1), row
+        assert _primitive(row) == one_pass_primitive(row), row
+    assert sum(1 for row in rows if row and not any(row)) > 100
 
 
 def test_inf_sentinel():
