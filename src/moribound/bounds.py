@@ -144,7 +144,8 @@ def enumerate_angles(p: CombinatorialPolytope) -> tuple:
     2-face.  A pair stands for the two angles (f, g) and (g, f).  The
     2-face is the AND of the masks of the vertex's other facets; on a simple
     polytope it is a 2-face exactly when those are all the facets through
-    it.  A refusal raises again on every call."""
+    it.  The rows are kept by value: equal polytopes have the same ids,
+    types included.  A refusal raises again on every call."""
     if not p.is_simple:
         raise PolytopeError("angles are defined on simple polytopes only")
     top = (1 << len(p._ids)) - 1

@@ -80,6 +80,9 @@ class CombinatorialPolytope:
     def _validate_incidence(self) -> None:
         if self.dim < 1:
             raise PolytopeError("dimension must be at least 1")
+        for v in chain(self.vertices, *self.facets):  # `core.VERTEX`; True == 1 == 1.0
+            if type(v) not in (str, int):
+                raise PolytopeError(f"vertex id {v!r} is not a string or an integer")
         if len(set(self.vertices)) != len(self.vertices):
             raise PolytopeError("duplicate vertex ids")
         vset = set(self.vertices)

@@ -1214,7 +1214,7 @@ def test_a_missing_required_field_names_its_path():
         for keys, _, required in _declared(kind, sample):
             if not required:
                 continue
-            with pytest.raises(moribound.SystemFormatError) as caught:
+            with pytest.raises(moribound.core.SystemFormatError) as caught:
                 cli.FROM_JSON[kind](_replaced(sample, keys, DROP))
             assert str(caught.value) == f"{_json_path(keys)}: missing"
             seen += 1

@@ -153,6 +153,23 @@ def test_construction_rejections():
         CombinatorialPolytope.of(dim=1, vertices=["a", "b"], facets=[[], ["a"], ["b"], []])
 
 
+@pytest.mark.parametrize("alias", [True, 1.0])
+@pytest.mark.parametrize("where", ["vertices", "facets", "both"])
+def test_vertex_ids_are_strings_or_integers(alias, where):
+    """`alias == 1` and they hash alike, so a tetrahedron with `alias` in
+    place of the id 1 would equal the one with 1 while `vertex_key` orders
+    its vertices, and so lays out its masks, differently; the rows that
+    `enumerate_angles` keeps by value would then be handed across."""
+    vertices, facets = [0, 1, 2, 3], [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    CombinatorialPolytope.of(3, vertices, facets)
+    if where != "facets":
+        vertices = [alias if v == 1 else v for v in vertices]
+    if where != "vertices":
+        facets = [[alias if v == 1 else v for v in f] for f in facets]
+    with pytest.raises(PolytopeError, match=f"^vertex id {alias!r} is not a string or an integer$"):
+        CombinatorialPolytope.of(3, vertices, facets)
+
+
 def square_pyramid() -> CombinatorialPolytope:
     return CombinatorialPolytope.of(
         dim=3,
