@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from .core import face_order, format_rational, positions, scale_primitive, solve_inequalities
 from .raysystem import (
@@ -63,8 +63,8 @@ class EsetType:
 class ClassificationFailure(Exception):
     """A set has no matching type under the model's hypotheses.
 
-    This is a first-class result: callers that aggregate reports catch it and
-    record which hypothesis failed for which rays.
+    Only `classify_component` and `classify_eset` raise it; the reports record
+    its reason, a key of `FAILURES`, instead.
     """
 
     def __init__(self, reason: str, rays: Iterable[str], detail: str = ""):
@@ -75,6 +75,57 @@ class ClassificationFailure(Exception):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+# Every reason a classification fails for, with the hypothesis it breaks: the
+# reasons of the component types, then those of the E-set cases.
+FAILURES = {
+    "small-pair-not-contracting":
+        "a {type II, small} pair needs the small ray negative on the divisor",
+    "small-ray-in-component": "small rays only classify inside a dedicated pair",
+    "shared-divisor-not-type-ii": "only two type II rays may share a divisor",
+    "joined-type-i-pair": "two type I rays never have touching divisors in a valid system",
+    "mixed-pair-cone-not-pointed":
+        "some nonnegative divisor combination is nonnegative on both rays",
+    "mixed-pair-crosses-not-positive":
+        "a touching type II / type I pair needs both cross pairings positive",
+    "oversized-component-with-type-i":
+        "no component type admits a type I ray among 3 or more rays",
+    "no-hub-ray":
+        "no ray has all spokes positive on its divisor, zero back, and pairwise "
+        "non-touching spoke divisors",
+    "small-ray-unclassified": "a small ray gets a type only in a {type II, small} pair",
+    "shared-divisor-pair": "a shared-divisor pair spans a face and cannot be an E-set",
+    "type-i-pair": "two type I rays never have touching divisors",
+    "hub-pattern-pair-not-extremal":
+        "a touching pair with a one-sided pairing spans a face and cannot be an E-set",
+    "connected-pair-unclassifiable":
+        "no positive combination works and no zero partner exists",
+    "connected-triple-not-cyclic":
+        "the three-element case needs all rays of type II, in a cyclic orientation with "
+        "strict forward and zero backward pairings",
+    "cyclic-triple-rejects-unit-combination":
+        "the unit divisor sum fails to be nonnegative on some ray",
+    "nonsimple-type-ii-member": "the case analysis requires simple type II rays",
+    "disconnected-eset-not-pairwise-disjoint":
+        "a disconnected E-set must split into single rays with pairwise non-touching divisors",
+    "disjoint-eset-with-type-i": "the pairwise-disjoint case needs all rays of type II",
+    "oversized-connected-eset":
+        "connected E-sets of four or more rays fall outside the case analysis",
+}
+
+_T = TypeVar("_T")
+
+
+def _or_raise(rel: Relations, mask: int, result: _T | str) -> _T:
+    """A mask-level classifier's type, or its reason raised as a
+    ClassificationFailure on the mask's rays (on the non-simple members
+    alone for `nonsimple-type-ii-member`)."""
+    if not isinstance(result, str):
+        return result
+    if result == "nonsimple-type-ii-member":
+        mask &= rel.type_ii & ~rel.simple
+    raise ClassificationFailure(result, rel.names(mask), FAILURES[result])
 
 
 @dataclass(frozen=True)
@@ -97,15 +148,17 @@ class ClassificationReport:
 
 
 def classify_component(s: RayDivisorSystem, comp: Iterable[str]) -> ComponentType:
-    """Type of one contact-connected component (or a {type II, small} pair)."""
+    """Type of one contact-connected component (or a {type II, small} pair).
+
+    Raises ClassificationFailure when no type fits."""
     mask = s.ray_mask(comp)
     if not mask:
         raise ValueError("empty component")
-    return _component_type(s.relations, mask)
+    return _or_raise(s.relations, mask, _component_type(s.relations, mask))
 
 
-def _component_type(rel: Relations, mask: int) -> ComponentType:
-    """`classify_component` on the rays of a nonzero mask."""
+def _component_type(rel: Relations, mask: int) -> ComponentType | str:
+    """`classify_component` on a nonzero mask, with the reason for a failure."""
     small = mask & ~rel.divisorial
     if small:
         if mask.bit_count() == 2 and small.bit_count() == 1:
@@ -113,16 +166,8 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
             toward = rel.toward[small.bit_length() - 1][other.bit_length() - 1]
             if other & rel.type_ii and toward < 0:
                 return ComponentType("E2")
-            raise ClassificationFailure(
-                "small-pair-not-contracting",
-                rel.names(mask),
-                "a {type II, small} pair needs the small ray negative on the divisor",
-            )
-        raise ClassificationFailure(
-            "small-ray-in-component",
-            rel.names(mask),
-            "small rays only classify inside a dedicated pair",
-        )
+            return "small-pair-not-contracting"
+        return "small-ray-in-component"
 
     if mask.bit_count() == 1:
         return ComponentType("A1") if mask & rel.type_i else ComponentType("C", m=1)
@@ -131,40 +176,19 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
     if len(ks) == 2 and rel.column[ks[0]] == rel.column[ks[1]]:
         if not mask & rel.type_i:
             return ComponentType("B2")
-        raise ClassificationFailure(
-            "shared-divisor-not-type-ii",
-            rel.names(mask),
-            "only two type II rays may share a divisor",
-        )
+        return "shared-divisor-not-type-ii"
 
     if mask & rel.type_i:
         if len(ks) == 2:
             if not mask & rel.type_ii:
-                raise ClassificationFailure(
-                    "joined-type-i-pair",
-                    rel.names(mask),
-                    "two type I rays never have touching divisors in a valid "
-                    "system",
-                )
+                return "joined-type-i-pair"
             a, b = ks
             if rel.arrows[a] >> b & 1 and rel.arrows[b] >> a & 1:
                 if _cone_witness(_rows(rel, ks, ks), 2, False) is None:
                     return ComponentType("D2")
-                raise ClassificationFailure(
-                    "mixed-pair-cone-not-pointed",
-                    rel.names(mask),
-                    "some nonnegative divisor combination is nonnegative on both rays",
-                )
-            raise ClassificationFailure(
-                "mixed-pair-crosses-not-positive",
-                rel.names(mask),
-                "a touching type II / type I pair needs both cross pairings positive",
-            )
-        raise ClassificationFailure(
-            "oversized-component-with-type-i",
-            rel.names(mask),
-            "no component type admits a type I ray among 3 or more rays",
-        )
+                return "mixed-pair-cone-not-pointed"
+            return "mixed-pair-crosses-not-positive"
+        return "oversized-component-with-type-i"
 
     # All type II: a hub pairs zero with every spoke's divisor, every spoke
     # pairs positively with the hub's, and no two spoke divisors touch.
@@ -176,12 +200,7 @@ def _component_type(rel: Relations, mask: int) -> ComponentType:
         and not any(rel.contact[o] & others & ~(1 << o) for o in positions(others))
     ]
     if not hubs:
-        raise ClassificationFailure(
-            "no-hub-ray",
-            rel.names(mask),
-            "no ray has all spokes positive on its divisor, zero back, and "
-            "pairwise non-touching spoke divisors",
-        )
+        return "no-hub-ray"
     return ComponentType(
         "C", m=len(ks), hub=rel.ids[hubs[0]], hub_ambiguous=len(hubs) > 1
     )
@@ -208,10 +227,11 @@ def _decompose(
     components: list[tuple[int, ComponentType]] = []
     failures: list[tuple[int, str]] = []
     for comp in rel.components(mask & rel.divisorial):
-        try:
-            components.append((comp, _component_type(rel, comp)))
-        except ClassificationFailure as fail:
-            failures.append((comp, fail.reason))
+        ctype = _component_type(rel, comp)
+        if isinstance(ctype, str):
+            failures.append((comp, ctype))
+        else:
+            components.append((comp, ctype))
     for k in positions(mask & ~rel.divisorial):
         failures.append((1 << k, "small-ray-unclassified"))
     return components, failures
@@ -532,48 +552,26 @@ def _case_c_witness(rel: Relations, k1: int, k2: int) -> Optional[str]:
     return None
 
 
-def _classify_connected_pair(rel: Relations, mask: int) -> EsetType:
+def _classify_connected_pair(rel: Relations, mask: int) -> EsetType | str:
     k1, k2 = positions(mask)
     if rel.column[k1] == rel.column[k2]:
-        raise ClassificationFailure(
-            "shared-divisor-pair",
-            rel.names(mask),
-            "a shared-divisor pair spans a face and cannot be an E-set",
-        )
+        return "shared-divisor-pair"
     if not mask & rel.type_ii:
-        raise ClassificationFailure(
-            "type-i-pair",
-            rel.names(mask),
-            "two type I rays never have touching divisors",
-        )
+        return "type-i-pair"
     if not (rel.arrows[k1] >> k2 & 1 and rel.arrows[k2] >> k1 & 1):
-        raise ClassificationFailure(
-            "hub-pattern-pair-not-extremal",
-            rel.names(mask),
-            "a touching pair with a one-sided pairing spans a face and cannot "
-            "be an E-set",
-        )
+        return "hub-pattern-pair-not-extremal"
     witness = _case_b_witness(rel, k1, k2)
     if witness is not None:
         return EsetType("b", m1=witness[0], m2=witness[1])
     partner = _case_c_witness(rel, k1, k2)
     if partner is not None:
         return EsetType("c", witness=partner)
-    raise ClassificationFailure(
-        "connected-pair-unclassifiable",
-        rel.names(mask),
-        "no positive combination works and no zero partner exists",
-    )
+    return "connected-pair-unclassifiable"
 
 
-def _classify_connected_triple(rel: Relations, mask: int) -> EsetType:
-    ids = rel.names(mask)
+def _classify_connected_triple(rel: Relations, mask: int) -> EsetType | str:
     if mask & ~rel.type_ii:
-        raise ClassificationFailure(
-            "connected-triple-not-cyclic",
-            ids,
-            "the three-element case needs all rays of type II",
-        )
+        return "connected-triple-not-cyclic"
     arrows, zeros = rel.arrows, rel.zeros
     ks = positions(mask)
     for x, y, z in permutations(ks):
@@ -582,61 +580,38 @@ def _classify_connected_triple(rel: Relations, mask: int) -> EsetType:
         if strict and zero:
             if all(sum(row) >= 0 for row in _rows(rel, rel.order, ks)):
                 return EsetType("a")
-            raise ClassificationFailure(
-                "cyclic-triple-rejects-unit-combination",
-                ids,
-                "the unit divisor sum fails to be nonnegative on some ray",
-            )
-    raise ClassificationFailure(
-        "connected-triple-not-cyclic",
-        ids,
-        "no cyclic orientation has strict forward and zero backward pairings",
-    )
+            return "cyclic-triple-rejects-unit-combination"
+    return "connected-triple-not-cyclic"
 
 
 def classify_eset(s: RayDivisorSystem, l: Iterable[str]) -> EsetType:
     """Which of the four E-set cases the set falls into.
 
     Raises ClassificationFailure when the set matches none of them (the model
-    instance then violates the hypotheses the case analysis needs).
+    instance then violates the hypotheses the case analysis needs), and
+    ValueError when the set is not an E-set.
     """
-    return _eset_type(s.relations, _eset_preconditions(s, l))
+    mask = _eset_preconditions(s, l)
+    return _or_raise(s.relations, mask, _eset_type(s.relations, mask))
 
 
-def _eset_type(rel: Relations, mask: int) -> EsetType:
-    """`classify_eset` on the mask of a set that meets its preconditions."""
+def _eset_type(rel: Relations, mask: int) -> EsetType | str:
+    """`classify_eset` on the mask of an E-set, with the reason for a failure."""
     nonsimple = mask & rel.type_ii & ~rel.simple
     if nonsimple:
-        raise ClassificationFailure(
-            "nonsimple-type-ii-member",
-            rel.names(nonsimple),
-            "the case analysis requires simple type II rays",
-        )
+        return "nonsimple-type-ii-member"
     comps = rel.components(mask)
     if len(comps) > 1:
         if any(c & (c - 1) for c in comps):
-            raise ClassificationFailure(
-                "disconnected-eset-not-pairwise-disjoint",
-                rel.names(mask),
-                "a disconnected E-set must split into single rays with "
-                "pairwise non-touching divisors",
-            )
+            return "disconnected-eset-not-pairwise-disjoint"
         if mask & rel.type_i:
-            raise ClassificationFailure(
-                "disjoint-eset-with-type-i",
-                rel.names(mask),
-                "the pairwise-disjoint case needs all rays of type II",
-            )
+            return "disjoint-eset-with-type-i"
         return EsetType("d")
     if mask.bit_count() == 2:
         return _classify_connected_pair(rel, mask)
     if mask.bit_count() == 3:
         return _classify_connected_triple(rel, mask)
-    raise ClassificationFailure(
-        "oversized-connected-eset",
-        rel.names(mask),
-        "connected E-sets of four or more rays fall outside the case analysis",
-    )
+    return "oversized-connected-eset"
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +685,10 @@ def classify_report(s: RayDivisorSystem) -> dict:
         # Each E-set is a minimal non-extremal set of divisorial rays, which
         # is all `classify_eset` checks before it classifies.
         for eset in _eset_masks(s, rel.names(rel.divisorial)):
-            try:
-                etype = _eset_type(rel, eset)
+            etype = _eset_type(rel, eset)
+            if isinstance(etype, str):
+                failures.append({"rays": rel.names(eset), "reason": etype})
+            else:
                 esets.append(
                     {
                         "rays": rel.names(eset),
@@ -719,8 +696,6 @@ def classify_report(s: RayDivisorSystem) -> dict:
                         "witness": etype.to_json(),
                     }
                 )
-            except ClassificationFailure as fail:
-                failures.append({"rays": rel.names(eset), "reason": fail.reason})
 
     components.sort(key=lambda c: c["rays"])
     return {
@@ -747,12 +722,12 @@ def esets_report(s: RayDivisorSystem) -> dict:
     for eset in _eset_masks(s, rel.names(rel.divisorial)):
         ids = rel.names(eset)
         entry: dict = {"rays": ids}
-        try:
-            etype = _eset_type(rel, eset)
+        etype = _eset_type(rel, eset)
+        if isinstance(etype, str):
+            entry["failure"] = etype
+        else:
             entry["case"] = etype.kind
             entry["witness"] = etype.to_json()
-        except ClassificationFailure as fail:
-            entry["failure"] = fail.reason
         entry["condition_ii_members"] = check_condition_ii(s, ids)
         full = condition_iii_full(s, ids)
         entry["condition_iii_full"] = (

@@ -33,6 +33,7 @@ from moribound.raysystem import (
     validate,
 )
 from moribound.structure import (
+    FAILURES,
     ClassificationFailure,
     _cross_pairings_nonnegative,
     check_condition_ii,
@@ -99,90 +100,240 @@ def test_contracting_small_pair_is_e2():
     assert classify_component(s, ["A", "X"]).kind == "E2"
 
 
-def test_noncontracting_small_pair_rejected():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("X", "small")],
-        divisors=["D1"],
-        pairing=[[-1], [1]],
-        meets=[],
+# --- classification failures at the public edge -------------------------------
+
+
+def _failure(reason, call, s, rays, subject=None, variant=""):
+    """One row of FAILURE_CASES: `call(s, rays)` must fail for `reason`,
+    naming `subject` (by default the rays)."""
+    return pytest.param(
+        reason, call, s, rays, sorted(subject or rays), id=reason + variant
     )
+
+
+def _touching(types, pairing, meets=None, faces=None):
+    """Rays A, B, ... of the given types on divisors D1, D2, ..., each
+    divisor touching the next unless `meets` says otherwise."""
+    divisors = [f"D{i}" for i in range(1, len(types) + 1)]
+    return RayDivisorSystem.of(
+        rays=[(chr(ord("A") + i), t, d) for i, (t, d) in enumerate(zip(types, divisors))],
+        divisors=divisors,
+        pairing=pairing,
+        meets=list(zip(divisors, divisors[1:])) if meets is None else meets,
+        faces=faces,
+    )
+
+
+FAILURE_CASES = [
+    _failure(
+        "small-pair-not-contracting",
+        classify_component,
+        RayDivisorSystem.of(
+            rays=[("A", "II", "D1"), ("X", "small")],
+            divisors=["D1"],
+            pairing=[[-1], [1]],
+            meets=[],
+        ),
+        ["A", "X"],
+    ),
+    _failure(
+        "small-ray-in-component",
+        classify_component,
+        RayDivisorSystem.of(
+            rays=[("A", "II", "D1"), ("B", "II", "D2"), ("X", "small")],
+            divisors=["D1", "D2"],
+            pairing=[[-1, 0], [1, -1], [-1, 0]],
+            meets=[("D1", "D2")],
+        ),
+        ["A", "B", "X"],
+    ),
+    _failure(
+        "shared-divisor-not-type-ii",
+        classify_component,
+        RayDivisorSystem.of(
+            rays=[("A", "II", "D1"), ("B", "I", "D1")],
+            divisors=["D1"],
+            pairing=[[-1], [-1]],
+            meets=[],
+        ),
+        ["A", "B"],
+    ),
+    _failure(
+        "joined-type-i-pair",
+        classify_component,
+        _touching(["I", "I"], [[-1, 1], [1, -1]]),
+        ["A", "B"],
+    ),
+    _failure(
+        "mixed-pair-crosses-not-positive",
+        classify_component,
+        _touching(["II", "I"], [[-1, 0], [1, -1]]),
+        ["A", "B"],
+    ),
+    _failure(
+        "mixed-pair-cone-not-pointed",
+        classify_component,
+        _touching(["II", "I"], [[-1, 2], [2, -1]]),
+        ["A", "B"],
+    ),
+    _failure(
+        "oversized-component-with-type-i",
+        classify_component,
+        _touching(
+            ["II", "II", "I"],
+            [[-1, 0, 0], [1, -1, 0], [1, 0, -1]],
+            meets=[("D1", "D2"), ("D1", "D3")],
+        ),
+        ["A", "B", "C"],
+    ),
+    # A path: A -> B -> C in contact, but no single ray vanishes on all the
+    # others' divisors while they are positive on its own.
+    _failure(
+        "no-hub-ray",
+        classify_component,
+        _touching(["II", "II", "II"], [[-1, 1, 0], [1, -1, 1], [0, 1, -1]]),
+        ["A", "B", "C"],
+    ),
+    _failure(
+        "shared-divisor-pair",
+        classify_eset,
+        system_b2().with_faces([[], ["R1"], ["R2"]]),
+        ["R1", "R2"],
+    ),
+    _failure(
+        "type-i-pair",
+        classify_eset,
+        _touching(["I", "I"], [[-1, 1], [1, -1]]),
+        ["A", "B"],
+    ),
+    # hub-shaped pair: one-sided pairing
+    _failure(
+        "hub-pattern-pair-not-extremal",
+        classify_eset,
+        _touching(["II", "II"], [[-1, 0], [1, -1]], faces=[[], ["A"], ["B"]]),
+        ["A", "B"],
+    ),
+    # C, of type I, is negative on both divisors: no case (b) combination.
+    _failure(
+        "connected-pair-unclassifiable",
+        classify_eset,
+        _touching(
+            ["II", "II", "I"],
+            [[-1, 1, 0], [1, -1, 0], [-1, -1, -1]],
+            meets=[("D1", "D2")],
+        ),
+        ["A", "B"],
+    ),
+    # A -> B -> C -> A strict forward, zero back, but C is of type I.
+    _failure(
+        "connected-triple-not-cyclic",
+        classify_eset,
+        _touching(["II", "II", "I"], [[-1, 1, 0], [0, -1, 1], [1, 0, -1]]),
+        ["A", "B", "C"],
+        variant="-type-i",
+    ),
+    _failure(
+        "connected-triple-not-cyclic",
+        classify_eset,
+        _touching(["II", "II", "II"], [[-1, 1, 1], [1, -1, 1], [1, 1, -1]]),
+        ["A", "B", "C"],
+        variant="-no-cycle",
+    ),
+    # A -> B -> C -> A strict forward, zero back; D, of type I, is negative
+    # on D1, so the unit sum D1 + D2 + D3 is not nef.
+    _failure(
+        "cyclic-triple-rejects-unit-combination",
+        classify_eset,
+        _touching(
+            ["II", "II", "II", "I"],
+            [[-1, 1, 0, 0], [0, -1, 1, 0], [1, 0, -1, 0], [-1, 0, 0, -1]],
+            meets=[("D1", "D2"), ("D2", "D3"), ("D1", "D3")],
+        ),
+        ["A", "B", "C"],
+    ),
+    # Only the non-simple member A is named: -2 + 1 < 0.
+    _failure(
+        "nonsimple-type-ii-member",
+        classify_eset,
+        _touching(["II", "II"], [[-2, 1], [1, -1]]),
+        ["A", "B"],
+        subject=["A"],
+    ),
+    _failure(
+        "disconnected-eset-not-pairwise-disjoint",
+        classify_eset,
+        _touching(
+            ["II", "II", "II"], [[-1, 1, 0], [1, -1, 0], [0, 0, -1]], meets=[("D1", "D2")]
+        ),
+        ["A", "B", "C"],
+    ),
+    _failure(
+        "disjoint-eset-with-type-i",
+        classify_eset,
+        _touching(["II", "I"], [[-1, 0], [0, -1]], meets=[]),
+        ["A", "B"],
+    ),
+    _failure(
+        "oversized-connected-eset",
+        classify_eset,
+        _touching(["II"] * 4, [[-1 if i == j else 1 for j in range(4)] for i in range(4)]),
+        ["A", "B", "C", "D"],
+    ),
+]
+
+
+@pytest.mark.parametrize("reason, call, s, rays, subject", FAILURE_CASES)
+def test_failure_at_the_public_edge(reason, call, s, rays, subject):
     with pytest.raises(ClassificationFailure) as exc:
-        classify_component(s, ["A", "X"])
-    assert exc.value.reason == "small-pair-not-contracting"
+        call(s, rays)
+    assert (exc.value.reason, list(exc.value.rays)) == (reason, subject)
+    assert str(exc.value) == f"{reason} [{', '.join(subject)}]: {FAILURES[reason]}"
+
+
+def test_failure_cases_cover_every_raised_reason():
+    # `small-ray-unclassified` is only ever recorded, never raised.
+    raised = {case.values[0] for case in FAILURE_CASES}
+    assert raised == FAILURES.keys() - {"small-ray-unclassified"}
+
+
+# The per-reason tests the table replaced keep their names and run their rows.
+def _raises_as_listed(*ids):
+    cases = [case for case in FAILURE_CASES if case.id in ids]
+    assert len(cases) == len(ids)
+    for case in cases:
+        test_failure_at_the_public_edge(*case.values)
+
+
+def test_noncontracting_small_pair_rejected():
+    _raises_as_listed("small-pair-not-contracting")
 
 
 def test_small_ray_in_larger_component_rejected():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "II", "D2"), ("X", "small")],
-        divisors=["D1", "D2"],
-        pairing=[[-1, 0], [1, -1], [-1, 0]],
-        meets=[("D1", "D2")],
-    )
-    with pytest.raises(ClassificationFailure) as exc:
-        classify_component(s, ["A", "B", "X"])
-    assert exc.value.reason == "small-ray-in-component"
+    _raises_as_listed("small-ray-in-component")
 
 
 def test_shared_divisor_with_type_i_rejected():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "I", "D1")],
-        divisors=["D1"],
-        pairing=[[-1], [-1]],
-        meets=[],
-    )
-    with pytest.raises(ClassificationFailure) as exc:
-        classify_component(s, ["A", "B"])
-    assert exc.value.reason == "shared-divisor-not-type-ii"
+    _raises_as_listed("shared-divisor-not-type-ii")
 
 
 def test_mixed_pair_needs_positive_crosses():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "I", "D2")],
-        divisors=["D1", "D2"],
-        pairing=[[-1, 0], [1, -1]],
-        meets=[("D1", "D2")],
-    )
-    with pytest.raises(ClassificationFailure) as exc:
-        classify_component(s, ["A", "B"])
-    assert exc.value.reason == "mixed-pair-crosses-not-positive"
+    _raises_as_listed("mixed-pair-crosses-not-positive")
 
 
 def test_mixed_pair_cone_not_pointed():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "I", "D2")],
-        divisors=["D1", "D2"],
-        pairing=[[-1, 2], [2, -1]],
-        meets=[("D1", "D2")],
-    )
-    with pytest.raises(ClassificationFailure) as exc:
-        classify_component(s, ["A", "B"])
-    assert exc.value.reason == "mixed-pair-cone-not-pointed"
+    _raises_as_listed("mixed-pair-cone-not-pointed")
 
 
 def test_type_i_in_large_component_rejected():
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "II", "D2"), ("C", "I", "D3")],
-        divisors=["D1", "D2", "D3"],
-        pairing=[[-1, 0, 0], [1, -1, 0], [1, 0, -1]],
-        meets=[("D1", "D2"), ("D1", "D3")],
-    )
-    with pytest.raises(ClassificationFailure) as exc:
-        classify_component(s, ["A", "B", "C"])
-    assert exc.value.reason == "oversized-component-with-type-i"
+    _raises_as_listed("oversized-component-with-type-i")
 
 
 def test_no_hub_rejected():
-    # A path: A -> B -> C in contact, but no single ray vanishes on all the
-    # others' divisors while they are positive on its own.
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "II", "D2"), ("C", "II", "D3")],
-        divisors=["D1", "D2", "D3"],
-        pairing=[[-1, 1, 0], [1, -1, 1], [0, 1, -1]],
-        meets=[("D1", "D2"), ("D2", "D3")],
-    )
-    with pytest.raises(ClassificationFailure) as exc:
-        classify_component(s, ["A", "B", "C"])
-    assert exc.value.reason == "no-hub-ray"
+    _raises_as_listed("no-hub-ray")
+
+
+def test_eset_failures():
+    _raises_as_listed("shared-divisor-pair", "hub-pattern-pair-not-extremal")
 
 
 def test_hub_ambiguity_flagged():
@@ -554,6 +705,24 @@ def test_esets_report_matches_the_public_functions():
     assert {arrows for _, arrows in seen} == {None, True}
 
 
+def test_reports_build_no_failure_and_print_only_table_reasons(monkeypatch):
+    built = []
+    init = ClassificationFailure.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClassificationFailure, "__init__", counting_init)
+    reasons = set()
+    for base, faces in enumerate_sign_systems(3, with_faces=True):
+        s = base.with_faces(faces)
+        reasons.update(f["reason"] for f in classify_report(s)["failures"])
+        reasons.update(e["failure"] for e in esets_report(s)["esets"] if "failure" in e)
+    assert built == []
+    assert reasons <= FAILURES.keys() and len(reasons) == 8, sorted(reasons)
+
+
 def test_find_esets_on_cycle():
     s = system_eset_a()
     assert find_esets(s, ["S1", "S2", "S3"]) == [frozenset({"S1", "S2", "S3"})]
@@ -788,26 +957,6 @@ def test_eset_case_c_zero_partner():
     assert t.witness == "S1"
 
 
-def test_eset_failures():
-    with pytest.raises(ClassificationFailure) as exc:
-        classify_eset(
-            system_b2().with_faces([[], ["R1"], ["R2"]]), ["R1", "R2"]
-        )
-    assert exc.value.reason == "shared-divisor-pair"
-
-    # hub-shaped pair: one-sided pairing
-    s = RayDivisorSystem.of(
-        rays=[("A", "II", "D1"), ("B", "II", "D2")],
-        divisors=["D1", "D2"],
-        pairing=[[-1, 0], [1, -1]],
-        meets=[("D1", "D2")],
-        faces=[[], ["A"], ["B"]],
-    )
-    with pytest.raises(ClassificationFailure) as exc:
-        classify_eset(s, ["A", "B"])
-    assert exc.value.reason == "hub-pattern-pair-not-extremal"
-
-
 def test_eset_rejects_nonminimal_input():
     s = RayDivisorSystem.of(
         rays=[("R1", "II", "D1"), ("R2", "II", "D2"), ("R3", "II", "D3")],
@@ -884,25 +1033,24 @@ def _e2_pairs_by_fractions(s):
 
 
 def _cyclic_triple_by_fractions(s, ids):
-    """Oracle for the three-ray E-set case on `Fraction` lookups."""
+    """Oracle for the three-ray E-set case on `Fraction` lookups: the case,
+    or the reason it fails for."""
     members = [s.ray(rid) for rid in ids]
     if any(r.type is not RayType.II for r in members):
-        raise ClassificationFailure("connected-triple-not-cyclic", ids)
+        return "connected-triple-not-cyclic"
     for x, y, z in permutations(members):
         strict = all(s.q(a.id, b.divisor) > 0 for a, b in ((x, y), (y, z), (z, x)))
         zero = all(s.q(b.id, a.divisor) == 0 for a, b in ((x, y), (y, z), (z, x)))
         if strict and zero:
             if min(_unit_row_sums(s, ids)) >= 0:
                 return structure.EsetType("a")
-            raise ClassificationFailure("cyclic-triple-rejects-unit-combination", ids)
-    raise ClassificationFailure("connected-triple-not-cyclic", ids)
+            return "cyclic-triple-rejects-unit-combination"
+    return "connected-triple-not-cyclic"
 
 
 def _outcome(call, *args):
     try:
         return call(*args)
-    except ClassificationFailure as fail:
-        return ("failure", fail.reason, fail.rays)
     except ValueError as exc:
         return ("error", str(exc))
 
@@ -957,9 +1105,9 @@ def test_e2_pairs_and_cyclic_triples_match_fraction_oracles():
         seen.add(f"e2-{bool(e2)}")
         rel = s.relations
         for ids in combinations(sorted(s.ray_ids), 3):
-            got = _outcome(structure._classify_connected_triple, rel, s.ray_mask(ids))
-            assert got == _outcome(_cyclic_triple_by_fractions, s, list(ids)), (seed, ids)
-            seen.add(got[1] if isinstance(got, tuple) else got.kind)
+            got = structure._classify_connected_triple(rel, s.ray_mask(ids))
+            assert got == _cyclic_triple_by_fractions(s, list(ids)), (seed, ids)
+            seen.add(got if isinstance(got, str) else got.kind)
     assert seen >= {
         "malformed", "e2-True", "e2-False", "a",
         "cyclic-triple-rejects-unit-combination", "connected-triple-not-cyclic",
