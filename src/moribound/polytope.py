@@ -29,13 +29,6 @@ class FVector:
 
     counts: tuple[int, ...]
 
-    def __getitem__(self, k: int) -> int:
-        return self.counts[k]
-
-    @property
-    def dim(self) -> int:
-        return len(self.counts) - 1
-
 
 @dataclass(frozen=True)
 class CombinatorialPolytope:

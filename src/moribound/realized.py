@@ -23,19 +23,15 @@ from .core import (
     TrilinearForm,
     integral,
     kernel_of_columns,
+    positions,
     rational,
     scale_primitive,
     span_rank,
     to_json,
     walk,
 )
-from .raysystem import (
-    RayDivisorSystem,
-    RayType,
-    divisorial_components,
-    system_from_json,
-)
-from .structure import ClassificationFailure, classify_component
+from .raysystem import RayDivisorSystem, RayType, system_from_json
+from .structure import ComponentType, _component_type
 
 
 @dataclass(frozen=True)
@@ -169,8 +165,8 @@ def b2_nef_combine(
     """Combine two nef classes, each orthogonal to one ray of a shared-divisor
     pair, into one class orthogonal to both."""
     s = m.base_system
-    ctype = classify_component(s, [c1, c2])
-    if ctype.kind != "B2" or s.divisor_of(c1) != d or s.divisor_of(c2) != d:
+    pair = s.ray_mask([c1, c2])
+    if _component_type(s.relations, pair) != ComponentType("B2") or s.divisor_of(c1) != d:
         raise ValueError(f"{c1}, {c2} is not a shared-divisor pair on {d}")
     v1, v2 = m.ray_vectors[c1], m.ray_vectors[c2]
     dvec = m.divisor_vectors[d]
@@ -223,17 +219,16 @@ def d2_nef_extension(m: RealizedModel, h: RVector, s1: str, s2: str) -> RVector:
     s = m.base_system
     if s.ray(s1).type is not RayType.II or s.ray(s2).type is not RayType.I:
         raise ValueError("expected (type II, type I) in that order")
-    ctype = classify_component(s, [s1, s2])
-    if ctype.kind != "D2":
+    if _component_type(s.relations, s.ray_mask([s1, s2])) != ComponentType("D2"):
         raise ValueError(f"{s1}, {s2} is not a mixed pair of the pointed-cone type")
     v1, v2 = m.ray_vectors[s1], m.ray_vectors[s2]
     d1 = m.divisor_vectors[s.divisor_of(s1)]
     d2 = m.divisor_vectors[s.divisor_of(s2)]
     if h.dot(v2) != 0:
         raise ValueError("the class must be orthogonal to the type I ray")
+    # A D2 pair's divisor cone is pointed: on its rows, with negative diagonal
+    # and positive off-diagonal, that is exactly denom > 0.
     denom = d2.dot(v2) * d1.dot(v1) - d1.dot(v2) * d2.dot(v1)
-    if denom <= 0:
-        raise ValueError(f"correction denominator {denom} is not positive")
     w = d1.scale(-d2.dot(v2)) + d2.scale(d1.dot(v2))
     return h + w.scale(h.dot(v1) / denom)
 
@@ -311,18 +306,15 @@ def check_prop238_form(
         raise ValueError("coefficient count does not match rays")
     if any(v == 0 for v in values):
         return False
-    comps = divisorial_components(s, ids)
+    rel = s.relations
+    comps = rel.components(s.ray_mask(ids, small="has no divisor"))
     if len(comps) < 2:
         return False
     by_id = dict(zip(ids, values))
     for comp in comps:
-        try:
-            ctype = classify_component(s, comp)
-        except ClassificationFailure:
+        if _component_type(rel, comp) != ComponentType("B2"):
             return False
-        if ctype.kind != "B2":
-            return False
-        a, b = sorted(comp)
+        a, b = rel.names(comp)
         if (by_id[a] > 0) == (by_id[b] > 0):
             return False
     return True
@@ -346,18 +338,13 @@ def b2_pairs(s: RayDivisorSystem) -> list[frozenset]:
 def _pair_witness(s: RayDivisorSystem, pair: Iterable[str]) -> bool:
     """Whether some other divisorial ray pins the pair: positive both ways
     against one member and zero against the other."""
-    a, b = sorted(pair)
-    for r in s.divisorial_rays:
-        if r.id in (a, b):
-            continue
-        for first, second in ((a, b), (b, a)):
-            if (
-                s.q(first, r.divisor) > 0
-                and s.q(r.id, s.divisor_of(first)) > 0
-                and s.q(second, r.divisor) == 0
-            ):
-                return True
-    return False
+    rel = s.relations
+    a, b = positions(s.ray_mask(pair))
+    return any(
+        rel.arrows[r] >> x & 1
+        for x, y in ((a, b), (b, a))
+        for r in positions(rel.arrows[x] & rel.zeros[y])
+    )
 
 
 def b2_invariants(m: RealizedModel, s: RayDivisorSystem) -> dict:

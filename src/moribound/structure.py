@@ -63,8 +63,9 @@ class EsetType:
 class ClassificationFailure(Exception):
     """A set has no matching type under the model's hypotheses.
 
-    Only `classify_component` and `classify_eset` raise it; the reports record
-    its reason, a key of `FAILURES`, instead.
+    Only `classify_component` and `classify_eset` raise it, and nothing in the
+    package catches it: the reports and the `realized` constructions read the
+    mask-level classifiers' reason, a key of `FAILURES`, instead.
     """
 
     def __init__(self, reason: str, rays: Iterable[str], detail: str = ""):

@@ -47,6 +47,7 @@ from moribound.polytope import (
 )
 from moribound.raysystem import RayDivisorSystem
 from moribound.realized import RealizedModel
+from moribound.structure import find_esets
 
 FIXTURES = "tests/fixtures"
 
@@ -280,6 +281,16 @@ def test_cube_zero_weights_fail_face_condition():
     assert not report.condition2_holds
     assert len(report.failing_faces) == 6
     assert not report.conditions_hold
+
+
+def test_the_strict_inequality_fails_where_n_meets_its_right_hand_side():
+    # At C = D = 0 the even branch's right-hand side 8C + 6 + 8D/n is 6, so
+    # n = 6 is not strictly below it.
+    p = cube(6)
+    report = verify_lemma14(p, dict.fromkeys(_angle_keys(p), 0), 0, 0)
+    assert report.implied_bound["rhs_for_n"] == 6
+    assert report.implied_bound["strict_ok"] is False
+    assert report.implied_bound["max_admissible_n"] == 4  # n = 5 fails the odd branch
 
 
 def test_missing_weight_rejected():
@@ -674,6 +685,50 @@ def test_validate_diagram_refuses_vertex_ids_that_print_alike():
     renamed = DiagramInstance.of(sq.system, polytope, sq.facet_rays)
     with pytest.raises(ValueError, match="vertex ids 1 and '1' print alike"):
         validate_diagram(renamed)
+
+
+def test_validate_diagram_refuses_a_non_simple_cross_section():
+    # The square pyramid's apex lies in four facets.
+    pyramid = CombinatorialPolytope.of(
+        3,
+        ["a", "b", "c", "d", "t"],
+        [["a", "b", "c", "d"], ["a", "b", "t"], ["b", "c", "t"],
+         ["c", "d", "t"], ["d", "a", "t"]],
+    )
+    ids = [f"F{i}" for i in range(5)]
+    s = RayDivisorSystem.of(
+        rays=[(rid, "II", f"D{rid}") for rid in ids],
+        divisors=[f"D{rid}" for rid in ids],
+        pairing=[[-1 if i == j else 0 for j in range(5)] for i in range(5)],
+        faces=[[]] + [[rid] for rid in ids],
+    )
+    with pytest.raises(ValueError, match="the cross-section must be a simple polytope"):
+        validate_diagram(DiagramInstance.of(s, pyramid, ids))
+
+
+def test_a_segment_bundle_audits_only_extendable_esets_with_two_outer_rays():
+    # A segment whose facets kill F0 and F1, a perp ray P, and a ray X of no
+    # polytope face.  Of the E-sets, {P, X} has one ray outside the perp set,
+    # and {F0, X} and {F1, X} do not extend by P, since {P, X} is no face: only
+    # {F0, F1} is audited.  At n = 1 the right-hand side is infinite.
+    ids = ["F0", "F1", "P", "X"]
+    s = RayDivisorSystem.of(
+        rays=[(rid, "II", f"D{rid}") for rid in ids],
+        divisors=[f"D{rid}" for rid in ids],
+        pairing=[[-1 if i == j else 0 for j in range(4)] for i in range(4)],
+        faces=[[], ["F0"], ["F1"], ["P"], ["X"], ["F0", "P"], ["F1", "P"]],
+    )
+    assert sorted(map(sorted, find_esets(s, ids))) == [
+        ["F0", "F1"], ["F0", "X"], ["F1", "X"], ["P", "X"],
+    ]
+    inst = DiagramInstance.of(s, simplex(1), ["F0", "F1"], ["P"])
+    data = diagram_pipeline(inst, 1, Theorem12Rule(1)).to_json()
+    assert data["eset_audit"] == [
+        {"rays": ["F0", "F1"], "diameter": "inf", "full_nef_combination": False, "ok": False},
+    ]
+    assert data["implied_bound"] == {
+        "rhs_for_n": "inf", "strict_ok": True, "max_admissible_n": "4",
+    }
 
 
 def test_validate_diagram_refuses_a_model_not_simple_in_the_ambient_face():

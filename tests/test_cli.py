@@ -102,6 +102,12 @@ def test_bound_requires_both_constants(capsys):
     assert "c2" in err
 
 
+@pytest.mark.parametrize("given", [(), ("--C", "1"), ("--D", "0")])
+def test_bound_lemma14_requires_both_constants(capsys, given):
+    code, out, err = run(capsys, "bound", "--lemma14", *given)
+    assert (code, out, err) == (2, "", "--lemma14 needs --C and --D\n")
+
+
 # --- check ---------------------------------------------------------------------
 
 
@@ -204,6 +210,12 @@ def test_check_unknown_shape_exits_two(capsys, tmp_path):
     path.write_text(json.dumps({"widgets": [1, 2, 3]}))
     code, _, _ = run(capsys, "check", str(path))
     assert code == 2
+
+
+def test_check_directory_without_json_files_exits_two(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text("{}")
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert (code, out, err) == (2, "", "no instance files found\n")
 
 
 def test_check_missing_file_exits_two(capsys, tmp_path):
@@ -317,6 +329,52 @@ def test_classify_prints_contracting_pairs_with_a_small_ray(capsys, tmp_path):
     ]
     code, out, _ = run(capsys, "classify", str(path), "--format", "json")
     assert json.loads(out)["e2_pairs"] == [["A", "X"], ["B", "X"]]
+
+
+def test_classify_lists_a_small_ray_of_a_maximal_face_as_unclassified(capsys, tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({
+        "rays": [{"id": "A", "type": "II", "divisor": "D1"}, {"id": "S", "type": "small"}],
+        "divisors": ["D1"],
+        "pairing": [[-1], [1]],
+        "faces": [[], ["A"], ["S"], ["A", "S"]],
+    }))
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, err) == (0, "")
+    assert "failures:\n  small-ray-unclassified [S]\n" in out
+    assert "  [A, S] shape filter: fail\n" in out
+
+
+def _case_c_system(tmp_path):
+    # R2 and R3 share D2, and D1 touches D2: {R1, R3} is an E-set of case c
+    # with the auxiliary ray R2.
+    path = tmp_path / "case_c.json"
+    path.write_text(json.dumps({
+        "rays": [{"id": "R1", "type": "II", "divisor": "D1"},
+                 {"id": "R2", "type": "II", "divisor": "D2"},
+                 {"id": "R3", "type": "II", "divisor": "D2"}],
+        "divisors": ["D1", "D2"],
+        "pairing": [[-1, 1], [0, -1], [1, -1]],
+        "meets": [["D1", "D2"]],
+        "faces": [[], ["R1"], ["R2"], ["R3"], ["R1", "R2"], ["R2", "R3"]],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, line", [
+    ("classify", "  case c [R1, R3] witness=R2"),
+    ("esets", "[R1, R3]: case c witness=R2"),
+])
+def test_classify_and_esets_print_a_case_c_witness(capsys, tmp_path, command, line):
+    path = _case_c_system(tmp_path)
+    code, out, _ = run(capsys, command, path)
+    assert code == 0
+    assert line in out.splitlines()
+    code, out, _ = run(capsys, command, path, "--format", "json")
+    assert code == 0
+    assert [(e["rays"], e["case"], e["witness"]) for e in json.loads(out)["esets"]] == [
+        (["R1", "R3"], "c", "R2"),
+    ]
 
 
 def test_esets_cycle_case_a(capsys):

@@ -167,6 +167,7 @@ def test_format_rational_round_trip():
 
 def test_binomial_small_table():
     assert [binomial(4, k) for k in range(6)] == [1, 4, 6, 4, 1, 0]
+    assert binomial(0, 0) == 1
     with pytest.raises(ValueError):
         binomial(-1, 2)
 
@@ -224,6 +225,12 @@ def test_contract_matches_evaluate(t, a, b, c):
     )
     assert t.contract(a, b).dot(c) == dense
     assert t.evaluate(a, b, c) == dense
+
+
+def test_form_refuses_an_index_equal_to_its_dimension():
+    with pytest.raises(DimensionMismatch, match="out of range for dim 2"):
+        TrilinearForm.of(2, [((0, 0, 2), 1)])
+    assert TrilinearForm.of(2, [((0, 0, 1), 1)]).coeffs == (((0, 0, 1), 1),)
 
 
 def test_form_merges_duplicate_index_triples():

@@ -107,6 +107,14 @@ def test_average_faces_frozen_values():
     assert average_faces(cube(4), 0, 1) == 2
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_face_averages_need_i_below_k(k):
+    with pytest.raises(ValueError, match="need 0 <= i < k"):
+        average_faces(cube(3), k, k)
+    with pytest.raises(ValueError, match="need 0 <= i < k"):
+        lemma13_bound(5, k, k)
+
+
 def test_counting_identity_on_family():
     # Every vertex of a simple n-polytope lies on exactly C(n, 2) two-faces,
     # so summing face sizes over 2-faces double-counts to a0 * C(n, 2).

@@ -21,6 +21,7 @@ from moribound.generate import (
     realized_fano,
 )
 from moribound.raysystem import RayDivisorSystem, validate
+from moribound.structure import ClassificationFailure, classify_component
 from moribound.realized import (
     RealizedModel,
     b2_invariants,
@@ -278,6 +279,41 @@ def test_b2_combine_preconditions():
         b2_nef_combine(m, RVector.of([1, 1, 1]), data["h2"], "C1", "C2", "D")
 
 
+def _label(s, rays):
+    """The component type's label, or the reason it fails to classify."""
+    try:
+        return classify_component(s, rays).label
+    except ClassificationFailure as fail:
+        return fail.reason
+
+
+@pytest.mark.parametrize("pairing, d1, d2, types, label", [
+    # Touching type II and type I rays, with R1 zero on D2.
+    ([[-1, 0], [2, -7]], (-1, 2, 0), (0, -7, 0), ("II", "I"), "mixed-pair-crosses-not-positive"),
+    # Two type II rays on distinct divisors, with zero cross pairings.
+    ([[-1, 0], [0, -1]], (-1, 0, 0), (0, -1, 0), ("II", "II"), "no-hub-ray"),
+    # A hub pair: R2 is zero on D1, and R1 positive on D2.
+    ([[-1, 1], [0, -1]], (-1, 0, 0), (1, -1, 0), ("II", "II"), "C:2"),
+])
+def test_a_refused_pair_raises_the_constructions_own_value_error(pairing, d1, d2, types, label):
+    m = two_ray_model(pairing, d1, d2, types)
+    assert _label(m.base_system, ["R1", "R2"]) == label
+    h = RVector.of([0, 0, 1])
+    if types == ("II", "I"):
+        def call(other):
+            return d2_nef_extension(m, h, "R1", other)
+        text = "R1, R2 is not a mixed pair of the pointed-cone type"
+    else:
+        def call(other):
+            return b2_nef_combine(m, h, h, "R1", other, "D1")
+        text = "R1, R2 is not a shared-divisor pair on D1"
+    with pytest.raises(ValueError, match=re.escape(text)) as exc:
+        call("R2")
+    assert not isinstance(exc.value, ClassificationFailure)
+    with pytest.raises(ValueError, match="unknown ray Z"):
+        call("Z")
+
+
 # --- dependence detection -------------------------------------------------------
 
 
@@ -313,6 +349,37 @@ def test_prop_form_requires_opposite_signs_in_pair():
     order = ["R11", "R12", "R21", "R22"]
     same_sign = tuple(abs(c) for c in expected)
     assert not check_prop238_form(m, m.base_system, order, same_sign)
+
+
+def test_prop_form_requires_nonzero_coefficients_and_two_pairs():
+    m, expected = planted_dependence(2, 3)
+    order = ["R11", "R12", "R21", "R22"]
+    assert not check_prop238_form(m, m.base_system, order, (0,) + expected[1:])
+    # One shared-divisor pair alone is a single component.
+    assert check_prop238_form(m, m.base_system, order[2:], expected[2:]) is False
+
+
+def test_prop_form_is_false_on_a_component_that_fails_to_classify():
+    # A and B share D1; C and E touch and pair positively both ways, so
+    # neither is a hub of the other.
+    ids = ["A", "B", "C", "E"]
+    system = RayDivisorSystem.of(
+        rays=[("A", "II", "D1"), ("B", "II", "D1"), ("C", "II", "D2"), ("E", "II", "D3")],
+        divisors=["D1", "D2", "D3"],
+        pairing=[[-1, 0, 0], [-1, 0, 0], [0, -1, 1], [0, 1, -1]],
+        meets=[("D2", "D3")],
+    )
+    m = RealizedModel(
+        rho=4,
+        base_system=system,
+        ray_vectors={rid: RVector.of([int(i == j) for j in range(4)]) for i, rid in enumerate(ids)},
+        divisor_vectors={
+            did: RVector.of([row[c] for row in system.pairing])
+            for c, did in enumerate(system.divisors)
+        },
+    )
+    assert _label(system, ["C", "E"]) == "no-hub-ray"
+    assert check_prop238_form(m, system, ids, [1, -1, 1, -1]) is False
 
 
 # --- pair invariants -------------------------------------------------------------

@@ -136,6 +136,19 @@ FAILURE_CASES = [
         ),
         ["A", "X"],
     ),
+    # A small ray contracts only on a strictly negative pairing.
+    _failure(
+        "small-pair-not-contracting",
+        classify_component,
+        RayDivisorSystem.of(
+            rays=[("A", "II", "D1"), ("X", "small")],
+            divisors=["D1"],
+            pairing=[[-1], [0]],
+            meets=[],
+        ),
+        ["A", "X"],
+        variant="-at-zero",
+    ),
     _failure(
         "small-ray-in-component",
         classify_component,
@@ -473,6 +486,20 @@ def test_condition_iii_prefers_unit_vector():
     assert min(_unit_row_sums(s, ["S1", "S2", "S3"])) >= 0
 
 
+def test_condition_iii_takes_all_ones_when_a_unit_row_sum_is_zero():
+    # R1 and R2 pair 0 with the unit divisor sum and R3 pairs 1; the cone's
+    # lexicographically least witness is (0, 1, 1), but all ones is preferred.
+    s = RayDivisorSystem.of(
+        rays=[("R1", "I", "D1"), ("R2", "II", "D2"), ("R3", "II", "D3")],
+        divisors=["D1", "D2", "D3"],
+        pairing=[[-1, 0, 1], [0, -1, 1], [1, 1, -1]],
+        meets=[("D1", "D3"), ("D2", "D3")],
+    )
+    ids = ["R1", "R2", "R3"]
+    assert _unit_row_sums(s, ids) == [0, 0, 1]
+    assert check_condition_iii(s, ids) == (Fraction(1), Fraction(1), Fraction(1))
+
+
 def test_condition_iii_full_gate():
     s = system_eset_a()
     assert condition_iii_full(s, ["S1", "S2", "S3"]) is not None
@@ -489,13 +516,6 @@ def _subset_walk(s, ids, condition_ii):
             if not condition_ii(sub):
                 return None
     return check_condition_iii(s, ids)
-
-
-def _outcome(call):
-    try:
-        return call()
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def _random_unvalidated_system(rng):
@@ -969,6 +989,22 @@ def test_eset_rejects_nonminimal_input():
     # order is named.
     with pytest.raises(ValueError, match=r"proper subset \['R1', 'R3'\] .* not minimal"):
         classify_eset(s, ["R1", "R2", "R3"])
+
+
+def test_eset_refuses_one_ray_a_small_member_and_an_extremal_set():
+    s = RayDivisorSystem.of(
+        rays=[("R1", "II", "D1"), ("R2", "II", "D2"), ("X", "small")],
+        divisors=["D1", "D2"],
+        pairing=[[-1, 0], [0, -1], [0, 0]],
+        meets=[],
+        faces=[[], ["R1"], ["R2"], ["X"], ["R1", "R2"]],
+    )
+    with pytest.raises(ValueError, match="an E-set contains at least two rays"):
+        classify_eset(s, ["R1"])
+    with pytest.raises(ValueError, match="ray X is small; E-set members carry divisors"):
+        classify_eset(s, ["R1", "X"])
+    with pytest.raises(ValueError, match="the set is extremal, hence not an E-set"):
+        classify_eset(s, ["R1", "R2"])
 
 
 def test_is_extremal_uses_faces():
