@@ -24,7 +24,7 @@ from .core import (INF, KINDS, format_rational, integral, mask_names, positions,
 from .polytope import CombinatorialPolytope, PolytopeError, polytope_from_json
 from .raysystem import RayDivisorSystem, graph_nodes, system_from_json
 from .structure import condition_iii_full, find_esets, is_extremal
-from .realized import RealizedModel, is_simple_in_face, model_from_json
+from .realized import RealizedModel, _check_realizes, is_simple_in_face, model_from_json
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +419,7 @@ def validate_diagram(inst: DiagramInstance) -> None:
                 f"{s.relations.names(rayset)} which is not a listed face"
             )
     if inst.model is not None:
-        base = inst.model.base_system
-        for part in ("rays", "divisors", "pairing"):
-            if getattr(base, part) != getattr(s, part):
-                raise ValueError(
-                    f"the realized model's system differs from the bundle's in its {part}"
-                )
+        _check_realizes(inst.model, s, "the bundle's")
         if not is_simple_in_face(inst.model, s, inst.perp_rays):
             raise ValueError(
                 "the realized model is not simple in the ambient face"
@@ -457,16 +452,13 @@ def count_condition_b(
     return (count1, count2)
 
 
-def _eset_condition_a_audit(
-    inst: DiagramInstance, d: int
-) -> tuple[list[dict], bool]:
+def _eset_condition_a_audit(inst: DiagramInstance, d: int) -> list[dict]:
     """Check every E-set with at least two rays outside the ambient
     orthogonal set and extremal proper extensions: its members must sit at
     pairwise distance <= d."""
     s = inst.system
     rel, divisorial = s.relations, [r.id for r in s.divisorial_rays]
     audit = []
-    all_ok = True
     for eset in find_esets(s, divisorial):
         outside = eset - inst.perp_rays
         if len(outside) < 2:
@@ -488,17 +480,15 @@ def _eset_condition_a_audit(
                 diam = INF
                 break
             diam = max(diam, max(i for i, band in enumerate(bands, 1) if band & members))
-        ok = diam != INF and diam <= d
         audit.append(
             {
                 "rays": sorted(eset),
                 "diameter": "inf" if diam == INF else diam,
                 "full_nef_combination": condition_iii_full(s, eset) is not None,
-                "ok": ok,
+                "ok": diam != INF and diam <= d,
             }
         )
-        all_ok = all_ok and ok
-    return audit, all_ok
+    return audit
 
 
 def diagram_pipeline(
@@ -580,7 +570,7 @@ def diagram_pipeline(
     else:
         c, dd = Fraction(0), Fraction(2, 3)
 
-    audit, audit_ok = _eset_condition_a_audit(inst, d)
+    audit = _eset_condition_a_audit(inst, d)
     report = _bound_report(p, rows, nums, den, c, dd)
     replay = None
     if isinstance(rule, Theorem258Rule):
@@ -618,7 +608,7 @@ def diagram_pipeline(
         replay=replay,
         eset_audit=tuple(audit),
         counterexamples=tuple(counterexamples),
-        conforming=report.conditions_hold and audit_ok,
+        conforming=report.conditions_hold and all(e["ok"] for e in audit),
     )
 
 

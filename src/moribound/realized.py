@@ -103,6 +103,17 @@ class RealizedModel:
                     )
 
 
+def _check_realizes(
+    m: RealizedModel, s: RayDivisorSystem, other: str = "the given system's"
+) -> None:
+    """Raise ValueError unless `s` has the rays, divisors and pairing of the
+    model's system; its faces may differ."""
+    base = m.base_system
+    for part in ("rays", "divisors", "pairing"):
+        if getattr(base, part) != getattr(s, part):
+            raise ValueError(f"the realized model's system differs from {other} in its {part}")
+
+
 @dataclass(frozen=True)
 class NefCertificate:
     vector: RVector
@@ -191,21 +202,31 @@ def cm_nef_extension(
     m: RealizedModel, h: RVector, spokes: Sequence[tuple[str, str]]
 ) -> RVector:
     """Add multiples of the spoke divisors to kill the pairing with every
-    spoke ray, leaving rays away from those divisors untouched."""
+    spoke ray, leaving rays away from those divisors untouched.  Each spoke
+    ray carries its divisor and pairs zero with every other spoke's."""
     s = m.base_system
-    seen_divisors = []
+    rel = s.relations
+    seen_divisors, ks = [], []
     for rid, did in spokes:
         denom = s.q(rid, did)
         if denom == 0:
             raise ValueError(f"ray {rid} pairs zero with {did}; cannot divide")
         if denom > 0:
             raise ValueError(f"ray {rid} must pair negatively with {did}")
+        k = rel.bit[rid].bit_length() - 1
+        if rel.column[k] != rel.div_index[did]:
+            raise ValueError(f"ray {rid} does not carry {did}")
         seen_divisors.append(did)
+        ks.append(k)
     if len(set(seen_divisors)) != len(seen_divisors):
         raise ValueError("spoke divisors must be pairwise distinct")
     for a, b in combinations(seen_divisors, 2):
         if s.joined(a, b):
             raise ValueError(f"spoke divisors {a} and {b} touch")
+    for (rid, _), k in zip(spokes, ks):
+        for (_, did), j in zip(spokes, ks):
+            if j != k and not rel.zeros[k] >> j & 1:
+                raise ValueError(f"spoke ray {rid} pairs nonzero with {did}")
     out = h
     for rid, did in spokes:
         coeff = -h.dot(m.ray_vectors[rid]) / s.q(rid, did)
@@ -299,7 +320,9 @@ def check_prop238_form(
 ) -> bool:
     """Whether an all-nonzero dependence has the paired form: every component
     of the ray set is a shared-divisor pair, there are at least two pairs, and
-    the two coefficients within each pair have opposite signs."""
+    the two coefficients within each pair have opposite signs.  Raises
+    ValueError when the model does not realize `s`."""
+    _check_realizes(m, s)
     ids = list(rays)
     values = [rational(c) for c in coeffs]
     if len(ids) != len(values):
@@ -350,7 +373,9 @@ def _pair_witness(s: RayDivisorSystem, pair: Iterable[str]) -> bool:
 def b2_invariants(m: RealizedModel, s: RayDivisorSystem) -> dict:
     """Span bookkeeping for the shared-divisor pairs: counts of independent
     and dependent pairs, the span defect, the residual rank, and the witness
-    split of the independent pairs."""
+    split of the independent pairs.  Raises ValueError when the model does
+    not realize `s`."""
+    _check_realizes(m, s)
     pairs = b2_pairs(s)
     n = len(pairs)
     all_vecs = [m.ray_vectors[rid] for pair in pairs for rid in sorted(pair)]
@@ -397,7 +422,8 @@ def b2_invariants(m: RealizedModel, s: RayDivisorSystem) -> dict:
 def is_simple_in_face(m: RealizedModel, s: RayDivisorSystem, face: Iterable[str]) -> bool:
     """Rank test: inside the span of rays touching the dual face, every
     extremal set containing the face's own rays is linearly independent
-    modulo them."""
+    modulo them.  Raises ValueError when the model does not realize `s`."""
+    _check_realizes(m, s)
     if s._face_masks is None:
         raise ValueError("system has no face structure")
     rel = s.relations

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence, TypeVar
+from itertools import chain, combinations, permutations
+from typing import Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .core import face_order, format_rational, positions, scale_primitive, solve_inequalities
 from .raysystem import (
@@ -68,14 +68,11 @@ class ClassificationFailure(Exception):
     mask-level classifiers' reason, a key of `FAILURES`, instead.
     """
 
-    def __init__(self, reason: str, rays: Iterable[str], detail: str = ""):
+    def __init__(self, reason: str, rays: Iterable[str]):
         self.reason = reason
         self.rays = tuple(sorted(rays))
-        self.detail = detail
-        msg = f"{reason} [{', '.join(self.rays)}]"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        self.detail = FAILURES[reason]
+        super().__init__(f"{reason} [{', '.join(self.rays)}]: {self.detail}")
 
 
 # Every reason a classification fails for, with the hypothesis it breaks: the
@@ -126,7 +123,7 @@ def _or_raise(rel: Relations, mask: int, result: _T | str) -> _T:
         return result
     if result == "nonsimple-type-ii-member":
         mask &= rel.type_ii & ~rel.simple
-    raise ClassificationFailure(result, rel.names(mask), FAILURES[result])
+    raise ClassificationFailure(result, rel.names(mask))
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ class ClassificationReport:
         """Whether the component multiset is one of the four admissible
         shapes for a k-ray extremal set: A1 + (k-1) C:1, D2 + (k-2) C:1,
         C:2 + (k-2) C:1, or k C:1."""
-        return _admissible(self.components, self.failures)
+        return _admissible(self.components + self.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -212,40 +209,33 @@ def classify_extremal_set(s: RayDivisorSystem, rays: Iterable[str]) -> Classific
     recorded failures, and the shape filter verdict."""
     rel = s.relations
     mask = s.ray_mask(rays)
-    components, failures = _decompose(rel, mask)
+    parts = [(frozenset(rel.names(m)), t) for m, t in _decompose(rel, mask)]
     return ClassificationReport(
         rays=frozenset(rel.names(mask)),
-        components=tuple((frozenset(rel.names(m)), t) for m, t in components),
-        failures=tuple((frozenset(rel.names(m)), why) for m, why in failures),
+        components=tuple((m, t) for m, t in parts if not isinstance(t, str)),
+        failures=tuple((m, t) for m, t in parts if isinstance(t, str)),
     )
 
 
-def _decompose(
-    rel: Relations, mask: int
-) -> tuple[list[tuple[int, ComponentType]], list[tuple[int, str]]]:
-    """`classify_extremal_set` on masks: the typed components and the
-    failures, each small ray failing on its own."""
-    components: list[tuple[int, ComponentType]] = []
-    failures: list[tuple[int, str]] = []
-    for comp in rel.components(mask & rel.divisorial):
-        ctype = _component_type(rel, comp)
-        if isinstance(ctype, str):
-            failures.append((comp, ctype))
-        else:
-            components.append((comp, ctype))
+def _decompose(rel: Relations, mask: int) -> list[tuple[int, ComponentType | str]]:
+    """`classify_extremal_set` on masks: each contact component with its type
+    or reason, then each small ray, which fails on its own."""
+    comps = rel.components(mask & rel.divisorial)
+    decomposition = [(comp, _component_type(rel, comp)) for comp in comps]
     for k in positions(mask & ~rel.divisorial):
-        failures.append((1 << k, "small-ray-unclassified"))
-    return components, failures
+        decomposition.append((1 << k, "small-ray-unclassified"))
+    return decomposition
 
 
-def _admissible(
-    components: Iterable[tuple[object, ComponentType]], failures: Sequence
-) -> bool:
-    """The Theorem 2.58 verdict on a decomposition: no failures, and at most
-    one component not C:1, that one A1, D2 or C:2."""
-    if failures:
-        return False
-    rest = [t.label for _, t in components if t.label != "C:1"]
+def _admissible(decomposition: Iterable[tuple[object, ComponentType | str]]) -> bool:
+    """The Theorem 2.58 verdict on a decomposition: no reason, and at most one
+    component not C:1, that one A1, D2 or C:2."""
+    rest = []
+    for _, t in decomposition:
+        if isinstance(t, str):
+            return False
+        if t.label != "C:1":
+            rest.append(t.label)
     return not rest or (len(rest) == 1 and rest[0] in ("A1", "D2", "C:2"))
 
 
@@ -650,53 +640,44 @@ def detect_e2_pairs(s: RayDivisorSystem) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
+def _eset_answers(s: RayDivisorSystem) -> Iterator[tuple[list[str], EsetType | str]]:
+    """Each E-set of the system's divisorial rays, as its sorted ids with its
+    case or the reason it has none.  An E-set is a minimal non-extremal set
+    of divisorial rays, which is all `classify_eset` checks before it
+    classifies.  Raises ValueError on a system without faces."""
+    rel = s.relations
+    for eset in _eset_masks(s, rel.names(rel.divisorial)):
+        yield rel.names(eset), _eset_type(rel, eset)
+
+
 def classify_report(s: RayDivisorSystem) -> dict:
     """Classify every maximal face and every E-set of the system.
 
     The result is JSON-shaped: component types per maximal face, E-set cases,
     and all recorded classification failures.
     """
+    rel = s.relations
     components: list[dict] = []
     esets: list[dict] = []
     failures: list[dict] = []
     maximal: list[dict] = []
-
     if s._face_masks is not None:
-        rel = s.relations
-        seen: set = set()
+        answers: dict[int, ComponentType | str] = {}  # the first face's answer wins
         for face in filter(None, s.maximal_masks):
-            comps, fails = _decompose(rel, face)
+            decomposition = _decompose(rel, face)
             maximal.append(
-                {
-                    "rays": rel.names(face),
-                    "passes_theorem258": _admissible(comps, fails),
-                }
+                {"rays": rel.names(face), "passes_theorem258": _admissible(decomposition)}
             )
-            for comp, ctype in comps:
-                if comp in seen:
-                    continue
-                seen.add(comp)
-                components.append({"rays": rel.names(comp), "type": ctype.label})
-            for comp, reason in fails:
-                if comp in seen:
-                    continue
-                seen.add(comp)
-                failures.append({"rays": rel.names(comp), "reason": reason})
-
-        # Each E-set is a minimal non-extremal set of divisorial rays, which
-        # is all `classify_eset` checks before it classifies.
-        for eset in _eset_masks(s, rel.names(rel.divisorial)):
-            etype = _eset_type(rel, eset)
-            if isinstance(etype, str):
-                failures.append({"rays": rel.names(eset), "reason": etype})
+            for comp, answer in decomposition:
+                answers.setdefault(comp, answer)
+        named = ((rel.names(comp), answer) for comp, answer in answers.items())
+        for ids, answer in chain(named, _eset_answers(s)):
+            if isinstance(answer, str):
+                failures.append({"rays": ids, "reason": answer})
+            elif isinstance(answer, ComponentType):
+                components.append({"rays": ids, "type": answer.label})
             else:
-                esets.append(
-                    {
-                        "rays": rel.names(eset),
-                        "case": etype.kind,
-                        "witness": etype.to_json(),
-                    }
-                )
+                esets.append({"rays": ids, "case": answer.kind, "witness": answer.to_json()})
 
     components.sort(key=lambda c: c["rays"])
     return {
@@ -714,16 +695,12 @@ def esets_report(s: RayDivisorSystem) -> dict:
     there is one, whether Lemma 11's arrows cross every bipartition.
 
     The result is JSON-shaped, the twin of `classify_report`.  Each E-set is
-    asked each question once: it is a minimal non-extremal set of divisorial
-    rays, which is all `classify_eset` checks before it classifies, and with
-    the combination known, the arrows are all `check_lemma11` has left to ask.
+    asked each question once: with the combination known, the arrows are all
+    `check_lemma11` has left to ask.
     """
-    rel = s.relations
     entries: list[dict] = []
-    for eset in _eset_masks(s, rel.names(rel.divisorial)):
-        ids = rel.names(eset)
+    for ids, etype in _eset_answers(s):
         entry: dict = {"rays": ids}
-        etype = _eset_type(rel, eset)
         if isinstance(etype, str):
             entry["failure"] = etype
         else:

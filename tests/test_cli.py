@@ -888,6 +888,20 @@ def _write_bad_inputs(directory: Path) -> None:
         "form-index-string.json": dict(model, intersection_form=[["0", 1, 2, "1"]]),
         "form-index-float.json": dict(model, intersection_form=[[0, 1, 2.7, "1"]]),
         "form-index-bool.json": dict(model, intersection_form=[[0, True, 2, "1"]]),
+        "top-level-list.json": [],
+        "duplicate-ray-ids.json": dict(system, rays=[
+            system["rays"][0], dict(system["rays"][1], id=system["rays"][0]["id"]),
+            *system["rays"][2:],
+        ]),
+        "duplicate-divisor-ids.json": dict(
+            system, divisors=[system["divisors"][0], *system["divisors"][:-1]]
+        ),
+        "rho-zero.json": dict(model, rho=0),
+        "ray-without-vector.json": dict(
+            model, ray_vectors={k: v for k, v in model["ray_vectors"].items() if k != "S1"}
+        ),
+        "anticanonical-too-short.json": dict(model, anticanonical_vector=["1"]),
+        "form-row-of-three.json": dict(model, intersection_form=[[0, 0, 0]]),
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data))
@@ -971,6 +985,45 @@ def test_bad_input_exits_two_without_traceback(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert NAMED_ERRORS.get(argv[-1], "") in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    *(
+        ([command, "top-level-list.json"], 2,
+         "error: top-level-list.json: instance file must contain a JSON object")
+        for command in ("classify", "esets", "polytope-stats", "diagram")
+    ),
+    (["check", "top-level-list.json"], 2,
+     "top-level-list.json: unreadable (SystemFormatError: instance file must contain a JSON object)"),
+    (["check", "duplicate-ray-ids.json"], 2,
+     "duplicate-ray-ids.json: unreadable (SystemFormatError: rays: duplicate ray ids)"),
+    (["classify", "duplicate-ray-ids.json"], 2,
+     "error: duplicate-ray-ids.json: rays: duplicate ray ids"),
+    (["classify", "duplicate-divisor-ids.json"], 2,
+     "error: duplicate-divisor-ids.json: divisors: duplicate divisor ids"),
+    (["check", "rho-zero.json"], 1, "  model-inconsistent []: rho must be positive"),
+    (["classify", "rho-zero.json"], 2, "error: rho-zero.json: rho must be positive"),
+    (["check", "ray-without-vector.json"], 1, "  model-inconsistent []: ray S1 has no vector"),
+    (["check", "anticanonical-too-short.json"], 1,
+     "  model-inconsistent []: anticanonical vector dimension does not match rho"),
+    (["check", "form-row-of-three.json"], 2,
+     "form-row-of-three.json: unreadable (SystemFormatError: "
+     "intersection_form[0]: expected 4 entries, got [0, 0, 0])"),
+    (["bound", "--c1", "-1", "--c2", "0"], 2, "error: constants must be nonnegative"),
+    (["gen", "--family", "cm", "--m", "0"], 2, "error: need at least one ray"),
+    (["gen", "--family", "eset-d", "--k", "1"], 2,
+     "error: a minimal non-extremal set needs at least two rays"),
+    (["gen", "--family", "simplex", "--n", "0"], 2, "error: simplex dimension must be >= 1"),
+    (["gen", "--family", "cube", "--n", "0"], 2, "error: cube dimension must be >= 1"),
+    (["gen", "--family", "cyclic-dual", "--n", "3", "--m", "3"], 2,
+     "error: need m >= d+1 points, got d=3, m=3"),
+])
+def test_a_refusal_prints_its_reason(capsys, monkeypatch, tmp_path, argv, code, line):
+    _write_bad_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert line in (out + err).splitlines()
 
 
 def _bad_ray_id(data: dict) -> dict:

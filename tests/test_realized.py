@@ -20,7 +20,7 @@ from moribound.generate import (
     realized_d2,
     realized_fano,
 )
-from moribound.raysystem import RayDivisorSystem, validate
+from moribound.raysystem import RayDivisorSystem, system_from_json, system_to_json, validate
 from moribound.structure import ClassificationFailure, classify_component
 from moribound.realized import (
     RealizedModel,
@@ -262,6 +262,55 @@ def test_cm_extension_kills_all_spokes(seed, m_rays):
         assert out.dot(model.ray_vectors[rid]) == 0
 
 
+def _hub_and_two_spokes(meets=(("D1", "D2"), ("D1", "D3"))):
+    """S1 carries D1 and S2, S3 carry D2, D3, with T a small ray: rays are the
+    unit vectors e1 ... e4, and the pairing is the table of dot products."""
+    rays = [("S1", "II", "D1"), ("S2", "II", "D2"), ("S3", "II", "D3"), ("T", "small")]
+    divisors = {"D1": (-1, 1, 1, 0), "D2": (0, -1, 0, 1), "D3": (0, 0, -1, -1)}
+    system = RayDivisorSystem.of(
+        rays=rays,
+        divisors=list(divisors),
+        pairing=[[d[i] for d in divisors.values()] for i in range(4)],
+        meets=list(meets),
+    )
+    return RealizedModel(
+        rho=4,
+        base_system=system,
+        ray_vectors={ray[0]: RVector.of([int(i == j) for j in range(4)])
+                     for i, ray in enumerate(rays)},
+        divisor_vectors={did: RVector.of(d) for did, d in divisors.items()},
+    )
+
+
+def test_cm_extension_kills_the_spokes_of_a_hub():
+    m = _hub_and_two_spokes()
+    assert validate(m.base_system) == []
+    out = cm_nef_extension(m, RVector.of([0, 1, 1, 1]), [("S2", "D2"), ("S3", "D3")])
+    assert [out.dot(v) for v in m.ray_vectors.values()] == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("spokes, text", [
+    ([("S1", "D2")], "ray S1 pairs zero with D2; cannot divide"),
+    ([("S2", "D1")], "ray S2 must pair negatively with D1"),
+    # T pairs -1 with D3 but carries no divisor: the answer would pair 1 with T.
+    ([("S2", "D2"), ("T", "D3")], "ray T does not carry D3"),
+    ([("S2", "D2"), ("S2", "D2")], "spoke divisors must be pairwise distinct"),
+    ([("S1", "D1"), ("S2", "D2")], "spoke divisors D1 and D2 touch"),
+])
+def test_cm_extension_refuses_a_spoke_it_cannot_kill(spokes, text):
+    m = _hub_and_two_spokes()
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        cm_nef_extension(m, RVector.of([0, 1, 1, 1]), spokes)
+
+
+def test_cm_extension_refuses_a_spoke_that_pairs_with_another_spokes_divisor():
+    # Without the meet D1-D3, S3 pairs 1 with D1 where no meet allows it.
+    m = _hub_and_two_spokes(meets=[("D1", "D2")])
+    assert {v.code for v in validate(m.base_system)} == {"pairing-without-meet"}
+    with pytest.raises(ValueError, match="^spoke ray S3 pairs nonzero with D1$"):
+        cm_nef_extension(m, RVector.of([1, 1, 1, 1]), [("S1", "D1"), ("S3", "D3")])
+
+
 @given(st.integers(0, 200))
 @settings(max_examples=40, deadline=None)
 def test_fano_sum_pairings(seed):
@@ -380,6 +429,24 @@ def test_prop_form_is_false_on_a_component_that_fails_to_classify():
     )
     assert _label(system, ["C", "E"]) == "no-hub-ray"
     assert check_prop238_form(m, system, ids, [1, -1, 1, -1]) is False
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m, s: check_prop238_form(m, s, ["R11", "R12", "R21", "R22"],
+                                                 [1, -1, 1, -1]), id="check_prop238_form"),
+    pytest.param(b2_invariants, id="b2_invariants"),
+    pytest.param(lambda m, s: is_simple_in_face(m, s.with_faces([[]]), []),
+                 id="is_simple_in_face"),
+])
+def test_a_construction_refuses_a_system_its_model_does_not_realize(call):
+    m, _ = planted_dependence(2, 3)
+    data = system_to_json(m.base_system)
+    assert data["pairing"][0][0] == "-5"
+    data["pairing"][0][0] = "-4"
+    call(m, m.base_system)
+    text = "the realized model's system differs from the given system's in its pairing"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call(m, system_from_json(data))
 
 
 # --- pair invariants -------------------------------------------------------------
