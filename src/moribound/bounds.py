@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import itemgetter
@@ -377,14 +377,17 @@ class DiagramInstance:
             model=model,
         )
 
+    @cached_property
+    def _facet_bits(self) -> tuple[int, ...]:
+        """Each facet's ray bit, aligned with `polytope.facets`."""
+        return tuple(map(self.system.relations.bit.__getitem__, self.facet_rays))
+
     def face_mask(self, face: int, perp: int) -> int:
         """The mask of the rays killed on the polytope face of vertex mask
         `face`: those of the facets containing it, plus `perp`, the mask of
-        the perp rays."""
-        bit = self.system.relations.bit
-        for i in self.polytope._lattice[face][0]:
-            perp |= bit[self.facet_rays[i]]
-        return perp
+        the perp rays.  The facet rays must be known and pairwise distinct,
+        which `validate_diagram` checks first."""
+        return perp | sum(map(self._facet_bits.__getitem__, self.polytope._lattice[face][0]))
 
 
 def validate_diagram(inst: DiagramInstance) -> None:

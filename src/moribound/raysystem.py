@@ -225,14 +225,28 @@ class RayDivisorSystem:
     def maximal_masks(self) -> tuple[int, ...]:
         """Masks of the inclusion-maximal faces, ordered like `faces`.  The
         empty face is maximal only when it is the sole face."""
-        found: list[int] = []
-        for m in reversed(self._face_masks or ()):  # largest first
-            for big in found:
-                if m | big == big:
-                    break
-            else:
-                found.append(m)
-        return tuple(reversed(found))
+        masks = self._face_masks or ()
+        maps = SubsetMaps.of(masks, len(self.rays))
+        return _maximal_by_loop(masks) if maps is None else _maximal_by_map(maps, masks)
+
+
+def _maximal_by_loop(masks: Sequence[int]) -> tuple[int, ...]:
+    """`maximal_masks` by testing each face against the maximal faces found
+    so far, largest first."""
+    found: list[int] = []
+    for m in reversed(masks):
+        for big in found:
+            if m | big == big:
+                break
+        else:
+            found.append(m)
+    return tuple(reversed(found))
+
+
+def _maximal_by_map(maps: "SubsetMaps", masks: Sequence[int]) -> tuple[int, ...]:
+    """`maximal_masks` on subset maps: the maximal sets of the faces'
+    downward closure are the maximal faces."""
+    return tuple(maps.members(maps.maximal(maps.down(maps.family(masks)))))
 
 
 class Relations:
@@ -362,6 +376,84 @@ class Relations:
         return out
 
 
+class SubsetMaps:
+    """Families of subsets of the rays at positions 0..n-1, each held as
+    one int, its subset map: bit f is set for each member mask f.
+    `hold[j]` is the map of every subset that holds ray j.  Each closure
+    below is then n shift-and-mask steps over 2^n bits, whatever the size of
+    the family, so `of` builds the maps only for a dense face family."""
+
+    __slots__ = ("n", "hold")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        hold = []
+        for j in range(n):
+            # 2^j subsets without ray j, then 2^j with it, and again.
+            step = 1 << j
+            block, width = (1 << step) - 1 << step, 2 * step
+            while width < 1 << n:
+                block |= block << width
+                width *= 2
+            hold.append(block)
+        self.hold = tuple(hold)
+
+    @staticmethod
+    def of(masks: Collection[int], n: int) -> Optional["SubsetMaps"]:
+        """The maps for a family of faces over n rays when it is dense: at
+        least 64 faces, and at most 8 map bits per face.  Otherwise None,
+        and the family stays on the loops, whose memory stays linear in it:
+        a few faces over 40 rays would need a map of 2^40 bits."""
+        if len(masks) < 64 or 1 << n > 8 * len(masks):
+            return None
+        return SubsetMaps(n)
+
+    def family(self, masks: Iterable[int]) -> int:
+        """The subset map of the given masks."""
+        text = bytearray(b"0") * (1 << self.n)
+        for m in masks:
+            text[m] = 49  # "1"
+        return int(text[::-1], 2)  # int() reads the highest bit first
+
+    @staticmethod
+    def members(family: int) -> list[int]:
+        """The member masks of a subset map, in `core.face_order`."""
+        text, out = bin(family)[:1:-1], []  # bit f at index f
+        f = text.find("1")
+        while f >= 0:
+            out.append(f)
+            f = text.find("1", f + 1)
+        return face_order(out)
+
+    def down(self, family: int) -> int:
+        """Every subset of a member."""
+        for j, hold in enumerate(self.hold):
+            family |= (family & hold) >> (1 << j)
+        return family
+
+    def up(self, family: int) -> int:
+        """Every set of the n rays that contains a member."""
+        for j, hold in enumerate(self.hold):
+            family |= family << (1 << j) & hold
+        return family
+
+    def maximal(self, family: int) -> int:
+        """The members with no member one ray larger: on a downward closed
+        family, its maximal members."""
+        short = 0
+        for j, hold in enumerate(self.hold):
+            short |= (family & hold) >> (1 << j)
+        return family & ~short
+
+    def minimal(self, family: int) -> int:
+        """The members with no member one ray smaller: on a family closed
+        upward inside some set, its minimal members."""
+        more = 0
+        for j, hold in enumerate(self.hold):
+            more |= family << (1 << j) & hold
+        return family & ~more
+
+
 # ---------------------------------------------------------------------------
 # Validation.
 # ---------------------------------------------------------------------------
@@ -454,7 +546,8 @@ def validate(s: RayDivisorSystem) -> list[Violation]:
 
 
 def _validate_faces(s: RayDivisorSystem, rel: Relations) -> list[Violation]:
-    faces = set(s._face_masks)
+    masks = s._face_masks
+    faces = set(masks)
     out = []
     if 0 not in faces:
         out.append(Violation("faces-missing-empty", (), "the empty set must be a face"))
@@ -462,21 +555,10 @@ def _validate_faces(s: RayDivisorSystem, rel: Relations) -> list[Violation]:
         if 1 << k not in faces:
             out.append(Violation("singleton-not-a-face", (rel.ids[k],),
                                  "every single ray spans a face of the cone"))
-    # A face is full when all its subsets are faces: walked smallest first,
-    # that is when every f minus one bit is full.  f1 & f2 is a face whenever
-    # f1 or f2 is full, so only pairs of faces that are not full are cut.
-    full: set[int] = set()
-    partial: list[int] = []
-    for f in s._face_masks:
-        rest = f
-        while rest:
-            low = rest & -rest
-            if f ^ low not in full:
-                partial.append(f)
-                break
-            rest ^= low
-        else:
-            full.add(f)
+    # A face is full when all its subsets are faces.  f1 & f2 is a face
+    # whenever f1 or f2 is full, so only pairs of partial faces are cut.
+    maps = SubsetMaps.of(masks, len(rel.ids))
+    partial = _partial_by_loop(masks) if maps is None else _partial_by_map(maps, masks)
     for i, f1 in enumerate(partial):
         for f2 in partial[i + 1 :]:
             if f1 & f2 not in faces:
@@ -486,6 +568,31 @@ def _validate_faces(s: RayDivisorSystem, rel: Relations) -> list[Violation]:
                     f"intersection {rel.names(f1 & f2)} is missing from the face list",
                 ))
     return out
+
+
+def _partial_by_loop(masks: Sequence[int]) -> list[int]:
+    """The faces, in face order, that are not full.  Walked smallest first,
+    a face is full when every face one ray smaller is."""
+    full: set[int] = set()
+    partial: list[int] = []
+    for f in masks:
+        rest = f
+        while rest:
+            low = rest & -rest
+            if f ^ low not in full:
+                partial.append(f)
+                break
+            rest ^= low
+        else:
+            full.add(f)
+    return partial
+
+
+def _partial_by_map(maps: SubsetMaps, masks: Sequence[int]) -> list[int]:
+    """`_partial_by_loop` on subset maps: the faces that contain a set that
+    is not a face."""
+    faces = maps.family(masks)
+    return maps.members(faces & maps.up(~faces))
 
 
 def check_normalization(s: RayDivisorSystem) -> list[Violation]:

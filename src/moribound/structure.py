@@ -20,6 +20,7 @@ from .core import face_order, format_rational, positions, scale_primitive, solve
 from .raysystem import (
     RayDivisorSystem,
     Relations,
+    SubsetMaps,
     Violation,
     divisorial_components,  # re-exported: callers take it from here too
     is_single_arrow_connected,
@@ -442,10 +443,26 @@ def _eset_masks(s: RayDivisorSystem, within: Iterable[str]) -> list[int]:
     if not ids:
         return []
     whole = s.ray_mask(ids)
-    edges = {whole & ~face for face in s.maximal_masks}
+    maps = SubsetMaps.of(s._face_masks, len(rel.ids))
+    if maps is None:
+        return _esets_by_transversals(s.maximal_masks, whole)
+    return _esets_by_map(maps, s._face_masks, whole)
+
+
+def _esets_by_transversals(maximal: Iterable[int], whole: int) -> list[int]:
+    """`_eset_masks` as the minimal transversals of W - F over the maximal
+    faces F."""
+    edges = {whole & ~face for face in maximal}
     if 0 in edges:  # W lies in a face
         return []
     return face_order(_minimal_transversals(edges))
+
+
+def _esets_by_map(maps: SubsetMaps, masks: Sequence[int], whole: int) -> list[int]:
+    """`_eset_masks` on subset maps: the subsets of W that lie in no face
+    although every one-smaller subset does."""
+    outside = maps.down(1 << whole) & ~maps.down(maps.family(masks))
+    return maps.members(maps.minimal(outside))
 
 
 def _minimal_transversals(edges: Iterable[int]) -> list[int]:
