@@ -82,6 +82,10 @@ class RayDivisorSystem:
     # The distinct faces, each the sum of its rays' `Relations.bit`s, in
     # `core.face_order`.
     _face_masks: Optional[tuple[int, ...]] = field(init=False)
+    # Derived by `_set_faces` alone: the inclusion-maximal faces, ordered like
+    # `faces` (the empty one only as the sole face), and a dense family's maps.
+    maximal_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _face_maps: Optional[SubsetMaps] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, faces: Optional[Iterable[Collection[str]]]) -> None:
         divisors = set(self.divisors)
@@ -110,9 +114,10 @@ class RayDivisorSystem:
         self._set_faces(faces)
 
     def _set_faces(self, faces: Optional[Iterable[Collection[str]]]) -> None:
-        """Store the distinct faces (or None) as masks.  A face that repeats
-        an id sums one bit twice, which its popcount shows."""
-        masks = None
+        """Store the distinct faces (or None) as masks with the family's maximal
+        faces and, as `SubsetMaps.of` rules, its subset maps.  A face that
+        repeats an id sums one bit twice, which its popcount shows."""
+        masks = maps = None
         if faces is not None:
             faces = tuple(faces)
             bit = self.relations.bit
@@ -127,7 +132,9 @@ class RayDivisorSystem:
                 )
                 raise SystemFormatError(f"face names unknown ray {unknown}", "faces", k) from None
             masks = tuple(face_order(found))
-        object.__setattr__(self, "_face_masks", masks)
+            maps = SubsetMaps.of(masks, len(self.rays))
+        self.__dict__.update(_face_masks=masks, _face_maps=maps, maximal_masks=(
+            _maximal_by_loop(masks or ()) if maps is None else _maximal_by_map(maps)))
 
     @staticmethod
     def of(
@@ -189,8 +196,8 @@ class RayDivisorSystem:
 
     def with_faces(self, faces: Optional[Iterable[Collection[str]]]) -> "RayDivisorSystem":
         """This system with another face structure.  The new system shares
-        this one's validated data fields; only the faces are checked and
-        turned into masks."""
+        this one's validated data fields; `_set_faces` checks only the faces,
+        as at construction, and derives their family."""
         new = object.__new__(RayDivisorSystem)
         new.__dict__.update({f.name: self.__dict__[f.name] for f in fields(self) if f.init})
         new._set_faces(faces)
@@ -221,14 +228,6 @@ class RayDivisorSystem:
                     raise ValueError(f"ray {rid} is small and {small}")
         return mask
 
-    @cached_property
-    def maximal_masks(self) -> tuple[int, ...]:
-        """Masks of the inclusion-maximal faces, ordered like `faces`.  The
-        empty face is maximal only when it is the sole face."""
-        masks = self._face_masks or ()
-        maps = SubsetMaps.of(masks, len(self.rays))
-        return _maximal_by_loop(masks) if maps is None else _maximal_by_map(maps, masks)
-
 
 def _maximal_by_loop(masks: Sequence[int]) -> tuple[int, ...]:
     """`maximal_masks` by testing each face against the maximal faces found
@@ -243,10 +242,10 @@ def _maximal_by_loop(masks: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(found))
 
 
-def _maximal_by_map(maps: "SubsetMaps", masks: Sequence[int]) -> tuple[int, ...]:
+def _maximal_by_map(maps: "SubsetMaps") -> tuple[int, ...]:
     """`maximal_masks` on subset maps: the maximal sets of the faces'
     downward closure are the maximal faces."""
-    return tuple(maps.members(maps.maximal(maps.down(maps.family(masks)))))
+    return tuple(maps.members(maps.maximal(maps.down(maps.faces))))
 
 
 class Relations:
@@ -379,13 +378,13 @@ class Relations:
 class SubsetMaps:
     """Families of subsets of the rays at positions 0..n-1, each held as
     one int, its subset map: bit f is set for each member mask f.
-    `hold[j]` is the map of every subset that holds ray j.  Each closure
-    below is then n shift-and-mask steps over 2^n bits, whatever the size of
-    the family, so `of` builds the maps only for a dense face family."""
+    `faces` maps the given faces, `hold[j]` every subset that holds ray j.
+    Each closure below is then n shift-and-mask steps over 2^n bits, whatever
+    the size of the family, so `of` builds maps only for a dense face family."""
 
-    __slots__ = ("n", "hold")
+    __slots__ = ("n", "hold", "faces")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, masks: Iterable[int]) -> None:
         self.n = n
         hold = []
         for j in range(n):
@@ -397,6 +396,7 @@ class SubsetMaps:
                 width *= 2
             hold.append(block)
         self.hold = tuple(hold)
+        self.faces = self.family(masks)
 
     @staticmethod
     def of(masks: Collection[int], n: int) -> Optional["SubsetMaps"]:
@@ -406,7 +406,7 @@ class SubsetMaps:
         a few faces over 40 rays would need a map of 2^40 bits."""
         if len(masks) < 64 or 1 << n > 8 * len(masks):
             return None
-        return SubsetMaps(n)
+        return SubsetMaps(n, masks)
 
     def family(self, masks: Iterable[int]) -> int:
         """The subset map of the given masks."""
@@ -557,8 +557,7 @@ def _validate_faces(s: RayDivisorSystem, rel: Relations) -> list[Violation]:
                                  "every single ray spans a face of the cone"))
     # A face is full when all its subsets are faces.  f1 & f2 is a face
     # whenever f1 or f2 is full, so only pairs of partial faces are cut.
-    maps = SubsetMaps.of(masks, len(rel.ids))
-    partial = _partial_by_loop(masks) if maps is None else _partial_by_map(maps, masks)
+    partial = _partial_by_loop(masks) if s._face_maps is None else _partial_by_map(s._face_maps)
     for i, f1 in enumerate(partial):
         for f2 in partial[i + 1 :]:
             if f1 & f2 not in faces:
@@ -588,11 +587,10 @@ def _partial_by_loop(masks: Sequence[int]) -> list[int]:
     return partial
 
 
-def _partial_by_map(maps: SubsetMaps, masks: Sequence[int]) -> list[int]:
+def _partial_by_map(maps: SubsetMaps) -> list[int]:
     """`_partial_by_loop` on subset maps: the faces that contain a set that
     is not a face."""
-    faces = maps.family(masks)
-    return maps.members(faces & maps.up(~faces))
+    return maps.members(maps.faces & maps.up(~maps.faces))
 
 
 def check_normalization(s: RayDivisorSystem) -> list[Violation]:

@@ -443,10 +443,9 @@ def _eset_masks(s: RayDivisorSystem, within: Iterable[str]) -> list[int]:
     if not ids:
         return []
     whole = s.ray_mask(ids)
-    maps = SubsetMaps.of(s._face_masks, len(rel.ids))
-    if maps is None:
+    if s._face_maps is None:
         return _esets_by_transversals(s.maximal_masks, whole)
-    return _esets_by_map(maps, s._face_masks, whole)
+    return _esets_by_map(s._face_maps, whole)
 
 
 def _esets_by_transversals(maximal: Iterable[int], whole: int) -> list[int]:
@@ -458,10 +457,10 @@ def _esets_by_transversals(maximal: Iterable[int], whole: int) -> list[int]:
     return face_order(_minimal_transversals(edges))
 
 
-def _esets_by_map(maps: SubsetMaps, masks: Sequence[int], whole: int) -> list[int]:
+def _esets_by_map(maps: SubsetMaps, whole: int) -> list[int]:
     """`_eset_masks` on subset maps: the subsets of W that lie in no face
     although every one-smaller subset does."""
-    outside = maps.down(1 << whole) & ~maps.down(maps.family(masks))
+    outside = maps.down(1 << whole) & ~maps.down(maps.faces)
     return maps.members(maps.minimal(outside))
 
 

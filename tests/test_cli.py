@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -1206,6 +1207,69 @@ def test_mutated_fixtures_never_raise(tmp_path):
                 except Exception as exc:  # nothing may escape main
                     pytest.fail(f"{argv} raised {exc!r} on {json.dumps(mutant)}")
                 assert code in (0, 1, 2), (argv, mutant)
+
+
+def _mutate_faces(rng, faces):
+    """A copy of a face list with one to three seeded damages: a face
+    dropped, duplicated or reordered, an id repeated, an unknown id, a
+    non-list entry, or the empty face or a singleton dropped."""
+    faces = [list(f) for f in faces]
+    for _ in range(rng.randint(1, 3)):
+        op, k = rng.randrange(9), rng.randrange(len(faces))
+        face = faces[k] if isinstance(faces[k], list) else []
+        if op == 0 and len(faces) > 1:
+            del faces[k]
+        elif op == 1:
+            faces.insert(rng.randrange(len(faces) + 1), face[:])
+        elif op == 2:
+            rng.shuffle(faces)
+        elif op == 3:
+            rng.shuffle(face)
+        elif op == 4 and face:
+            face.append(rng.choice(face))
+        elif op == 5:
+            face.append("Z9")
+        elif op == 6:
+            faces[k] = rng.choice(("R1", 3, None, {"a": 1}, [1], [None], True))
+        else:  # 7: the empty face, 8: a singleton
+            small = [i for i, f in enumerate(faces) if isinstance(f, list) and len(f) == op - 7]
+            if small and len(faces) > 1:
+                del faces[rng.choice(small)]
+    return faces
+
+
+def test_mutated_face_lists_never_raise(tmp_path):
+    """Seeded damage to the face lists of `gen` systems whose families are
+    dense (eset-d at k = 8, cm at m = 7) and sparse (cm at m = 4, d2,
+    eset-a): check, classify and esets, in text and JSON, exit 0, 1 or 2,
+    raise nothing, and name the file whenever they exit 2."""
+    sources = []
+    for opts in (["eset-d", "--k", "8"], ["cm", "--m", "7"], ["cm", "--m", "4"], ["d2"], ["eset-a"]):
+        path = tmp_path / "source.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(["gen", "--family", *opts, "--out", str(path)]) == 0
+        sources.append(json.loads(path.read_text()))
+    rng = random.Random(39)
+    path = tmp_path / "mutant.json"
+    codes = Counter()
+    for source in sources:
+        for _ in range(50):
+            mutant = dict(source, faces=_mutate_faces(rng, source["faces"]))
+            path.write_text(json.dumps(mutant))
+            for command in ("check", "classify", "esets"):
+                for form in ("text", "json"):
+                    argv = [command, str(path), "--format", form]
+                    out = io.StringIO()
+                    try:
+                        with redirect_stdout(out), redirect_stderr(out):
+                            code = main(argv)
+                    except Exception as exc:  # nothing may escape main
+                        pytest.fail(f"{argv} raised {exc!r} on {mutant['faces']}")
+                    assert code in (0, 1, 2), (argv, mutant["faces"])
+                    if code == 2:
+                        assert str(path) in out.getvalue(), (argv, out.getvalue())
+                    codes[code] += 1
+    assert codes.keys() == {0, 1, 2}, codes
 
 
 # --- the field tables: every declared field, every wrong JSON type ------------

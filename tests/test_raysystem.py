@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from types import SimpleNamespace
 
 import pytest
@@ -1106,35 +1106,54 @@ def test_relation_tables_match_fraction_scans():
 
 
 def test_with_faces_matches_a_fresh_system():
+    """A variant equals, hashes and prints as a fresh system with its faces.
+    On the 3-ray base every family is sparse; on eset-d with k = 8 (8 rays)
+    the dense ones carry subset maps, which like `maximal_masks` stay out of
+    equality, hashing and repr."""
     base = system_eset_a()
-    families = list(face_variants(list(base.ray_ids))) + [
-        [[], ["S1"], ["S2"], ["S3"]],
-        [["S2", "S1"], ["S1", "S2"], ["S3"]],
-        None,
+    dense = system_eset_d(8)
+    runs = [(base, faces) for faces in face_variants(list(base.ray_ids))] + [
+        (base, [[], ["S1"], ["S2"], ["S3"]]),
+        (base, [["S2", "S1"], ["S1", "S2"], ["S3"]]),
+        (base, None),
+        *((dense, faces) for faces in islice(face_variants(list(dense.ray_ids)), 12)),
+        (dense, dense.faces),
+        (dense, None),
     ]
-    for faces in families:
-        variant = base.with_faces(faces)
-        fresh = RayDivisorSystem.of(
-            rays=base.rays,
-            divisors=base.divisors,
-            pairing=base.pairing,
-            meets=base.meets,
+    maps = 0
+    for source, faces in runs:
+        variant = source.with_faces(faces)
+        # The same data objects, so that `meets` prints in the same order.
+        fresh = RayDivisorSystem(
+            rays=source.rays,
+            divisors=source.divisors,
+            pairing=source.pairing,
+            meets=source.meets,
             faces=faces,
-            anticanonical=base.anticanonical,
-            fano_mode=base.fano_mode,
+            anticanonical=source.anticanonical,
+            fano_mode=source.fano_mode,
         )
         assert variant == fresh
+        assert hash(variant) == hash(fresh)
+        assert repr(variant) == repr(fresh)
+        assert "maximal_masks" not in repr(variant) and "_face_maps" not in repr(variant)
         assert variant.faces == fresh.faces
         assert variant._face_masks == fresh._face_masks
         assert variant.relations.bit == fresh.relations.bit
+        assert variant.maximal_masks == fresh.maximal_masks
+        assert (variant._face_maps is None) == (fresh._face_maps is None)
+        if variant._face_maps is not None:
+            assert variant._face_maps is not fresh._face_maps
+            assert variant._face_maps.faces == fresh._face_maps.faces
+            maps += 1
         if faces is not None:
             want = sorted({frozenset(f) for f in faces}, key=lambda f: (len(f), sorted(f)))
             assert list(variant.faces) == want
             assert variant._face_masks == tuple(variant.ray_mask(f) for f in want)
-            assert variant.maximal_masks == fresh.maximal_masks
             assert validate(variant) == validate(fresh)
         for name in ("rays", "divisors", "pairing", "meets"):
-            assert getattr(variant, name) is getattr(base, name)
+            assert getattr(variant, name) is getattr(source, name)
+    assert maps == 13
     for make in (base.with_faces, lambda faces: replace(base, faces=faces)):
         with pytest.raises(SystemFormatError, match="face names unknown ray X"):
             make([[], ["S1", "X"]])
@@ -1177,12 +1196,16 @@ def _verdict(s):
 
 def test_verdicts_leave_the_base_untouched():
     """A verdict on a face variant changes nothing on the base, and leaves
-    nothing on the variant but its dataclass fields and the cached relation
-    tables and maximal face masks: it equals the verdict on a fresh
-    variant."""
-    kept = {f.name for f in fields(RayDivisorSystem)} | {"relations", "maximal_masks"}
-    esets = 0
-    for base in (system_eset_a(), system_cm(3), system_d2(), system_eset_d(3)):
+    nothing on the variant but its dataclass fields (the face family derived
+    when its faces were set included) and the cached relation tables: it
+    equals the verdict on a fresh variant.  The 158 sweep bases up to 3 rays
+    are built without faces, so they carry the derived fields from
+    construction."""
+    kept = {f.name for f in fields(RayDivisorSystem)} | {"relations"}
+    esets = bases = 0
+    for base in (system_eset_a(), system_cm(3), system_d2(), system_eset_d(3),
+                 *enumerate_sign_systems(3)):
+        bases += 1
         before = dict(base.__dict__)
         for faces in face_variants(list(base.ray_ids)):
             s = base.with_faces(faces)
@@ -1192,4 +1215,5 @@ def test_verdicts_leave_the_base_untouched():
             esets += len(verdict[2])
         assert base.__dict__ == before
         assert base.__dict__.keys() == before.keys()
+    assert bases == 4 + 158
     assert esets > 10

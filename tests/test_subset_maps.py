@@ -3,16 +3,21 @@
 `raysystem.SubsetMaps` holds a face family over n rays as one int, bit f set
 for each face mask f, and answers in n shift-and-mask steps what the loops
 answer face by face: the maximal faces, the E-sets inside a ray set, and the
-faces that are not full.  Each caller takes the maps only for a dense family
-(at least 64 faces, at most 8 map bits per face).  Here both paths run on the
-same seeded families, on both sides of that rule, and must give the same
-answers in the same order.
+faces that are not full.  A system builds the maps once, when its faces are
+set, and only for a dense family (at least 64 faces, at most 8 map bits per
+face); every caller reads them there.  Here both paths run on the same
+seeded families, on both sides of that rule, and must give the same answers
+in the same order.
 """
 
+import io
 import random
 import time
+from collections import Counter
+from contextlib import redirect_stdout
 from itertools import combinations
 
+from moribound.cli import main
 from moribound.generate import enumerate_sign_systems
 from moribound.raysystem import (
     RayDivisorSystem,
@@ -29,6 +34,7 @@ from moribound.structure import (
     _esets_by_map,
     _esets_by_transversals,
     classify_report,
+    esets_report,
     find_esets,
 )
 
@@ -94,9 +100,10 @@ def _answers(base, faces, withins):
 
 
 def _take_maps(monkeypatch, always):
-    """Make every caller take the maps (always=True) or the loops."""
+    """Make every system build the maps (always=True) or none, so that every
+    caller takes the maps or the loops."""
     def of(masks, n):
-        return SubsetMaps(n) if always else None
+        return SubsetMaps(n, masks) if always else None
 
     monkeypatch.setattr(SubsetMaps, "of", staticmethod(of))
 
@@ -116,7 +123,7 @@ def test_maps_and_loops_agree_on_seeded_families(monkeypatch):
         ids = list(bases[n].ray_ids)
         withins = [rng.sample(ids, rng.randint(0, n)) for _ in range(4)] + [ids, ["R99"]]
         runs.append((bases[n], faces, withins))
-        dense += SubsetMaps.of(faces, n) is not None
+        dense += bases[n].with_faces(faces)._face_maps is not None
     # Both sides of the density rule, and every kind of family.
     assert 20 < dense < 200
     want = [_answers(*run) for run in runs]
@@ -140,11 +147,11 @@ def test_map_functions_match_loops_on_sampled_sweep_pairs():
             continue
         s = base.with_faces(variant)
         masks, whole = s._face_masks, s.relations.divisorial
-        maps = SubsetMaps(len(s.rays))
+        maps = SubsetMaps(len(s.rays), masks)
         maximal = _maximal_by_loop(masks)
-        assert _maximal_by_map(maps, masks) == maximal
-        assert _partial_by_map(maps, masks) == _partial_by_loop(masks)
-        assert _esets_by_map(maps, masks, whole) == _esets_by_transversals(maximal, whole)
+        assert _maximal_by_map(maps) == maximal
+        assert _partial_by_map(maps) == _partial_by_loop(masks)
+        assert _esets_by_map(maps, whole) == _esets_by_transversals(maximal, whole)
         checked += 1
     assert checked == 5000
 
@@ -157,7 +164,7 @@ def test_sparse_family_over_many_rays_stays_on_the_loops(monkeypatch):
     ids = [f"R{i:02d}" for i in range(n)]
     faces = [[], *([rid] for rid in ids), ids[:2], ids[2:4], [ids[1], ids[5]]]
 
-    def refuse(self, n):
+    def refuse(self, n, masks):
         raise AssertionError(f"a subset map over {n} rays was built")
 
     monkeypatch.setattr(SubsetMaps, "__init__", refuse)
@@ -170,3 +177,55 @@ def test_sparse_family_over_many_rays_stays_on_the_loops(monkeypatch):
     assert len(esets) == n * (n - 1) // 2 - 3
     assert len(report["failures"]) == len(esets)
     assert {f["reason"] for f in report["failures"]} == {"disjoint-eset-with-type-i"}
+
+
+def _count_builds(monkeypatch):
+    """A counter of the `SubsetMaps` built and the family maps drawn."""
+    counts = Counter()
+    init, family = SubsetMaps.__init__, SubsetMaps.family
+
+    def counted_init(self, n, masks):
+        counts["maps"] += 1
+        init(self, n, masks)
+
+    def counted_family(self, masks):
+        counts["family"] += 1
+        return family(self, masks)
+
+    monkeypatch.setattr(SubsetMaps, "__init__", counted_init)
+    monkeypatch.setattr(SubsetMaps, "family", counted_family)
+    return counts
+
+
+def test_a_dense_file_builds_one_map_per_command(monkeypatch, tmp_path):
+    """check, classify and esets on eset-d with k = 12 (4,095 faces) and cm
+    with m = 10 (1,024 faces) build one map each, where the faces are set,
+    and every caller reads it."""
+    counts = _count_builds(monkeypatch)
+    for name, opts in (("eset-d", ["--k", "12"]), ("cm", ["--m", "10"])):
+        path = str(tmp_path / f"{name}.json")
+        with redirect_stdout(io.StringIO()):
+            assert main(["gen", "--family", name, *opts, "--out", path]) == 0
+            for command in ("check", "classify", "esets"):
+                counts.clear()
+                assert main([command, path]) == 0
+                assert counts == {"maps": 1, "family": 1}, (name, command)
+
+
+def test_sparse_families_build_no_map(monkeypatch):
+    """The 40-ray system of the test above and 500 seeded sweep pairs build
+    no map through validation, classification and the E-set report."""
+    counts = _count_builds(monkeypatch)
+    ids = [f"R{i:02d}" for i in range(40)]
+    faces = [[], *([rid] for rid in ids), ids[:2], ids[2:4], [ids[1], ids[5]]]
+    systems = [_system_on(40, faces, kind="I")]
+    sample = set(random.Random(39).sample(range(91604), 500))
+    for i, (base, variant) in enumerate(enumerate_sign_systems(max_rays=4, with_faces=True)):
+        if i in sample:
+            systems.append(base.with_faces(variant))
+    for s in systems:
+        validate(s)
+        classify_report(s)
+        esets_report(s)
+    assert len(systems) == 501
+    assert counts == {}
