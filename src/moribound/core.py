@@ -271,44 +271,78 @@ def solve_inequalities(
 ) -> tuple[Fraction, ...] | None:
     """Find x with coeffs . x >= rhs for every (coeffs, rhs) constraint.
 
-    Eliminates one variable at a time, then back-substitutes a witness.
-    Returns one exact solution or None when the system is infeasible.  All
-    inequalities are non-strict; strict requirements must be encoded by the
-    caller (e.g. positivity as ``x_i >= 1`` on a scale-invariant system).
-    Each x_k takes its largest lower bound, or with none the least of 0 and
-    its upper bounds, so where every variable has a lower bound the witness
-    is the lexicographic minimum (x_0 first) of the solutions.
+    Eliminates one variable at a time by Fourier-Motzkin with Chernikov's
+    pruning (`_eliminate`), then back-substitutes a witness.  Returns one
+    exact solution or None when the system is infeasible.  All inequalities
+    are non-strict; strict requirements must be encoded by the caller (e.g.
+    positivity as ``x_i >= 1`` on a scale-invariant system).  Each x_k takes
+    its largest lower bound, or with none the least of 0 and its upper
+    bounds, so where every variable has a lower bound the witness is the
+    lexicographic minimum (x_0 first) of the solutions.  Pruning drops only
+    implied rows, so the witness is the one the unpruned elimination gives.
     """
-    rows: set[tuple[int, ...]] = set()
-    for coeffs, rhs in constraints:
+    rows: dict[tuple[int, ...], int] = {}
+    for i, (coeffs, rhs) in enumerate(constraints):
         row = tuple(map(number, coeffs))
         if len(row) != nvars:
             raise DimensionMismatch("constraint arity does not match nvars")
-        rows.add(_primitive((-number(rhs), *row)))
+        rows.setdefault(_primitive((-number(rhs), *row)), 1 << i)
     return _eliminate(rows, nvars)
 
 
-def _eliminate(rows: set[tuple[int, ...]], nvars: int) -> tuple[Fraction, ...] | None:
+def _eliminate(rows: dict[tuple[int, ...], int], nvars: int) -> tuple[Fraction, ...] | None:
     """Fourier-Motzkin on primitive integer rows r, each meaning
-    r . (1, x) >= 0.  The last variable goes by pairing each row that bounds
-    it from below with each that bounds it from above, with no division;
-    only back-substitution divides."""
-    if nvars == 0:
-        return () if all(r[0] >= 0 for r in rows) else None
-    lowers = [r for r in rows if r[-1] > 0]
-    uppers = [r for r in rows if r[-1] < 0]
-    projected = {r[:-1] for r in rows if r[-1] == 0}
-    projected.update(
-        _primitive([lo[-1] * u - up[-1] * l for u, l in zip(up[:-1], lo)])
-        for lo in lowers
-        for up in uppers
-    )
-    sub = _eliminate(projected, nvars - 1)
-    if sub is None:
+    r . (1, x) >= 0 and mapped to the mask of the input rows it combines.
+
+    The last variable goes by pairing each row that bounds it from below
+    with each that bounds it from above, with no division: the pair's
+    positive integer combination, over its gcd.  Chernikov's rule prunes:
+    once j variables are gone, a row combining more than j + 1 input rows is
+    implied by the others and is dropped.  A row derived twice keeps only the
+    inputs both masks share.  The mask must stay inside every combination
+    that gives the row: keeping either whole mask can drop a descendant the
+    polyhedron needs.  Back-substitution keeps the witness as integers over
+    one common denominator; its coordinates are the only Fractions."""
+    levels = []  # per variable, last first: the rows bounding it, and whether from below
+    for j in range(1, nvars + 1):
+        lowers, uppers, projected = [], [], {}
+        for r, m in rows.items():
+            if r[-1] > 0:
+                lowers.append((r, m))
+            elif r[-1] < 0:
+                uppers.append((r, m))
+            else:
+                projected[r[:-1]] = m
+        for lo, lm in lowers:
+            a = lo[-1]
+            for up, um in uppers:
+                m = lm | um
+                if m.bit_count() > j + 1:
+                    continue
+                row = _primitive([a * u - up[-1] * l for u, l in zip(up[:-1], lo)])
+                old = projected.get(row)
+                projected[row] = m if old is None else old & m
+        levels.append((lowers or uppers, bool(lowers)))
+        rows = projected
+    if any(r[0] < 0 for r in rows):
         return None
-    # The bound each row puts on the last variable, given sub.
-    at = [Fraction(-sum(map(mul, r[1:], sub), r[0]), r[-1]) for r in lowers or uppers]
-    return (*sub, max(at) if lowers else min([Fraction(0), *at]))
+    # x_k = p[k] / den: its largest lower bound, or the least of 0 and its
+    # upper bounds, each bound t / e = -s / r[-1] given x_0 ... x_{k-1}.
+    p: list[int] = []
+    den = 1
+    for bounding, lower in reversed(levels):
+        sign = 1 if lower else -1
+        n, d = 0, 1
+        for i, (r, _) in enumerate(bounding):
+            s = r[0] * den + sum(map(mul, r[1:-1], p))
+            t, e = (-s, r[-1]) if lower else (s, -r[-1])
+            if (i == 0 and lower) or sign * (t * d - n * e) > 0:
+                n, d = t, e
+        p = [x * d for x in p] + [n]
+        den *= d
+        g = math.gcd(den, *p)
+        p, den = [x // g for x in p], den // g
+    return tuple(Fraction(x, den) for x in p)
 
 
 def integral(row: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
@@ -320,10 +354,14 @@ def integral(row: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
 
 def _primitive(row: Sequence[int | Fraction]) -> tuple[int, ...]:
     """The positive multiple of a rational row with coprime integer entries
-    (a zero row stays zero): `integral`'s integers over their gcd."""
-    ints, _ = integral(row)
-    g = math.gcd(*ints) or 1
-    return tuple(x // g for x in ints)
+    (a zero row stays zero): `integral`'s integers over their gcd.  A row of
+    ints, which `math.gcd` takes as it is, skips `integral`."""
+    try:
+        g = math.gcd(*row)
+    except TypeError:  # a Fraction among the entries
+        row, _ = integral(row)
+        g = math.gcd(*row)
+    return tuple(row) if g < 2 else tuple([x // g for x in row])
 
 
 def scale_primitive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:

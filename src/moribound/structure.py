@@ -245,8 +245,8 @@ def _admissible(decomposition: Iterable[tuple[object, ComponentType | str]]) -> 
 # ---------------------------------------------------------------------------
 
 
-# The bound holds every matrix of a full 4-ray sweep: its classify + esets
-# verdicts ask about 7,537 distinct ones, 4.9 MB of keys and witnesses.
+# The bound holds every row set of a full 4-ray sweep: its classify + esets
+# verdicts ask about 5,183 distinct ones, 3.6 MB of keys and witnesses.
 @lru_cache(maxsize=8192)
 def _cone_witness(
     rows: tuple[tuple[int | Fraction, ...], ...], nvars: int, positive: bool
@@ -256,10 +256,10 @@ def _cone_witness(
 
     Every solver question of this module is this one, and the sweeps ask it
     about the same few matrices again and again, so the answer is memoised by
-    the exact rows.  Every m_i has a lower bound row, so the solver's witness
-    is the lexicographic minimum (m_0 first) of the feasible set, which no
-    row order, positive row scaling or repeated row changes: a remembered
-    witness is the one a fresh solve would give."""
+    the rows `_rows` gives, one key per row set.  Every m_i has a lower bound
+    row, so the solver's witness is the lexicographic minimum (m_0 first) of
+    the feasible set, which no row order, positive row scaling or repeated
+    row changes: a remembered witness is the one a fresh solve would give."""
     units = [
         (tuple(int(i == j) for j in range(nvars)), int(positive))
         for i in range(nvars)
@@ -287,8 +287,10 @@ def condition_ii_witness(
 
 
 def _rows(rel: Relations, probes: Iterable[int], ks: Sequence[int]) -> tuple:
-    """One row per probe ray p: its pairings q(p, D(k)) for the rays k of ks."""
-    return tuple(tuple(rel.toward[p][k] for k in ks) for p in probes)
+    """The distinct rows of the probe rays p, sorted: p's pairings q(p, D(k))
+    for the rays k of ks.  A row set asked in any order, or with a repeated
+    row, is thus one `_cone_witness` key."""
+    return tuple(sorted({tuple([rel.toward[p][k] for k in ks]) for p in probes}))
 
 
 def _member_mask(s: RayDivisorSystem, ids: Iterable[str]) -> int:

@@ -4,12 +4,14 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moribound import structure
 from moribound.core import (
     INF,
     KINDS,
@@ -381,6 +383,93 @@ def test_cone_witness_is_invariant_under_row_order_scaling_and_repetition():
             rng.shuffle(variant)
             assert solve_inequalities(variant, nvars) == want, (cons, variant)
     assert 60 < feasible < 540
+
+
+HALVES = [Fraction(i, 2) for i in range(-4, 5)]
+
+
+def _dense_rows(rng, n):
+    """n rows of n entries in -2 ... 2 in halves, zero no likelier than any
+    other entry: dense mixed-sign rows, the elimination's worst case."""
+    return tuple(tuple(rng.choice(HALVES) for _ in range(n)) for _ in range(n))
+
+
+def _cone_constraints(rows, n, positive):
+    """`structure._cone_witness`'s question written out: rows . m >= 0, and
+    every m_i >= 1 when `positive`, else m >= 0 with 1 . m >= 1."""
+    units = [(tuple(int(i == j) for j in range(n)), int(positive)) for i in range(n)]
+    return units + [(row, 0) for row in rows] + ([] if positive else [((1,) * n, 1)])
+
+
+def _tight_point(constraints):
+    """The one point where n constraints in n unknowns all hold with
+    equality, or None when they do not meet in a single point
+    (Gauss-Jordan on Fractions)."""
+    m = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in constraints]
+    n = len(m)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col] / m[col][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _lexmin_vertex(constraints, n):
+    """Reference: make every n-subset of the constraints tight, keep the
+    points that satisfy them all, and take the lexicographically least.
+    Every unknown is bounded below, so a feasible system has its lexicographic
+    minimum at a vertex, which one of the subsets gives."""
+    best = None
+    for subset in combinations(constraints, n):
+        point = _tight_point(subset)
+        if point is not None and (best is None or point < best) and all(
+            sum(map(mul, coeffs, point)) >= rhs for coeffs, rhs in constraints
+        ):
+            best = point
+    return best
+
+
+def test_cone_witness_is_the_scaled_lexmin_vertex():
+    rng = random.Random(40)
+    feasible = 0
+    for trial in range(240):
+        n, positive = 2 + trial % 3, trial % 2 == 1
+        rows = _dense_rows(rng, n)
+        want = _lexmin_vertex(_cone_constraints(rows, n, positive), n)
+        got = structure._cone_witness(rows, n, positive)
+        assert got == (None if want is None else scale_primitive(want)), (rows, positive)
+        feasible += got is not None
+    assert 40 < feasible < 200  # both answers are exercised
+
+
+def test_cone_witness_on_a_dense_ladder():
+    # The unpruned elimination took seconds on some 5-unknown questions of
+    # this kind; the reference runs only there.
+    rng = random.Random(41)
+    feasible = infeasible = 0
+    for n in range(5, 11):
+        for trial in range(8):
+            positive = trial % 2 == 1
+            rows = _dense_rows(rng, n)
+            got = structure._cone_witness(rows, n, positive)
+            if n <= 5:
+                cons = [(tuple(map(Fraction, c)), Fraction(r))
+                        for c, r in _cone_constraints(rows, n, positive)]
+                want = _fraction_elimination(cons, n)
+                assert got == (None if want is None else scale_primitive(want)), rows
+            if got is None:
+                infeasible += 1
+                continue
+            feasible += 1
+            assert all(m.denominator == 1 for m in got) and math.gcd(*map(int, got)) == 1
+            assert all(m >= (1 if positive else 0) for m in got) and any(got)
+            assert all(sum(map(mul, row, got)) >= 0 for row in rows), (rows, got)
+    assert feasible and infeasible
 
 
 @given(st.lists(small_fractions, min_size=1, max_size=5))

@@ -639,6 +639,31 @@ def test_equal_member_matrices_share_one_solve(monkeypatch):
     assert len(solves) == 1
 
 
+def test_one_row_set_is_solved_once(monkeypatch):
+    # Condition (ii) on A, B, C asks their rows in sorted id order; condition
+    # (iii) asks every ray's row in declaration order, and D's row on the
+    # members' divisors repeats A's.  Row sums -1, 1, 0: no all-ones answer.
+    s = RayDivisorSystem.of(
+        rays=[("C", "II", "DC"), ("A", "II", "DA"), ("D", "II", "DD"), ("B", "II", "DB")],
+        divisors=["DA", "DB", "DC", "DD"],
+        pairing=[[0, 1, -1, 0], [-2, 1, 0, 1], [-2, 1, 0, -1], [1, -1, 1, 0]],
+    )
+    solves = []
+    real = structure.solve_inequalities
+
+    def counted(constraints, nvars):
+        solves.append(nvars)
+        return real(constraints, nvars)
+
+    structure._cone_witness.cache_clear()
+    monkeypatch.setattr(structure, "solve_inequalities", counted)
+    members = ["A", "B", "C"]
+    witness = condition_ii_witness(s, members)
+    assert not check_condition_ii(s, members)
+    assert check_condition_iii(s, members) == witness
+    assert solves == [3]
+
+
 def test_check_lemma11_on_cycle():
     s = system_eset_a()
     assert check_lemma11(s, ["S1", "S2", "S3"])
