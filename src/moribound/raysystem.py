@@ -10,13 +10,14 @@ validated system.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .core import (INF, KINDS, RayType, SystemFormatError, bit_order, face_order,
+from .core import (INF, KINDS, Leaf, Opt, RayType, SystemFormatError, bit_order, face_order,
                    format_rational, mask_names, number, positions, to_json, walk)
 
 
@@ -126,11 +127,9 @@ class RayDivisorSystem:
                 for f in faces:
                     m = sum(map(get, f))
                     found.add(m if m.bit_count() == len(f) else sum(map(get, set(f))))
-            except KeyError:
-                k, unknown = min(
-                    (k, min(set(f) - bit.keys())) for k, f in enumerate(faces) if set(f) - bit.keys()
-                )
-                raise SystemFormatError(f"face names unknown ray {unknown}", "faces", k) from None
+            except (KeyError, TypeError):  # an unknown or an unhashable entry
+                _raise_on_unknown_entry(faces, bit)
+                raise
             masks = tuple(face_order(found))
             maps = SubsetMaps.of(masks, len(self.rays))
         self.__dict__.update(_face_masks=masks, _face_maps=maps, maximal_masks=(
@@ -227,6 +226,25 @@ class RayDivisorSystem:
                 if small is not None and not b & rel.divisorial:
                     raise ValueError(f"ray {rid} is small and {small}")
         return mask
+
+
+def _raise_on_unknown_entry(faces: Sequence[Collection], bit: Mapping[str, int]) -> None:
+    """Raise for the first face with an entry that is not a ray id, naming
+    its smallest unknown id when every such entry is a str, else its first
+    other entry by its (abbreviated) repr."""
+    for k, f in enumerate(faces):
+        unknown = [v for v in f if not _is_key(v, bit)]
+        if unknown:
+            other = [v for v in unknown if type(v) is not str]
+            name = reprlib.repr(other[0]) if other else min(unknown)
+            raise SystemFormatError(f"face names unknown ray {name}", "faces", k) from None
+
+
+def _is_key(v: object, table: Mapping) -> bool:
+    try:
+        return v in table
+    except TypeError:  # unhashable
+        return False
 
 
 def _maximal_by_loop(masks: Sequence[int]) -> tuple[int, ...]:
@@ -706,7 +724,20 @@ def system_to_json(s: RayDivisorSystem) -> dict:
     return to_json(SimpleNamespace(**written), "system")
 
 
+# The system's table with each face read only as a list: `_set_faces` checks
+# its entries by the lookups that turn it into a mask, as only a listed ray id,
+# which is a str, has a bit.
+_FACES_AS_LISTS = {**KINDS["system"], "faces": Opt([Leaf("a list", {list})])}
+
+
 def system_from_json(data: Mapping) -> RayDivisorSystem:
-    f = walk(data, KINDS["system"])
-    f["rays"] = [Ray(**r) for r in f["rays"]]
-    return RayDivisorSystem.of(**f)
+    """The system a JSON object describes.  When the object does not make
+    one, `walk` reads it by the full table before the error is raised, so
+    the first field at fault in declaration and list order is reported."""
+    try:
+        f = walk(data, _FACES_AS_LISTS)
+        f["rays"] = [Ray(**r) for r in f["rays"]]
+        return RayDivisorSystem.of(**f)
+    except Exception:  # whatever failed, a field the full walk refuses comes first
+        walk(data, KINDS["system"])
+        raise

@@ -1161,6 +1161,26 @@ def test_with_faces_matches_a_fresh_system():
         base.ray_mask(["S1", "X", "Y"])
 
 
+@pytest.mark.parametrize("faces,message", [
+    ([[], ["A"], ["A", "Q", "B"], ["P"]], "faces[2]: face names unknown ray Q"),
+    ([["A"], ["A", 1, "Z"]], "faces[1]: face names unknown ray 1"),
+    ([["A", ["B"]]], "faces[0]: face names unknown ray ['B']"),
+    ([["A", {}, "Z"], [None]], "faces[0]: face names unknown ray {}"),
+    ([["B", True]], "faces[0]: face names unknown ray True"),
+    ([["A", list(range(100))]], "faces[0]: face names unknown ray [0, 1, 2, 3, 4, 5, ...]"),
+])
+def test_a_face_entry_that_is_no_ray_id_is_named_by_its_face(faces, message):
+    """The smallest unknown id when every unknown entry is a str, else the
+    first other entry by its repr; never a TypeError from comparing or
+    hashing the entries."""
+    rays = [("A", "I", "DA"), ("B", "I", "DB")]
+    base = RayDivisorSystem.of(rays, ["DA", "DB"], [[-1, 0], [0, -1]])
+    for make in (lambda faces: replace(base, faces=faces), base.with_faces):
+        with pytest.raises(SystemFormatError) as caught:
+            make(faces)
+        assert str(caught.value) == message
+
+
 def test_systems_keep_only_their_data_and_relations_index_them():
     """A sweep system stores its dataclass fields and nothing else until a
     question is asked; its `Relations` maps ids to positions, and gives the
